@@ -24,7 +24,6 @@ from .polygauss import (
     ExactValue,
     PolyGauss,
     Polynomial,
-    Rational,
     field_partial,
     field_scale_report,
     gaussian_moment,

@@ -14,8 +14,10 @@ can be evaluated exactly on rational lines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -68,6 +70,8 @@ class PhasePoint:
         self.x = x
         self.xi = xi
         self.is_exact = exact
+        # the value of an empty sum of transform data at this point
+        self.zero = ExactValue.zero_value() if exact else 0.0
 
     @property
     def n(self) -> int:
@@ -209,10 +213,6 @@ def random_float_ts_point(n: int, rng: random.Random) -> TSPoint:
     return TSPoint(x, u)
 
 
-def as_float(value) -> float:
-    return float(value)
-
-
 def value_diff(a, b) -> float:
     """Absolute difference of two transform values, exact where possible."""
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
@@ -223,32 +223,29 @@ def value_diff(a, b) -> float:
     return abs(float(a) - float(b))
 
 
-def _scaled(value, weight):
-    if isinstance(value, ExactValue):
-        return value.scaled(weight)
-    return float(weight) * value
+def _weighted_sum(pairs, zero):
+    """Sum of weight * value over (weight, value) pairs; ``zero`` if none.
+
+    Exact (an ExactValue) when every value is exact and every weight
+    rational, otherwise ``math.fsum`` of the float products.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return zero
+    if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
+        return functools.reduce(operator.add, (v.scaled(w) for w, v in pairs))
+    return math.fsum(float(w) * float(v) for w, v in pairs)
 
 
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint):
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
-    if pt.is_exact:
-        acc = ExactValue.zero_value()
-        for key, comp in f.items():
-            weight = Fraction(tuple_multiplicity(key))
-            for j in key:
-                weight *= pt.xi[j - 1]
-            if weight:
-                acc = acc + line_moment(comp, q, pt.x, pt.xi).scaled(weight)
-        return acc
-    parts = []
+    pairs = []
     for key, comp in f.items():
-        weight = float(tuple_multiplicity(key))
-        for j in key:
-            weight *= pt.xi[j - 1]
+        weight = math.prod((pt.xi[j - 1] for j in key), start=tuple_multiplicity(key))
         if weight:
-            parts.append(weight * line_moment(comp, q, pt.x, pt.xi))
-    return math.fsum(parts)
+            pairs.append((weight, line_moment(comp, q, pt.x, pt.xi)))
+    return _weighted_sum(pairs, pt.zero)
 
 
 def moment_transform(f: SymTensor, q: int, pt: TSPoint):
@@ -282,23 +279,13 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
         raise ValueError("need moment values of orders 0..q")
     s = pt.xi_norm_sq()
     c = pt.x_dot_xi()
-    lam = rational_sqrt(s) if pt.is_exact else None
-    exact = lam is not None and all(isinstance(v, ExactValue) for v in i_values)
-    if exact:
-        acc = ExactValue.zero_value()
-        for ell in range(q + 1):
-            coef = (Fraction((-1) ** (q - ell) * math.comb(q, ell))
-                    * lam ** (rank - 2 * q - 1 + ell) * c ** (q - ell))
-            acc = acc + i_values[ell].scaled(coef)
-        return acc
-    lamf = math.sqrt(float(s))
-    cf = float(c)
-    total = 0.0
-    for ell in range(q + 1):
-        total += ((-1) ** (q - ell) * math.comb(q, ell)
-                  * lamf ** (rank - 2 * q - 1 + ell)
-                  * cf ** (q - ell) * float(i_values[ell]))
-    return total
+    lam = rational_sqrt(s) if is_rational(s) else None
+    if lam is None:  # an irrational direction norm takes the weights to floats
+        lam, c = math.sqrt(float(s)), float(c)
+    pairs = [((-1) ** (q - ell) * math.comb(q, ell)
+              * lam ** (rank - 2 * q - 1 + ell) * c ** (q - ell), i_values[ell])
+             for ell in range(q + 1)]
+    return _weighted_sum(pairs, pt.zero)
 
 
 class MomentAtom:
@@ -386,16 +373,8 @@ class MomentExpression:
 
     def evaluate(self, pt: PhasePoint, cache: dict | None = None):
         """Value at one phase point; ``cache`` memoizes atom values at that point."""
-        if pt.is_exact:
-            acc = ExactValue.zero_value()
-            for coef, atom in self.terms:
-                value = self._atom_value(atom, pt, cache)
-                acc = acc + value.scaled(coef)
-            return acc
-        parts = []
-        for coef, atom in self.terms:
-            parts.append(float(coef) * self._atom_value(atom, pt, cache))
-        return math.fsum(parts)
+        return _weighted_sum(((coef, self._atom_value(atom, pt, cache))
+                              for coef, atom in self.terms), pt.zero)
 
     @staticmethod
     def _atom_value(atom: MomentAtom, pt: PhasePoint, cache: dict | None):
@@ -453,13 +432,6 @@ def john(e: MomentExpression, p: int, q: int) -> MomentExpression:
     if p == q:
         raise ValueError("John operator requires two distinct coordinates")
     return dx(dxi(e, q), p) - dx(dxi(e, p), q)
-
-
-def _john_pair(e: MomentExpression, p: int, q: int) -> MomentExpression:
-    # identical coordinates give the zero operator; used by full-range sweeps
-    if p == q:
-        return MomentExpression.zero()
-    return john(e, p, q)
 
 
 def _recovery_term(r: int, p: int) -> Fraction:
@@ -527,7 +499,7 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
         lhs = e.evaluate(pt, cache)
         idx = tuple(itertools.chain.from_iterable(pairs))
         comp = alt.get(idx)
-        rhs = _scaled(line_moment(comp, 0, pt.x, pt.xi), scale)
+        rhs = line_moment(comp, 0, pt.x, pt.xi) * scale
         best = max(best, value_diff(lhs, rhs))
     return best
 
@@ -554,24 +526,20 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     cache: dict = {}
     best = 0.0
     for qt in itertools.product(range(1, f.n + 1), repeat=mk):
-        if pt.is_exact:
-            acc = ExactValue.zero_value()
-        else:
-            acc = 0.0
+        pairs = []
         for ptuple in itertools.product(range(1, f.n + 1), repeat=mk):
             if any(pa == qa for pa, qa in zip(ptuple, qt)):
                 continue
             e = base
             for pa, qa in zip(ptuple, qt):
                 e = john(e, pa, qa)
-            weight = Fraction(1) if pt.is_exact else 1.0
-            for pa in ptuple:
-                weight = weight * pt.xi[pa - 1]
-            acc = acc + _scaled(e.evaluate(pt, cache), weight)
+            weight = math.prod(pt.xi[pa - 1] for pa in ptuple)
+            pairs.append((weight, e.evaluate(pt, cache)))
+        acc = _weighted_sum(pairs, pt.zero)
         rhs_e = base
         for i in qt:
             rhs_e = dx(rhs_e, i)
-        rhs = _scaled(rhs_e.evaluate(pt, cache), sign)
+        rhs = rhs_e.evaluate(pt, cache) * sign
         best = max(best, value_diff(acc, rhs))
     return best
 
@@ -652,41 +620,22 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
     if not r <= k <= f.rank:
         raise ValueError(f"need len(fixed) <= k <= rank, got {r}, {k}, {f.rank}")
     lhs = extended_transform(_restricted(f, fixed), 0, pt)
-    if pt.is_exact:
-        acc = ExactValue.zero_value()
-    else:
-        acc = 0.0
-    for tail in itertools.product(range(1, f.n + 1), repeat=k - r):
-        weight = Fraction(1) if pt.is_exact else 1.0
-        for j in tail:
-            weight = weight * pt.xi[j - 1]
-        value = _scaled(extended_transform(_restricted(f, fixed + tail), 0, pt),
-                        weight)
-        acc = acc + value
+    tails = itertools.product(range(1, f.n + 1), repeat=k - r)
+    acc = _weighted_sum(((math.prod(pt.xi[j - 1] for j in tail),
+                          extended_transform(_restricted(f, fixed + tail), 0, pt))
+                         for tail in tails), pt.zero)
     return value_diff(lhs, acc)
 
 
 def directional_x_derivative(e: MomentExpression, pt: PhasePoint):
     """Evaluate the direction-contracted x-gradient of transform data at pt."""
-    if pt.is_exact:
-        acc = ExactValue.zero_value()
-        cache: dict = {}
-        for i in range(1, pt.n + 1):
-            acc = acc + dx(e, i).evaluate(pt, cache).scaled(pt.xi[i - 1])
-        return acc
-    cache = {}
-    return math.fsum(pt.xi[i - 1] * dx(e, i).evaluate(pt, cache)
-                     for i in range(1, pt.n + 1))
+    cache: dict = {}
+    return _weighted_sum(((pt.xi[i - 1], dx(e, i).evaluate(pt, cache))
+                          for i in range(1, pt.n + 1)), pt.zero)
 
 
 def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
     """Evaluate the direction-contracted xi-gradient of transform data at pt."""
-    if pt.is_exact:
-        acc = ExactValue.zero_value()
-        cache: dict = {}
-        for i in range(1, pt.n + 1):
-            acc = acc + dxi(e, i).evaluate(pt, cache).scaled(pt.xi[i - 1])
-        return acc
-    cache = {}
-    return math.fsum(pt.xi[i - 1] * dxi(e, i).evaluate(pt, cache)
-                     for i in range(1, pt.n + 1))
+    cache: dict = {}
+    return _weighted_sum(((pt.xi[i - 1], dxi(e, i).evaluate(pt, cache))
+                          for i in range(1, pt.n + 1)), pt.zero)

@@ -24,8 +24,6 @@ import numpy as np
 
 from .symtensor import SymTensor, all_canonical_tuples
 
-Rational = Fraction
-
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -338,13 +336,6 @@ class ExactValue:
     def scaled(self, c) -> "ExactValue":
         return ExactValue(self.coef * _as_fraction(c), self.root, self.exponent)
 
-    def mul_sqrt(self, q) -> "ExactValue":
-        """Multiply by sqrt(q) for positive rational q."""
-        q = _as_fraction(q)
-        if q <= 0:
-            raise ValueError("radicand must be positive")
-        return ExactValue(self.coef, self.root * q, self.exponent)
-
     def __add__(self, other: "ExactValue") -> "ExactValue":
         if not isinstance(other, ExactValue):
             return NotImplemented
@@ -457,8 +448,9 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence):
     return total * math.sqrt(math.pi / s) * math.exp(exponent)
 
 
-def line_moment_quadrature(g: PolyGauss, q: int, x: Sequence, xi: Sequence) -> float:
-    """Independent Gauss-Hermite evaluation of the same line integral.
+def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
+                   absolute: bool) -> float:
+    """Gauss-Hermite sum of the weighted integrand (or of its magnitude).
 
     After the square is completed the integrand is a polynomial in the
     quadrature variable, so the node count makes the rule exact up to
@@ -478,8 +470,14 @@ def line_moment_quadrature(g: PolyGauss, q: int, x: Sequence, xi: Sequence) -> f
     for u, w in zip(us, ws):
         t = u / rs - c / s
         pt = [a + t * b for a, b in zip(x, xi)]
-        total += w * (t ** q if q else 1.0) * g.poly.evaluate(pt)
+        term = w * (t ** q if q else 1.0) * g.poly.evaluate(pt)
+        total += abs(term) if absolute else term
     return total * math.exp(exponent) / rs
+
+
+def line_moment_quadrature(g: PolyGauss, q: int, x: Sequence, xi: Sequence) -> float:
+    """Independent Gauss-Hermite evaluation of the line integral of t^q g."""
+    return _gauss_hermite(g, q, x, xi, absolute=False)
 
 
 def quadrature_mass(g: PolyGauss, q: int, x: Sequence, xi: Sequence) -> float:
@@ -488,19 +486,7 @@ def quadrature_mass(g: PolyGauss, q: int, x: Sequence, xi: Sequence) -> float:
     The natural magnitude scale for relative comparisons between the closed
     form and the quadrature, robust to cancellation in the integral itself.
     """
-    x = [float(v) for v in x]
-    xi = [float(v) for v in xi]
-    s, c, exponent = _line_data(x, xi)
-    rs = math.sqrt(s)
-    deg = g.poly.total_degree() + q
-    nodes = deg // 2 + 2
-    us, ws = np.polynomial.hermite.hermgauss(nodes)
-    total = 0.0
-    for u, w in zip(us, ws):
-        t = u / rs - c / s
-        pt = [a + t * b for a, b in zip(x, xi)]
-        total += abs(w * (t ** q if q else 1.0) * g.poly.evaluate(pt))
-    return total * math.exp(exponent) / rs
+    return _gauss_hermite(g, q, x, xi, absolute=True)
 
 
 def sym_field(n: int, rank: int, components: dict | None = None) -> SymTensor:

@@ -31,6 +31,13 @@ def _check_indices(indices: Sequence[int], n: int) -> Index:
     return idx
 
 
+def _check_group(indices: Sequence[int], n: int, rank: int) -> Index:
+    idx = _check_indices(indices, n)
+    if len(idx) != rank:
+        raise ValueError(f"index group {idx} has length {len(idx)}, expected {rank}")
+    return idx
+
+
 def all_canonical_tuples(n: int, rank: int) -> Iterator[Index]:
     """All canonical index tuples of the given rank, in lexicographic order."""
     return itertools.combinations_with_replacement(range(1, n + 1), rank)
@@ -52,38 +59,39 @@ def distinct_rearrangements(indices: Sequence[int]) -> list[Index]:
     return sorted(set(itertools.permutations(indices)))
 
 
-class SymTensor:
-    """A fully symmetric tensor over an arbitrary scalar type.
+class _SparseTensor:
+    """Sparse storage and linear arithmetic shared by the tensor kinds.
 
-    Component lookup accepts the indices in any order; storage keeps one value
-    per canonical tuple and never stores the zero scalar.
+    A kind passes its ``shape`` (the ranks of its index groups) and supplies
+    ``_key``, which validates a key and returns its canonical form.  Storage
+    keeps one value per canonical key and never stores the zero scalar.
     """
 
-    def __init__(self, n: int, rank: int, components: dict | None = None,
-                 zero: Any = Fraction(0)):
+    def __init__(self, n: int, shape: tuple, components: dict | None, zero: Any):
         if n < 1:
             raise ValueError("dimension must be positive")
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
+        if min(shape) < 0:
+            raise ValueError("ranks must be non-negative")
         self.n = n
-        self.rank = rank
+        self.shape = shape
         self.zero = zero
         data = {}
         for key, value in (components or {}).items():
-            idx = canonical(_check_indices(key, n))
-            if len(idx) != rank:
-                raise ValueError(f"key {key} has length {len(idx)}, expected {rank}")
+            idx = self._key(key)
             if idx in data:
                 raise ValueError(f"duplicate canonical key {idx}")
             if value != zero:
                 data[idx] = value
         self.components = data
 
+    def _like(self, data: dict):
+        """Same kind and shape, over keys that are canonical already."""
+        out = type(self)(self.n, *self.shape, zero=self.zero)
+        out.components = {k: v for k, v in data.items() if v != self.zero}
+        return out
+
     def get(self, indices: Sequence[int]):
-        idx = canonical(_check_indices(indices, self.n))
-        if len(idx) != self.rank:
-            raise ValueError(f"expected {self.rank} indices, got {len(idx)}")
-        return self.components.get(idx, self.zero)
+        return self.components.get(self._key(indices), self.zero)
 
     def items(self):
         return sorted(self.components.items())
@@ -91,39 +99,37 @@ class SymTensor:
     def is_zero(self) -> bool:
         return not self.components
 
-    def _compat(self, other: "SymTensor") -> None:
-        if not isinstance(other, SymTensor):
-            raise TypeError("expected a SymTensor")
-        if self.n != other.n or self.rank != other.rank:
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.n != other.n or self.shape != other.shape:
             raise ValueError("dimension or rank mismatch")
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._compat(other)
         data = dict(self.components)
         for key, value in other.components.items():
             data[key] = data[key] + value if key in data else value
-        return SymTensor(self.n, self.rank, data, self.zero)
+        return self._like(data)
 
-    def __neg__(self) -> "SymTensor":
+    def __neg__(self):
         return self * Fraction(-1)
 
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, coef) -> "SymTensor":
+    def __mul__(self, coef):
         if isinstance(coef, int):
             coef = Fraction(coef)
-        data = {k: v * coef for k, v in self.components.items()}
-        return SymTensor(self.n, self.rank, data, self.zero)
+        return self._like({k: v * coef for k, v in self.components.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SymTensor) and self.n == other.n
-                and self.rank == other.rank and self.components == other.components)
+        return (type(other) is type(self) and self.n == other.n
+                and self.shape == other.shape and self.components == other.components)
 
     def __repr__(self) -> str:
-        return f"SymTensor(n={self.n}, rank={self.rank}, nnz={len(self.components)})"
+        shape = self.shape
+        ranks = f"rank={shape[0]}" if len(shape) == 1 else f"ranks={shape}"
+        return f"{type(self).__name__}(n={self.n}, {ranks}, nnz={len(self.components)})"
 
     def fingerprint(self) -> tuple:
         """Hashable content identity, used for value-level deduplication."""
@@ -133,12 +139,27 @@ class SymTensor:
             for key, value in self.items():
                 fp = value.fingerprint() if hasattr(value, "fingerprint") else value
                 parts.append((key, fp))
-            cached = (self.n, self.rank, tuple(parts))
+            cached = (self.n, *self.shape, tuple(parts))
             setattr(self, "_fingerprint", cached)
         return cached
 
 
-class BiSymTensor:
+class SymTensor(_SparseTensor):
+    """A fully symmetric tensor over an arbitrary scalar type.
+
+    Component lookup accepts the indices in any order.
+    """
+
+    def __init__(self, n: int, rank: int, components: dict | None = None,
+                 zero: Any = Fraction(0)):
+        self.rank = rank
+        super().__init__(n, (rank,), components, zero)
+
+    def _key(self, key) -> Index:
+        return canonical(_check_group(key, self.n, self.rank))
+
+
+class BiSymTensor(_SparseTensor):
     """A tensor with two independently symmetric index groups.
 
     Symmetric within each group, with no symmetry across groups.
@@ -146,137 +167,29 @@ class BiSymTensor:
 
     def __init__(self, n: int, rank1: int, rank2: int,
                  components: dict | None = None, zero: Any = Fraction(0)):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        if rank1 < 0 or rank2 < 0:
-            raise ValueError("ranks must be non-negative")
-        self.n = n
         self.rank1 = rank1
         self.rank2 = rank2
-        self.zero = zero
-        data = {}
-        for (k1, k2), value in (components or {}).items():
-            i1 = canonical(_check_indices(k1, n))
-            i2 = canonical(_check_indices(k2, n))
-            if len(i1) != rank1 or len(i2) != rank2:
-                raise ValueError(f"key {(k1, k2)} does not match ranks "
-                                 f"({rank1}, {rank2})")
-            if (i1, i2) in data:
-                raise ValueError(f"duplicate canonical key {(i1, i2)}")
-            if value != zero:
-                data[(i1, i2)] = value
-        self.components = data
+        super().__init__(n, (rank1, rank2), components, zero)
+
+    def _key(self, key) -> tuple[Index, Index]:
+        k1, k2 = key
+        return (canonical(_check_group(k1, self.n, self.rank1)),
+                canonical(_check_group(k2, self.n, self.rank2)))
 
     def get(self, group1: Sequence[int], group2: Sequence[int]):
-        i1 = canonical(_check_indices(group1, self.n))
-        i2 = canonical(_check_indices(group2, self.n))
-        if len(i1) != self.rank1 or len(i2) != self.rank2:
-            raise ValueError("index group lengths do not match ranks")
-        return self.components.get((i1, i2), self.zero)
-
-    def items(self):
-        return sorted(self.components.items())
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other: "BiSymTensor") -> "BiSymTensor":
-        if not isinstance(other, BiSymTensor):
-            raise TypeError("expected a BiSymTensor")
-        if (self.n, self.rank1, self.rank2) != (other.n, other.rank1, other.rank2):
-            raise ValueError("dimension or rank mismatch")
-        data = dict(self.components)
-        for key, value in other.components.items():
-            data[key] = data[key] + value if key in data else value
-        return BiSymTensor(self.n, self.rank1, self.rank2, data, self.zero)
-
-    def __neg__(self) -> "BiSymTensor":
-        return self * Fraction(-1)
-
-    def __sub__(self, other: "BiSymTensor") -> "BiSymTensor":
-        return self + (-other)
-
-    def __mul__(self, coef) -> "BiSymTensor":
-        if isinstance(coef, int):
-            coef = Fraction(coef)
-        data = {k: v * coef for k, v in self.components.items()}
-        return BiSymTensor(self.n, self.rank1, self.rank2, data, self.zero)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BiSymTensor) and self.n == other.n
-                and self.rank1 == other.rank1 and self.rank2 == other.rank2
-                and self.components == other.components)
-
-    def __repr__(self) -> str:
-        return (f"BiSymTensor(n={self.n}, ranks=({self.rank1}, {self.rank2}), "
-                f"nnz={len(self.components)})")
+        return self.components.get(self._key((group1, group2)), self.zero)
 
 
-class RawTensor:
+class RawTensor(_SparseTensor):
     """A tensor with no index symmetry, keyed by full index tuples."""
 
     def __init__(self, n: int, rank: int, components: dict | None = None,
                  zero: Any = Fraction(0)):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
-        self.n = n
         self.rank = rank
-        self.zero = zero
-        data = {}
-        for key, value in (components or {}).items():
-            idx = _check_indices(key, n)
-            if len(idx) != rank:
-                raise ValueError(f"key {key} has length {len(idx)}, expected {rank}")
-            if value != zero:
-                data[idx] = value
-        self.components = data
+        super().__init__(n, (rank,), components, zero)
 
-    def get(self, indices: Sequence[int]):
-        idx = _check_indices(indices, self.n)
-        if len(idx) != self.rank:
-            raise ValueError(f"expected {self.rank} indices, got {len(idx)}")
-        return self.components.get(idx, self.zero)
-
-    def items(self):
-        return sorted(self.components.items())
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other: "RawTensor") -> "RawTensor":
-        if not isinstance(other, RawTensor):
-            raise TypeError("expected a RawTensor")
-        if self.n != other.n or self.rank != other.rank:
-            raise ValueError("dimension or rank mismatch")
-        data = dict(self.components)
-        for key, value in other.components.items():
-            data[key] = data[key] + value if key in data else value
-        return RawTensor(self.n, self.rank, data, self.zero)
-
-    def __neg__(self) -> "RawTensor":
-        return self * Fraction(-1)
-
-    def __sub__(self, other: "RawTensor") -> "RawTensor":
-        return self + (-other)
-
-    def __mul__(self, coef) -> "RawTensor":
-        if isinstance(coef, int):
-            coef = Fraction(coef)
-        data = {k: v * coef for k, v in self.components.items()}
-        return RawTensor(self.n, self.rank, data, self.zero)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RawTensor) and self.n == other.n
-                and self.rank == other.rank and self.components == other.components)
-
-    def __repr__(self) -> str:
-        return f"RawTensor(n={self.n}, rank={self.rank}, nnz={len(self.components)})"
+    def _key(self, key) -> Index:
+        return _check_group(key, self.n, self.rank)
 
 
 def _check_positions(positions: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -359,15 +272,6 @@ def sym_part(t: RawTensor) -> SymTensor:
             acc = acc + t.get(var)
         data[key] = acc * Fraction(1, len(variants))
     return SymTensor(t.n, t.rank, data, t.zero)
-
-
-def raw_from_sym(t: SymTensor) -> RawTensor:
-    """Expand canonical symmetric storage into full-tuple storage."""
-    data = {}
-    for key, value in t.components.items():
-        for arr in distinct_rearrangements(key):
-            data[arr] = value
-    return RawTensor(t.n, t.rank, data, t.zero)
 
 
 def restrict(f: SymTensor, fixed: Sequence[int]) -> SymTensor:

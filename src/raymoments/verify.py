@@ -16,11 +16,11 @@ must be nonzero) the record's residual holds the witness magnitude.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -60,7 +60,6 @@ from .symtensor import (
     BiSymTensor,
     RawTensor,
     SymTensor,
-    all_canonical_tuples,
     restrict,
     symmetrize,
 )
@@ -363,23 +362,17 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
         qq = k if k >= 1 else 1
         lhs = directional_x_derivative(MomentExpression.transform(f, qq), pt)
         rhs = extended_transform(f, qq - 1, pt)
-        res = value_diff(lhs, _scale_value(rhs, -qq))
+        res = value_diff(lhs, rhs * -qq)
         record(f"integration-by-parts-{tag}", "integration-by-parts", res, False,
                res <= tol)
 
         qe = s_idx % (k + 1)
         lhs = directional_xi_derivative(MomentExpression.transform(f, qe), pt)
         rhs = extended_transform(f, qe, pt)
-        res = value_diff(lhs, _scale_value(rhs, m - qe - 1))
+        res = value_diff(lhs, rhs * (m - qe - 1))
         record(f"euler-degree-{tag}", "euler-degree", res, False, res <= tol)
 
     return result
-
-
-def _scale_value(value, c):
-    if isinstance(value, float):
-        return value * float(c)
-    return value.scaled(Fraction(c))
 
 
 def run_suites(config: SuiteConfig, which: str) -> list[SuiteResult]:
@@ -413,6 +406,11 @@ def serialize_field(f: SymTensor) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _is_natural(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _parse_coef(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise FieldParseError(f"{where}: coefficient must be a string, "
@@ -434,7 +432,7 @@ def parse_field(text: str) -> SymTensor:
     if not isinstance(obj, dict):
         raise FieldParseError("top level must be an object")
     for name in ("n", "rank"):
-        if not isinstance(obj.get(name), int) or obj[name] < 0:
+        if not _is_natural(obj.get(name)):
             raise FieldParseError(f"field {name!r} must be a non-negative integer")
     n, rank = obj["n"], obj["rank"]
     if n < 1:
@@ -468,7 +466,7 @@ def parse_field(text: str) -> SymTensor:
                 raise FieldParseError(f"{spot}: expected keys 'exp' and 'coef'")
             exps = term["exp"]
             if (not isinstance(exps, list) or len(exps) != n
-                    or any(not isinstance(e, int) or e < 0 for e in exps)):
+                    or not all(_is_natural(e) for e in exps)):
                 raise FieldParseError(f"{spot}: 'exp' must be {n} non-negative ints")
             exps = tuple(exps)
             if exps in poly_terms:
@@ -564,13 +562,15 @@ def main(argv=None) -> int:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))
-    results = run_suites(config, args.suite)
-    report = render_report(results, config, config.fmt)
+    sink = contextlib.nullcontext(sys.stdout)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
+        try:
+            sink = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write report file: {exc}")
+    with sink as handle:
+        results = run_suites(config, args.suite)
+        handle.write(render_report(results, config, config.fmt))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -35,7 +35,7 @@ from raymoments import (
     symmetrization_split_residual,
     symmetrized_derivative_residual,
 )
-from raymoments.moments import value_diff, _restricted
+from raymoments.moments import value_diff, _restricted, _weighted_sum
 from raymoments.polygauss import random_polynomial
 from conftest import quad_transform, random_raw
 
@@ -181,6 +181,39 @@ class TestTransforms:
         pt = TSPoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
         with pytest.raises(ValueError):
             moment_transform(f, 0, pt)
+
+
+class TestWeightedSum:
+    def test_exact_when_values_exact_and_weights_rational(self):
+        a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
+        b = ExactValue(Fraction(2), Fraction(2), Fraction(-1))
+        total = _weighted_sum([(Fraction(3), a), (-1, b)], 0.0)
+        assert total == ExactValue(Fraction(-1), Fraction(2), Fraction(-1))
+
+    def test_falls_back_to_fsum_when_one_value_is_a_float(self):
+        a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
+        pairs = [(Fraction(3), a), (1, 1e16), (1, 1.0), (-1, 1e16)]
+        total = _weighted_sum(pairs, ExactValue.zero_value())
+        # a sequential float sum would lose both small terms to the 1e16 pair
+        assert isinstance(total, float)
+        assert total == 3 * float(a) + 1.0
+
+    def test_falls_back_to_fsum_when_one_weight_is_a_float(self):
+        a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
+        total = _weighted_sum([(0.5, a), (Fraction(1, 2), a)], ExactValue.zero_value())
+        assert isinstance(total, float)
+        assert total == pytest.approx(float(a))
+
+    def test_empty_sum_is_the_given_zero(self):
+        exact_zero = ExactValue.zero_value()
+        assert _weighted_sum([], exact_zero) is exact_zero
+        assert _weighted_sum(iter(()), 0.0) == 0.0
+
+    def test_points_supply_the_zero_of_their_path(self):
+        f = sym_field(2, 1)
+        assert extended_transform(f, 0, PhasePoint([0, 1], [1, 0])).is_zero
+        value = extended_transform(f, 0, PhasePoint([0.0, 1.0], [1.0, 0.0]))
+        assert isinstance(value, float) and value == 0.0
 
 
 class TestConversion:

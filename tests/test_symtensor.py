@@ -71,6 +71,45 @@ class TestCanonicalStorage:
             t.get((2,), (1, 2))
 
 
+class TestTensorKinds:
+    """The three kinds share one container; kind and shape still separate them."""
+
+    def kinds(self):
+        return [SymTensor(2, 1, {(1,): Fraction(1)}),
+                RawTensor(2, 1, {(1,): Fraction(1)}),
+                BiSymTensor(2, 1, 0, {((1,), ()): Fraction(1)})]
+
+    def test_adding_different_kinds_raises_type_error(self):
+        for a, b in itertools.permutations(self.kinds(), 2):
+            with pytest.raises(TypeError):
+                a + b
+
+    def test_different_kinds_are_never_equal(self):
+        for a, b in itertools.permutations(self.kinds(), 2):
+            assert a != b
+        for a, b in zip(self.kinds(), self.kinds()):
+            assert a == b
+
+    def test_rank_or_dimension_mismatch_raises_value_error(self):
+        pairs = [(SymTensor(2, 1), SymTensor(2, 2)),
+                 (SymTensor(2, 1), SymTensor(3, 1)),
+                 (RawTensor(2, 2), RawTensor(2, 3)),
+                 (BiSymTensor(2, 1, 2), BiSymTensor(2, 2, 1))]
+        for a, b in pairs:
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                a - b
+
+    def test_arithmetic_keeps_kind_and_drops_zeros(self):
+        for t in self.kinds():
+            doubled = t + t
+            assert type(doubled) is type(t) and doubled.shape == t.shape
+            assert doubled == t * 2 == 2 * t
+            assert (t - t).is_zero() and (t * 0).is_zero()
+            assert (-t).items() == [(key, -v) for key, v in t.items()]
+
+
 class TestSymmetrize:
     def test_two_permutation_average(self):
         t = RawTensor(2, 2, {(1, 2): Fraction(1)})

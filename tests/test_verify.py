@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -211,6 +212,9 @@ class TestSerialization:
             {**base, "components": {"1,1": [{"exp": [0, 0], "coef": "1"}]}},
             {**base, "components": {"1": [{"coef": "1"}]}},
             {"n": 2, "components": {}},
+            {**base, "n": True, "components": {}},
+            {**base, "rank": True, "components": {}},
+            {**base, "components": {"1": [{"exp": [True, 0], "coef": "1"}]}},
         ]
         for payload in bad:
             with pytest.raises(verify.FieldParseError):
@@ -270,6 +274,17 @@ class TestCli:
         assert code == 0
         assert json.loads(target.read_text())["pass"] is True
 
+    def test_unwritable_out_exits_two_before_any_check(self, tmp_path, monkeypatch):
+        def no_checks(config, which):
+            raise AssertionError("checks ran before the report file was opened")
+
+        monkeypatch.setattr(verify, "run_suites", no_checks)
+        target = tmp_path / "no" / "such" / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["--suite", "kernel", "--n", "2", "--m", "1", "--k", "0",
+                  "--out", str(target)])
+        assert err.value.code == 2
+
     def test_field_loading(self, tmp_path, capsys):
         f = random_field(2, 2, 2, 1234)
         path = tmp_path / "field.json"
@@ -291,3 +306,16 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["--field", "/nonexistent/field.json"])
         assert err.value.code == 2
+
+
+class TestGoldenReport:
+    """Report bytes pinned to a committed file, not to another run."""
+
+    GOLDEN = (pathlib.Path(__file__).parent / "data"
+              / "golden_report_all_n2_m2_k1_s3_seed13.json")
+
+    def test_report_bytes_match_golden_file(self, capsys):
+        code = main(["--suite", "all", "--n", "2", "--m", "2", "--k", "1",
+                     "--samples", "3", "--seed", "13", "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == self.GOLDEN.read_text(encoding="utf-8")
