@@ -9,12 +9,13 @@ point enters this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polygauss import PolyGauss
+from .polygauss import PolyGauss, Polynomial
 from .symtensor import (
     BiSymTensor,
     RawTensor,
@@ -125,26 +126,46 @@ def saint_venant(f: SymTensor) -> BiSymTensor:
 
     Produces a field with two symmetric rank-m groups; its kernel on decaying
     fields is exactly the image of the inner derivative.  For m = 1 it reduces
-    to the curl-type integrability condition.
+    to the curl-type integrability condition.  It is the order-0 case of
+    generalized_saint_venant.
     """
-    m = f.rank
-    if m < 1:
+    if f.rank < 1:
         raise ValueError("saint_venant requires rank >= 1")
-    data = {}
-    for ikey in all_canonical_tuples(f.n, m):
-        i_splits = {ell: _position_splits(ikey, ell) for ell in range(m + 1)}
-        for jkey in all_canonical_tuples(f.n, m):
-            acc = f.zero
-            for ell in range(m + 1):
-                # series coefficient, then one split average per index group
-                weight = _series_term(m, ell) * Fraction(1, math.comb(m, ell) ** 2)
-                for j_derivs, j_comp in _position_splits(jkey, ell):
-                    for i_comp, i_derivs in i_splits[ell]:
-                        term = _component_derivative(f, i_comp + j_comp,
-                                                     j_derivs + i_derivs)
-                        acc = acc + term * weight
-            data[(ikey, jkey)] = acc
-    return BiSymTensor(f.n, m, m, data, f.zero)
+    return generalized_saint_venant(f, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil(n: int, m: int, k: int, series) -> tuple:
+    """The order-k operator as a fixed rational-linear map on the jet.
+
+    Returns one ``((pkey, ckey), entries)`` row per output key, where each
+    entry ``(component, derivatives, weight)`` names a canonical component,
+    a sorted derivative multiset and the summed weight of every series term
+    that reads that partial derivative; entries whose weights cancel are
+    dropped.  ``series`` is the coefficient function of the alternating
+    binomial sum.  It is part of the cache key, so a replaced series builds
+    a fresh stencil.
+    """
+    mk = m - k
+    norm_i = math.comb(m, k)
+    weights = [series(mk, ell) * Fraction(1, norm_i * math.comb(mk, ell) ** 2)
+               for ell in range(mk + 1)]
+    rows = []
+    for pkey in all_canonical_tuples(n, mk):
+        p_splits = [_position_splits(pkey, ell) for ell in range(mk + 1)]
+        for ckey in all_canonical_tuples(n, m):
+            summed = {}
+            for q_full, i_part in _position_splits(ckey, k):
+                for ell, weight in enumerate(weights):
+                    for q_derivs, q_comp in _position_splits(q_full, ell):
+                        for p_comp, p_derivs in p_splits[ell]:
+                            jet = (canonical(i_part + p_comp + q_comp),
+                                   tuple(sorted(p_derivs + q_derivs)))
+                            summed[jet] = summed.get(jet, 0) + weight
+            entries = tuple((comp, derivs, weight)
+                            for (comp, derivs), weight in summed.items() if weight)
+            rows.append(((pkey, ckey), entries))
+    return tuple(rows)
 
 
 def generalized_saint_venant(f: SymTensor, k: int) -> BiSymTensor:
@@ -153,29 +174,22 @@ def generalized_saint_venant(f: SymTensor, k: int) -> BiSymTensor:
     The output has a symmetric group of rank m-k and a combined symmetric
     group of rank m (the unrestricted slots together with the k fixed ones).
     It is a differential operator of order m-k; at k = m it degenerates to
-    the identity on an already symmetric field.
+    the identity on an already symmetric field.  Each output component is
+    the cached stencil's row applied to the field's partial derivatives,
+    accumulated coefficient by coefficient.
     """
     m = f.rank
     if not 0 <= k <= m:
         raise ValueError(f"order k={k} outside [0, {m}]")
-    mk = m - k
-    norm_i = math.comb(m, k)
     data = {}
-    for pkey in all_canonical_tuples(f.n, mk):
-        p_splits = {ell: _position_splits(pkey, ell) for ell in range(mk + 1)}
-        for ckey in all_canonical_tuples(f.n, m):
-            acc = f.zero
-            for q_full, i_part in _position_splits(ckey, k):
-                for ell in range(mk + 1):
-                    weight = _series_term(mk, ell) * Fraction(
-                        1, norm_i * math.comb(mk, ell) ** 2)
-                    for q_derivs, q_comp in _position_splits(q_full, ell):
-                        for p_comp, p_derivs in p_splits[ell]:
-                            term = _component_derivative(
-                                f, i_part + p_comp + q_comp, p_derivs + q_derivs)
-                            acc = acc + term * weight
-            data[(pkey, ckey)] = acc
-    return BiSymTensor(f.n, mk, m, data, f.zero)
+    for key, entries in _stencil(f.n, m, k, _series_term):
+        coefs = {}
+        for comp, derivs, weight in entries:
+            term = _component_derivative(f, comp, derivs)
+            for exps, coef in term.poly.terms.items():
+                coefs[exps] = coefs.get(exps, 0) + coef * weight
+        data[key] = PolyGauss(Polynomial._trusted(f.n, coefs))
+    return BiSymTensor(f.n, m - k, m, data, f.zero)
 
 
 def _interleave(i_tuple, j_tuple):

@@ -65,6 +65,19 @@ class Polynomial:
         self.terms = data
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
+        """Build from length-n exponent tuples and Fraction coefficients.
+
+        Skips the validation of ``__init__``; only internal arithmetic, whose
+        inputs are validated polynomials, may call it.  Zero coefficients are
+        dropped.
+        """
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = {exps: coef for exps, coef in terms.items() if coef}
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls(n)
 
@@ -90,10 +103,10 @@ class Polynomial:
         data = dict(self.terms)
         for exps, coef in other.terms.items():
             data[exps] = data.get(exps, Fraction(0)) + coef
-        return Polynomial(self.n, data)
+        return Polynomial._trusted(self.n, data)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -101,14 +114,15 @@ class Polynomial:
     def __mul__(self, other):
         if is_rational(other):
             c = Fraction(other)
-            return Polynomial(self.n, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._trusted(
+                self.n, {e: k * c for e, k in self.terms.items()})
         self._compat(other)
         data = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 data[exps] = data.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(self.n, data)
+        return Polynomial._trusted(self.n, data)
 
     __rmul__ = __mul__
 
@@ -138,7 +152,7 @@ class Polynomial:
             if e:
                 new = exps[: i - 1] + (e - 1,) + exps[i:]
                 data[new] = data.get(new, Fraction(0)) + coef * e
-        return Polynomial(self.n, data)
+        return Polynomial._trusted(self.n, data)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

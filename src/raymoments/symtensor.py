@@ -197,8 +197,8 @@ def _check_positions(positions: Sequence[int], rank: int) -> tuple[int, ...]:
     if len(set(pos)) != len(pos):
         raise ValueError("positions must be distinct")
     for p in pos:
-        if not isinstance(p, int) or not 1 <= p <= rank:
-            raise ValueError(f"position {p} outside [1, {rank}]")
+        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= rank:
+            raise ValueError(f"position {p!r} outside [1, {rank}]")
     return pos
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,35 @@ def sparse_field(n, m, seed, degree=1, nnz=2):
     chosen = keys if keys == [()] else rng.sample(keys, min(nnz, len(keys)))
     return sym_field(n, m, {key: PolyGauss(random_polynomial(n, degree, rng))
                             for key in chosen})
+
+
+def _reference_generalized_saint_venant(f, k):
+    """The order-k operator as a loop over every raw series term.
+
+    Kept as the oracle for the stencil in diffops; it re-expands the whole
+    alternating binomial sum for every output component.
+    """
+    m = f.rank
+    if not 0 <= k <= m:
+        raise ValueError(f"order k={k} outside [0, {m}]")
+    mk = m - k
+    norm_i = math.comb(m, k)
+    data = {}
+    for pkey in all_canonical_tuples(f.n, mk):
+        p_splits = {ell: diffops._position_splits(pkey, ell) for ell in range(mk + 1)}
+        for ckey in all_canonical_tuples(f.n, m):
+            acc = f.zero
+            for q_full, i_part in diffops._position_splits(ckey, k):
+                for ell in range(mk + 1):
+                    weight = diffops._series_term(mk, ell) * Fraction(
+                        1, norm_i * math.comb(mk, ell) ** 2)
+                    for q_derivs, q_comp in diffops._position_splits(q_full, ell):
+                        for p_comp, p_derivs in p_splits[ell]:
+                            term = diffops._component_derivative(
+                                f, i_part + p_comp + q_comp, p_derivs + q_derivs)
+                            acc = acc + term * weight
+            data[(pkey, ckey)] = acc
+    return BiSymTensor(f.n, mk, m, data, f.zero)
 
 
 class TestInnerDerivative:
@@ -110,7 +140,29 @@ class TestGeneralizedSaintVenant:
     def test_order_zero_matches_saint_venant(self):
         for n, m in [(2, 1), (2, 2), (3, 2)]:
             f = random_field(n, m, 1, 20 + m)
-            assert generalized_saint_venant(f, 0) == saint_venant(f)
+            assert saint_venant(f) == _reference_generalized_saint_venant(f, 0)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                     (3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_stencil_matches_reference_loop(self, n, m):
+        f = random_field(n, m, 2, f"stencil:{n}:{m}")
+        for k in range(m + 1):
+            assert (generalized_saint_venant(f, k)
+                    == _reference_generalized_saint_venant(f, k)), k
+
+    def test_replaced_series_builds_fresh_stencil(self, monkeypatch):
+        f = random_field(2, 2, 1, 24)
+        before = generalized_saint_venant(f, 0)
+        original = diffops._series_term
+
+        def flipped(count, ell):
+            value = original(count, ell)
+            return -value if ell == 1 else value
+
+        monkeypatch.setattr(diffops, "_series_term", flipped)
+        assert generalized_saint_venant(f, 0) != before
+        monkeypatch.setattr(diffops, "_series_term", original)
+        assert generalized_saint_venant(f, 0) == before
 
     def test_top_order_is_identity(self):
         f = random_field(2, 2, 2, 21)

@@ -138,6 +138,8 @@ class TestSymmetrize:
             symmetrize(t, (1, 1))
         with pytest.raises(ValueError):
             symmetrize(t, ())
+        with pytest.raises(ValueError):
+            symmetrize(t, (True, 2))
 
     @given(st.integers(2, 3), st.integers(2, 4), st.integers())
     @settings(max_examples=30, deadline=None)
@@ -184,6 +186,8 @@ class TestAlternate:
         t = RawTensor(2, 2, {(1, 2): Fraction(1)})
         with pytest.raises(ValueError):
             alternate(t, (2, 2))
+        with pytest.raises(ValueError):
+            alternate(t, (True, 2))
 
     def test_alternate_of_symmetrize_overlapping_pair(self):
         t = frac_raw(2, 3, 31)
