@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polygauss import PolyGauss, Polynomial
+from .polygauss import PolyGauss, Polynomial, field_scale_report
 from .symtensor import (
     BiSymTensor,
     RawTensor,
     SymTensor,
     all_canonical_tuples,
-    alternate,
     canonical,
     distinct_rearrangements,
 )
@@ -33,14 +32,6 @@ def _series_term(count: int, ell: int) -> Fraction:
     return Fraction((-1) ** ell * math.comb(count, ell))
 
 
-def _field_cache(f: SymTensor) -> dict:
-    cache = getattr(f, "_derivative_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(f, "_derivative_cache", cache)
-    return cache
-
-
 def _component_derivative(f: SymTensor, comp, derivs) -> PolyGauss:
     """Iterated partial derivative of one component, memoized per field.
 
@@ -49,7 +40,7 @@ def _component_derivative(f: SymTensor, comp, derivs) -> PolyGauss:
     """
     comp = canonical(comp)
     derivs = tuple(sorted(derivs))
-    cache = _field_cache(f)
+    cache = f.__dict__.setdefault("_derivative_cache", {})
     hit = cache.get((comp, derivs))
     if hit is not None:
         return hit
@@ -65,21 +56,45 @@ def _component_derivative(f: SymTensor, comp, derivs) -> PolyGauss:
     return value
 
 
-def inner_derivative(u: SymTensor) -> SymTensor:
-    """Symmetrized gradient, raising the rank by one.
+def _apply(n: int, rows, fetch) -> dict:
+    """Apply stencil rows to the PolyGauss values that ``fetch`` returns.
 
-    The value at indices J is the average over slots a of the partial
-    derivative of u at J minus slot a, taken in the J_a direction.
+    Each row ``(out_key, ((source, weight), ...))`` becomes one component,
+    accumulated coefficient by coefficient in one dict.
     """
-    m = u.rank
     data = {}
-    for key in all_canonical_tuples(u.n, m + 1):
-        acc = u.zero
+    for key, entries in rows:
+        coefs = {}
+        for source, weight in entries:
+            for exps, coef in fetch(source).poly.terms.items():
+                coefs[exps] = coefs.get(exps, 0) + coef * weight
+        data[key] = PolyGauss(Polynomial._trusted(n, coefs))
+    return data
+
+
+@functools.lru_cache(maxsize=64)
+def _d_stencil(n: int, m: int) -> tuple:
+    """The inner derivative of a rank-m field, one row per rank-(m+1) key.
+
+    The value at J is the average over slots a of the partial derivative of
+    the component at J minus slot a, taken in the J_a direction.
+    """
+    weight = Fraction(1, m + 1)
+    rows = []
+    for key in all_canonical_tuples(n, m + 1):
+        summed = {}
         for a in range(m + 1):
-            rest = key[:a] + key[a + 1:]
-            acc = acc + _component_derivative(u, rest, (key[a],))
-        data[key] = acc * Fraction(1, m + 1)
-    return SymTensor(u.n, m + 1, data, u.zero)
+            source = (key[:a] + key[a + 1:], (key[a],))
+            summed[source] = summed.get(source, 0) + weight
+        rows.append((key, tuple(summed.items())))
+    return tuple(rows)
+
+
+def inner_derivative(u: SymTensor) -> SymTensor:
+    """Symmetrized gradient, raising the rank by one."""
+    data = _apply(u.n, _d_stencil(u.n, u.rank),
+                  lambda source: _component_derivative(u, *source))
+    return SymTensor(u.n, u.rank + 1, data, u.zero)
 
 
 def iterate_d(v: SymTensor, times: int) -> SymTensor:
@@ -90,18 +105,6 @@ def iterate_d(v: SymTensor, times: int) -> SymTensor:
     for _ in range(times):
         out = inner_derivative(out)
     return out
-
-
-def _sigma_pair_average(n, group1_key, group2_key, raw_value) -> "object":
-    """Average raw_value(t1, t2) over distinct rearrangements of both groups."""
-    arr1 = distinct_rearrangements(group1_key) if group1_key else [()]
-    arr2 = distinct_rearrangements(group2_key) if group2_key else [()]
-    acc = None
-    for t1 in arr1:
-        for t2 in arr2:
-            term = raw_value(t1, t2)
-            acc = term if acc is None else acc + term
-    return acc * Fraction(1, len(arr1) * len(arr2))
 
 
 def _position_splits(key, size):
@@ -139,7 +142,7 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
     """The order-k operator as a fixed rational-linear map on the jet.
 
     Returns one ``((pkey, ckey), entries)`` row per output key, where each
-    entry ``(component, derivatives, weight)`` names a canonical component,
+    entry ``((component, derivatives), weight)`` names a canonical component,
     a sorted derivative multiset and the summed weight of every series term
     that reads that partial derivative; entries whose weights cancel are
     dropped.  ``series`` is the coefficient function of the alternating
@@ -162,8 +165,7 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
                             jet = (canonical(i_part + p_comp + q_comp),
                                    tuple(sorted(p_derivs + q_derivs)))
                             summed[jet] = summed.get(jet, 0) + weight
-            entries = tuple((comp, derivs, weight)
-                            for (comp, derivs), weight in summed.items() if weight)
+            entries = tuple((jet, weight) for jet, weight in summed.items() if weight)
             rows.append(((pkey, ckey), entries))
     return tuple(rows)
 
@@ -181,23 +183,32 @@ def generalized_saint_venant(f: SymTensor, k: int) -> BiSymTensor:
     m = f.rank
     if not 0 <= k <= m:
         raise ValueError(f"order k={k} outside [0, {m}]")
-    data = {}
-    for key, entries in _stencil(f.n, m, k, _series_term):
-        coefs = {}
-        for comp, derivs, weight in entries:
-            term = _component_derivative(f, comp, derivs)
-            for exps, coef in term.poly.terms.items():
-                coefs[exps] = coefs.get(exps, 0) + coef * weight
-        data[key] = PolyGauss(Polynomial._trusted(f.n, coefs))
+    data = _apply(f.n, _stencil(f.n, m, k, _series_term),
+                  lambda source: _component_derivative(f, *source))
     return BiSymTensor(f.n, m - k, m, data, f.zero)
 
 
-def _interleave(i_tuple, j_tuple):
-    out = []
-    for a, b in zip(i_tuple, j_tuple):
-        out.append(a)
-        out.append(b)
-    return tuple(out)
+@functools.lru_cache(maxsize=64)
+def _alternation_stencil(n: int, m: int) -> tuple:
+    """The m pair alternations of an interleaved rank-2m tensor.
+
+    Row ``(i1, j1, ..., im, jm)`` is the signed 2^-m sum over its 2^m pair
+    swaps, each read at ``((i1, ..., im), (j1, ..., jm))`` with both groups
+    canonical.  Rows with a pair ``i == j`` are left out: that pair's swap
+    reads the same entry with the opposite sign, so every term cancels.
+    """
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    rows = []
+    for chosen in itertools.product(pairs, repeat=m):
+        signs = {}
+        for swaps in itertools.product((False, True), repeat=m):
+            read = [(j, i) if swap else (i, j) for (i, j), swap in zip(chosen, swaps)]
+            source = (canonical(i for i, _ in read), canonical(j for _, j in read))
+            signs[source] = signs.get(source, 0) + (-1) ** sum(swaps)
+        entries = tuple((source, Fraction(sign, 2 ** m))
+                        for source, sign in signs.items() if sign)
+        rows.append((tuple(itertools.chain.from_iterable(chosen)), entries))
+    return tuple(rows)
 
 
 def alternated_derivative(f: SymTensor) -> RawTensor:
@@ -210,17 +221,29 @@ def alternated_derivative(f: SymTensor) -> RawTensor:
     m = f.rank
     if m < 1:
         raise ValueError("alternated_derivative requires rank >= 1")
-    data = {}
-    for idx in itertools.product(range(1, f.n + 1), repeat=2 * m):
-        comp = idx[0::2]
-        derivs = idx[1::2]
-        value = _component_derivative(f, comp, derivs)
-        if not value.is_zero():
-            data[idx] = value
-    out = RawTensor(f.n, 2 * m, data, f.zero)
-    for a in range(m):
-        out = alternate(out, (2 * a + 1, 2 * a + 2))
-    return out
+    data = _apply(f.n, _alternation_stencil(f.n, m),
+                  lambda source: _component_derivative(f, *source))
+    return RawTensor(f.n, 2 * m, data, f.zero)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
+    """An interleaved rank-2m tensor averaged within each index group, times 2^m.
+
+    One ``((ikey, jkey), entries)`` row per pair of canonical keys; the
+    entries read the interleaving of each distinct rearrangement of ikey with
+    each of jkey.
+    """
+    rows = []
+    for ikey in all_canonical_tuples(n, m):
+        arr1 = distinct_rearrangements(ikey)
+        for jkey in all_canonical_tuples(n, m):
+            arr2 = distinct_rearrangements(jkey)
+            weight = Fraction(2 ** m, len(arr1) * len(arr2))
+            entries = tuple((tuple(itertools.chain.from_iterable(zip(t1, t2))), weight)
+                            for t1 in arr1 for t2 in arr2)
+            rows.append(((ikey, jkey), entries))
+    return tuple(rows)
 
 
 def saint_venant_from_alternated(rf: RawTensor) -> BiSymTensor:
@@ -235,15 +258,8 @@ def saint_venant_from_alternated(rf: RawTensor) -> BiSymTensor:
     m = rf.rank // 2
     if m < 1:
         raise ValueError("expected rank >= 2")
-    scale = Fraction(2 ** m)
-
-    def raw(i_tuple, j_tuple):
-        return rf.get(_interleave(i_tuple, j_tuple))
-
-    data = {}
-    for ikey in all_canonical_tuples(rf.n, m):
-        for jkey in all_canonical_tuples(rf.n, m):
-            data[(ikey, jkey)] = _sigma_pair_average(rf.n, ikey, jkey, raw) * scale
+    data = _apply(rf.n, _pair_symmetrization_stencil(rf.n, m),
+                  lambda source: rf.components.get(source, rf.zero))
     return BiSymTensor(rf.n, m, m, data, rf.zero)
 
 
@@ -258,16 +274,9 @@ def alternated_from_saint_venant(wf: BiSymTensor) -> RawTensor:
     m = wf.rank1
     if m < 1:
         raise ValueError("expected rank >= 1")
-    scale = Fraction(1, m + 1)
-    data = {}
-    for idx in itertools.product(range(1, wf.n + 1), repeat=2 * m):
-        value = wf.get(idx[0::2], idx[1::2]) * scale
-        if value != wf.zero:
-            data[idx] = value
-    out = RawTensor(wf.n, 2 * m, data, wf.zero)
-    for a in range(m):
-        out = alternate(out, (2 * a + 1, 2 * a + 2))
-    return out
+    data = _apply(wf.n, _alternation_stencil(wf.n, m),
+                  lambda source: wf.components.get(source, wf.zero))
+    return RawTensor(wf.n, 2 * m, data, wf.zero) * Fraction(1, m + 1)
 
 
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
@@ -310,11 +319,5 @@ class OperatorReport:
 
 
 def operator_report(t) -> OperatorReport:
-    """Scan a tensor of PolyGauss components for its exact-zero status."""
-    best = Fraction(0)
-    empty = True
-    for _, value in t.items():
-        best = max(best, value.poly.max_abs_coefficient())
-        if not value.is_zero():
-            empty = False
-    return OperatorReport(max_abs_coefficient=best, is_zero=empty)
+    """Exact-zero certificate of a tensor of PolyGauss components."""
+    return OperatorReport(field_scale_report(t), t.is_zero())

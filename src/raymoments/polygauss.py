@@ -57,7 +57,8 @@ class Polynomial:
         data = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != n or any(not isinstance(e, int) or isinstance(e, bool)
+                                     or e < 0 for e in exps):
                 raise ValueError(f"bad exponent multi-index {exps}")
             coef = _as_fraction(coef)
             if coef:
@@ -194,15 +195,17 @@ class Polynomial:
         exact = all_rational(x) and all_rational(xi)
         zero = Fraction(0) if exact else 0.0
         out = [zero] * (self.total_degree() + 1)
+        rows = {}  # (coordinate, exponent) -> coefficients of (x_i + t*xi_i)^e
         for exps, coef in self.terms.items():
             # expand prod_i (x_i + t*xi_i)^{e_i} one coordinate at a time
             conv = [Fraction(coef) if exact else float(coef)]
-            for xc, vc, e in zip(x, xi, exps):
+            for i, (xc, vc, e) in enumerate(zip(x, xi, exps)):
                 if not e:
                     continue
-                base = [zero] * (e + 1)
-                for j in range(e + 1):
-                    base[j] = math.comb(e, j) * (xc ** (e - j)) * (vc ** j)
+                if (i, e) not in rows:
+                    rows[(i, e)] = [math.comb(e, j) * (xc ** (e - j)) * (vc ** j)
+                                    for j in range(e + 1)]
+                base = rows[(i, e)]
                 new = [zero] * (len(conv) + e)
                 for a, ca in enumerate(conv):
                     if ca == 0:

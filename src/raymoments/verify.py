@@ -31,7 +31,6 @@ from .diffops import (
     alternated_from_saint_venant,
     generalized_saint_venant,
     iterate_d,
-    operator_report,
     restriction_relation_residual,
     saint_venant,
     saint_venant_from_alternated,
@@ -177,11 +176,6 @@ def generate_potential(n: int, m: int, k: int, degree: int, seed):
     return v, iterate_d(v, k + 1)
 
 
-def _tensor_residual(t) -> Fraction:
-    rep = operator_report(t)
-    return Fraction(0) if rep.is_zero else rep.max_abs_coefficient
-
-
 def _relative(a, b) -> float:
     return value_diff(a, b) / max(1.0, abs(float(a)), abs(float(b)))
 
@@ -203,7 +197,7 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
     if k < m:
         _, f = generate_potential(n, m, k, config.degree, f"{config.seed}:kernel")
         scale = max(1.0, float(field_scale_report(f)))
-        wk_residual = _tensor_residual(generalized_saint_venant(f, k))
+        wk_residual = field_scale_report(generalized_saint_venant(f, k))
         record("potential-exact-kernel", "potential-exact-kernel",
                wk_residual, True, wk_residual == 0)
         worst = 0.0
@@ -225,7 +219,7 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
         wm = generalized_saint_venant(f, m)
         expected = BiSymTensor(n, 0, m, {((), key): val for key, val in f.items()},
                                zero=f.zero)
-        top_residual = _tensor_residual(wm - expected)
+        top_residual = field_scale_report(wm - expected)
         record("degenerate-top-order", "degenerate-top-order",
                top_residual, True, top_residual == 0)
 
@@ -238,7 +232,7 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
         else:
             g = _nonzero_field(n, m, config.degree,
                                f"{config.seed}:kernel:sep/{attempt}")
-        op_witness = _tensor_residual(generalized_saint_venant(g, k))
+        op_witness = field_scale_report(generalized_saint_venant(g, k))
         if op_witness == 0:
             if config.field is not None:
                 break  # a loaded kernel field cannot separate; report the failure
@@ -299,10 +293,10 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
         alt = alternated_derivative(f)
         w_direct = saint_venant(f)
         w_from_alt = saint_venant_from_alternated(alt)
-        res = _tensor_residual(w_direct - w_from_alt)
+        res = field_scale_report(w_direct - w_from_alt)
         record("sv-alternation-equivalence", "sv-alternation-equivalence",
                res, True, res == 0)
-        res = _tensor_residual(alternated_from_saint_venant(w_from_alt) - alt)
+        res = field_scale_report(alternated_from_saint_venant(w_from_alt) - alt)
         record("sv-alternation-roundtrip", "sv-alternation-roundtrip",
                res, True, res == 0)
         kk = min(k, m - 1)

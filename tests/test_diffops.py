@@ -11,7 +11,9 @@ from raymoments import (
     PolyGauss,
     Polynomial,
     RawTensor,
+    SymTensor,
     all_canonical_tuples,
+    alternate,
     alternated_derivative,
     alternated_from_saint_venant,
     generalized_saint_venant,
@@ -27,6 +29,7 @@ from raymoments import (
     sym_field,
 )
 from raymoments.polygauss import random_polynomial
+from raymoments.symtensor import distinct_rearrangements
 
 
 def scalar_field(n, seed=0, degree=2):
@@ -69,6 +72,141 @@ def _reference_generalized_saint_venant(f, k):
                             acc = acc + term * weight
             data[(pkey, ckey)] = acc
     return BiSymTensor(f.n, mk, m, data, f.zero)
+
+
+def _reference_inner_derivative(u):
+    """The inner derivative as a loop over slots, the oracle for its stencil."""
+    m = u.rank
+    data = {}
+    for key in all_canonical_tuples(u.n, m + 1):
+        acc = u.zero
+        for a in range(m + 1):
+            rest = key[:a] + key[a + 1:]
+            acc = acc + diffops._component_derivative(u, rest, (key[a],))
+        data[key] = acc * Fraction(1, m + 1)
+    return SymTensor(u.n, m + 1, data, u.zero)
+
+
+def _reference_alternated_derivative(f):
+    """The m-th derivative tensor followed by m ``alternate`` passes."""
+    m = f.rank
+    if m < 1:
+        raise ValueError("alternated_derivative requires rank >= 1")
+    data = {}
+    for idx in itertools.product(range(1, f.n + 1), repeat=2 * m):
+        comp = idx[0::2]
+        derivs = idx[1::2]
+        value = diffops._component_derivative(f, comp, derivs)
+        if not value.is_zero():
+            data[idx] = value
+    out = RawTensor(f.n, 2 * m, data, f.zero)
+    for a in range(m):
+        out = alternate(out, (2 * a + 1, 2 * a + 2))
+    return out
+
+
+def _sigma_pair_average(n, group1_key, group2_key, raw_value) -> "object":
+    """Average raw_value(t1, t2) over distinct rearrangements of both groups."""
+    arr1 = distinct_rearrangements(group1_key) if group1_key else [()]
+    arr2 = distinct_rearrangements(group2_key) if group2_key else [()]
+    acc = None
+    for t1 in arr1:
+        for t2 in arr2:
+            term = raw_value(t1, t2)
+            acc = term if acc is None else acc + term
+    return acc * Fraction(1, len(arr1) * len(arr2))
+
+
+def _interleave(i_tuple, j_tuple):
+    out = []
+    for a, b in zip(i_tuple, j_tuple):
+        out.append(a)
+        out.append(b)
+    return tuple(out)
+
+
+def _reference_saint_venant_from_alternated(rf):
+    """Group averages of the interleaved tensor, one output key at a time."""
+    if rf.rank % 2:
+        raise ValueError("expected an even-rank pairwise tensor")
+    m = rf.rank // 2
+    if m < 1:
+        raise ValueError("expected rank >= 2")
+    scale = Fraction(2 ** m)
+
+    def raw(i_tuple, j_tuple):
+        return rf.get(_interleave(i_tuple, j_tuple))
+
+    data = {}
+    for ikey in all_canonical_tuples(rf.n, m):
+        for jkey in all_canonical_tuples(rf.n, m):
+            data[(ikey, jkey)] = _sigma_pair_average(rf.n, ikey, jkey, raw) * scale
+    return BiSymTensor(rf.n, m, m, data, rf.zero)
+
+
+def _reference_alternated_from_saint_venant(wf):
+    """The interleaved tensor over m + 1 followed by m ``alternate`` passes."""
+    if wf.rank1 != wf.rank2:
+        raise ValueError("expected equal-rank index groups")
+    m = wf.rank1
+    if m < 1:
+        raise ValueError("expected rank >= 1")
+    scale = Fraction(1, m + 1)
+    data = {}
+    for idx in itertools.product(range(1, wf.n + 1), repeat=2 * m):
+        value = wf.get(idx[0::2], idx[1::2]) * scale
+        if value != wf.zero:
+            data[idx] = value
+    out = RawTensor(wf.n, 2 * m, data, wf.zero)
+    for a in range(m):
+        out = alternate(out, (2 * a + 1, 2 * a + 2))
+    return out
+
+
+STENCIL_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
+
+
+class TestStencilsMatchReferenceLoops:
+    """Every stencil operator against the hand-written loop it replaced.
+
+    The generic inputs (a raw tensor with no pair antisymmetry, a
+    block-symmetric tensor that is no Saint Venant image) reach stencil
+    entries that operator images would cancel.
+    """
+
+    @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
+    def test_inner_derivative(self, n, m):
+        u = random_field(n, m, 2, f"d:{n}:{m}")
+        assert inner_derivative(u) == _reference_inner_derivative(u)
+
+    @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
+    def test_alternated_derivative(self, n, m):
+        f = random_field(n, m, 1, f"alt:{n}:{m}")
+        assert alternated_derivative(f) == _reference_alternated_derivative(f)
+
+    @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
+    def test_saint_venant_from_alternated(self, n, m):
+        rng = random.Random(f"sva:{n}:{m}")
+        generic = RawTensor(n, 2 * m, {
+            idx: PolyGauss(random_polynomial(n, 1, rng))
+            for idx in itertools.product(range(1, n + 1), repeat=2 * m)},
+            zero=PolyGauss.zero(n))
+        image = alternated_derivative(random_field(n, m, 1, f"sva:{n}:{m}"))
+        for rf in (generic, image):
+            assert (saint_venant_from_alternated(rf)
+                    == _reference_saint_venant_from_alternated(rf))
+
+    @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
+    def test_alternated_from_saint_venant(self, n, m):
+        rng = random.Random(f"asv:{n}:{m}")
+        keys = list(all_canonical_tuples(n, m))
+        generic = BiSymTensor(n, m, m, {
+            (ikey, jkey): PolyGauss(random_polynomial(n, 1, rng))
+            for ikey in keys for jkey in keys}, zero=PolyGauss.zero(n))
+        image = saint_venant(random_field(n, m, 1, f"asv:{n}:{m}"))
+        for wf in (generic, image):
+            assert (alternated_from_saint_venant(wf)
+                    == _reference_alternated_from_saint_venant(wf))
 
 
 class TestInnerDerivative:
@@ -221,6 +359,12 @@ class TestGeneralizedSaintVenant:
             seen.clear()
             generalized_saint_venant(f, k)
             assert set(seen) == {3 - k}
+        seen.clear()
+        inner_derivative(f)
+        assert set(seen) == {1}
+        seen.clear()
+        alternated_derivative(f)
+        assert set(seen) == {3}
 
 
 class TestAlternatedDerivative:

@@ -163,6 +163,21 @@ class TestRingOps:
         with pytest.raises(TypeError):
             gauss(2) * 0.5
 
+    def test_bad_exponents_rejected(self):
+        for exps in [(True, 0), ("a", 0), (-1, 0), (1.0, 0), (1, 0, 0)]:
+            with pytest.raises(ValueError):
+                Polynomial(2, {exps: Fraction(1)})
+
+    def test_line_coefficients_expand_the_restriction(self):
+        # monomials share (coordinate, exponent) pairs, so binomial rows repeat
+        p = random_polynomial(3, 4, random.Random(5))
+        x = (Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+        xi = (Fraction(2, 7), Fraction(1), Fraction(-1, 5))
+        coefs = p.line_coefficients(x, xi)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 4)):
+            point = [a + t * b for a, b in zip(x, xi)]
+            assert sum(c * t ** d for d, c in enumerate(coefs)) == p.evaluate_exact(point)
+
 
 class TestEvaluate:
     def test_gaussian_at_origin(self):
