@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polygauss import PolyGauss, Polynomial, field_scale_report
+# the field's jet; the stencil loops look this name up at call time
+from .polygauss import _jet as _component_derivative
 from .symtensor import (
     BiSymTensor,
     RawTensor,
@@ -30,30 +32,6 @@ from .symtensor import restrict as restrict_field
 def _series_term(count: int, ell: int) -> Fraction:
     """Coefficient of the ell-th term of the alternating binomial sum."""
     return Fraction((-1) ** ell * math.comb(count, ell))
-
-
-def _component_derivative(f: SymTensor, comp, derivs) -> PolyGauss:
-    """Iterated partial derivative of one component, memoized per field.
-
-    The derivative index order is immaterial (mixed partials commute), so the
-    cache key uses the sorted multiset.
-    """
-    comp = canonical(comp)
-    derivs = tuple(sorted(derivs))
-    cache = f.__dict__.setdefault("_derivative_cache", {})
-    hit = cache.get((comp, derivs))
-    if hit is not None:
-        return hit
-    value = f.get(comp)
-    done = ()
-    for i in derivs:
-        done = done + (i,)
-        nxt = cache.get((comp, done))
-        if nxt is None:
-            nxt = value.derive(i)
-            cache[(comp, done)] = nxt
-        value = nxt
-    return value
 
 
 def _apply(n: int, rows, fetch) -> dict:

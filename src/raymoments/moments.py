@@ -25,18 +25,20 @@ from typing import Sequence
 from .diffops import alternated_derivative
 from .polygauss import (
     ExactValue,
+    _jet,
     all_rational,
-    field_partial,
     is_rational,
     line_moment,
     rational_sqrt,
 )
 from .symtensor import (
     RawTensor,
+    _check_indices,
     SymTensor,
     all_canonical_tuples,
     distinct_rearrangements,
     restrict,
+    restriction_indices,
     symmetrize,
     tuple_multiplicity,
 )
@@ -237,14 +239,20 @@ def _weighted_sum(pairs, zero):
     return math.fsum(float(w) * float(v) for w, v in pairs)
 
 
-def _transform_value(f: SymTensor, q: int, pt: PhasePoint):
+def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
+    """The q-th transform of the derivative ``derivs`` of f restricted at ``fixed``.
+
+    Each component is read from the field's jet.
+    """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
     pairs = []
-    for key, comp in f.items():
+    for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
         weight = math.prod((pt.xi[j - 1] for j in key), start=tuple_multiplicity(key))
         if weight:
-            pairs.append((weight, line_moment(comp, q, pt.x, pt.xi)))
+            comp = _jet(f, fixed + key, derivs)
+            if comp:
+                pairs.append((weight, line_moment(comp, q, pt.x, pt.xi)))
     return _weighted_sum(pairs, pt.zero)
 
 
@@ -289,31 +297,39 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
 
 
 class MomentAtom:
-    """One transform datum: order q applied to a concrete field."""
+    """One transform datum: order q of a field's derivative and restriction.
 
-    __slots__ = ("q", "field", "fingerprint")
+    The datum is the q-th transform of the partial derivative ``derivs`` of
+    ``field`` restricted at the indices ``fixed``.  Both tuples are kept
+    sorted, because partials commute with each other and with restriction.
+    ``fingerprint`` names the datum by the field's identity, not its content.
+    """
 
-    def __init__(self, q: int, field: SymTensor):
+    __slots__ = ("q", "field", "fixed", "derivs", "fingerprint")
+
+    def __init__(self, q: int, field: SymTensor, fixed=(), derivs=()):
         if q < 0:
             raise ValueError("moment order must be non-negative")
         self.q = q
         self.field = field
-        self.fingerprint = (q, field.fingerprint())
+        self.fixed = tuple(sorted(fixed))
+        self.derivs = tuple(sorted(derivs))
+        self.fingerprint = (q, self.fixed, self.derivs, id(field))
 
     @property
     def rank(self) -> int:
-        return self.field.rank
+        return self.field.rank - len(self.fixed)
 
     def value(self, pt: PhasePoint):
-        return _transform_value(self.field, self.q, pt)
+        return _transform_value(self.field, self.q, pt, self.fixed, self.derivs)
 
 
 class MomentExpression:
     """A rational-linear combination of moment atoms.
 
     Closed under the derivative rewrites below; atoms are deduplicated by
-    (order, field content) with coefficient merging so that structurally
-    canceling identities collapse to the empty expression.
+    (order, restriction, derivatives, field) with coefficient merging so that
+    structurally canceling identities collapse to the empty expression.
     """
 
     __slots__ = ("terms",)
@@ -326,8 +342,10 @@ class MomentExpression:
         return cls()
 
     @classmethod
-    def transform(cls, f: SymTensor, q: int) -> "MomentExpression":
-        atom = MomentAtom(q, f)
+    def transform(cls, f: SymTensor, q: int,
+                  fixed: Sequence[int] = ()) -> "MomentExpression":
+        """The q-th transform of f restricted at the indices ``fixed``."""
+        atom = MomentAtom(q, f, restriction_indices(f, fixed))
         if f.is_zero():
             return cls()
         return cls(((Fraction(1), atom),))
@@ -336,15 +354,13 @@ class MomentExpression:
     def _merge(cls, parts) -> "MomentExpression":
         acc: dict = {}
         for coef, atom in parts:
-            if not coef or atom.field.is_zero():
-                continue
             key = atom.fingerprint
             if key in acc:
                 acc[key] = (acc[key][0] + coef, atom)
             else:
                 acc[key] = (coef, atom)
         terms = [(coef, atom) for coef, atom in acc.values() if coef]
-        terms.sort(key=lambda item: item[1].fingerprint)
+        terms.sort(key=lambda item: item[1].fingerprint[:3])
         return cls(terms)
 
     def __add__(self, other: "MomentExpression") -> "MomentExpression":
@@ -372,32 +388,19 @@ class MomentExpression:
         return not self.terms
 
     def evaluate(self, pt: PhasePoint, cache: dict | None = None):
-        """Value at one phase point; ``cache`` memoizes atom values at that point."""
-        return _weighted_sum(((coef, self._atom_value(atom, pt, cache))
-                              for coef, atom in self.terms), pt.zero)
+        """Value at one phase point; ``cache`` memoizes atom values at that point.
 
-    @staticmethod
-    def _atom_value(atom: MomentAtom, pt: PhasePoint, cache: dict | None):
-        if cache is None:
-            return atom.value(pt)
-        hit = cache.get(atom.fingerprint)
-        if hit is None:
-            hit = atom.value(pt)
-            cache[atom.fingerprint] = hit
-        return hit
-
-
-def _restricted(f: SymTensor, fixed: tuple) -> SymTensor:
-    cache = getattr(f, "_restrict_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(f, "_restrict_cache", cache)
-    key = tuple(sorted(fixed))
-    hit = cache.get(key)
-    if hit is None:
-        hit = restrict(f, key)
-        cache[key] = hit
-    return hit
+        A cache entry holds its atom's field, so that the field's id, part of
+        the key, cannot pass to another field while the entry lives.
+        """
+        cache = {} if cache is None else cache
+        pairs = []
+        for coef, atom in self.terms:
+            hit = cache.get(atom.fingerprint)
+            if hit is None:
+                hit = cache[atom.fingerprint] = (atom.field, atom.value(pt))
+            pairs.append((coef, hit[1]))
+        return _weighted_sum(pairs, pt.zero)
 
 
 def dx(e: MomentExpression, i: int) -> MomentExpression:
@@ -407,7 +410,8 @@ def dx(e: MomentExpression, i: int) -> MomentExpression:
     """
     parts = []
     for coef, atom in e.terms:
-        parts.append((coef, MomentAtom(atom.q, field_partial(atom.field, i))))
+        derivs = atom.derivs + _check_indices((i,), atom.field.n)
+        parts.append((coef, MomentAtom(atom.q, atom.field, atom.fixed, derivs)))
     return MomentExpression._merge(parts)
 
 
@@ -420,10 +424,12 @@ def dxi(e: MomentExpression, i: int) -> MomentExpression:
     """
     parts = []
     for coef, atom in e.terms:
-        parts.append((coef, MomentAtom(atom.q + 1, field_partial(atom.field, i))))
+        derivs = atom.derivs + _check_indices((i,), atom.field.n)
+        parts.append((coef, MomentAtom(atom.q + 1, atom.field, atom.fixed, derivs)))
         r = atom.rank
         if r:
-            parts.append((coef * r, MomentAtom(atom.q, _restricted(atom.field, (i,)))))
+            parts.append((coef * r, MomentAtom(atom.q, atom.field, atom.fixed + (i,),
+                                               atom.derivs)))
     return MomentExpression._merge(parts)
 
 
@@ -447,10 +453,8 @@ def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
     the zeroth transform of the restriction of f at those indices.
     """
     m = f.rank
-    fixed = tuple(fixed)
+    fixed = restriction_indices(f, fixed)
     r = len(fixed)
-    if r > m:
-        raise ValueError(f"cannot fix {r} indices of a rank-{m} field")
     perms = list(itertools.permutations(fixed)) or [()]
     weight = Fraction(1, len(perms))
     total = MomentExpression.zero()
@@ -483,10 +487,9 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
     fixed = tuple(fixed)
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    g = _restricted(f, fixed)
     mk = m - k
-    base = MomentExpression.transform(g, 0)
-    alt = alternated_derivative(g)
+    base = MomentExpression.transform(f, 0, fixed)
+    alt = alternated_derivative(restrict(f, fixed))
     scale = Fraction((-2) ** mk * math.factorial(mk))
     pair_choices = [(p, q) for p in range(1, f.n + 1)
                     for q in range(p + 1, f.n + 1)]
@@ -519,9 +522,8 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     fixed = tuple(fixed)
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    g = _restricted(f, fixed)
     mk = m - k
-    base = MomentExpression.transform(g, 0)
+    base = MomentExpression.transform(f, 0, fixed)
     sign = Fraction((-1) ** mk * math.factorial(mk))
     cache: dict = {}
     best = 0.0
@@ -599,7 +601,7 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
         weight = Fraction(1, len(rearr))
         total = MomentExpression.zero()
         for perm in rearr:
-            e = MomentExpression.transform(_restricted(f, perm[mk:]), 0)
+            e = MomentExpression.transform(f, 0, perm[mk:])
             for i in perm[:mk]:
                 e = dx(e, i)
             total = total + e * weight
@@ -615,14 +617,14 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
     remaining k-r fixed indices, weighted by direction components, of the
     k-fold restriction's transform.
     """
-    fixed = tuple(fixed)
+    fixed = restriction_indices(f, fixed)
     r = len(fixed)
     if not r <= k <= f.rank:
         raise ValueError(f"need len(fixed) <= k <= rank, got {r}, {k}, {f.rank}")
-    lhs = extended_transform(_restricted(f, fixed), 0, pt)
+    lhs = _transform_value(f, 0, pt, fixed)
     tails = itertools.product(range(1, f.n + 1), repeat=k - r)
     acc = _weighted_sum(((math.prod(pt.xi[j - 1] for j in tail),
-                          extended_transform(_restricted(f, fixed + tail), 0, pt))
+                          _transform_value(f, 0, pt, fixed + tail))
                          for tail in tails), pt.zero)
     return value_diff(lhs, acc)
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .symtensor import SymTensor, all_canonical_tuples
+from .symtensor import SymTensor, all_canonical_tuples, canonical
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -284,9 +284,6 @@ class PolyGauss:
     def is_zero(self) -> bool:
         return not self.poly
 
-    def fingerprint(self) -> tuple:
-        return (self.n, tuple(sorted(self.poly.terms.items())))
-
     def derive(self, i: int) -> "PolyGauss":
         """Exact partial derivative: (dp/dx_i - 2 x_i p) * exp(-|x|^2)."""
         grad = self.poly.partial(i)
@@ -518,22 +515,27 @@ def sym_field(n: int, rank: int, components: dict | None = None) -> SymTensor:
     return SymTensor(n, rank, comps, zero=PolyGauss.zero(n))
 
 
-def field_partial(f: SymTensor, i: int) -> SymTensor:
-    """Componentwise partial derivative of a field; preserves symmetry.
+def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
+    """The partial derivative ``derivs`` of one component of a field.
 
-    Results are memoized on the source field (fields are immutable), which
-    keeps repeated derivative rewrites of the same data cheap.
+    Every derivative that the diffops operators and the moment atoms read
+    comes from here.  It is memoized in ``f.jet`` under the canonical
+    component and the sorted derivative multiset (mixed partials commute),
+    and built from its memoized prefix, so each new entry costs one derive.
     """
-    cache = getattr(f, "_partial_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(f, "_partial_cache", cache)
-    hit = cache.get(i)
+    key = (canonical(comp), tuple(sorted(derivs)))
+    hit = f.jet.get(key)
     if hit is None:
-        data = {key: value.derive(i) for key, value in f.components.items()}
-        hit = SymTensor(f.n, f.rank, data, f.zero)
-        cache[i] = hit
+        comp, derivs = key
+        hit = _jet(f, comp, derivs[:-1]).derive(derivs[-1]) if derivs else f.get(comp)
+        f.jet[key] = hit
     return hit
+
+
+def field_partial(f: SymTensor, i: int) -> SymTensor:
+    """Componentwise partial derivative of a field; preserves symmetry."""
+    data = {key: _jet(f, key, (i,)) for key in f.components}
+    return SymTensor(f.n, f.rank, data, f.zero)
 
 
 def field_scale_report(f) -> Fraction:

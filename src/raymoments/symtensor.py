@@ -131,28 +131,19 @@ class _SparseTensor:
         ranks = f"rank={shape[0]}" if len(shape) == 1 else f"ranks={shape}"
         return f"{type(self).__name__}(n={self.n}, {ranks}, nnz={len(self.components)})"
 
-    def fingerprint(self) -> tuple:
-        """Hashable content identity, used for value-level deduplication."""
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            parts = []
-            for key, value in self.items():
-                fp = value.fingerprint() if hasattr(value, "fingerprint") else value
-                parts.append((key, fp))
-            cached = (self.n, *self.shape, tuple(parts))
-            setattr(self, "_fingerprint", cached)
-        return cached
-
 
 class SymTensor(_SparseTensor):
     """A fully symmetric tensor over an arbitrary scalar type.
 
-    Component lookup accepts the indices in any order.
+    Component lookup accepts the indices in any order.  ``jet`` memoizes
+    partial derivatives of the components (see polygauss); it stays valid
+    because a tensor is never changed after it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,
                  zero: Any = Fraction(0)):
         self.rank = rank
+        self.jet = {}
         super().__init__(n, (rank,), components, zero)
 
     def _key(self, key) -> Index:
@@ -274,15 +265,21 @@ def sym_part(t: RawTensor) -> SymTensor:
     return SymTensor(t.n, t.rank, data, t.zero)
 
 
+def restriction_indices(f: SymTensor, fixed: Sequence[int]) -> Index:
+    """Validate indices to fix in a symmetric tensor; returns them as a tuple."""
+    fixed = _check_indices(fixed, f.n)
+    if len(fixed) > f.rank:
+        raise ValueError(f"cannot fix {len(fixed)} indices of a rank-{f.rank} tensor")
+    return fixed
+
+
 def restrict(f: SymTensor, fixed: Sequence[int]) -> SymTensor:
     """Fix leading indices of a symmetric tensor, lowering its rank.
 
     The result at j-indices is the component of ``f`` at (fixed, j-indices);
     by symmetry the choice of slots is immaterial.
     """
-    fixed = _check_indices(fixed, f.n)
-    if len(fixed) > f.rank:
-        raise ValueError(f"cannot fix {len(fixed)} indices of a rank-{f.rank} tensor")
+    fixed = restriction_indices(f, fixed)
     rank = f.rank - len(fixed)
     data = {}
     for key in all_canonical_tuples(f.n, rank):

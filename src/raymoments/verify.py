@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -405,10 +406,17 @@ def _is_natural(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+# the forms serialize_field writes, and nothing else
+_COEF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"[0-9]+")
+
+
 def _parse_coef(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise FieldParseError(f"{where}: coefficient must be a string, "
                               f"got {type(text).__name__}")
+    if not _COEF.fullmatch(text):
+        raise FieldParseError(f"{where}: bad rational {text!r} (expected p or p/q)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -423,6 +431,8 @@ def parse_field(text: str) -> SymTensor:
         raise FieldParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an overlong integer, deep nesting
+        raise FieldParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FieldParseError("top level must be an object")
     for name in ("n", "rank"):
@@ -437,13 +447,13 @@ def parse_field(text: str) -> SymTensor:
     comps = {}
     for key_str, terms in components_obj.items():
         where = f"component {key_str!r}"
-        if key_str:
-            try:
-                indices = tuple(int(part) for part in key_str.split(","))
-            except ValueError:
-                raise FieldParseError(f"{where}: bad index tuple") from None
-        else:
-            indices = ()
+        parts = key_str.split(",") if key_str else []
+        if not all(_INDEX.fullmatch(part) for part in parts):
+            raise FieldParseError(f"{where}: bad index tuple")
+        try:
+            indices = tuple(int(part) for part in parts)
+        except ValueError:  # more digits than int() converts
+            raise FieldParseError(f"{where}: bad index tuple") from None
         if len(indices) != rank:
             raise FieldParseError(f"{where}: expected {rank} indices")
         if any(not 1 <= i <= n for i in indices):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,7 +36,7 @@ from raymoments import (
     symmetrization_split_residual,
     symmetrized_derivative_residual,
 )
-from raymoments.moments import value_diff, _restricted, _weighted_sum
+from raymoments.moments import MomentAtom, value_diff, _weighted_sum
 from raymoments.polygauss import random_polynomial
 from conftest import quad_transform, random_raw
 
@@ -336,8 +337,8 @@ class TestDerivativeRules:
         lhs = float(e.evaluate(pt))
         xf = [float(v) for v in pt.x]
         xif = [float(v) for v in pt.xi]
-        rhs = 2 * (quad_transform(field_partial(_restricted(g, (2,)), 1), 0, xf, xif)
-                   - quad_transform(field_partial(_restricted(g, (1,)), 2), 0, xf, xif))
+        rhs = 2 * (quad_transform(field_partial(restrict(g, (2,)), 1), 0, xf, xif)
+                   - quad_transform(field_partial(restrict(g, (1,)), 2), 0, xf, xif))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_zero_expression_evaluates_exactly_zero(self):
@@ -404,6 +405,87 @@ class TestRecovery:
         pt = PhasePoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
         with pytest.raises(ValueError):
             recover_restricted(f, (1, 1), pt)
+
+
+class TestRestrictionValidation:
+    """Restriction indices are checked as restrict checks them, up front."""
+
+    @pytest.mark.parametrize("fixed", [(3,), (0,), (2, 0), (1, 1, 1)])
+    def test_bad_fixed_rejected(self, fixed):
+        f = random_field(2, 2, 1, 74)
+        pt = PhasePoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
+        k = len(fixed)
+        with pytest.raises(ValueError):
+            recover_restricted(f, fixed, pt)
+        with pytest.raises(ValueError):
+            john_power_residual(f, k, fixed, pt)
+        with pytest.raises(ValueError):
+            collapsed_derivative_residual(f, k, fixed, pt)
+        with pytest.raises(ValueError):
+            restriction_contraction_residual(f, fixed, min(k, 2), pt)
+        with pytest.raises(ValueError):
+            MomentExpression.transform(f, 0, fixed)
+
+    def test_bad_axis_rejected(self):
+        e = MomentExpression.transform(random_field(2, 1, 1, 75), 0)
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                dx(e, i)
+            with pytest.raises(ValueError):
+                dxi(e, i)
+
+
+class TestJetAtoms:
+    """Atoms read the field's jet; the reference builds every derived field."""
+
+    @staticmethod
+    def reference(f, q, fixed, derivs, pt):
+        g = restrict(f, fixed)
+        for i in derivs:
+            g = field_partial(g, i)
+        return extended_transform(g, q, pt)
+
+    @pytest.mark.parametrize("n,m", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_atom_matches_content_built_field(self, n, m):
+        rng = random.Random(76 + 10 * n + m)
+        f = random_field(n, m, 2, 77 + m)
+        pt = random_phase_point(n, rng)
+        axes = range(1, n + 1)
+        # every index order, so unsorted fixed and derivs tuples are covered
+        for r in range(m + 1):
+            for fixed in itertools.product(axes, repeat=r):
+                for d in range(3):
+                    for derivs in itertools.product(axes, repeat=d):
+                        for q in range(3):
+                            lhs = MomentAtom(q, f, fixed, derivs).value(pt)
+                            assert lhs == self.reference(f, q, fixed, derivs, pt), \
+                                (fixed, derivs, q)
+
+    def test_rewrites_match_content_built_fields(self):
+        # dxi adds rank x the atom restricted at i to the order-raised
+        # derivative; the rank of f restricted at one index is 2 here
+        rng = random.Random(78)
+        f = random_field(2, 3, 2, 79)
+        pt = random_phase_point(2, rng)
+        e = dxi(dx(MomentExpression.transform(f, 1, (2,)), 1), 2)
+        ref = self.reference
+        rhs = (ref(f, 2, (2,), (1, 2), pt)
+               + ref(f, 1, (2, 2), (1,), pt).scaled(2))
+        assert e.evaluate(pt) == rhs
+
+    def test_shared_cache_keeps_fields_apart(self):
+        rng = random.Random(80)
+        pt = random_phase_point(2, rng)
+        f = random_field(2, 2, 2, 81)
+        g = random_field(2, 2, 2, 82)
+        cache: dict = {}
+        for h in (f, g, f, g):
+            e = john(MomentExpression.transform(h, 0, (1,)), 1, 2)
+            assert e.evaluate(pt, cache) == e.evaluate(pt)
+        # fields freed between evaluations must not be mistaken for new ones
+        for seed in range(20):
+            e = MomentExpression.transform(random_field(2, 1, 1, seed), 0)
+            assert e.evaluate(pt, cache) == e.evaluate(pt)
 
 
 class TestJohnPower:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import raymoments.diffops as diffops
 import raymoments.moments as moments
@@ -215,10 +216,37 @@ class TestSerialization:
             {**base, "n": True, "components": {}},
             {**base, "rank": True, "components": {}},
             {**base, "components": {"1": [{"exp": [True, 0], "coef": "1"}]}},
+            {**base, "components": {"1": [{"exp": [0, 0], "coef": "1e3"}]}},
+            {**base, "components": {"1": [{"exp": [0, 0], "coef": "0.5"}]}},
+            {**base, "components": {"1": [{"exp": [0, 0], "coef": " 1/2"}]}},
+            {**base, "components": {"1": [{"exp": [0, 0], "coef": "1_000"}]}},
+            {**base, "components": {"+1": [{"exp": [0, 0], "coef": "1"}]}},
+            {**base, "components": {" 1": [{"exp": [0, 0], "coef": "1"}]}},
+            {**base, "components": {"0_1": [{"exp": [0, 0], "coef": "1"}]}},
+            {**base, "components": {"\uff11": [{"exp": [0, 0], "coef": "1"}]}},
         ]
         for payload in bad:
             with pytest.raises(verify.FieldParseError):
                 parse_field(json.dumps(payload))
+
+    def test_hostile_json_text(self):
+        # an integer too long for int() and nesting too deep for the decoder
+        for text in ('{"n": ' + "1" * 5000 + ', "rank": 0}', "[" * 100000,
+                     '{"n": 2, "rank": 1, "components": {"' + "1" * 5000 + '": []}}'):
+            with pytest.raises(verify.FieldParseError):
+                parse_field(text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.integers())
+    def test_roundtrip_property(self, n, rank, degree, seed):
+        f = random_field(n, rank, degree, seed)
+        text = serialize_field(f)
+        assert parse_field(text) == f
+        obj = json.loads(text)
+        for key, terms in obj["components"].items():
+            parts = key.split(",") if key else []
+            assert all(verify._INDEX.fullmatch(part) for part in parts)
+            assert all(verify._COEF.fullmatch(term["coef"]) for term in terms)
 
 
 class TestCli:
@@ -300,6 +328,15 @@ class TestCli:
         path.write_text(serialize_field(f))
         with pytest.raises(SystemExit) as err:
             main(["--suite", "identities", "--m", "2", "--field", str(path)])
+        assert err.value.code == 2
+
+    def test_hostile_coefficient_exits_two(self, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"n": 2, "rank": 0, "components": {
+            "": [{"exp": [0, 0], "coef": "1e1000000"}]}}))
+        with pytest.raises(SystemExit) as err:
+            main(["--suite", "identities", "--m", "0", "--k", "0",
+                  "--field", str(path)])
         assert err.value.code == 2
 
     def test_missing_field_file_exits_two(self):
