@@ -22,6 +22,7 @@ from .symtensor import (
 )
 from .polygauss import (
     ExactValue,
+    LineTable,
     PolyGauss,
     Polynomial,
     field_partial,

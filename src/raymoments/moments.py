@@ -25,6 +25,7 @@ from typing import Sequence
 from .diffops import alternated_derivative
 from .polygauss import (
     ExactValue,
+    LineTable,
     _jet,
     all_rational,
     is_rational,
@@ -74,6 +75,8 @@ class PhasePoint:
         self.is_exact = exact
         # the value of an empty sum of transform data at this point
         self.zero = ExactValue.zero_value() if exact else 0.0
+        # the moments of monomials along this line, shared by every transform
+        self.line_table = LineTable(x, xi) if exact else None
 
     @property
     def n(self) -> int:
@@ -252,7 +255,8 @@ def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
         if weight:
             comp = _jet(f, fixed + key, derivs)
             if comp:
-                pairs.append((weight, line_moment(comp, q, pt.x, pt.xi)))
+                value = line_moment(comp, q, pt.x, pt.xi, pt.line_table)
+                pairs.append((weight, value))
     return _weighted_sum(pairs, pt.zero)
 
 
@@ -502,7 +506,7 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
         lhs = e.evaluate(pt, cache)
         idx = tuple(itertools.chain.from_iterable(pairs))
         comp = alt.get(idx)
-        rhs = line_moment(comp, 0, pt.x, pt.xi) * scale
+        rhs = line_moment(comp, 0, pt.x, pt.xi, pt.line_table) * scale
         best = max(best, value_diff(lhs, rhs))
     return best
 

@@ -6,7 +6,8 @@ integration, and every operator identity downstream can be certified by
 coefficient arithmetic instead of floating point.
 
 Line integrals reduce, after completing the square, to one-dimensional
-Gaussian moments; the result of an integral over a rational line is kept in
+Gaussian moments.  Over a rational line the integral of a polynomial is a dot
+product with the line's table of monomial moments (see LineTable), kept in
 the exact form coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational
 coef, root and exponent (see ExactValue).
 """
@@ -38,7 +39,7 @@ def all_rational(values: Iterable) -> bool:
 def _as_fraction(value) -> Fraction:
     if not is_rational(value):
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Polynomial:
@@ -416,46 +417,113 @@ def _line_data(x: Sequence, xi: Sequence):
     return s, c, exponent
 
 
-def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence):
+class LineTable:
+    """Rational moments of the monomials along one exact line x + t*xi.
+
+    With s = |xi|^2 and c = x.xi, completing the square gives
+    |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The entry for (q, e) is
+
+        mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
+                  / (sqrt(pi/s) * exp(exponent)),
+
+    that is E[T^q (x + T*xi)^e] for a normal T with mean -c/s and variance
+    1/(2s).  The Gaussian moments mu_q(0) follow
+    M_{q+1} = mean*M_q + var*q*M_{q-1}, and one more factor of coordinate i
+    gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).  Entries are
+    built on first request and kept, so the line integral of a polynomial is
+    a dot product of its coefficients with the table (see line_moment).
+    """
+
+    __slots__ = ("x", "xi", "s", "exponent", "mean", "var", "mu")
+
+    def __init__(self, x: Sequence, xi: Sequence):
+        if len(x) != len(xi) or not x:
+            raise ValueError("x and xi must share a positive dimension")
+        self.x = tuple(_as_fraction(v) for v in x)
+        self.xi = tuple(_as_fraction(v) for v in xi)
+        self.s, c, self.exponent = _line_data(self.x, self.xi)
+        self.mean = -c / self.s
+        self.var = 1 / (2 * self.s)
+        self.mu = {(0, (0,) * len(x)): Fraction(1)}
+
+    def _recurrence(self, q: int, e: tuple) -> list:
+        """The (weight, key) pairs whose weighted sum is mu_q(e), q + |e| > 0."""
+        for i, a in enumerate(e):
+            if a:
+                lower = e[:i] + (a - 1,) + e[i + 1:]
+                pairs = ((self.x[i], (q, lower)), (self.xi[i], (q + 1, lower)))
+                break
+        else:
+            pairs = ((self.mean, (q - 1, e)), (self.var * (q - 1), (q - 2, e)))
+        return [(w, key) for w, key in pairs if w]
+
+    def moment(self, q: int, e: tuple) -> Fraction:
+        """mu_q(e), building the missing entries it rests on without recursion."""
+        mu = self.mu
+        hit = mu.get((q, e))
+        if hit is not None:
+            return hit
+        if q < 0:
+            raise ValueError("moment order must be non-negative")
+        todo = [(q, e)]
+        while todo:
+            key = todo[-1]
+            if key in mu:
+                todo.pop()
+                continue
+            pairs = self._recurrence(*key)
+            missing = [dep for _, dep in pairs if dep not in mu]
+            if missing:
+                todo.extend(missing)
+                continue
+            mu[key] = sum((w * mu[dep] for w, dep in pairs), Fraction(0))
+            todo.pop()
+        return mu[(q, e)]
+
+
+def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
+                table: LineTable | None = None):
     """Integral of t^q g(x + t*xi) over the real line.
 
-    On rational inputs the result is an ExactValue; on float inputs a float.
-    The computation expands g's polynomial along the line, completes the
-    square in the exponent and reduces to one-dimensional Gaussian moments.
+    On rational inputs the result is an ExactValue whose coefficient is the
+    dot product of g's coefficients with the line's moment table; ``table``
+    may pass that table in so that it is shared between calls (a fresh one
+    is built otherwise).  On float inputs the result is a float: g's
+    polynomial is expanded along the line, the square in the exponent is
+    completed and the integral reduces to one-dimensional Gaussian moments.
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
     if len(x) != g.n or len(xi) != g.n:
         raise ValueError("point or direction has wrong dimension")
     exact = all_rational(x) and all_rational(xi)
+    if table is not None and not (exact and tuple(x) == table.x
+                                  and tuple(xi) == table.xi):
+        raise ValueError("line table belongs to another line")
     if exact:
-        x = [Fraction(v) for v in x]
-        xi = [Fraction(v) for v in xi]
-    else:
-        x = [float(v) for v in x]
-        xi = [float(v) for v in xi]
-    s, c, exponent = _line_data(x, xi)
+        if table is None:
+            table = LineTable(x, xi)
+        coef = Fraction(0)
+        for e, c in g.poly.terms.items():
+            mu = table.moment(q, e)
+            if mu:
+                coef += c * mu
+        return ExactValue(coef, 1 / table.s, table.exponent)
 
-    coeffs = g.poly.line_coefficients(x, xi)
-    zero = Fraction(0) if exact else 0.0
-    coeffs = [zero] * q + coeffs if q else coeffs
+    x = [float(v) for v in x]
+    xi = [float(v) for v in xi]
+    s, c, exponent = _line_data(x, xi)
+    coeffs = [0.0] * q + g.poly.line_coefficients(x, xi)
 
     # substitute t = tau - c/s so the exponent becomes -s*tau^2 + exponent
     shift = -c / s
     deg = len(coeffs) - 1
-    shifted = [zero] * (deg + 1)
+    shifted = [0.0] * (deg + 1)
     for j, a in enumerate(coeffs):
         if a == 0:
             continue
         for k in range(j + 1):
             shifted[k] += a * math.comb(j, k) * shift ** (j - k)
-
-    if exact:
-        total = Fraction(0)
-        for k in range(0, deg + 1, 2):
-            if shifted[k]:
-                total += shifted[k] * gaussian_moment(k) / s ** (k // 2)
-        return ExactValue(total, 1 / s, exponent)
     total = 0.0
     for k in range(0, deg + 1, 2):
         total += shifted[k] * float(gaussian_moment(k)) / s ** (k // 2)

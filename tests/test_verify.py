@@ -356,3 +356,13 @@ class TestGoldenReport:
                      "--samples", "3", "--seed", "13", "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == self.GOLDEN.read_text(encoding="utf-8")
+
+    def test_high_degree_moment_report_matches_golden_file(self, capsys):
+        # degree-6 fields at 20 samples exercise the exact line moments
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_identities_n2_m2_k1_s20_d6_seed7.json")
+        code = main(["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+                     "--samples", "20", "--degree", "6", "--seed", "7",
+                     "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
