@@ -27,7 +27,6 @@ from .polygauss import (
     Polynomial,
     field_partial,
     field_scale_report,
-    gaussian_moment,
     line_moment,
     line_moment_quadrature,
     random_field,

@@ -27,7 +27,6 @@ from .polygauss import (
     ExactValue,
     LineTable,
     _jet,
-    all_rational,
     is_rational,
     line_moment,
     rational_sqrt,
@@ -50,33 +49,17 @@ PROJECTION_TOL = 1e-12
 class PhasePoint:
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
 
-    Coordinates are kept exact when every entry is rational, otherwise they
-    are floats and downstream evaluation switches to the float path.
+    The point's LineTable decides its scalars: coordinates are kept exact
+    when every entry is rational, otherwise they are floats and downstream
+    evaluation switches to the float path.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
-        x = tuple(x)
-        xi = tuple(xi)
-        if len(x) != len(xi) or not x:
-            raise ValueError("x and xi must share a positive dimension")
-        exact = all_rational(x) and all_rational(xi)
-        if exact:
-            x = tuple(Fraction(v) for v in x)
-            xi = tuple(Fraction(v) for v in xi)
-            if not any(xi):
-                raise ValueError("direction must be nonzero")
-        else:
-            x = tuple(float(v) for v in x)
-            xi = tuple(float(v) for v in xi)
-            if all(v == 0.0 for v in xi):
-                raise ValueError("direction must be nonzero")
-        self.x = x
-        self.xi = xi
-        self.is_exact = exact
-        # the value of an empty sum of transform data at this point
-        self.zero = ExactValue.zero_value() if exact else 0.0
         # the moments of monomials along this line, shared by every transform
-        self.line_table = LineTable(x, xi) if exact else None
+        self.line_table = table = LineTable(tuple(x), tuple(xi))
+        self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
+        # the value of an empty sum of transform data at this point
+        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
 
     @property
     def n(self) -> int:

@@ -5,11 +5,12 @@ closed under partial differentiation, coordinate multiplication and line
 integration, and every operator identity downstream can be certified by
 coefficient arithmetic instead of floating point.
 
-Line integrals reduce, after completing the square, to one-dimensional
-Gaussian moments.  Over a rational line the integral of a polynomial is a dot
-product with the line's table of monomial moments (see LineTable), kept in
-the exact form coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational
-coef, root and exponent (see ExactValue).
+Line integrals reduce, after completing the square, to normal moments.  On
+every line the integral of a polynomial is a dot product with the line's
+table of monomial moments (see LineTable), whose entries are in the line's
+own scalars.  Over a rational line it is kept in the exact form
+coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational coef, root and
+exponent (see ExactValue); over a float line it is a float.
 """
 
 from __future__ import annotations
@@ -186,40 +187,6 @@ class Polynomial:
             total += term
         return total
 
-    def line_coefficients(self, x: Sequence, xi: Sequence) -> list:
-        """Coefficients in t of p(x + t*xi), lowest degree first.
-
-        Works on rationals (exact) and on floats alike.
-        """
-        if len(x) != self.n or len(xi) != self.n:
-            raise ValueError("point or direction has wrong dimension")
-        exact = all_rational(x) and all_rational(xi)
-        zero = Fraction(0) if exact else 0.0
-        out = [zero] * (self.total_degree() + 1)
-        rows = {}  # (coordinate, exponent) -> coefficients of (x_i + t*xi_i)^e
-        for exps, coef in self.terms.items():
-            # expand prod_i (x_i + t*xi_i)^{e_i} one coordinate at a time
-            conv = [Fraction(coef) if exact else float(coef)]
-            for i, (xc, vc, e) in enumerate(zip(x, xi, exps)):
-                if not e:
-                    continue
-                if (i, e) not in rows:
-                    rows[(i, e)] = [math.comb(e, j) * (xc ** (e - j)) * (vc ** j)
-                                    for j in range(e + 1)]
-                base = rows[(i, e)]
-                new = [zero] * (len(conv) + e)
-                for a, ca in enumerate(conv):
-                    if ca == 0:
-                        continue
-                    for b, cb in enumerate(base):
-                        new[a + b] += ca * cb
-                conv = new
-            for d, c in enumerate(conv):
-                out[d] += c
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
 
 class PolyGauss:
     """The scalar field p(x) * exp(-|x|^2) with rational-coefficient p.
@@ -391,22 +358,6 @@ class ExactValue:
         return cls(Fraction(0))
 
 
-def gaussian_moment(k: int) -> Fraction:
-    """The integral of t^k exp(-t^2) over the real line, as a multiple of sqrt(pi).
-
-    Zero for odd k; for k = 2j the multiplier is (2j-1)!! / 2^j.
-    """
-    if k < 0:
-        raise ValueError("moment order must be non-negative")
-    if k % 2:
-        return Fraction(0)
-    j = k // 2
-    num = 1
-    for odd in range(1, 2 * j, 2):
-        num *= odd
-    return Fraction(num, 2 ** j)
-
-
 def _line_data(x: Sequence, xi: Sequence):
     s = sum(v * v for v in xi)
     if not s:
@@ -418,9 +369,12 @@ def _line_data(x: Sequence, xi: Sequence):
 
 
 class LineTable:
-    """Rational moments of the monomials along one exact line x + t*xi.
+    """Moments of the monomials along one line x + t*xi, rational or float.
 
-    With s = |xi|^2 and c = x.xi, completing the square gives
+    A line whose coordinates are all rational is exact: its coordinates and
+    entries are Fractions.  Any other line is coerced to floats, and its
+    entries are floats built by the same recurrence.  With s = |xi|^2 and
+    c = x.xi, completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The entry for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
@@ -434,17 +388,19 @@ class LineTable:
     a dot product of its coefficients with the table (see line_moment).
     """
 
-    __slots__ = ("x", "xi", "s", "exponent", "mean", "var", "mu")
+    __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "mu")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
             raise ValueError("x and xi must share a positive dimension")
-        self.x = tuple(_as_fraction(v) for v in x)
-        self.xi = tuple(_as_fraction(v) for v in xi)
+        self.is_exact = all_rational(x) and all_rational(xi)
+        scalar = _as_fraction if self.is_exact else float
+        self.x = tuple(scalar(v) for v in x)
+        self.xi = tuple(scalar(v) for v in xi)
         self.s, c, self.exponent = _line_data(self.x, self.xi)
         self.mean = -c / self.s
         self.var = 1 / (2 * self.s)
-        self.mu = {(0, (0,) * len(x)): Fraction(1)}
+        self.mu = {(0, (0,) * len(x)): scalar(1)}
 
     def _recurrence(self, q: int, e: tuple) -> list:
         """The (weight, key) pairs whose weighted sum is mu_q(e), q + |e| > 0."""
@@ -457,7 +413,7 @@ class LineTable:
             pairs = ((self.mean, (q - 1, e)), (self.var * (q - 1), (q - 2, e)))
         return [(w, key) for w, key in pairs if w]
 
-    def moment(self, q: int, e: tuple) -> Fraction:
+    def moment(self, q: int, e: tuple):
         """mu_q(e), building the missing entries it rests on without recursion."""
         mu = self.mu
         hit = mu.get((q, e))
@@ -465,6 +421,7 @@ class LineTable:
             return hit
         if q < 0:
             raise ValueError("moment order must be non-negative")
+        zero = 0 * self.s  # an empty sum, in the line's own scalars
         todo = [(q, e)]
         while todo:
             key = todo[-1]
@@ -476,7 +433,7 @@ class LineTable:
             if missing:
                 todo.extend(missing)
                 continue
-            mu[key] = sum((w * mu[dep] for w, dep in pairs), Fraction(0))
+            mu[key] = sum((w * mu[dep] for w, dep in pairs), zero)
             todo.pop()
         return mu[(q, e)]
 
@@ -485,49 +442,29 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
                 table: LineTable | None = None):
     """Integral of t^q g(x + t*xi) over the real line.
 
-    On rational inputs the result is an ExactValue whose coefficient is the
-    dot product of g's coefficients with the line's moment table; ``table``
-    may pass that table in so that it is shared between calls (a fresh one
-    is built otherwise).  On float inputs the result is a float: g's
-    polynomial is expanded along the line, the square in the exponent is
-    completed and the integral reduces to one-dimensional Gaussian moments.
+    The dot product of g's coefficients with the line's moment table, times
+    sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a float on
+    any other.  ``table`` may pass that table in so that it is shared between
+    calls (a fresh one is built otherwise); a table of another line, or of
+    the same line in the other scalars, is rejected.
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")
     if len(x) != g.n or len(xi) != g.n:
         raise ValueError("point or direction has wrong dimension")
-    exact = all_rational(x) and all_rational(xi)
-    if table is not None and not (exact and tuple(x) == table.x
-                                  and tuple(xi) == table.xi):
+    if table is None:
+        table = LineTable(x, xi)
+    elif not (table.is_exact == (all_rational(x) and all_rational(xi))
+              and tuple(x) == table.x and tuple(xi) == table.xi):
         raise ValueError("line table belongs to another line")
-    if exact:
-        if table is None:
-            table = LineTable(x, xi)
-        coef = Fraction(0)
-        for e, c in g.poly.terms.items():
-            mu = table.moment(q, e)
-            if mu:
-                coef += c * mu
+    coef = 0 * table.s
+    for e, c in g.poly.terms.items():
+        mu = table.moment(q, e)
+        if mu:
+            coef += c * mu
+    if table.is_exact:
         return ExactValue(coef, 1 / table.s, table.exponent)
-
-    x = [float(v) for v in x]
-    xi = [float(v) for v in xi]
-    s, c, exponent = _line_data(x, xi)
-    coeffs = [0.0] * q + g.poly.line_coefficients(x, xi)
-
-    # substitute t = tau - c/s so the exponent becomes -s*tau^2 + exponent
-    shift = -c / s
-    deg = len(coeffs) - 1
-    shifted = [0.0] * (deg + 1)
-    for j, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        for k in range(j + 1):
-            shifted[k] += a * math.comb(j, k) * shift ** (j - k)
-    total = 0.0
-    for k in range(0, deg + 1, 2):
-        total += shifted[k] * float(gaussian_moment(k)) / s ** (k // 2)
-    return total * math.sqrt(math.pi / s) * math.exp(exponent)
+    return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
 
 
 def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
@@ -537,7 +474,7 @@ def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     After the square is completed the integrand is a polynomial in the
     quadrature variable, so the node count makes the rule exact up to
     rounding.  The polynomial factor is evaluated pointwise on the line, not
-    through the expansion used by the closed form.
+    through the moment table used by the closed form.
     """
     if q < 0:
         raise ValueError("moment order must be non-negative")

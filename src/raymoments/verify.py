@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -114,8 +115,8 @@ class SuiteConfig:
             raise ValueError("degree must be non-negative")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if not self.tol_float > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tol_float > 0 and math.isfinite(self.tol_float)):
+            raise ValueError("tolerance must be positive and finite")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.field is not None:
@@ -281,7 +282,6 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
     f = config.field if config.field is not None else _nonzero_field(
         n, m, config.degree, f"{config.seed}:identities:f")
     rng = random.Random(f"{config.seed}:identities:points")
-    points = [random_phase_point(n, rng) for _ in range(config.samples)]
     pick = random.Random(f"{config.seed}:identities:indices")
 
     def record(check_id, identity_key, residual, exact, passed):
@@ -309,8 +309,10 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
     res = symmetrization_split_residual(block, min(k, max(m, 1)))
     record("partial-symmetrization", "partial-symmetrization", res, True, res == 0)
 
-    # transform-level identities, one record per sampled line
-    for s_idx, pt in enumerate(points):
+    # transform-level identities, one record per sampled line; each point
+    # (and its line table) is drawn and dropped with its sample
+    for s_idx in range(config.samples):
+        pt = random_phase_point(n, rng)
         tag = f"s{s_idx:02d}"
 
         q = s_idx % 4

@@ -104,8 +104,9 @@ class TestSuites:
             SuiteConfig(n=1).validate()
         with pytest.raises(ValueError):
             SuiteConfig(k=3, m=2).validate()
-        with pytest.raises(ValueError):
-            SuiteConfig(tol_float=0.0).validate()
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SuiteConfig(tol_float=tol).validate()
         with pytest.raises(ValueError):
             SuiteConfig(fmt="xml").validate()
 
@@ -261,6 +262,16 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["--k", "3", "--m", "2"])
         assert err.value.code == 2
+
+    def test_non_finite_tol_exits_two(self, monkeypatch):
+        def no_checks(config, which):
+            raise AssertionError("checks ran with a non-finite tolerance")
+
+        monkeypatch.setattr(verify, "run_suites", no_checks)
+        for tol in ("inf", "1e999", "nan"):
+            with pytest.raises(SystemExit) as err:
+                main(["--suite", "kernel", "--tol", tol])
+            assert err.value.code == 2
 
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
