@@ -5,6 +5,12 @@ compatibility operator, its generalized order-k variant, and the equivalent
 alternated-derivative form together with the linear conversions between the
 two.  Everything runs in exact rational coefficient arithmetic; no floating
 point enters this module.
+
+Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
+weight), ...))`` with int weights over one positive int row denominator.
+One loop applies them.  It adds up the int numerators of each source's
+integer view (``Polynomial.integer_view``) and builds one Fraction per
+nonzero output coefficient.
 """
 
 from __future__ import annotations
@@ -37,16 +43,28 @@ def _series_term(count: int, ell: int) -> Fraction:
 def _apply(n: int, rows, fetch) -> dict:
     """Apply stencil rows to the PolyGauss values that ``fetch`` returns.
 
-    Each row ``(out_key, ((source, weight), ...))`` becomes one component,
-    accumulated coefficient by coefficient in one dict.
+    Each row ``(out_key, row_den, ((source, weight), ...))`` becomes one
+    component.  The int numerators of the sources are added up in one dict
+    over a running denominator ``den``, which grows to the lcm of the source
+    denominators; each nonzero sum ``acc`` becomes ``acc / (den * row_den)``.
     """
     data = {}
-    for key, entries in rows:
-        coefs = {}
+    for key, row_den, entries in rows:
+        acc = {}
+        den = 1
         for source, weight in entries:
-            for exps, coef in fetch(source).poly.terms.items():
-                coefs[exps] = coefs.get(exps, 0) + coef * weight
-        data[key] = PolyGauss(Polynomial._trusted(n, coefs))
+            pden, nums = fetch(source).poly.integer_view()
+            if den % pden:
+                scale = pden // math.gcd(den, pden)
+                for exps in acc:
+                    acc[exps] *= scale
+                den *= scale
+            factor = weight * (den // pden)
+            for exps, num in nums:
+                acc[exps] = acc.get(exps, 0) + num * factor
+        den *= row_den
+        data[key] = PolyGauss(Polynomial._trusted(
+            n, {exps: Fraction(num, den) for exps, num in acc.items() if num}))
     return data
 
 
@@ -55,16 +73,16 @@ def _d_stencil(n: int, m: int) -> tuple:
     """The inner derivative of a rank-m field, one row per rank-(m+1) key.
 
     The value at J is the average over slots a of the partial derivative of
-    the component at J minus slot a, taken in the J_a direction.
+    the component at J minus slot a, taken in the J_a direction: each row
+    counts the slots that read a source, over m + 1.
     """
-    weight = Fraction(1, m + 1)
     rows = []
     for key in all_canonical_tuples(n, m + 1):
-        summed = {}
+        counts = {}
         for a in range(m + 1):
             source = (key[:a] + key[a + 1:], (key[a],))
-            summed[source] = summed.get(source, 0) + weight
-        rows.append((key, tuple(summed.items())))
+            counts[source] = counts.get(source, 0) + 1
+        rows.append((key, m + 1, tuple(counts.items())))
     return tuple(rows)
 
 
@@ -119,11 +137,12 @@ def saint_venant(f: SymTensor) -> BiSymTensor:
 def _stencil(n: int, m: int, k: int, series) -> tuple:
     """The order-k operator as a fixed rational-linear map on the jet.
 
-    Returns one ``((pkey, ckey), entries)`` row per output key, where each
-    entry ``((component, derivatives), weight)`` names a canonical component,
-    a sorted derivative multiset and the summed weight of every series term
-    that reads that partial derivative; entries whose weights cancel are
-    dropped.  ``series`` is the coefficient function of the alternating
+    Returns one ``((pkey, ckey), row_den, entries)`` row per output key,
+    where each entry ``((component, derivatives), weight)`` names a canonical
+    component, a sorted derivative multiset and the summed weight of every
+    series term that reads that partial derivative, as an int over the lcm
+    ``row_den`` of the row's summed weights; entries whose weights cancel
+    are dropped.  ``series`` is the coefficient function of the alternating
     binomial sum.  It is part of the cache key, so a replaced series builds
     a fresh stencil.
     """
@@ -143,8 +162,11 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
                             jet = (canonical(i_part + p_comp + q_comp),
                                    tuple(sorted(p_derivs + q_derivs)))
                             summed[jet] = summed.get(jet, 0) + weight
-            entries = tuple((jet, weight) for jet, weight in summed.items() if weight)
-            rows.append(((pkey, ckey), entries))
+            kept = [(jet, weight) for jet, weight in summed.items() if weight]
+            row_den = math.lcm(*(weight.denominator for _, weight in kept))
+            rows.append(((pkey, ckey), row_den, tuple(
+                (jet, weight.numerator * (row_den // weight.denominator))
+                for jet, weight in kept)))
     return tuple(rows)
 
 
@@ -170,10 +192,11 @@ def generalized_saint_venant(f: SymTensor, k: int) -> BiSymTensor:
 def _alternation_stencil(n: int, m: int) -> tuple:
     """The m pair alternations of an interleaved rank-2m tensor.
 
-    Row ``(i1, j1, ..., im, jm)`` is the signed 2^-m sum over its 2^m pair
-    swaps, each read at ``((i1, ..., im), (j1, ..., jm))`` with both groups
-    canonical.  Rows with a pair ``i == j`` are left out: that pair's swap
-    reads the same entry with the opposite sign, so every term cancels.
+    Row ``(i1, j1, ..., im, jm)`` is the signed sum over its 2^m pair swaps,
+    over the row denominator 2^m, each read at ``((i1, ..., im), (j1, ...,
+    jm))`` with both groups canonical.  Rows with a pair ``i == j`` are left
+    out: that pair's swap reads the same entry with the opposite sign, so
+    every term cancels.
     """
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     rows = []
@@ -183,9 +206,8 @@ def _alternation_stencil(n: int, m: int) -> tuple:
             read = [(j, i) if swap else (i, j) for (i, j), swap in zip(chosen, swaps)]
             source = (canonical(i for i, _ in read), canonical(j for _, j in read))
             signs[source] = signs.get(source, 0) + (-1) ** sum(swaps)
-        entries = tuple((source, Fraction(sign, 2 ** m))
-                        for source, sign in signs.items() if sign)
-        rows.append((tuple(itertools.chain.from_iterable(chosen)), entries))
+        entries = tuple((source, sign) for source, sign in signs.items() if sign)
+        rows.append((tuple(itertools.chain.from_iterable(chosen)), 2 ** m, entries))
     return tuple(rows)
 
 
@@ -208,19 +230,18 @@ def alternated_derivative(f: SymTensor) -> RawTensor:
 def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
     """An interleaved rank-2m tensor averaged within each index group, times 2^m.
 
-    One ``((ikey, jkey), entries)`` row per pair of canonical keys; the
-    entries read the interleaving of each distinct rearrangement of ikey with
-    each of jkey.
+    One ``((ikey, jkey), row_den, entries)`` row per pair of canonical keys;
+    the entries read the interleaving of each distinct rearrangement of ikey
+    with each of jkey, with weight 2^m over the number of those pairs.
     """
     rows = []
     for ikey in all_canonical_tuples(n, m):
         arr1 = distinct_rearrangements(ikey)
         for jkey in all_canonical_tuples(n, m):
             arr2 = distinct_rearrangements(jkey)
-            weight = Fraction(2 ** m, len(arr1) * len(arr2))
-            entries = tuple((tuple(itertools.chain.from_iterable(zip(t1, t2))), weight)
+            entries = tuple((tuple(itertools.chain.from_iterable(zip(t1, t2))), 2 ** m)
                             for t1 in arr1 for t2 in arr2)
-            rows.append(((ikey, jkey), entries))
+            rows.append(((ikey, jkey), len(arr1) * len(arr2), entries))
     return tuple(rows)
 
 
@@ -245,16 +266,18 @@ def alternated_from_saint_venant(wf: BiSymTensor) -> RawTensor:
     """Recover the alternated derivative tensor from Saint Venant output.
 
     Applies the pair alternations to the interleaved tensor and divides by
-    m + 1; inverse to saint_venant_from_alternated on operator images.
+    m + 1, folded into each row's denominator; inverse to
+    saint_venant_from_alternated on operator images.
     """
     if wf.rank1 != wf.rank2:
         raise ValueError("expected equal-rank index groups")
     m = wf.rank1
     if m < 1:
         raise ValueError("expected rank >= 1")
-    data = _apply(wf.n, _alternation_stencil(wf.n, m),
-                  lambda source: wf.components.get(source, wf.zero))
-    return RawTensor(wf.n, 2 * m, data, wf.zero) * Fraction(1, m + 1)
+    rows = ((key, row_den * (m + 1), entries)
+            for key, row_den, entries in _alternation_stencil(wf.n, m))
+    data = _apply(wf.n, rows, lambda source: wf.components.get(source, wf.zero))
+    return RawTensor(wf.n, 2 * m, data, wf.zero)
 
 
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:

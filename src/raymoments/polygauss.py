@@ -47,10 +47,11 @@ class Polynomial:
     """A multivariate polynomial with rational coefficients, stored sparsely.
 
     ``terms`` maps exponent multi-indices (length-n tuples of naturals) to
-    nonzero rational coefficients.
+    nonzero rational coefficients.  A polynomial is never changed after it
+    is built, so its integer view (see ``integer_view``) is kept once made.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_ints")
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -66,6 +67,7 @@ class Polynomial:
             if coef:
                 data[exps] = coef
         self.terms = data
+        self._ints = None
 
     @classmethod
     def _trusted(cls, n: int, terms: dict) -> "Polynomial":
@@ -78,6 +80,7 @@ class Polynomial:
         out = object.__new__(cls)
         out.n = n
         out.terms = {exps: coef for exps, coef in terms.items() if coef}
+        out._ints = None
         return out
 
     @classmethod
@@ -112,7 +115,11 @@ class Polynomial:
         return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._compat(other)
+        data = dict(self.terms)
+        for exps, coef in other.terms.items():
+            data[exps] = data[exps] - coef if exps in data else -coef
+        return Polynomial._trusted(self.n, data)
 
     def __mul__(self, other):
         if is_rational(other):
@@ -156,6 +163,19 @@ class Polynomial:
                 new = exps[: i - 1] + (e - 1,) + exps[i:]
                 data[new] = data.get(new, Fraction(0)) + coef * e
         return Polynomial._trusted(self.n, data)
+
+    def integer_view(self) -> tuple:
+        """The coefficients as ints over one denominator: ``(den, ((exps, num), ...))``.
+
+        ``den`` is the lcm of the coefficient denominators and each
+        ``num / den`` is the coefficient at ``exps``, in the order of
+        ``terms``.  Built on the first call and kept.
+        """
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            self._ints = (den, tuple((exps, c.numerator * (den // c.denominator))
+                                     for exps, c in self.terms.items()))
+        return self._ints
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -229,7 +249,8 @@ class PolyGauss:
         return PolyGauss(-self.poly)
 
     def __sub__(self, other: "PolyGauss") -> "PolyGauss":
-        return self + (-other)
+        self._compat(other)
+        return PolyGauss(self.poly - other.poly)
 
     def __mul__(self, other):
         if is_rational(other):
@@ -253,10 +274,22 @@ class PolyGauss:
         return not self.poly
 
     def derive(self, i: int) -> "PolyGauss":
-        """Exact partial derivative: (dp/dx_i - 2 x_i p) * exp(-|x|^2)."""
-        grad = self.poly.partial(i)
-        shifted = Polynomial.coordinate(self.n, i) * self.poly * Fraction(-2)
-        return PolyGauss(grad + shifted)
+        """Exact partial derivative: (dp/dx_i - 2 x_i p) * exp(-|x|^2).
+
+        One pass over the terms; the terms of dp/dx_i come first, then the
+        new ones of -2 x_i p, as in the sum of the two polynomials.
+        """
+        if not 1 <= i <= self.n:
+            raise ValueError(f"coordinate index {i} outside [1, {self.n}]")
+        data, shifted = {}, {}
+        for exps, coef in self.poly.terms.items():
+            head, e, tail = exps[:i - 1], exps[i - 1], exps[i:]
+            if e:
+                data[head + (e - 1,) + tail] = coef * e
+            shifted[head + (e + 1,) + tail] = -2 * coef
+        for exps, coef in shifted.items():
+            data[exps] = data[exps] + coef if exps in data else coef
+        return PolyGauss(Polynomial._trusted(self.n, data))
 
     def multiply_by_coordinate(self, i: int) -> "PolyGauss":
         return PolyGauss(Polynomial.coordinate(self.n, i) * self.poly)

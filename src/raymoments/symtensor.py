@@ -99,11 +99,14 @@ class _SparseTensor:
     def is_zero(self) -> bool:
         return not self.components
 
-    def __add__(self, other):
+    def _compat(self, other) -> None:
         if type(other) is not type(self):
             raise TypeError(f"expected a {type(self).__name__}")
         if self.n != other.n or self.shape != other.shape:
             raise ValueError("dimension or rank mismatch")
+
+    def __add__(self, other):
+        self._compat(other)
         data = dict(self.components)
         for key, value in other.components.items():
             data[key] = data[key] + value if key in data else value
@@ -113,7 +116,11 @@ class _SparseTensor:
         return self * Fraction(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._compat(other)
+        data = dict(self.components)
+        for key, value in other.components.items():
+            data[key] = data[key] - value if key in data else -value
+        return self._like(data)
 
     def __mul__(self, coef):
         if isinstance(coef, int):

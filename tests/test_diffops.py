@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import raymoments.diffops as diffops
 from raymoments import (
@@ -450,3 +451,112 @@ class TestOperatorReport:
         f = sym_field(2, 1, {(1,): PolyGauss(Polynomial(2, {(0, 0): Fraction(-3)}))})
         rep = operator_report(f)
         assert not rep.is_zero and rep.max_abs_coefficient == Fraction(3)
+
+
+def _reference_apply(n, rows, fetch):
+    """Stencil rows applied in plain Fraction arithmetic, the oracle for _apply."""
+    data = {}
+    for key, row_den, entries in rows:
+        acc = Polynomial.zero(n)
+        for source, weight in entries:
+            acc = acc + fetch(source).poly * Fraction(weight, row_den)
+        data[key] = acc
+    return data
+
+
+# source denominators 1, 2, 3, 4, 6 and 2^m for m = 3, 4
+_SOURCE_DENS = (1, 2, 3, 4, 6, 8, 16)
+
+
+@st.composite
+def _rows_and_sources(draw):
+    """Random stencil rows over sources with mixed denominators.
+
+    Source ``-1`` is the negation of source 0; the first row reads both with
+    one weight, so every coefficient of source 0 cancels in it, and the
+    second row adds a third source on top of that pair.
+    """
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    sources = {}
+    for name in range(draw(st.integers(2, 5))):
+        den = draw(st.sampled_from(_SOURCE_DENS))
+        nums = draw(st.dictionaries(monomials, st.integers(-6, 6), max_size=5))
+        sources[name] = PolyGauss(Polynomial(
+            2, {exps: Fraction(num, den) for exps, num in nums.items()}))
+    sources[-1] = -sources[0]
+    weights = st.integers(-5, 5)
+    entry = st.tuples(st.sampled_from(sorted(sources)), weights)
+    w = draw(weights)
+    rows = [("cancel", draw(st.sampled_from((1, 2, 8))), ((0, w), (-1, w))),
+            ("partial", draw(st.integers(1, 12)), ((0, w), (1, draw(weights)), (-1, w)))]
+    for index in range(draw(st.integers(0, 4))):
+        row_den = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12, 16)))
+        rows.append((index, row_den, tuple(draw(st.lists(entry, max_size=6)))))
+    return rows, sources
+
+
+class TestIntegerStencilKernel:
+    """The int-numerator apply loop and the rows that feed it."""
+
+    @given(_rows_and_sources())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_matches_fraction_reference(self, case):
+        rows, sources = case
+        got = diffops._apply(2, rows, sources.__getitem__)
+        expected = _reference_apply(2, rows, sources.__getitem__)
+        assert got.keys() == expected.keys()
+        for key, value in got.items():
+            assert value.poly.terms == expected[key].terms, key
+            assert all(value.poly.terms.values()), key
+        assert got["cancel"].is_zero()
+
+    def test_rescale_path_keeps_earlier_sums(self):
+        # den 2, then den 3: the running sum over 2 is rescaled to 6
+        half = PolyGauss(Polynomial(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}))
+        third = PolyGauss(Polynomial(1, {(0,): Fraction(1, 3), (2,): Fraction(-1, 3)}))
+        rows = [("k", 5, (("h", 1), ("t", -3)))]
+        out = diffops._apply(1, rows, {"h": half, "t": third}.__getitem__)["k"]
+        assert out.poly.terms == {(0,): Fraction(-1, 10), (1,): Fraction(1, 10),
+                                  (2,): Fraction(1, 5)}
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_cached_rows_are_ints_over_a_row_denominator(self, n, m):
+        stencils = [diffops._d_stencil(n, m), diffops._alternation_stencil(n, m),
+                    diffops._pair_symmetrization_stencil(n, m)]
+        stencils += [diffops._stencil(n, m, k, diffops._series_term) for k in range(m + 1)]
+        for rows in stencils:
+            for key, row_den, entries in rows:
+                assert type(row_den) is int and row_den > 0, key
+                for _, weight in entries:
+                    assert type(weight) is int and weight, key
+        for _, row_den, _ in diffops._alternation_stencil(n, m):
+            assert row_den == 2 ** m
+
+    def test_integer_view_of_a_polynomial(self):
+        p = Polynomial(2, {(0, 0): Fraction(1, 6), (1, 0): Fraction(-3, 4),
+                           (0, 1): Fraction(2)})
+        den, nums = p.integer_view()
+        assert den == 12
+        assert nums == (((0, 0), 2), ((1, 0), -9), ((0, 1), 24))
+        assert p.integer_view() is p.integer_view()
+        assert Polynomial.zero(2).integer_view() == (1, ())
+
+
+class TestDeriveOnePass:
+    @given(st.integers(1, 3), st.integers(0, 4), st.integers())
+    @settings(max_examples=60, deadline=None)
+    def test_derive_is_gradient_minus_twice_coordinate_times_poly(self, n, degree, seed):
+        poly = random_polynomial(n, degree, random.Random(seed))
+        for i in range(1, n + 1):
+            expected = poly.partial(i) + Polynomial.coordinate(n, i) * poly * -2
+            got = PolyGauss(poly).derive(i).poly
+            assert got == expected
+            # same terms in the same order, so float sums over them agree too
+            assert list(got.terms) == list(expected.terms)
+
+    def test_index_out_of_range(self):
+        g = PolyGauss(Polynomial.coordinate(2, 1))
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                g.derive(i)
+

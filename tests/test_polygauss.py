@@ -333,6 +333,27 @@ class TestRingOps:
             with pytest.raises(ValueError):
                 Polynomial(2, {exps: Fraction(1)})
 
+    @given(st.integers(), st.integers())
+    @settings(max_examples=40, deadline=None)
+    def test_subtraction_is_addition_of_the_negation(self, seed_a, seed_b):
+        p = random_polynomial(2, 3, random.Random(seed_a))
+        q = random_polynomial(2, 3, random.Random(seed_b))
+        assert (p - q).terms == (p + (-q)).terms
+        assert all((p - q).terms.values())
+        assert not (p - p).terms
+        assert PolyGauss(p) - PolyGauss(q) == PolyGauss(p + (-q))
+
+    def test_subtraction_keeps_type_and_shape_errors(self):
+        p = Polynomial.coordinate(2, 1)
+        for a, b in [(p, 1), (p, Fraction(1)), (p, PolyGauss(p)),
+                     (PolyGauss(p), 1), (PolyGauss(p), p)]:
+            with pytest.raises(TypeError):
+                a - b
+        with pytest.raises(ValueError):
+            p - Polynomial.coordinate(3, 1)
+        with pytest.raises(ValueError):
+            gauss(2) - gauss(3)
+
     def test_line_coefficients_expand_the_restriction(self):
         # the oracle's expansion, evaluated in t, is p restricted to the line
         p = random_polynomial(3, 4, random.Random(5))

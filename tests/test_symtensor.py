@@ -84,6 +84,22 @@ class TestTensorKinds:
             with pytest.raises(TypeError):
                 a + b
 
+    def test_subtracting_different_kinds_raises_type_error(self):
+        for a, b in itertools.permutations(self.kinds(), 2):
+            with pytest.raises(TypeError):
+                a - b
+        with pytest.raises(TypeError):
+            self.kinds()[0] - 1
+
+    def test_subtraction_is_addition_of_the_negation(self):
+        a = SymTensor(2, 1, {(1,): Fraction(1, 2), (2,): Fraction(3)})
+        b = SymTensor(2, 1, {(1,): Fraction(1, 2), (2,): Fraction(1)})
+        assert (a - b).items() == (a + (-b)).items() == [((2,), Fraction(2))]
+        assert (b - a).items() == [((2,), Fraction(-2))]
+        floats = RawTensor(2, 1, {(1,): 0.25}, zero=0.0)
+        assert (floats - RawTensor(2, 1, zero=0.0)).items() == [((1,), 0.25)]
+        assert (RawTensor(2, 1, zero=0.0) - floats).items() == [((1,), -0.25)]
+
     def test_different_kinds_are_never_equal(self):
         for a, b in itertools.permutations(self.kinds(), 2):
             assert a != b

@@ -377,3 +377,13 @@ class TestGoldenReport:
                      "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_mixed_operator_report_matches_golden_file(self, capsys):
+        # n = m = 3 reaches the alternation, Saint Venant and restriction stencils
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_identities_n3_m3_k1_s3_d2_seed7.json")
+        code = main(["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+                     "--samples", "3", "--degree", "2", "--seed", "7",
+                     "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
