@@ -554,9 +554,3 @@ class TestDeriveOnePass:
             # same terms in the same order, so float sums over them agree too
             assert list(got.terms) == list(expected.terms)
 
-    def test_index_out_of_range(self):
-        g = PolyGauss(Polynomial.coordinate(2, 1))
-        for i in (0, 3):
-            with pytest.raises(ValueError):
-                g.derive(i)
-
