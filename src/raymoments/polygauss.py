@@ -7,10 +7,12 @@ coefficient arithmetic instead of floating point.
 
 Line integrals reduce, after completing the square, to normal moments.  On
 every line the integral of a polynomial is a dot product with the line's
-table of monomial moments (see LineTable), whose entries are in the line's
-own scalars.  Over a rational line it is kept in the exact form
-coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational coef, root and
-exponent (see ExactValue); over a float line it is a float.
+table of monomial moments (see LineTable).  Over a rational line the table
+holds ints, each moment scaled by a power of one common denominator of the
+line, so the dot product adds up ints and builds one Fraction; the result is
+kept in the exact form coef * sqrt(root) * sqrt(pi) * exp(exponent) with
+rational coef, root and exponent (see ExactValue).  Over a float line the
+same recurrence and dot product run in floats.
 """
 
 from __future__ import annotations
@@ -322,7 +324,9 @@ class ExactValue:
     All three fields are rational; any perfect-square factor of ``root`` is
     absorbed into ``coef`` at construction, and zero is kept in the canonical
     form (0, 1, 0).  Values on the same line share root and exponent, so sums
-    and differences of transform data stay exact.
+    and differences of transform data stay exact.  Arithmetic on values
+    whose root is already in that form builds its results with ``_trusted``,
+    which does not take the square root again.
     """
 
     coef: Fraction
@@ -344,12 +348,28 @@ class ExactValue:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "exponent", exponent)
 
+    @classmethod
+    def _trusted(cls, coef: Fraction, root: Fraction, exponent: Fraction) -> "ExactValue":
+        """Build from a Fraction coef and a root with no perfect-square factor.
+
+        Skips the checks of the constructor; only callers whose root comes
+        from a canonical ExactValue or a LineTable may call it.  Zero is
+        still kept as (0, 1, 0).
+        """
+        out = object.__new__(cls)
+        if not coef:
+            root, exponent = Fraction(1), coef
+        object.__setattr__(out, "coef", coef)
+        object.__setattr__(out, "root", root)
+        object.__setattr__(out, "exponent", exponent)
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.coef
 
     def scaled(self, c) -> "ExactValue":
-        return ExactValue(self.coef * _as_fraction(c), self.root, self.exponent)
+        return ExactValue._trusted(self.coef * _as_fraction(c), self.root, self.exponent)
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         if not isinstance(other, ExactValue):
@@ -361,14 +381,14 @@ class ExactValue:
         if self.exponent != other.exponent:
             raise ArithmeticError("cannot add exact values with different exponents")
         if self.root == other.root:
-            return ExactValue(self.coef + other.coef, self.root, self.exponent)
+            return ExactValue._trusted(self.coef + other.coef, self.root, self.exponent)
         ratio = rational_sqrt(other.root / self.root)
         if ratio is None:
             raise ArithmeticError("cannot add exact values with incompatible roots")
         return ExactValue(self.coef + other.coef * ratio, self.root, self.exponent)
 
     def __neg__(self) -> "ExactValue":
-        return ExactValue(-self.coef, self.root, self.exponent)
+        return ExactValue._trusted(-self.coef, self.root, self.exponent)
 
     def __sub__(self, other: "ExactValue") -> "ExactValue":
         return self + (-other)
@@ -401,14 +421,19 @@ def _line_data(x: Sequence, xi: Sequence):
     return s, c, exponent
 
 
+def _check_order(q) -> None:
+    """Reject an order that is not a non-negative int, below which the recurrence never ends."""
+    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
+        raise ValueError("moment order must be a non-negative int")
+
+
 class LineTable:
     """Moments of the monomials along one line x + t*xi, rational or float.
 
-    A line whose coordinates are all rational is exact: its coordinates and
-    entries are Fractions.  Any other line is coerced to floats, and its
-    entries are floats built by the same recurrence.  With s = |xi|^2 and
+    A line whose coordinates are all rational is exact: its coordinates are
+    Fractions.  Any other line is coerced to floats.  With s = |xi|^2 and
     c = x.xi, completing the square gives
-    |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The entry for (q, e) is
+    |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
                   / (sqrt(pi/s) * exp(exponent)),
@@ -416,12 +441,24 @@ class LineTable:
     that is E[T^q (x + T*xi)^e] for a normal T with mean -c/s and variance
     1/(2s).  The Gaussian moments mu_q(0) follow
     M_{q+1} = mean*M_q + var*q*M_{q-1}, and one more factor of coordinate i
-    gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).  Entries are
-    built on first request and kept, so the line integral of a polynomial is
-    a dot product of its coefficients with the table (see line_moment).
+    gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).
+
+    On an exact line, ``scale`` is the lcm L of the denominators of x, xi,
+    mean and var, and the entry kept for (q, e) is the int
+    A_q(e) = L^(q + 2|e|) * mu_q(e).  The same recurrence builds it with the
+    int weights L^2 x_i and L xi_i, L mean and L^2 var (q - 1).  The power
+    counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
+    trades one order for one coordinate: under L^(q + |e|) it would keep the
+    power and leave xi_i unscaled.  A float line has L = 1 and keeps the
+    recurrence's own floats.  Entries are built on first request and kept,
+    so the line integral of a polynomial is a dot product of its
+    coefficients with the table (see line_moment).  ``root`` and
+    ``root_factor`` split sqrt(1/s) of an exact line into the root of its
+    ExactValues and a rational factor, once per line.
     """
 
-    __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "mu")
+    __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "scale",
+                 "root", "root_factor", "mu", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -433,28 +470,46 @@ class LineTable:
         self.s, c, self.exponent = _line_data(self.x, self.xi)
         self.mean = -c / self.s
         self.var = 1 / (2 * self.s)
-        self.mu = {(0, (0,) * len(x)): scalar(1)}
+        if self.is_exact:
+            big = self.scale = math.lcm(*(v.denominator for v in
+                                          (*self.x, *self.xi, self.mean, self.var)))
+            self._weights = (tuple(int(big * big * v) for v in self.x),
+                             tuple(int(big * v) for v in self.xi),
+                             int(big * self.mean), int(big * big * self.var))
+            r = rational_sqrt(1 / self.s)
+            self.root, self.root_factor = ((Fraction(1), r) if r is not None
+                                           else (1 / self.s, Fraction(1)))
+            one = 1
+        else:
+            self.scale = 1
+            self._weights = (self.x, self.xi, self.mean, self.var)
+            self.root = self.root_factor = None
+            one = 1.0
+        self.mu = {(0, (0,) * len(x)): one}
 
     def _recurrence(self, q: int, e: tuple) -> list:
-        """The (weight, key) pairs whose weighted sum is mu_q(e), q + |e| > 0."""
+        """The (weight, key) pairs whose weighted sum is entry (q, e), q + |e| > 0."""
+        wx, wxi, wmean, wvar = self._weights
         for i, a in enumerate(e):
             if a:
                 lower = e[:i] + (a - 1,) + e[i + 1:]
-                pairs = ((self.x[i], (q, lower)), (self.xi[i], (q + 1, lower)))
+                pairs = ((wx[i], (q, lower)), (wxi[i], (q + 1, lower)))
                 break
         else:
-            pairs = ((self.mean, (q - 1, e)), (self.var * (q - 1), (q - 2, e)))
+            pairs = ((wmean, (q - 1, e)), (wvar * (q - 1), (q - 2, e)))
         return [(w, key) for w, key in pairs if w]
 
-    def moment(self, q: int, e: tuple):
-        """mu_q(e), building the missing entries it rests on without recursion."""
+    def _entry(self, q: int, e: tuple):
+        """The kept entry for (q, e), building the missing ones without recursion.
+
+        ``q`` and ``e`` are not checked: ``moment`` checks them, and
+        ``line_moment`` passes the exponents of a validated polynomial.
+        """
         mu = self.mu
         hit = mu.get((q, e))
         if hit is not None:
             return hit
-        if q < 0:
-            raise ValueError("moment order must be non-negative")
-        zero = 0 * self.s  # an empty sum, in the line's own scalars
+        zero = 0 if self.is_exact else 0.0  # an empty sum
         todo = [(q, e)]
         while todo:
             key = todo[-1]
@@ -470,6 +525,17 @@ class LineTable:
             todo.pop()
         return mu[(q, e)]
 
+    def moment(self, q: int, e: tuple):
+        """mu_q(e): a Fraction on an exact line, a float on a float line."""
+        _check_order(q)
+        if len(e) != len(self.x) or any(not isinstance(a, int) or isinstance(a, bool)
+                                        or a < 0 for a in e):
+            raise ValueError(f"bad exponent multi-index {e}")
+        entry = self._entry(q, e)
+        if self.is_exact:
+            return Fraction(entry, self.scale ** (q + 2 * sum(e)))
+        return entry
+
 
 def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
                 table: LineTable | None = None):
@@ -477,27 +543,42 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
 
     The dot product of g's coefficients with the line's moment table, times
     sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a float on
-    any other.  ``table`` may pass that table in so that it is shared between
-    calls (a fresh one is built otherwise); a table of another line, or of
+    any other.  On a rational line with scale L, g's integer view
+    (den, nums) of top degree D gives the sum of
+    num * A_q(e) * L^(2(D - |e|)) in ints, which is mu's dot product times
+    den * L^(q + 2D); one Fraction is built from it.  ``table`` may pass the
+    table in so that it is shared between calls (a fresh one is built
+    otherwise).  A table whose own coordinate tuples are passed as x and xi
+    is taken as is; any other is checked, and a table of another line, or of
     the same line in the other scalars, is rejected.
     """
-    if q < 0:
-        raise ValueError("moment order must be non-negative")
+    _check_order(q)
     if len(x) != g.n or len(xi) != g.n:
         raise ValueError("point or direction has wrong dimension")
     if table is None:
         table = LineTable(x, xi)
-    elif not (table.is_exact == (all_rational(x) and all_rational(xi))
-              and tuple(x) == table.x and tuple(xi) == table.xi):
+    elif not (x is table.x and xi is table.xi) and not (
+            table.is_exact == (all_rational(x) and all_rational(xi))
+            and tuple(x) == table.x and tuple(xi) == table.xi):
         raise ValueError("line table belongs to another line")
-    coef = 0 * table.s
-    for e, c in g.poly.terms.items():
-        mu = table.moment(q, e)
-        if mu:
-            coef += c * mu
-    if table.is_exact:
-        return ExactValue(coef, 1 / table.s, table.exponent)
-    return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
+    entry = table._entry
+    if not table.is_exact:
+        coef = 0.0
+        for e, c in g.poly.terms.items():
+            mu = entry(q, e)
+            if mu:
+                coef += c * mu
+        return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
+    den, nums = g.poly.integer_view()
+    top = g.poly.total_degree()
+    square = table.scale * table.scale
+    total = 0
+    for e, num in nums:
+        total += num * entry(q, e) * square ** (top - sum(e))
+    factor = table.root_factor
+    coef = Fraction(total * factor.numerator,
+                    den * table.scale ** (q + 2 * top) * factor.denominator)
+    return ExactValue._trusted(coef, table.root, table.exponent)
 
 
 def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,

@@ -77,6 +77,74 @@ def _reference_line_moment(g, q, x, xi):
     return ExactValue(total, 1 / s, exponent)
 
 
+class _ReferenceLineTable:
+    """The moment recurrence of the LineTable docstring in the line's own scalars.
+
+    Entries are mu_q(e) themselves, Fractions or floats, built with the
+    unscaled weights: the reference of LineTable's int entries on an exact
+    line, and of its float entries, bit for bit, on a float line.
+    """
+
+    def __init__(self, x, xi):
+        exact = all(isinstance(v, (int, Fraction)) for v in (*x, *xi))
+        scalar = Fraction if exact else float
+        self.x = tuple(scalar(v) for v in x)
+        self.xi = tuple(scalar(v) for v in xi)
+        self.s = sum(v * v for v in self.xi)
+        c = sum(a * b for a, b in zip(self.x, self.xi))
+        self.exponent = -(sum(a * a for a in self.x) - c * c / self.s)
+        self.mean = -c / self.s
+        self.var = 1 / (2 * self.s)
+        self.mu = {(0, (0,) * len(x)): scalar(1)}
+
+    def _recurrence(self, q, e):
+        for i, a in enumerate(e):
+            if a:
+                lower = e[:i] + (a - 1,) + e[i + 1:]
+                pairs = ((self.x[i], (q, lower)), (self.xi[i], (q + 1, lower)))
+                break
+        else:
+            pairs = ((self.mean, (q - 1, e)), (self.var * (q - 1), (q - 2, e)))
+        return [(w, key) for w, key in pairs if w]
+
+    def moment(self, q, e):
+        mu = self.mu
+        zero = 0 * self.s
+        todo = [(q, e)]
+        while todo:
+            key = todo[-1]
+            if key in mu:
+                todo.pop()
+                continue
+            pairs = self._recurrence(*key)
+            missing = [dep for _, dep in pairs if dep not in mu]
+            if missing:
+                todo.extend(missing)
+                continue
+            mu[key] = sum((w * mu[dep] for w, dep in pairs), zero)
+            todo.pop()
+        return mu[(q, e)]
+
+    def line_moment(self, g, q):
+        coef = 0 * self.s
+        for e, c in g.poly.terms.items():
+            mu = self.moment(q, e)
+            if mu:
+                coef += c * mu
+        if isinstance(coef, Fraction):
+            return ExactValue(coef, 1 / self.s, self.exponent)
+        return coef * math.sqrt(math.pi / self.s) * math.exp(self.exponent)
+
+
+def _check_table(table, ref, g, q):
+    """The int table of an exact line against the reference, entry by entry."""
+    for e in g.poly.terms:
+        assert table.moment(q, e) == ref.moment(q, e)
+        assert table.mu[(q, e)] == ref.moment(q, e) * table.scale ** (q + 2 * sum(e))
+    assert all(type(v) is int for v in table.mu.values())
+    assert line_moment(g, q, table.x, table.xi, table) == ref.line_moment(g, q)
+
+
 _small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
@@ -231,6 +299,7 @@ class TestLineTable:
         x, xi = line
         g = PolyGauss(random_polynomial(len(x), degree, random.Random(seed)))
         assert line_moment(g, q, x, xi) == _reference_line_moment(g, q, x, xi)
+        _check_table(LineTable(x, xi), _ReferenceLineTable(x, xi), g, q)
 
     @given(_exact_lines(),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers()),
@@ -239,11 +308,12 @@ class TestLineTable:
     def test_shared_table_matches_reference(self, line, requests):
         # one table serves many polynomials and orders, asked in any order
         x, xi = line
-        table = LineTable(x, xi)
+        table, ref = LineTable(x, xi), _ReferenceLineTable(x, xi)
         for degree, q, seed in requests:
             g = PolyGauss(random_polynomial(len(x), degree, random.Random(seed)))
             value = line_moment(g, q, x, xi, table)
             assert value == _reference_line_moment(g, q, x, xi)
+            _check_table(table, ref, g, q)
 
     def test_entries_are_normal_moments(self):
         # mu_q(0) = E[T^q] for T ~ N(-c/s, 1/(2s)); here mean 1/2, variance 1/4
@@ -303,6 +373,47 @@ class TestLineTable:
         quad = line_moment_quadrature(g, q, x, xi)
         mass = quadrature_mass(g, q, x, xi)
         assert abs(closed - quad) <= 1e-10 * max(mass, 1e-300)
+
+    @given(_float_lines(),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers()),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_float_entries_are_the_reference_floats(self, line, requests):
+        x, xi = line
+        table, ref = LineTable(x, xi), _ReferenceLineTable(x, xi)
+        assert table.scale == 1
+        for degree, q, seed in requests:
+            g = PolyGauss(random_polynomial(len(x), degree, random.Random(seed)))
+            for e in g.poly.terms:
+                assert table.moment(q, e).hex() == ref.moment(q, e).hex()
+            value = line_moment(g, q, x, xi, table)
+            assert value.hex() == ref.line_moment(g, q).hex()
+        assert table.mu.keys() == ref.mu.keys()
+        assert all(a.hex() == ref.mu[key].hex() for key, a in table.mu.items())
+
+    def test_scale_is_the_common_denominator(self):
+        # x = (1/2, 0), xi = (1, 2/3): s = 13/9, mean = -9/26, var = 9/26
+        table = LineTable([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)])
+        assert (table.mean, table.var, table.scale) == (Fraction(-9, 26), Fraction(9, 26), 78)
+        assert table.moment(1, (0, 0)) == table.mean and table.mu[(1, (0, 0))] == -27
+        # 1/s = 9/13 has no rational root; 1/s = 1/4 does
+        assert (table.root, table.root_factor) == (Fraction(9, 13), 1)
+        table = LineTable([Fraction(1), Fraction(3)], [Fraction(2), Fraction(0)])
+        assert (table.root, table.root_factor) == (1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("e", [(1,), (1, 0, 0), (-1, 0), (0, -2), (True, 0), (1.0, 0)])
+    def test_bad_index_raises(self, e):
+        for x, xi in (([1, 2], [1, 0]), ([0.5, 2.0], [1.0, 0.0])):
+            with pytest.raises(ValueError):
+                LineTable(x, xi).moment(0, e)
+
+    @pytest.mark.parametrize("q", [-1, True, 1.5])
+    def test_bad_order_raises(self, q):
+        for x, xi in (([1, 2], [1, 0]), ([0.5, 2.0], [1.0, 0.0])):
+            with pytest.raises(ValueError):
+                LineTable(x, xi).moment(q, (0, 0))
+            with pytest.raises(ValueError):
+                line_moment(gauss(2), q, x, xi)
 
 
 class TestRingOps:
@@ -423,6 +534,32 @@ class TestExactValue:
         z = ExactValue.zero_value()
         v = ExactValue(Fraction(2), Fraction(3), Fraction(-5))
         assert (z + v) == v and (v + z) == v
+
+    @pytest.mark.parametrize("coef, root, exponent", [
+        (Fraction(3, 2), Fraction(1, 2), Fraction(-1)),   # 1/s = 1/2, no rational root
+        (Fraction(3), Fraction(4, 9), Fraction(-7, 3)),   # 1/s = 4/9, a perfect square
+        (Fraction(0), Fraction(5, 2), Fraction(-2)),      # zero
+    ])
+    def test_trusted_results_match_the_checked_constructor(self, coef, root, exponent):
+        v = ExactValue(coef, root, exponent)
+        w = ExactValue(Fraction(-1, 5), root, exponent)
+
+        def fields(value):
+            return value.coef, value.root, value.exponent
+
+        def checked(c):
+            return fields(ExactValue(c, v.root, v.exponent))
+
+        assert fields(v.scaled(Fraction(-4, 3))) == checked(v.coef * Fraction(-4, 3))
+        assert fields(v.scaled(0)) == checked(Fraction(0)) == (0, 1, 0)
+        assert fields(-v) == checked(-v.coef)
+        assert fields(v + v) == checked(2 * v.coef)
+        assert fields(v + -v) == fields(v - v) == (0, 1, 0)
+        if not v.is_zero and v.root == w.root:
+            assert fields(v + w) == checked(v.coef + w.coef)
+            assert fields(v + ExactValue(-coef, root, exponent)) == (0, 1, 0)
+        results = (v.scaled(3), -v, v + v, v - v)
+        assert all(type(x) is Fraction for r in results for x in fields(r))
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)

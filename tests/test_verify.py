@@ -387,3 +387,13 @@ class TestGoldenReport:
                      "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_rank_five_kernel_report_matches_golden_file(self, capsys):
+        # a rank-5 field reaches W^k and the exact kernel moments
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_kernel_n2_m5_k0_s2_d2_seed7.json")
+        code = main(["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+                     "--samples", "2", "--degree", "2", "--seed", "7",
+                     "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
