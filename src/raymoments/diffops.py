@@ -8,9 +8,10 @@ point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
 weight), ...))`` with int weights over one positive int row denominator.
-One loop applies them.  It adds up the int numerators of each source's
-integer view (``Polynomial.integer_view``) and builds one Fraction per
-nonzero output coefficient.
+One loop applies them.  It adds up the stored int numerators of each
+source polynomial (``Polynomial.nums`` over ``Polynomial.den``) and hands
+the int sums and their denominator to the output polynomial as they are;
+no Fraction is built.
 """
 
 from __future__ import annotations
@@ -44,27 +45,27 @@ def _apply(n: int, rows, fetch) -> dict:
     """Apply stencil rows to the PolyGauss values that ``fetch`` returns.
 
     Each row ``(out_key, row_den, ((source, weight), ...))`` becomes one
-    component.  The int numerators of the sources are added up in one dict
-    over a running denominator ``den``, which grows to the lcm of the source
-    denominators; each nonzero sum ``acc`` becomes ``acc / (den * row_den)``.
+    component.  The stored int numerators of the sources are added up in one
+    dict ``acc`` over a running denominator ``den``, which grows to the lcm
+    of the source denominators; ``acc`` over ``den * row_den`` is the output
+    polynomial, normalized once.  No Fraction is built.
     """
     data = {}
     for key, row_den, entries in rows:
         acc = {}
         den = 1
         for source, weight in entries:
-            pden, nums = fetch(source).poly.integer_view()
+            poly = fetch(source).poly
+            pden = poly.den
             if den % pden:
                 scale = pden // math.gcd(den, pden)
                 for exps in acc:
                     acc[exps] *= scale
                 den *= scale
             factor = weight * (den // pden)
-            for exps, num in nums:
+            for exps, num in poly.nums.items():
                 acc[exps] = acc.get(exps, 0) + num * factor
-        den *= row_den
-        data[key] = PolyGauss(Polynomial._trusted(
-            n, {exps: Fraction(num, den) for exps, num in acc.items() if num}))
+        data[key] = PolyGauss(Polynomial._from_ints(n, den * row_den, acc))
     return data
 
 

@@ -1,9 +1,10 @@
 """Exact arithmetic for scalar fields of the form p(x) * exp(-|x|^2).
 
-The polynomial factor carries exact rational coefficients, so the class is
-closed under partial differentiation, coordinate multiplication and line
-integration, and every operator identity downstream can be certified by
-coefficient arithmetic instead of floating point.
+The polynomial factor carries exact rational coefficients, stored as int
+numerators over one normalized denominator, so the class is closed under
+partial differentiation, coordinate multiplication and line integration,
+and every operator identity downstream can be certified by int coefficient
+arithmetic instead of floating point.
 
 Line integrals reduce, after completing the square, to normal moments.  On
 every line the integral of a polynomial is a dot product with the line's
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -48,12 +50,17 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """A multivariate polynomial with rational coefficients, stored sparsely.
 
-    ``terms`` maps exponent multi-indices (length-n tuples of naturals) to
-    nonzero rational coefficients.  A polynomial is never changed after it
-    is built, so its integer view (see ``integer_view``) is kept once made.
+    The coefficients are ints over one denominator: ``nums`` maps exponent
+    multi-indices (length-n tuples of naturals) to nonzero int numerators,
+    and ``den`` is a positive int with ``gcd(den, *nums) == 1``, so that each
+    polynomial has one stored form and ``==`` compares it directly.  Every
+    operation works on ints and normalizes its result once (see
+    ``_from_ints``).  ``terms``, the same coefficients as a dict of
+    Fractions in the order of ``nums``, is built on first read and kept; a
+    polynomial is never changed after it is built.
     """
 
-    __slots__ = ("n", "terms", "_ints")
+    __slots__ = ("n", "den", "nums", "_terms")
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -68,22 +75,40 @@ class Polynomial:
             coef = _as_fraction(coef)
             if coef:
                 data[exps] = coef
-        self.terms = data
-        self._ints = None
+        # the lcm of the reduced denominators leaves no common factor
+        self.den = den = math.lcm(*(c.denominator for c in data.values()))
+        self.nums = {exps: c.numerator * (den // c.denominator)
+                     for exps, c in data.items()}
+        self._terms = data
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
-        """Build from length-n exponent tuples and Fraction coefficients.
+    def _from_ints(cls, n: int, den: int, nums: dict) -> "Polynomial":
+        """Build from length-n exponent tuples and int numerators over ``den`` >= 1.
 
         Skips the validation of ``__init__``; only internal arithmetic, whose
-        inputs are validated polynomials, may call it.  Zero coefficients are
-        dropped.
+        inputs are validated polynomials, may call it.  Zero numerators are
+        dropped and the common factor of ``den`` and the numerators is
+        divided out, so the zero polynomial gets ``den`` 1.
         """
         out = object.__new__(cls)
         out.n = n
-        out.terms = {exps: coef for exps, coef in terms.items() if coef}
-        out._ints = None
+        nums = {exps: num for exps, num in nums.items() if num}
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {exps: num // g for exps, num in nums.items()}
+        out.den = den
+        out.nums = nums
+        out._terms = None
         return out
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as ``{exps: Fraction}``, in the order of ``nums``."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {exps: Fraction(num, den) for exps, num in self.nums.items()}
+        return self._terms
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
@@ -106,47 +131,53 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the denominators, self's terms first."""
         self._compat(other)
-        data = dict(self.terms)
-        for exps, coef in other.terms.items():
-            data[exps] = data.get(exps, Fraction(0)) + coef
-        return Polynomial._trusted(self.n, data)
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        data = {exps: num * scale for exps, num in self.nums.items()}
+        scale = sign * (den // other.den)
+        for exps, num in other.nums.items():
+            num *= scale
+            data[exps] = data[exps] + num if exps in data else num
+        return Polynomial._from_ints(self.n, den, data)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_ints(
+            self.n, self.den, {e: -num for e, num in self.nums.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._compat(other)
-        data = dict(self.terms)
-        for exps, coef in other.terms.items():
-            data[exps] = data[exps] - coef if exps in data else -coef
-        return Polynomial._trusted(self.n, data)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if is_rational(other):
             c = Fraction(other)
-            return Polynomial._trusted(
-                self.n, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._from_ints(
+                self.n, self.den * c.denominator,
+                {e: num * c.numerator for e, num in self.nums.items()})
         self._compat(other)
         data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                data[exps] = data.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial._trusted(self.n, data)
+                data[exps] = data.get(exps, 0) + n1 * n2
+        return Polynomial._from_ints(self.n, self.den * other.den, data)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.n == other.n
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "Polynomial(0)"
         bits = []
         for exps, coef in sorted(self.terms.items()):
@@ -159,38 +190,25 @@ class Polynomial:
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside [1, {self.n}]")
         data = {}
-        for exps, coef in self.terms.items():
+        for exps, num in self.nums.items():
             e = exps[i - 1]
             if e:
-                new = exps[: i - 1] + (e - 1,) + exps[i:]
-                data[new] = data.get(new, Fraction(0)) + coef * e
-        return Polynomial._trusted(self.n, data)
-
-    def integer_view(self) -> tuple:
-        """The coefficients as ints over one denominator: ``(den, ((exps, num), ...))``.
-
-        ``den`` is the lcm of the coefficient denominators and each
-        ``num / den`` is the coefficient at ``exps``, in the order of
-        ``terms``.  Built on the first call and kept.
-        """
-        if self._ints is None:
-            den = math.lcm(*(c.denominator for c in self.terms.values()))
-            self._ints = (den, tuple((exps, c.numerator * (den // c.denominator))
-                                     for exps, c in self.terms.items()))
-        return self._ints
+                data[exps[: i - 1] + (e - 1,) + exps[i:]] = num * e
+        return Polynomial._from_ints(self.n, self.den, data)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        return Fraction(max((abs(num) for num in self.nums.values()), default=0), self.den)
 
     def evaluate(self, xs: Sequence[float]) -> float:
         if len(xs) != self.n:
             raise ValueError("point has wrong dimension")
+        den = self.den
         total = 0.0
-        for exps, coef in self.terms.items():
-            term = float(coef)
+        for exps, num in self.nums.items():
+            term = num / den  # correctly rounded, as float(Fraction(num, den))
             for x, e in zip(xs, exps):
                 if e:
                     term *= float(x) ** e
@@ -284,14 +302,14 @@ class PolyGauss:
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside [1, {self.n}]")
         data, shifted = {}, {}
-        for exps, coef in self.poly.terms.items():
+        for exps, num in self.poly.nums.items():
             head, e, tail = exps[:i - 1], exps[i - 1], exps[i:]
             if e:
-                data[head + (e - 1,) + tail] = coef * e
-            shifted[head + (e + 1,) + tail] = -2 * coef
-        for exps, coef in shifted.items():
-            data[exps] = data[exps] + coef if exps in data else coef
-        return PolyGauss(Polynomial._trusted(self.n, data))
+                data[head + (e - 1,) + tail] = num * e
+            shifted[head + (e + 1,) + tail] = -2 * num
+        for exps, num in shifted.items():
+            data[exps] = data[exps] + num if exps in data else num
+        return PolyGauss(Polynomial._from_ints(self.n, self.poly.den, data))
 
     def multiply_by_coordinate(self, i: int) -> "PolyGauss":
         return PolyGauss(Polynomial.coordinate(self.n, i) * self.poly)
@@ -401,10 +419,28 @@ class ExactValue:
     __rmul__ = __mul__
 
     def __float__(self) -> float:
+        """The value as a float; OverflowError only if it is out of range.
+
+        The product of the three factors as floats, unless one of them
+        overflows or underflows or the product overflows.  Then the value is
+        taken from the logs of the int numerators and denominators
+        (``math.log`` takes big ints) plus the exponent.
+        """
         if self.is_zero:
             return 0.0
-        return (float(self.coef) * math.sqrt(float(self.root)) * _SQRT_PI
-                * math.exp(float(self.exponent)))
+        coef, root, exponent = self.coef, self.root, self.exponent
+        try:
+            parts = (float(coef), math.sqrt(float(root)), math.exp(float(exponent)))
+        except OverflowError:
+            parts = ()
+        if parts and min(map(abs, parts)) >= sys.float_info.min:
+            value = parts[0] * parts[1] * _SQRT_PI * parts[2]
+            if math.isfinite(value):
+                return value
+        log = (math.log(abs(coef.numerator)) - math.log(coef.denominator)
+               + (math.log(root.numerator) - math.log(root.denominator)) / 2
+               + math.log(_SQRT_PI) + float(max(exponent, -sys.float_info.max)))
+        return math.exp(log) if coef > 0 else -math.exp(log)
 
     @classmethod
     def zero_value(cls) -> "ExactValue":
@@ -543,8 +579,8 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
 
     The dot product of g's coefficients with the line's moment table, times
     sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a float on
-    any other.  On a rational line with scale L, g's integer view
-    (den, nums) of top degree D gives the sum of
+    any other.  On a rational line with scale L, g's stored numerators
+    ``nums`` over ``den``, of top degree D, give the sum of
     num * A_q(e) * L^(2(D - |e|)) in ints, which is mu's dot product times
     den * L^(q + 2D); one Fraction is built from it.  ``table`` may pass the
     table in so that it is shared between calls (a fresh one is built
@@ -562,18 +598,18 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
             and tuple(x) == table.x and tuple(xi) == table.xi):
         raise ValueError("line table belongs to another line")
     entry = table._entry
+    den, nums = g.poly.den, g.poly.nums
     if not table.is_exact:
         coef = 0.0
-        for e, c in g.poly.terms.items():
+        for e, num in nums.items():
             mu = entry(q, e)
             if mu:
-                coef += c * mu
+                coef += num / den * mu  # float(Fraction(num, den)) * mu
         return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
-    den, nums = g.poly.integer_view()
     top = g.poly.total_degree()
     square = table.scale * table.scale
     total = 0
-    for e, num in nums:
+    for e, num in nums.items():
         total += num * entry(q, e) * square ** (top - sum(e))
     factor = table.root_factor
     coef = Fraction(total * factor.numerator,

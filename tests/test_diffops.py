@@ -535,11 +535,10 @@ class TestIntegerStencilKernel:
     def test_integer_view_of_a_polynomial(self):
         p = Polynomial(2, {(0, 0): Fraction(1, 6), (1, 0): Fraction(-3, 4),
                            (0, 1): Fraction(2)})
-        den, nums = p.integer_view()
-        assert den == 12
-        assert nums == (((0, 0), 2), ((1, 0), -9), ((0, 1), 24))
-        assert p.integer_view() is p.integer_view()
-        assert Polynomial.zero(2).integer_view() == (1, ())
+        assert p.den == 12
+        assert list(p.nums.items()) == [((0, 0), 2), ((1, 0), -9), ((0, 1), 24)]
+        zero = Polynomial.zero(2)
+        assert (zero.den, zero.nums) == (1, {})
 
 
 class TestDeriveOnePass:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,18 @@ class _ReferenceLineTable:
         if isinstance(coef, Fraction):
             return ExactValue(coef, 1 / self.s, self.exponent)
         return coef * math.sqrt(math.pi / self.s) * math.exp(self.exponent)
+
+
+def _decimal_value(v):
+    """coef * sqrt(root) * sqrt(pi) * exp(exponent) in 40-digit decimals, then as a float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        value = dec(v.coef) * dec(v.root).sqrt() * dec(v.exponent).exp()
+    return float(value) * SQRT_PI
 
 
 def _check_table(table, ref, g, q):
@@ -477,6 +490,114 @@ class TestRingOps:
             assert sum(c * t ** d for d, c in enumerate(coefs)) == p.evaluate_exact(point)
 
 
+# The Fraction-dict arithmetic that Polynomial ran before it stored int
+# numerators over one denominator, kept as the reference of its results and
+# of their term order.
+
+def _ref_add(a, b):
+    data = dict(a)
+    for exps, coef in b.items():
+        data[exps] = data.get(exps, Fraction(0)) + coef
+    return {e: c for e, c in data.items() if c}
+
+
+def _ref_sub(a, b):
+    data = dict(a)
+    for exps, coef in b.items():
+        data[exps] = data[exps] - coef if exps in data else -coef
+    return {e: c for e, c in data.items() if c}
+
+
+def _ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _ref_scale(a, c):
+    return {e: k * c for e, k in a.items() if k * c}
+
+
+def _ref_mul(a, b):
+    data = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            data[exps] = data.get(exps, Fraction(0)) + c1 * c2
+    return {e: c for e, c in data.items() if c}
+
+
+def _ref_partial(a, i):
+    data = {}
+    for exps, coef in a.items():
+        e = exps[i - 1]
+        if e:
+            new = exps[: i - 1] + (e - 1,) + exps[i:]
+            data[new] = data.get(new, Fraction(0)) + coef * e
+    return {e: c for e, c in data.items() if c}
+
+
+def _ref_derive(a, i):
+    data, shifted = {}, {}
+    for exps, coef in a.items():
+        head, e, tail = exps[:i - 1], exps[i - 1], exps[i:]
+        if e:
+            data[head + (e - 1,) + tail] = coef * e
+        shifted[head + (e + 1,) + tail] = -2 * coef
+    for exps, coef in shifted.items():
+        data[exps] = data[exps] + coef if exps in data else coef
+    return {e: c for e, c in data.items() if c}
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    """Two polynomials of one dimension 1..3 and degree <= 5 with mixed denominators.
+
+    The second one negates some terms of the first, so that sums and
+    differences cancel terms and common factors of the denominator.
+    """
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple).filter(
+        lambda e: sum(e) <= 5)
+    coef = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9, 12)))
+    a = draw(st.dictionaries(monomial, coef, max_size=8))
+    b = {e: -c for e, c in a.items() if draw(st.booleans())}
+    b.update(draw(st.dictionaries(monomial, coef, max_size=6)))
+    return n, a, b
+
+
+class TestIntStorage:
+    """Int numerators over one normalized denominator against the Fraction reference."""
+
+    @given(_polynomial_pairs(), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8)),
+           st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, pair, c, i):
+        n, a, b = pair
+        i = min(i, n)
+        p, q = Polynomial(n, a), Polynomial(n, b)
+        a, b = dict(p.terms), dict(q.terms)
+        cases = [(p + q, _ref_add(a, b)), (q + p, _ref_add(b, a)),
+                 (p - q, _ref_sub(a, b)), (q - p, _ref_sub(b, a)),
+                 (-p, _ref_neg(a)), (p * c, _ref_scale(a, c)), (c * q, _ref_scale(b, c)),
+                 (p * q, _ref_mul(a, b)), (p.partial(i), _ref_partial(a, i)),
+                 (PolyGauss(p).derive(i).poly, _ref_derive(a, i)),
+                 (PolyGauss(q).derive(i).poly, _ref_derive(b, i))]
+        for got, ref in cases:
+            assert list(got.terms.items()) == list(ref.items())
+            assert type(got.den) is int and got.den >= 1
+            assert math.gcd(got.den, *got.nums.values()) == 1
+            assert all(type(num) is int and num for num in got.nums.values())
+            assert got == Polynomial(n, ref)
+        for got1, ref1 in cases:
+            for got2, ref2 in cases:
+                assert (got1 == got2) == (ref1 == ref2)
+
+    def test_zero_results_have_denominator_one(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 6), (0, 2): Fraction(-5, 4)})
+        for zero in (p - p, p * 0, p + (-p), Polynomial.constant(2, Fraction(1, 3)).partial(1)):
+            assert (zero.den, zero.nums, zero.terms) == (1, {}, {})
+            assert zero == Polynomial.zero(2)
+
+
 class TestEvaluate:
     def test_gaussian_at_origin(self):
         assert gauss(2).evaluate([0.0, 0.0]) == 1.0
@@ -560,6 +681,35 @@ class TestExactValue:
             assert fields(v + ExactValue(-coef, root, exponent)) == (0, 1, 0)
         results = (v.scaled(3), -v, v + v, v - v)
         assert all(type(x) is Fraction for r in results for x in fields(r))
+
+    def test_float_is_the_direct_product_when_every_factor_fits(self):
+        v = ExactValue(Fraction(-7, 3), Fraction(5, 2), Fraction(-11, 4))
+        assert float(v) == (float(v.coef) * math.sqrt(float(v.root)) * SQRT_PI
+                            * math.exp(float(v.exponent)))
+
+    @pytest.mark.parametrize("coef, root, exponent", [
+        (Fraction(10 ** 400), Fraction(1), Fraction(-900)),      # coef overflows, about 2.4e9
+        (Fraction(1, 10 ** 400), Fraction(1), Fraction(900)),    # exp overflows, about 1.3e-9
+        (Fraction(-10 ** 400), Fraction(1), Fraction(-900)),     # negative coef
+        (Fraction(3, 10 ** 400), Fraction(5, 7), Fraction(900)),  # root with no rational sqrt
+        (Fraction(1, 10 ** 200), Fraction(1, 10 ** 401), Fraction(1300)),  # root underflows
+    ])
+    def test_float_of_a_value_whose_factors_leave_the_float_range(self, coef, root, exponent):
+        v = ExactValue(coef, root, exponent)
+        assert math.isclose(float(v), _decimal_value(v), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("coef, exponent", [
+        (Fraction(10 ** 400), Fraction(0)),
+        (Fraction(1), Fraction(800)),
+        (Fraction(-1), Fraction(10 ** 400)),
+    ])
+    def test_float_out_of_range_overflows(self, coef, exponent):
+        with pytest.raises(OverflowError):
+            float(ExactValue(coef, Fraction(1), exponent))
+
+    def test_float_below_range_is_a_signed_zero(self):
+        assert float(ExactValue(Fraction(-1), Fraction(1), Fraction(-10 ** 400))) == 0.0
+        assert math.copysign(1, float(ExactValue(Fraction(-1), Fraction(1), Fraction(-800)))) == -1
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
