@@ -8,10 +8,13 @@ point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
 weight), ...))`` with int weights over one positive int row denominator.
-One loop applies them.  It adds up the stored int numerators of each
-source polynomial (``Polynomial.nums`` over ``Polynomial.den``) and hands
-the int sums and their denominator to the output polynomial as they are;
-no Fraction is built.
+The order-k stencil is built in closed form: its int weights are summed
+over derivative multisets, each counted by a product of binomials of its
+letter multiplicities, not over position subsets.  One loop applies the
+stencils.  It adds up the stored int numerators of each source polynomial
+(``Polynomial.nums`` over ``Polynomial.den``) and hands the int sums and
+their denominator to the output polynomial as they are; no Fraction is
+built.
 """
 
 from __future__ import annotations
@@ -104,23 +107,6 @@ def iterate_d(v: SymTensor, times: int) -> SymTensor:
     return out
 
 
-def _position_splits(key, size):
-    """All (kept, taken) partitions of a tuple by position subsets of ``size``.
-
-    Averaging a split-dependent quantity over all orderings of a group equals
-    the plain average over these position subsets, because the quantity only
-    sees each part as a multiset.
-    """
-    positions = range(len(key))
-    out = []
-    for chosen in itertools.combinations(positions, size):
-        taken = tuple(key[i] for i in chosen)
-        chosen_set = set(chosen)
-        kept = tuple(key[i] for i in positions if i not in chosen_set)
-        out.append((kept, taken))
-    return out
-
-
 def saint_venant(f: SymTensor) -> BiSymTensor:
     """The Saint Venant compatibility operator on a rank-m field.
 
@@ -134,6 +120,33 @@ def saint_venant(f: SymTensor) -> BiSymTensor:
     return generalized_saint_venant(f, 0)
 
 
+def _code(key, base: int) -> int:
+    """The multiset of the index tuple ``key`` as an int.
+
+    Digit ``a - 1`` in ``base`` counts the letter a.  While no digit reaches
+    ``base``, adding codes adds multisets and subtracting a sub-multiset's
+    code removes it.
+    """
+    return sum(base ** (a - 1) for a in key)
+
+
+def _sub_multisets(key, base: int) -> list:
+    """The sub-multisets of the index tuple ``key``, by size.
+
+    Entry ``size`` lists ``(code, mult)`` pairs.  ``mult``, the product of
+    ``C(c_a, t_a)`` over the letters a, with ``c_a`` of them in ``key`` and
+    ``t_a`` taken, is the number of position subsets that take that
+    sub-multiset.
+    """
+    have = {a: key.count(a) for a in sorted(set(key))}
+    out = [[] for _ in range(len(key) + 1)]
+    for taken in itertools.product(*(range(c + 1) for c in have.values())):
+        code = sum(t * base ** (a - 1) for a, t in zip(have, taken))
+        mult = math.prod(math.comb(c, t) for c, t in zip(have.values(), taken))
+        out[sum(taken)].append((code, mult))
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _stencil(n: int, m: int, k: int, series) -> tuple:
     """The order-k operator as a fixed rational-linear map on the jet.
@@ -142,32 +155,57 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
     where each entry ``((component, derivatives), weight)`` names a canonical
     component, a sorted derivative multiset and the summed weight of every
     series term that reads that partial derivative, as an int over the lcm
-    ``row_den`` of the row's summed weights; entries whose weights cancel
-    are dropped.  ``series`` is the coefficient function of the alternating
-    binomial sum.  It is part of the cache key, so a replaced series builds
-    a fresh stencil.
+    ``row_den`` of the row's reduced weights; entries whose weights cancel
+    are dropped.
+
+    The series term ``ell`` takes ``k`` fixed slots and ``ell`` more slots of
+    ``ckey`` into the component, and differentiates along ``Pd``, ``ell``
+    slots of ``pkey``, and ``Qd``, the other ``m - k - ell`` slots of
+    ``ckey``.  The jet it reads depends only on the derivative multiset
+    ``S = Pd + Qd``; the component is ``pkey + ckey - S``.  Summed over
+    position subsets, the weight of ``S`` is
+
+        sum over ell of  w_ell * C(k + ell, k) * sum over Pd + Qd = S of
+                         mult(Pd in pkey) * mult(Qd in ckey),
+
+    with ``w_ell = series(m - k, ell) / (C(m, k) * C(m - k, ell)^2)`` and
+    ``mult`` the count from ``_sub_multisets``: once the ``Qd`` slots are
+    placed, ``C(k + ell, k)`` ways remain to pick the fixed slots among the
+    rest.  The weights are scaled to ints over their common denominator
+    ``D`` and summed; dividing a row by ``g = gcd(D, *sums)`` leaves
+    ``row_den = D // g``, the lcm of the reduced weights' denominators.
+
+    ``series`` is the coefficient function of the alternating binomial sum.
+    The mutation checks replace ``_series_term`` and expect the certificate
+    to break, so the build calls ``series`` and keeps it in the cache key:
+    a replaced series builds a fresh stencil instead of reading a cached one.
     """
     mk = m - k
-    norm_i = math.comb(m, k)
-    weights = [series(mk, ell) * Fraction(1, norm_i * math.comb(mk, ell) ** 2)
+    weights = [Fraction(series(mk, ell)) * math.comb(k + ell, k)
+               / (math.comb(m, k) * math.comb(mk, ell) ** 2)
                for ell in range(mk + 1)]
+    den = math.lcm(*(weight.denominator for weight in weights))
+    weights = [weight.numerator * (den // weight.denominator) for weight in weights]
+    base = m + mk + 1  # above every digit of pkey + ckey
+    # every derivative multiset (size mk) and component (size m), by its code
+    key_of = {_code(key, base): key
+              for size in {mk, m} for key in all_canonical_tuples(n, size)}
+    c_subs = {ckey: (_code(ckey, base), _sub_multisets(ckey, base))
+              for ckey in all_canonical_tuples(n, m)}
     rows = []
     for pkey in all_canonical_tuples(n, mk):
-        p_splits = [_position_splits(pkey, ell) for ell in range(mk + 1)]
-        for ckey in all_canonical_tuples(n, m):
+        p_code, p_subs = _code(pkey, base), _sub_multisets(pkey, base)
+        for ckey, (c_code, q_subs) in c_subs.items():
             summed = {}
-            for q_full, i_part in _position_splits(ckey, k):
-                for ell, weight in enumerate(weights):
-                    for q_derivs, q_comp in _position_splits(q_full, ell):
-                        for p_comp, p_derivs in p_splits[ell]:
-                            jet = (canonical(i_part + p_comp + q_comp),
-                                   tuple(sorted(p_derivs + q_derivs)))
-                            summed[jet] = summed.get(jet, 0) + weight
-            kept = [(jet, weight) for jet, weight in summed.items() if weight]
-            row_den = math.lcm(*(weight.denominator for _, weight in kept))
-            rows.append(((pkey, ckey), row_den, tuple(
-                (jet, weight.numerator * (row_den // weight.denominator))
-                for jet, weight in kept)))
+            for ell, weight in enumerate(weights):
+                for pd_code, pd_mult in p_subs[ell]:
+                    for qd_code, qd_mult in q_subs[mk - ell]:
+                        s_code = pd_code + qd_code
+                        summed[s_code] = summed.get(s_code, 0) + weight * pd_mult * qd_mult
+            g = math.gcd(den, *summed.values())
+            rows.append(((pkey, ckey), den // g, tuple(
+                ((key_of[p_code + c_code - s_code], key_of[s_code]), weight // g)
+                for s_code, weight in summed.items() if weight)))
     return tuple(rows)
 
 

@@ -30,7 +30,7 @@ from raymoments import (
     sym_field,
 )
 from raymoments.polygauss import random_polynomial
-from raymoments.symtensor import distinct_rearrangements
+from raymoments.symtensor import canonical, distinct_rearrangements
 
 
 def scalar_field(n, seed=0, degree=2):
@@ -46,6 +46,75 @@ def sparse_field(n, m, seed, degree=1, nnz=2):
                             for key in chosen})
 
 
+def _position_splits(key, size):
+    """All (kept, taken) partitions of a tuple by position subsets of ``size``.
+
+    Averaging a split-dependent quantity over all orderings of a group equals
+    the plain average over these position subsets, because the quantity only
+    sees each part as a multiset.  The position-based oracles below use it;
+    diffops counts multisets instead.
+    """
+    positions = range(len(key))
+    out = []
+    for chosen in itertools.combinations(positions, size):
+        taken = tuple(key[i] for i in chosen)
+        chosen_set = set(chosen)
+        kept = tuple(key[i] for i in positions if i not in chosen_set)
+        out.append((kept, taken))
+    return out
+
+
+def _position_tally(n, m, k):
+    """How often each series term of the order-k operator reads each jet.
+
+    One ``((pkey, ckey), {jet: (count for ell in 0..m-k)})`` pair per output
+    key, counted tuple by tuple over (fixed slots, series term, component
+    slots, derivative slots) position splits, jets in order of first read.
+    """
+    mk = m - k
+    out = []
+    for pkey in all_canonical_tuples(n, mk):
+        p_splits = [_position_splits(pkey, ell) for ell in range(mk + 1)]
+        for ckey in all_canonical_tuples(n, m):
+            tally = {}
+            for q_full, i_part in _position_splits(ckey, k):
+                for ell in range(mk + 1):
+                    for q_derivs, q_comp in _position_splits(q_full, ell):
+                        for p_comp, p_derivs in p_splits[ell]:
+                            jet = (canonical(i_part + p_comp + q_comp),
+                                   tuple(sorted(p_derivs + q_derivs)))
+                            tally.setdefault(jet, [0] * (mk + 1))[ell] += 1
+            out.append(((pkey, ckey), {jet: tuple(c) for jet, c in tally.items()}))
+    return out
+
+
+def _reference_stencil(n, m, k, series, tally=None):
+    """The order-k stencil as Fraction weights summed over position splits.
+
+    The oracle for ``diffops._stencil``, in the same row format: each read
+    of a jet by series term ell adds ``series(m-k, ell) / (C(m, k) *
+    C(m-k, ell)^2)``.  ``tally`` is ``_position_tally(n, m, k)``, counted
+    once and reused across series.
+    """
+    mk = m - k
+    weights = [series(mk, ell) * Fraction(1, math.comb(m, k) * math.comb(mk, ell) ** 2)
+               for ell in range(mk + 1)]
+    sums = {}  # the summed weight of each count vector, added up once
+    rows = []
+    for key, counts in tally or _position_tally(n, m, k):
+        summed = {}
+        for jet, per_ell in counts.items():
+            if per_ell not in sums:
+                sums[per_ell] = sum(c * w for c, w in zip(per_ell, weights))
+            summed[jet] = sums[per_ell]
+        kept = [(jet, weight) for jet, weight in summed.items() if weight]
+        row_den = math.lcm(*(weight.denominator for _, weight in kept))
+        rows.append((key, row_den, tuple(
+            (jet, weight.numerator * (row_den // weight.denominator))
+            for jet, weight in kept)))
+    return tuple(rows)
+
+
 def _reference_generalized_saint_venant(f, k):
     """The order-k operator as a loop over every raw series term.
 
@@ -59,14 +128,14 @@ def _reference_generalized_saint_venant(f, k):
     norm_i = math.comb(m, k)
     data = {}
     for pkey in all_canonical_tuples(f.n, mk):
-        p_splits = {ell: diffops._position_splits(pkey, ell) for ell in range(mk + 1)}
+        p_splits = {ell: _position_splits(pkey, ell) for ell in range(mk + 1)}
         for ckey in all_canonical_tuples(f.n, m):
             acc = f.zero
-            for q_full, i_part in diffops._position_splits(ckey, k):
+            for q_full, i_part in _position_splits(ckey, k):
                 for ell in range(mk + 1):
                     weight = diffops._series_term(mk, ell) * Fraction(
                         1, norm_i * math.comb(mk, ell) ** 2)
-                    for q_derivs, q_comp in diffops._position_splits(q_full, ell):
+                    for q_derivs, q_comp in _position_splits(q_full, ell):
                         for p_comp, p_derivs in p_splits[ell]:
                             term = diffops._component_derivative(
                                 f, i_part + p_comp + q_comp, p_derivs + q_derivs)
@@ -368,6 +437,46 @@ class TestGeneralizedSaintVenant:
         assert set(seen) == {3}
 
 
+def _series_variants(mk):
+    """The series; per term ell a sign flip and a doubling; a 1/3 on the last term."""
+    original = diffops._series_term
+
+    def scaled(ell, factor):
+        def series(count, e):
+            value = original(count, e)
+            return factor * value if e == ell else value
+        return series
+
+    yield original
+    for ell in range(mk + 1):
+        yield scaled(ell, -1)
+        yield scaled(ell, 2)
+    yield scaled(mk, Fraction(1, 3))
+
+
+def _row_maps(rows):
+    """A stencil as ``{key: {jet: Fraction}}`` and as ``{key: (row_den, {jet: int})}``."""
+    fractions = {key: {jet: Fraction(weight, row_den) for jet, weight in entries}
+                 for key, row_den, entries in rows}
+    ints = {key: (row_den, dict(entries)) for key, row_den, entries in rows}
+    return fractions, ints
+
+
+class TestStencilRows:
+    """The multiset-count stencil against the position-split Fraction build."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(6)
+                                     if (n, m) != (4, 5)])
+    def test_matches_position_split_reference(self, n, m):
+        for k in range(m + 1):
+            tally = _position_tally(n, m, k)
+            for index, series in enumerate(_series_variants(m - k)):
+                got = diffops._stencil(n, m, k, series)
+                expected = _reference_stencil(n, m, k, series, tally)
+                assert [row[0] for row in got] == [row[0] for row in expected]
+                assert _row_maps(got) == _row_maps(expected), (k, index)
+
+
 class TestAlternatedDerivative:
     def test_rank_one_formula(self):
         f = random_field(2, 1, 2, 40)
@@ -529,6 +638,9 @@ class TestIntegerStencilKernel:
                 assert type(row_den) is int and row_den > 0, key
                 for _, weight in entries:
                     assert type(weight) is int and weight, key
+        for k in range(m + 1):
+            for key, row_den, entries in diffops._stencil(n, m, k, diffops._series_term):
+                assert math.gcd(row_den, *(weight for _, weight in entries)) == 1, key
         for _, row_den, _ in diffops._alternation_stencil(n, m):
             assert row_den == 2 ** m
 

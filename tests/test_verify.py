@@ -397,3 +397,13 @@ class TestGoldenReport:
                      "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_order_two_report_matches_golden_file(self, capsys):
+        # k = 2 at n = 3 reaches W^k stencils with multi-letter derivative multisets
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_all_n3_m3_k2_s2_d2_seed7.json")
+        code = main(["--suite", "all", "--n", "3", "--m", "3", "--k", "2",
+                     "--samples", "2", "--degree", "2", "--seed", "7",
+                     "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
