@@ -16,7 +16,6 @@ from .symtensor import (
     canonical,
     contract_with_power,
     restrict,
-    sym_part,
     symmetrize,
     tuple_multiplicity,
 )

@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -201,13 +202,33 @@ def random_float_ts_point(n: int, rng: random.Random) -> TSPoint:
     return TSPoint(x, u)
 
 
+def magnitude(v) -> float:
+    """|v| as a float that is 0.0 only for an exact zero.
+
+    ``v`` is a Fraction or an ExactValue.  A nonzero magnitude is clamped to
+    [math.ulp(0.0), sys.float_info.max], so that neither underflow nor
+    overflow changes whether it reads as zero.
+    """
+    if (v.is_zero if isinstance(v, ExactValue) else v == 0):
+        return 0.0
+    try:
+        mag = abs(float(v))
+    except OverflowError:
+        return sys.float_info.max
+    return min(max(mag, math.ulp(0.0)), sys.float_info.max)
+
+
 def value_diff(a, b) -> float:
-    """Absolute difference of two transform values, exact where possible."""
+    """Absolute difference of two transform values.
+
+    Two ExactValues are subtracted exactly and the difference goes through
+    ``magnitude``, so the result is 0.0 iff they are equal; values that
+    cannot be subtracted exactly (different exponents or incompatible roots)
+    raise ArithmeticError.  Two floats, on the float route, give the float
+    difference.
+    """
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
-        try:
-            return abs(float(a - b))
-        except ArithmeticError:
-            pass
+        return magnitude(a - b)
     return abs(float(a) - float(b))
 
 
@@ -370,9 +391,6 @@ class MomentExpression:
         return MomentExpression(tuple((c * coef, a) for c, a in self.terms))
 
     __rmul__ = __mul__
-
-    def is_empty(self) -> bool:
-        return not self.terms
 
     def evaluate(self, pt: PhasePoint, cache: dict | None = None):
         """Value at one phase point; ``cache`` memoizes atom values at that point.
@@ -592,7 +610,7 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
             for i in perm[:mk]:
                 e = dx(e, i)
             total = total + e * weight
-        best = max(best, abs(float(total.evaluate(pt, cache))))
+        best = max(best, value_diff(total.evaluate(pt, cache), pt.zero))
     return best
 
 

@@ -260,18 +260,6 @@ def alternate(t: RawTensor, pos_pair: tuple[int, int]) -> RawTensor:
     return RawTensor(t.n, t.rank, data, t.zero)
 
 
-def sym_part(t: RawTensor) -> SymTensor:
-    """Full symmetrization of a raw tensor, in canonical storage."""
-    data = {}
-    for key in all_canonical_tuples(t.n, t.rank):
-        variants = distinct_rearrangements(key)
-        acc = t.get(variants[0])
-        for var in variants[1:]:
-            acc = acc + t.get(var)
-        data[key] = acc * Fraction(1, len(variants))
-    return SymTensor(t.n, t.rank, data, t.zero)
-
-
 def restriction_indices(f: SymTensor, fixed: Sequence[int]) -> Index:
     """Validate indices to fix in a symmetric tensor; returns them as a tuple."""
     fixed = _check_indices(fixed, f.n)

@@ -7,10 +7,12 @@ re-derives every transform-level and operator-level identity on random data.
 Reports are deterministic in the configuration and are emitted as text, json
 or csv, one record per check.
 
-Exact checks demand a literal zero in rational arithmetic; transform-level
-checks run on the exact path where the sampled lines allow it and compare
-against the float tolerance otherwise.  For witness checks (a quantity that
-must be nonzero) the record's residual holds the witness magnitude.
+Every check is decided by an exact zero.  The suites sample only rational
+points, so every residual is computed in exact arithmetic: a Fraction, or
+the ``value_diff`` magnitude of an exact difference, which is 0.0 only for
+an exact zero.  An identity passes iff its residual is zero; a witness check
+(a quantity that must be nonzero) passes iff its residual, the witness
+magnitude, is nonzero.  There is no tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import random
 import re
 import sys
@@ -46,6 +47,7 @@ from .moments import (
     extended_from_moments,
     extended_transform,
     john_power_residual,
+    magnitude,
     moment_stack,
     moment_transform,
     random_phase_point,
@@ -64,8 +66,6 @@ from .symtensor import (
     restrict,
     symmetrize,
 )
-
-WITNESS_THRESHOLD = 1e-6
 
 IDENTITY_CATALOG = {
     "moment-conversion": "extended transform rebuilt from the moment stack on the projected line",
@@ -91,6 +91,9 @@ KERNEL_CATALOG = {
     "degenerate-top-order": "the top-order operator acts as the identity",
 }
 
+# checks that pass on a nonzero residual; every other check needs a zero
+WITNESS_CHECKS = {"separation-operator-witness", "separation-moment-witness"}
+
 
 @dataclass
 class SuiteConfig:
@@ -100,7 +103,6 @@ class SuiteConfig:
     seed: int = 7
     degree: int = 2
     samples: int = 20
-    tol_float: float = 1e-9
     fmt: str = "text"
     field: SymTensor | None = None
 
@@ -115,8 +117,6 @@ class SuiteConfig:
             raise ValueError("degree must be non-negative")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if not (self.tol_float > 0 and math.isfinite(self.tol_float)):
-            raise ValueError("tolerance must be positive and finite")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.field is not None:
@@ -128,7 +128,7 @@ class SuiteConfig:
     def as_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "k": self.k, "seed": self.seed,
                 "degree": self.degree, "samples": self.samples,
-                "tol_float": self.tol_float, "format": self.fmt,
+                "format": self.fmt,
                 "field_loaded": self.field is not None}
 
 
@@ -138,13 +138,13 @@ class CheckRecord:
     check_id: str
     identity: str
     residual: float
-    exact: bool
     passed: bool
 
     def as_dict(self) -> dict:
+        # every check is decided exactly; the key stays for report readers
         return {"suite": self.suite, "check_id": self.check_id,
                 "identity": self.identity, "residual": self.residual,
-                "exact": self.exact, "pass": self.passed}
+                "exact": True, "pass": self.passed}
 
 
 @dataclass
@@ -156,6 +156,19 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
+
+    def record(self, key: str, residual, tag: str = "") -> None:
+        """Decide one check on its exact residual and keep it.
+
+        ``residual`` is a Fraction or a ``value_diff`` magnitude; either is
+        zero only for an exact zero.  The check id is ``key``, suffixed by
+        ``tag`` when one is given.
+        """
+        catalog = KERNEL_CATALOG if self.name == "kernel" else IDENTITY_CATALOG
+        passed = (residual != 0) == (key in WITNESS_CHECKS)
+        self.records.append(CheckRecord(
+            self.name, f"{key}-{tag}" if tag else key, catalog[key],
+            magnitude(residual), passed))
 
 
 def _nonzero_field(n: int, m: int, degree: int, seed: str) -> SymTensor:
@@ -178,52 +191,32 @@ def generate_potential(n: int, m: int, k: int, degree: int, seed):
     return v, iterate_d(v, k + 1)
 
 
-def _relative(a, b) -> float:
-    return value_diff(a, b) / max(1.0, abs(float(a)), abs(float(b)))
-
-
 def suite_kernel(config: SuiteConfig) -> SuiteResult:
     """Kernel correspondence checks for the configured (n, m, k)."""
     config.validate()
     n, m, k = config.n, config.m, config.k
-    tol = config.tol_float
     result = SuiteResult("kernel")
     rng = random.Random(f"{config.seed}:kernel:points")
     points = [random_ts_point(n, rng) for _ in range(config.samples)]
 
-    def record(check_id, identity_key, residual, exact, passed):
-        result.records.append(CheckRecord(
-            "kernel", check_id, KERNEL_CATALOG[identity_key],
-            float(residual), exact, passed))
-
     if k < m:
         _, f = generate_potential(n, m, k, config.degree, f"{config.seed}:kernel")
-        scale = max(1.0, float(field_scale_report(f)))
-        wk_residual = field_scale_report(generalized_saint_venant(f, k))
-        record("potential-exact-kernel", "potential-exact-kernel",
-               wk_residual, True, wk_residual == 0)
-        worst = 0.0
-        for pt in points:
-            for value in moment_stack(f, k, pt):
-                worst = max(worst, abs(float(value)))
-        record("potential-moments-vanish", "potential-moments-vanish",
-               worst, False, worst <= tol * scale)
+        result.record("potential-exact-kernel",
+                      field_scale_report(generalized_saint_venant(f, k)))
+        result.record("potential-moments-vanish",
+                      max(value_diff(value, pt.zero)
+                          for pt in points for value in moment_stack(f, k, pt)))
         pp_rng = random.Random(f"{config.seed}:kernel:sym")
         sym_points = [random_phase_point(n, pp_rng) for _ in range(3)]
-        worst = 0.0
-        for r in range(k + 1):
-            for pt in sym_points:
-                worst = max(worst, symmetrized_derivative_residual(f, r, pt))
-        record("potential-symmetrized-derivative", "potential-symmetrized-derivative",
-               worst, False, worst <= tol * scale)
+        result.record("potential-symmetrized-derivative",
+                      max(symmetrized_derivative_residual(f, r, pt)
+                          for r in range(k + 1) for pt in sym_points))
     else:
         f = _nonzero_field(n, m, config.degree, f"{config.seed}:kernel:top")
         wm = generalized_saint_venant(f, m)
         expected = BiSymTensor(n, 0, m, {((), key): val for key, val in f.items()},
                                zero=f.zero)
-        top_residual = field_scale_report(wm - expected)
-        record("degenerate-top-order", "degenerate-top-order",
-               top_residual, True, top_residual == 0)
+        result.record("degenerate-top-order", field_scale_report(wm - expected))
 
     sep_rng = random.Random(f"{config.seed}:kernel:separation")
     witness = 0.0
@@ -240,22 +233,18 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
                 break  # a loaded kernel field cannot separate; report the failure
             result.resamples += 1
             continue
-        witness = 0.0
         sample_count = config.samples
         for round_ in range(3):
             pts = [random_ts_point(n, sep_rng) for _ in range(sample_count)]
-            for pt in pts:
-                for value in moment_stack(g, k, pt):
-                    witness = max(witness, abs(float(value)))
-            if witness > WITNESS_THRESHOLD:
+            witness = max(value_diff(value, pt.zero)
+                          for pt in pts for value in moment_stack(g, k, pt))
+            if witness:
                 break
             result.resamples += 1
             sample_count *= 2
         break
-    record("separation-operator-witness", "separation-operator-witness",
-           op_witness, True, op_witness != 0)
-    record("separation-moment-witness", "separation-moment-witness",
-           witness, False, witness > WITNESS_THRESHOLD)
+    result.record("separation-operator-witness", op_witness)
+    result.record("separation-moment-witness", witness)
     return result
 
 
@@ -277,37 +266,28 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
     """Every operator-level and transform-level identity on one random field."""
     config.validate()
     n, m, k = config.n, config.m, config.k
-    tol = config.tol_float
     result = SuiteResult("identities")
+    record = result.record
     f = config.field if config.field is not None else _nonzero_field(
         n, m, config.degree, f"{config.seed}:identities:f")
     rng = random.Random(f"{config.seed}:identities:points")
     pick = random.Random(f"{config.seed}:identities:indices")
-
-    def record(check_id, identity_key, residual, exact, passed):
-        result.records.append(CheckRecord(
-            "identities", check_id, IDENTITY_CATALOG[identity_key],
-            float(residual), exact, passed))
 
     # operator-level identities, certified by exact coefficient arithmetic
     if m >= 1:
         alt = alternated_derivative(f)
         w_direct = saint_venant(f)
         w_from_alt = saint_venant_from_alternated(alt)
-        res = field_scale_report(w_direct - w_from_alt)
-        record("sv-alternation-equivalence", "sv-alternation-equivalence",
-               res, True, res == 0)
-        res = field_scale_report(alternated_from_saint_venant(w_from_alt) - alt)
-        record("sv-alternation-roundtrip", "sv-alternation-roundtrip",
-               res, True, res == 0)
-        kk = min(k, m - 1)
-        res = restriction_relation_residual(f, kk)
-        record("restriction-relation", "restriction-relation",
-               res, True, res == 0)
+        record("sv-alternation-equivalence",
+               field_scale_report(w_direct - w_from_alt))
+        record("sv-alternation-roundtrip",
+               field_scale_report(alternated_from_saint_venant(w_from_alt) - alt))
+        record("restriction-relation",
+               restriction_relation_residual(f, min(k, m - 1)))
     sym_rng = random.Random(f"{config.seed}:identities:blocksym")
     block = _random_block_symmetric(n, max(m, 1), min(k, max(m, 1)), sym_rng)
-    res = symmetrization_split_residual(block, min(k, max(m, 1)))
-    record("partial-symmetrization", "partial-symmetrization", res, True, res == 0)
+    record("partial-symmetrization",
+           symmetrization_split_residual(block, min(k, max(m, 1))))
 
     # transform-level identities, one record per sampled line; each point
     # (and its line table) is drawn and dropped with its sample
@@ -318,56 +298,45 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
         q = s_idx % 4
         ts = pt.project()
         ivals = [moment_transform(f, ell, ts) for ell in range(q + 1)]
-        lhs = extended_from_moments(ivals, q, pt, m)
-        rhs = extended_transform(f, q, pt)
-        res = _relative(lhs, rhs)
-        record(f"moment-conversion-{tag}", "moment-conversion", res, False, res <= tol)
+        record("moment-conversion",
+               value_diff(extended_from_moments(ivals, q, pt, m),
+                          extended_transform(f, q, pt)), tag)
 
         r = s_idx % (m + 1)
         fixed = tuple(pick.randint(1, n) for _ in range(r))
-        lhs = recover_restricted(f, fixed, pt)
-        rhs = extended_transform(restrict(f, fixed), 0, pt)
-        res = _relative(lhs, rhs)
-        record(f"restricted-recovery-{tag}", "restricted-recovery", res, False,
-               res <= tol)
+        record("restricted-recovery",
+               value_diff(recover_restricted(f, fixed, pt),
+                          extended_transform(restrict(f, fixed), 0, pt)), tag)
 
         if m >= 1:
             kk = min(k, m - 1)
             fixed_k = tuple(pick.randint(1, n) for _ in range(kk))
-            res = john_power_residual(f, kk, fixed_k, pt)
-            record(f"john-power-{tag}", "john-power", res, False, res <= tol)
-            res = collapsed_derivative_residual(f, kk, fixed_k, pt)
-            record(f"collapsed-derivative-{tag}", "collapsed-derivative", res,
-                   False, res <= tol)
+            record("john-power", john_power_residual(f, kk, fixed_k, pt), tag)
+            record("collapsed-derivative",
+                   collapsed_derivative_residual(f, kk, fixed_k, pt), tag)
 
         depth = s_idx % (k + 1)
         fixed_r = tuple(pick.randint(1, n) for _ in range(depth))
-        res = restriction_contraction_residual(f, fixed_r, k, pt)
-        record(f"restriction-contraction-{tag}", "restriction-contraction", res,
-               False, res <= tol)
+        record("restriction-contraction",
+               restriction_contraction_residual(f, fixed_r, k, pt), tag)
 
         base = MomentExpression.transform(f, 0)
-        drift = abs(float(directional_x_derivative(base, pt)))
-        shift = Fraction(1, 3) if pt.is_exact else 1.0 / 3.0
+        drift = value_diff(directional_x_derivative(base, pt), pt.zero)
         moved = PhasePoint(
-            tuple(a + shift * b for a, b in zip(pt.x, pt.xi)), pt.xi)
-        res = max(drift, value_diff(extended_transform(f, 0, moved),
-                                    extended_transform(f, 0, pt)))
-        record(f"translation-invariance-{tag}", "translation-invariance", res,
-               False, res <= tol)
+            tuple(a + Fraction(1, 3) * b for a, b in zip(pt.x, pt.xi)), pt.xi)
+        record("translation-invariance",
+               max(drift, value_diff(extended_transform(f, 0, moved),
+                                     extended_transform(f, 0, pt))), tag)
 
         qq = k if k >= 1 else 1
         lhs = directional_x_derivative(MomentExpression.transform(f, qq), pt)
         rhs = extended_transform(f, qq - 1, pt)
-        res = value_diff(lhs, rhs * -qq)
-        record(f"integration-by-parts-{tag}", "integration-by-parts", res, False,
-               res <= tol)
+        record("integration-by-parts", value_diff(lhs, rhs * -qq), tag)
 
         qe = s_idx % (k + 1)
         lhs = directional_xi_derivative(MomentExpression.transform(f, qe), pt)
         rhs = extended_transform(f, qe, pt)
-        res = value_diff(lhs, rhs * (m - qe - 1))
-        record(f"euler-degree-{tag}", "euler-degree", res, False, res <= tol)
+        record("euler-degree", value_diff(lhs, rhs * (m - qe - 1)), tag)
 
     return result
 
@@ -506,15 +475,14 @@ def render_report(results: list[SuiteResult], config: SuiteConfig, fmt: str) -> 
         for r in results:
             for rec in r.records:
                 writer.writerow([rec.suite, rec.check_id, rec.identity,
-                                 repr(rec.residual), rec.exact, rec.passed])
+                                 repr(rec.residual), True, rec.passed])
         return buf.getvalue()
     lines = [f"config: {config.as_dict()}"]
     for r in results:
         for rec in r.records:
             status = "PASS" if rec.passed else "FAIL"
-            kind = "exact" if rec.exact else "float"
             lines.append(f"[{status}] {rec.suite}/{rec.check_id} "
-                         f"residual={rec.residual:.6e} ({kind}) :: {rec.identity}")
+                         f"residual={rec.residual:.6e} (exact) :: {rec.identity}")
         lines.append(f"suite {r.name}: "
                      f"{'PASS' if r.passed else 'FAIL'} "
                      f"({len(r.records)} checks, {r.resamples} resamples)")
@@ -537,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="polynomial degree of random fields")
     parser.add_argument("--samples", type=int, default=20,
                         help="sampled lines per check family")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance for float-path checks")
     parser.add_argument("--format", dest="fmt",
                         choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", metavar="FILE", default=None,
@@ -563,7 +529,7 @@ def main(argv=None) -> int:
             parser.error(f"bad field file: {exc}")
     config = SuiteConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
                          degree=args.degree, samples=args.samples,
-                         tol_float=args.tol, fmt=args.fmt, field=loaded)
+                         fmt=args.fmt, field=loaded)
     try:
         config.validate()
     except ValueError as exc:

@@ -217,6 +217,23 @@ class TestWeightedSum:
         assert isinstance(value, float) and value == 0.0
 
 
+class TestValueDiff:
+    def test_is_zero_only_for_an_exact_zero(self):
+        zero = ExactValue.zero_value()
+        tiny = ExactValue(Fraction(1, 10**400))
+        huge = ExactValue(Fraction(10**400), Fraction(2), Fraction(-1))
+        assert value_diff(tiny, zero) > 0.0
+        assert 0.0 < value_diff(huge, zero) < math.inf
+        assert value_diff(huge, huge) == 0.0
+        assert value_diff(tiny, -tiny) > 0.0
+
+    def test_different_exponents_raise(self):
+        a = ExactValue(Fraction(1), Fraction(1), Fraction(-1))
+        b = ExactValue(Fraction(1), Fraction(1), Fraction(-2))
+        with pytest.raises(ArithmeticError):
+            value_diff(a, b)
+
+
 class TestConversion:
     def test_line_point_collapse(self):
         rng = random.Random(15)
@@ -321,7 +338,7 @@ class TestDerivativeRules:
     def test_john_on_scalar_data_cancels(self):
         phi = gaussian_scalar(2)
         e = john(MomentExpression.transform(phi, 0), 1, 2)
-        assert e.is_empty()
+        assert not e.terms
 
     def test_john_equal_coordinates_rejected(self):
         f = random_field(2, 1, 1, 58)

@@ -15,7 +15,6 @@ from raymoments import (
     canonical,
     contract_with_power,
     restrict,
-    sym_part,
     symmetrize,
     tuple_multiplicity,
 )
@@ -257,13 +256,6 @@ class TestRestrictContract:
 
 
 class TestSymPart:
-    def test_sym_part_matches_full_symmetrize(self):
-        t = frac_raw(2, 3, 55)
-        s = sym_part(t)
-        b = brute_symmetrize(t, (1, 2, 3))
-        for key in all_canonical_tuples(2, 3):
-            assert s.get(key) == b.get(key)
-
     def test_multiplicities(self):
         assert tuple_multiplicity((1, 1, 1)) == 1
         assert tuple_multiplicity((1, 1, 2)) == 3
