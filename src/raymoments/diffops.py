@@ -1,10 +1,10 @@
 """Differential operators on symmetric tensor fields.
 
 Implements the symmetrized gradient (inner derivative), the Saint Venant
-compatibility operator, its generalized order-k variant, and the equivalent
-alternated-derivative form together with the linear conversions between the
-two.  Everything runs in exact rational coefficient arithmetic; no floating
-point enters this module.
+compatibility operator, its generalized order-k variant, the equivalent
+alternated derivative, stored once per multiset of index pairs i < j, and
+the linear conversions between the two.  Everything runs in exact rational
+coefficient arithmetic; no floating point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
 weight), ...))`` with int weights over one positive int row denominator.
@@ -227,35 +227,46 @@ def generalized_saint_venant(f: SymTensor, k: int) -> BiSymTensor:
     return BiSymTensor(f.n, m - k, m, data, f.zero)
 
 
+def _pair_key(pairs) -> tuple:
+    """The signed pair read: ``pairs`` turned to ``i < j``, sorted and interleaved.
+
+    Returns that key of ``A f`` and a sign, -1 per pair turned, 0 on a pair (i, i).
+    """
+    pairs = list(pairs)
+    sign = math.prod((i < j) - (i > j) for i, j in pairs)
+    return tuple(itertools.chain.from_iterable(sorted(map(sorted, pairs)))), sign
+
+
+def _pair_multisets(n: int, m: int):
+    """The multisets of m pairs ``i < j``, one ``A f`` component each."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return itertools.combinations_with_replacement(pairs, m)
+
+
 @functools.lru_cache(maxsize=64)
 def _alternation_stencil(n: int, m: int) -> tuple:
     """The m pair alternations of an interleaved rank-2m tensor.
 
-    Row ``(i1, j1, ..., im, jm)`` is the signed sum over its 2^m pair swaps,
-    over the row denominator 2^m, each read at ``((i1, ..., im), (j1, ...,
-    jm))`` with both groups canonical.  Rows with a pair ``i == j`` are left
-    out: that pair's swap reads the same entry with the opposite sign, so
-    every term cancels.
+    One row per pair multiset, ``C(C(n, 2) + m - 1, m)`` of them: the signed
+    sum over its 2^m pair swaps over 2^m, each read with both groups canonical.
     """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     rows = []
-    for chosen in itertools.product(pairs, repeat=m):
+    for chosen in _pair_multisets(n, m):
         signs = {}
-        for swaps in itertools.product((False, True), repeat=m):
-            read = [(j, i) if swap else (i, j) for (i, j), swap in zip(chosen, swaps)]
-            source = (canonical(i for i, _ in read), canonical(j for _, j in read))
-            signs[source] = signs.get(source, 0) + (-1) ** sum(swaps)
+        for read in itertools.product(*((pair, pair[::-1]) for pair in chosen)):
+            source = tuple(canonical(group) for group in zip(*read))
+            signs[source] = signs.get(source, 0) + _pair_key(read)[1]
         entries = tuple((source, sign) for source, sign in signs.items() if sign)
-        rows.append((tuple(itertools.chain.from_iterable(chosen)), 2 ** m, entries))
+        rows.append((_pair_key(chosen)[0], 2 ** m, entries))
     return tuple(rows)
 
 
 def alternated_derivative(f: SymTensor) -> RawTensor:
     """The m-fold pair alternation of the m-th derivative tensor.
 
-    Index layout interleaves component and derivative slots pairwise:
-    (i1, j1, i2, j2, ...).  The result is antisymmetric within each pair and
-    vanishes on inner-derivative images.
+    Component slot ``i_a`` alternates with derivative slot ``j_a``, and the
+    pairs permute freely: one component per pair multiset, keyed by
+    ``_pair_key``.  The result vanishes on inner-derivative images.
     """
     m = f.rank
     if m < 1:
@@ -267,27 +278,28 @@ def alternated_derivative(f: SymTensor) -> RawTensor:
 
 @functools.lru_cache(maxsize=64)
 def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
-    """An interleaved rank-2m tensor averaged within each index group, times 2^m.
+    """An alternated tensor averaged within each index group, times 2^m.
 
-    One ``((ikey, jkey), row_den, entries)`` row per pair of canonical keys;
-    the entries read the interleaving of each distinct rearrangement of ikey
-    with each of jkey, with weight 2^m over the number of those pairs.
+    One ``((ikey, jkey), row_den, entries)`` row per pair of canonical keys.
+    The pairs commute, so the average over both groups is the one over the
+    rearrangements t of jkey of the pairs ``zip(ikey, t)``, read by sign.
     """
     rows = []
     for ikey in all_canonical_tuples(n, m):
-        arr1 = distinct_rearrangements(ikey)
         for jkey in all_canonical_tuples(n, m):
-            arr2 = distinct_rearrangements(jkey)
-            entries = tuple((tuple(itertools.chain.from_iterable(zip(t1, t2))), 2 ** m)
-                            for t1 in arr1 for t2 in arr2)
-            rows.append(((ikey, jkey), len(arr1) * len(arr2), entries))
+            arr = distinct_rearrangements(jkey)
+            weights = {}
+            for key, sign in (_pair_key(zip(ikey, t)) for t in arr):
+                weights[key] = weights.get(key, 0) + sign * 2 ** m
+            entries = tuple((key, weight) for key, weight in weights.items() if weight)
+            rows.append(((ikey, jkey), len(arr), entries))
     return tuple(rows)
 
 
 def saint_venant_from_alternated(rf: RawTensor) -> BiSymTensor:
     """Symmetrize the pair slots of an alternated derivative tensor.
 
-    Averaging the interleaved tensor over each index group and scaling by
+    Averaging the alternated tensor over each index group and scaling by
     2^m reproduces the Saint Venant output exactly (each of the m pair
     alternations halves the alternating sum that the operator expands into).
     """
@@ -296,6 +308,8 @@ def saint_venant_from_alternated(rf: RawTensor) -> BiSymTensor:
     m = rf.rank // 2
     if m < 1:
         raise ValueError("expected rank >= 2")
+    if any(_pair_key(zip(key[0::2], key[1::2])) != (key, 1) for key in rf.components):
+        raise ValueError("expected keys that are sorted multisets of pairs i < j")
     data = _apply(rf.n, _pair_symmetrization_stencil(rf.n, m),
                   lambda source: rf.components.get(source, rf.zero))
     return BiSymTensor(rf.n, m, m, data, rf.zero)

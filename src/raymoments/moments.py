@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .diffops import alternated_derivative
+from .diffops import _pair_key, _pair_multisets, alternated_derivative
 from .polygauss import (
     ExactValue,
     LineTable,
@@ -225,10 +225,12 @@ def value_diff(a, b) -> float:
     ``magnitude``, so the result is 0.0 iff they are equal; values that
     cannot be subtracted exactly (different exponents or incompatible roots)
     raise ArithmeticError.  Two floats, on the float route, give the float
-    difference.
+    difference; an ExactValue against a float raises TypeError.
     """
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
         return magnitude(a - b)
+    if isinstance(a, ExactValue) or isinstance(b, ExactValue):
+        raise TypeError("cannot compare an exact value with a float one")
     return abs(float(a) - float(b))
 
 
@@ -480,11 +482,9 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
     """Iterated John operator versus the alternated-derivative transform.
 
     Applies the John operator m-k times to the zeroth transform of the k-fold
-    restriction and compares, pairwise over all strictly ordered coordinate
-    pairs, with (-2)^(m-k) (m-k)! times the scalar transform of the matching
-    alternated-derivative component.  Pairs with equal coordinates vanish
-    identically on both sides, and swapping one pair flips both signs, so the
-    strict ordering exhausts the residual.
+    restriction, once per multiset of coordinate pairs p < q, and compares
+    with (-2)^(m-k) (m-k)! times the scalar transform of the matching
+    alternated-derivative component.
     """
     m = f.rank
     if not 0 <= k < m:
@@ -496,18 +496,14 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
     base = MomentExpression.transform(f, 0, fixed)
     alt = alternated_derivative(restrict(f, fixed))
     scale = Fraction((-2) ** mk * math.factorial(mk))
-    pair_choices = [(p, q) for p in range(1, f.n + 1)
-                    for q in range(p + 1, f.n + 1)]
     cache: dict = {}
     best = 0.0
-    for pairs in itertools.product(pair_choices, repeat=mk):
+    for pairs in _pair_multisets(f.n, mk):
         e = base
         for p, q in pairs:
             e = john(e, p, q)
         lhs = e.evaluate(pt, cache)
-        idx = tuple(itertools.chain.from_iterable(pairs))
-        comp = alt.get(idx)
-        rhs = line_moment(comp, 0, pt.x, pt.xi, pt.line_table) * scale
+        rhs = line_moment(alt.get(_pair_key(pairs)[0]), 0, pt.x, pt.xi, pt.line_table) * scale
         best = max(best, value_diff(lhs, rhs))
     return best
 

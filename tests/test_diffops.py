@@ -233,15 +233,58 @@ def _reference_alternated_from_saint_venant(wf):
     return out
 
 
+def _pair_multiset_keys(n, m):
+    """Every key of the compact layout: m pairs i < j, sorted, interleaved."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [sum(chosen, ()) for chosen in itertools.combinations_with_replacement(pairs, m)]
+
+
+def _expand(t):
+    """A compact alternated tensor in the raw interleaved layout.
+
+    The raw entry at ``(i1, j1, ..., im, jm)`` is the stored value at its
+    pairs turned to ``i < j`` and sorted, negated once per pair turned, and
+    zero on a pair ``i == j``.
+    """
+    assert set(t.components) <= set(_pair_multiset_keys(t.n, t.rank // 2))
+    data = {}
+    for idx in itertools.product(range(1, t.n + 1), repeat=t.rank):
+        pairs = list(zip(idx[0::2], idx[1::2]))
+        key = sum(sorted(tuple(sorted(pair)) for pair in pairs), ())
+        if all(i != j for i, j in pairs) and key in t.components:
+            data[idx] = t.components[key] * Fraction((-1) ** sum(i > j for i, j in pairs))
+    return RawTensor(t.n, t.rank, data, t.zero)
+
+
+def _compact(raw):
+    """A raw interleaved tensor read at the keys of the compact layout only."""
+    keys = _pair_multiset_keys(raw.n, raw.rank // 2)
+    return RawTensor(raw.n, raw.rank, {key: raw.get(key) for key in keys}, raw.zero)
+
+
+def _assert_compact_form_of(got, raw):
+    """``got`` holds ``raw`` once per pair multiset, and sign implies the rest."""
+    assert got == _compact(raw)
+    assert _expand(got) == raw
+
+
+def _pair_read(t, idx):
+    """The value of a compact alternated tensor at an interleaved index."""
+    key, sign = diffops._pair_key(zip(idx[0::2], idx[1::2]))
+    return t.get(key) * Fraction(sign) if sign else t.zero
+
+
 STENCIL_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
 
 
 class TestStencilsMatchReferenceLoops:
     """Every stencil operator against the hand-written loop it replaced.
 
-    The generic inputs (a raw tensor with no pair antisymmetry, a
-    block-symmetric tensor that is no Saint Venant image) reach stencil
-    entries that operator images would cancel.
+    The alternation references build the raw interleaved layout; the compact
+    results are compared through ``_expand`` and ``_compact``.  The generic
+    inputs (random values on every compact key, a block-symmetric tensor
+    that is no Saint Venant image) reach stencil entries that operator
+    images would cancel.
     """
 
     @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
@@ -252,19 +295,18 @@ class TestStencilsMatchReferenceLoops:
     @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
     def test_alternated_derivative(self, n, m):
         f = random_field(n, m, 1, f"alt:{n}:{m}")
-        assert alternated_derivative(f) == _reference_alternated_derivative(f)
+        _assert_compact_form_of(alternated_derivative(f), _reference_alternated_derivative(f))
 
     @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
     def test_saint_venant_from_alternated(self, n, m):
         rng = random.Random(f"sva:{n}:{m}")
         generic = RawTensor(n, 2 * m, {
-            idx: PolyGauss(random_polynomial(n, 1, rng))
-            for idx in itertools.product(range(1, n + 1), repeat=2 * m)},
-            zero=PolyGauss.zero(n))
+            key: PolyGauss(random_polynomial(n, 1, rng))
+            for key in _pair_multiset_keys(n, m)}, zero=PolyGauss.zero(n))
         image = alternated_derivative(random_field(n, m, 1, f"sva:{n}:{m}"))
         for rf in (generic, image):
             assert (saint_venant_from_alternated(rf)
-                    == _reference_saint_venant_from_alternated(rf))
+                    == _reference_saint_venant_from_alternated(_expand(rf)))
 
     @pytest.mark.parametrize("n,m", STENCIL_SHAPES)
     def test_alternated_from_saint_venant(self, n, m):
@@ -275,8 +317,8 @@ class TestStencilsMatchReferenceLoops:
             for ikey in keys for jkey in keys}, zero=PolyGauss.zero(n))
         image = saint_venant(random_field(n, m, 1, f"asv:{n}:{m}"))
         for wf in (generic, image):
-            assert (alternated_from_saint_venant(wf)
-                    == _reference_alternated_from_saint_venant(wf))
+            _assert_compact_form_of(alternated_from_saint_venant(wf),
+                                    _reference_alternated_from_saint_venant(wf))
 
 
 class TestInnerDerivative:
@@ -483,14 +525,16 @@ class TestAlternatedDerivative:
         r = alternated_derivative(f)
         for i, j in itertools.product((1, 2), repeat=2):
             expected = (f.get((i,)).derive(j) - f.get((j,)).derive(i)) * Fraction(1, 2)
-            assert r.get((i, j)) == expected
+            assert _pair_read(r, (i, j)) == expected
 
     def test_pair_antisymmetry(self):
-        f = random_field(2, 2, 1, 41)
+        f = random_field(3, 2, 1, 41)
         r = alternated_derivative(f)
-        for idx in itertools.product((1, 2), repeat=4):
+        assert len(r.components) == 6  # every pair multiset, none of them zero
+        for idx in itertools.product((1, 2, 3), repeat=4):
             swapped = (idx[1], idx[0]) + idx[2:]
-            assert r.get(idx) == r.get(swapped) * Fraction(-1)
+            assert _pair_read(r, idx) == _pair_read(r, swapped) * Fraction(-1)
+            assert _pair_read(r, idx) == _pair_read(r, idx[2:] + idx[:2])
 
     def test_potential_annihilated(self):
         f = inner_derivative(scalar_field(2, seed=42))
@@ -526,6 +570,12 @@ class TestConversions:
         odd = RawTensor(2, 3, {}, zero=PolyGauss.zero(2))
         with pytest.raises(ValueError):
             saint_venant_from_alternated(odd)
+        one = PolyGauss(Polynomial(2, {(0, 0): Fraction(1)}))
+        # keys of the raw layout that are no pair multiset: a turned pair, a pair i == i
+        for key in ((2, 1, 1, 2), (1, 1, 1, 2), (1, 2, 2, 1)):
+            raw = RawTensor(2, 4, {key: one}, zero=PolyGauss.zero(2))
+            with pytest.raises(ValueError):
+                saint_venant_from_alternated(raw)
         uneven = BiSymTensor(2, 2, 1, {}, zero=PolyGauss.zero(2))
         with pytest.raises(ValueError):
             alternated_from_saint_venant(uneven)
@@ -628,7 +678,7 @@ class TestIntegerStencilKernel:
         assert out.poly.terms == {(0,): Fraction(-1, 10), (1,): Fraction(1, 10),
                                   (2,): Fraction(1, 5)}
 
-    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 4)])
     def test_cached_rows_are_ints_over_a_row_denominator(self, n, m):
         stencils = [diffops._d_stencil(n, m), diffops._alternation_stencil(n, m),
                     diffops._pair_symmetrization_stencil(n, m)]
@@ -643,6 +693,7 @@ class TestIntegerStencilKernel:
                 assert math.gcd(row_den, *(weight for _, weight in entries)) == 1, key
         for _, row_den, _ in diffops._alternation_stencil(n, m):
             assert row_den == 2 ** m
+        assert len(diffops._alternation_stencil(n, m)) == math.comb(math.comb(n, 2) + m - 1, m)
 
     def test_integer_view_of_a_polynomial(self):
         p = Polynomial(2, {(0, 0): Fraction(1, 6), (1, 0): Fraction(-3, 4),

@@ -227,6 +227,19 @@ class TestValueDiff:
         assert value_diff(huge, huge) == 0.0
         assert value_diff(tiny, -tiny) > 0.0
 
+    def test_exact_against_float_raises(self):
+        tiny = ExactValue(Fraction(1, 10**400))
+        with pytest.raises(TypeError):
+            value_diff(tiny, 0.0)
+        with pytest.raises(TypeError):
+            value_diff(0.0, tiny)
+        # |xi| = sqrt(2) projects the exact point to a float line
+        f = random_field(2, 1, 1, 3)
+        pt = PhasePoint([0, 1], [1, 1])
+        rebuilt = extended_from_moments([moment_transform(f, 0, pt.project())], 0, pt, 1)
+        with pytest.raises(TypeError):
+            value_diff(rebuilt, extended_transform(f, 0, pt))
+
     def test_different_exponents_raise(self):
         a = ExactValue(Fraction(1), Fraction(1), Fraction(-1))
         b = ExactValue(Fraction(1), Fraction(1), Fraction(-2))

@@ -372,7 +372,7 @@ class TestGoldenReport:
 
     def test_every_golden_record_is_decided_by_an_exact_zero(self):
         paths = sorted(self.GOLDEN.parent.glob("golden_report_*.json"))
-        assert len(paths) == 5
+        assert len(paths) == 6
         for path in paths:
             report = json.loads(path.read_text(encoding="utf-8"))
             for suite in report["suites"]:
@@ -424,6 +424,16 @@ class TestGoldenReport:
         golden = (pathlib.Path(__file__).parent / "data"
                   / "golden_report_all_n3_m3_k2_s2_d2_seed7.json")
         code = main(["--suite", "all", "--n", "3", "--m", "3", "--k", "2",
+                     "--samples", "2", "--degree", "2", "--seed", "7",
+                     "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_wide_alternation_report_matches_golden_file(self, capsys):
+        # n = 4, m = 3 has the most alternated components of any pinned argv
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_identities_n4_m3_k1_s2_d2_seed7.json")
+        code = main(["--suite", "identities", "--n", "4", "--m", "3", "--k", "1",
                      "--samples", "2", "--degree", "2", "--seed", "7",
                      "--format", "json"])
         assert code == 0
