@@ -53,6 +53,14 @@ class PhasePoint:
     The point's LineTable decides its scalars: coordinates are kept exact
     when every entry is rational, otherwise they are floats and downstream
     evaluation switches to the float path.
+
+    Two memos, which live as long as the point, make each value at it one
+    computation: ``transforms`` holds transform data under
+    ``(q, sorted fixed, sorted derivs, id(field))``, and ``integrals`` holds
+    the line integrals of PolyGauss values, most of them jet entries, under
+    ``(id(value), q)``.  Each entry also holds its field or value, so that no
+    id in a key can pass to another object while the entry lives.  Every
+    line integral this module takes goes through ``integral``.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
@@ -61,6 +69,17 @@ class PhasePoint:
         self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
         # the value of an empty sum of transform data at this point
         self.zero = ExactValue.zero_value() if self.is_exact else 0.0
+        self.transforms: dict = {}
+        self.integrals: dict = {}
+
+    def integral(self, g, q: int):
+        """The integral of t^q g along the point's line, computed once."""
+        key = (id(g), q)
+        hit = self.integrals.get(key)
+        if hit is None:
+            hit = self.integrals[key] = (
+                g, line_moment(g, q, self.x, self.xi, self.line_table))
+        return hit[1]
 
     @property
     def n(self) -> int:
@@ -251,19 +270,23 @@ def _weighted_sum(pairs, zero):
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     """The q-th transform of the derivative ``derivs`` of f restricted at ``fixed``.
 
-    Each component is read from the field's jet.
+    Read through the point's memos: the value once per datum, and each
+    component, read from the field's jet, integrated once per point.
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
-    pairs = []
-    for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
-        weight = math.prod((pt.xi[j - 1] for j in key), start=tuple_multiplicity(key))
-        if weight:
-            comp = _jet(f, fixed + key, derivs)
-            if comp:
-                value = line_moment(comp, q, pt.x, pt.xi, pt.line_table)
-                pairs.append((weight, value))
-    return _weighted_sum(pairs, pt.zero)
+    memo_key = (q, tuple(sorted(fixed)), tuple(sorted(derivs)), id(f))
+    hit = pt.transforms.get(memo_key)
+    if hit is None:
+        pairs = []
+        for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
+            weight = math.prod((pt.xi[j - 1] for j in key), start=tuple_multiplicity(key))
+            if weight:
+                comp = _jet(f, fixed + key, derivs)
+                if comp:
+                    pairs.append((weight, pt.integral(comp, q)))
+        hit = pt.transforms[memo_key] = (f, _weighted_sum(pairs, pt.zero))
+    return hit[1]
 
 
 def moment_transform(f: SymTensor, q: int, pt: TSPoint):
@@ -394,20 +417,15 @@ class MomentExpression:
 
     __rmul__ = __mul__
 
-    def evaluate(self, pt: PhasePoint, cache: dict | None = None):
-        """Value at one phase point; ``cache`` memoizes atom values at that point.
+    def evaluate(self, pt: PhasePoint):
+        """Value at one phase point.
 
-        A cache entry holds its atom's field, so that the field's id, part of
-        the key, cannot pass to another field while the entry lives.
+        Each atom is read through the point's transform memo, which lives as
+        long as the point: a datum that any evaluation or check at the point
+        has already met is not computed again.
         """
-        cache = {} if cache is None else cache
-        pairs = []
-        for coef, atom in self.terms:
-            hit = cache.get(atom.fingerprint)
-            if hit is None:
-                hit = cache[atom.fingerprint] = (atom.field, atom.value(pt))
-            pairs.append((coef, hit[1]))
-        return _weighted_sum(pairs, pt.zero)
+        return _weighted_sum(((coef, atom.value(pt)) for coef, atom in self.terms),
+                             pt.zero)
 
 
 def dx(e: MomentExpression, i: int) -> MomentExpression:
@@ -474,7 +492,7 @@ def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
                 e = dxi(e, i)
             total = total + e
     total = total * Fraction(math.factorial(m - r), math.factorial(m))
-    return total.evaluate(pt, cache={})
+    return total.evaluate(pt)
 
 
 def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -496,14 +514,13 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
     base = MomentExpression.transform(f, 0, fixed)
     alt = alternated_derivative(restrict(f, fixed))
     scale = Fraction((-2) ** mk * math.factorial(mk))
-    cache: dict = {}
     best = 0.0
     for pairs in _pair_multisets(f.n, mk):
         e = base
         for p, q in pairs:
             e = john(e, p, q)
-        lhs = e.evaluate(pt, cache)
-        rhs = line_moment(alt.get(_pair_key(pairs)[0]), 0, pt.x, pt.xi, pt.line_table) * scale
+        lhs = e.evaluate(pt)
+        rhs = pt.integral(alt.get(_pair_key(pairs)[0]), 0) * scale
         best = max(best, value_diff(lhs, rhs))
     return best
 
@@ -526,7 +543,6 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     mk = m - k
     base = MomentExpression.transform(f, 0, fixed)
     sign = Fraction((-1) ** mk * math.factorial(mk))
-    cache: dict = {}
     best = 0.0
     for qt in itertools.product(range(1, f.n + 1), repeat=mk):
         pairs = []
@@ -537,12 +553,12 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
             for pa, qa in zip(ptuple, qt):
                 e = john(e, pa, qa)
             weight = math.prod(pt.xi[pa - 1] for pa in ptuple)
-            pairs.append((weight, e.evaluate(pt, cache)))
+            pairs.append((weight, e.evaluate(pt)))
         acc = _weighted_sum(pairs, pt.zero)
         rhs_e = base
         for i in qt:
             rhs_e = dx(rhs_e, i)
-        rhs = rhs_e.evaluate(pt, cache) * sign
+        rhs = rhs_e.evaluate(pt) * sign
         best = max(best, value_diff(acc, rhs))
     return best
 
@@ -595,7 +611,6 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
     if not 0 <= r <= m:
         raise ValueError(f"restriction depth r={r} outside [0, {m}]")
     mk = m - r
-    cache: dict = {}
     best = 0.0
     for key in all_canonical_tuples(f.n, m):
         rearr = distinct_rearrangements(key)
@@ -606,7 +621,7 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
             for i in perm[:mk]:
                 e = dx(e, i)
             total = total + e * weight
-        best = max(best, value_diff(total.evaluate(pt, cache), pt.zero))
+        best = max(best, value_diff(total.evaluate(pt), pt.zero))
     return best
 
 
@@ -632,13 +647,11 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
 
 def directional_x_derivative(e: MomentExpression, pt: PhasePoint):
     """Evaluate the direction-contracted x-gradient of transform data at pt."""
-    cache: dict = {}
-    return _weighted_sum(((pt.xi[i - 1], dx(e, i).evaluate(pt, cache))
+    return _weighted_sum(((pt.xi[i - 1], dx(e, i).evaluate(pt))
                           for i in range(1, pt.n + 1)), pt.zero)
 
 
 def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
     """Evaluate the direction-contracted xi-gradient of transform data at pt."""
-    cache: dict = {}
-    return _weighted_sum(((pt.xi[i - 1], dxi(e, i).evaluate(pt, cache))
+    return _weighted_sum(((pt.xi[i - 1], dxi(e, i).evaluate(pt))
                           for i in range(1, pt.n + 1)), pt.zero)

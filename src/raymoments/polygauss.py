@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -486,15 +487,27 @@ class LineTable:
     counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
     trades one order for one coordinate: under L^(q + |e|) it would keep the
     power and leave xi_i unscaled.  A float line has L = 1 and keeps the
-    recurrence's own floats.  Entries are built on first request and kept,
-    so the line integral of a polynomial is a dot product of its
-    coefficients with the table (see line_moment).  ``root`` and
-    ``root_factor`` split sqrt(1/s) of an exact line into the root of its
-    ExactValues and a rational factor, once per line.
+    recurrence's own floats.
+
+    The entries are kept by columns: ``columns[e]`` is the list
+    [A_0(e), A_1(e), ...], built on first request, extended in place and
+    kept as long as the table (a PhasePoint's table lives as long as the
+    point), so the line integral of a polynomial is a dot product of its
+    coefficients with one entry of each of its columns (see line_moment).
+    The column of e = 0 follows the Gaussian recurrence.  Any other column is built from
+    the column of e lowered at its first nonzero coordinate i, entry by
+    entry: col_e[j] = (L^2 x_i) col_lower[j] + (L xi_i) col_lower[j + 1].
+    Where x_i = 0 only the second term is left, and a chain of such steps
+    would build every column in between, each one entry longer than the
+    next; so the column is built at once from the one with e_i set to 0, by
+    e_i scalings of its entry j + e_i.  A zero weight adds no term, as in a
+    sum over the nonzero terms of the recurrence.  ``root`` and ``root_factor``
+    split sqrt(1/s) of an exact line into the root of its ExactValues and a
+    rational factor, once per line.
     """
 
     __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "scale",
-                 "root", "root_factor", "mu", "_weights")
+                 "root", "root_factor", "columns", "_zero", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -515,59 +528,82 @@ class LineTable:
             r = rational_sqrt(1 / self.s)
             self.root, self.root_factor = ((Fraction(1), r) if r is not None
                                            else (1 / self.s, Fraction(1)))
-            one = 1
+            self._zero, one = 0, 1
         else:
             self.scale = 1
             self._weights = (self.x, self.xi, self.mean, self.var)
             self.root = self.root_factor = None
-            one = 1.0
-        self.mu = {(0, (0,) * len(x)): one}
+            self._zero, one = 0.0, 1.0
+        self.columns = {(0,) * len(x): [one]}
 
-    def _recurrence(self, q: int, e: tuple) -> list:
-        """The (weight, key) pairs whose weighted sum is entry (q, e), q + |e| > 0."""
-        wx, wxi, wmean, wvar = self._weights
-        for i, a in enumerate(e):
-            if a:
-                lower = e[:i] + (a - 1,) + e[i + 1:]
-                pairs = ((wx[i], (q, lower)), (wxi[i], (q + 1, lower)))
-                break
-        else:
-            pairs = ((wmean, (q - 1, e)), (wvar * (q - 1), (q - 2, e)))
-        return [(w, key) for w, key in pairs if w]
+    def _column(self, e: tuple, length: int) -> list:
+        """The column of ``e``, extended to at least ``length`` entries.
 
-    def _entry(self, q: int, e: tuple):
-        """The kept entry for (q, e), building the missing ones without recursion.
-
-        ``q`` and ``e`` are not checked: ``moment`` checks them, and
-        ``line_moment`` passes the exponents of a validated polynomial.
+        Walks down from ``e`` to the first column that is long enough, then
+        builds back up, without recursion.  ``e`` is not checked: ``moment``
+        checks it, and ``line_moment`` passes the exponents of a validated
+        polynomial.
         """
-        mu = self.mu
-        hit = mu.get((q, e))
-        if hit is not None:
-            return hit
-        zero = 0 if self.is_exact else 0.0  # an empty sum
-        todo = [(q, e)]
-        while todo:
-            key = todo[-1]
-            if key in mu:
-                todo.pop()
+        columns = self.columns
+        col = columns.get(e)
+        if col is not None and len(col) >= length:
+            return col
+        wx, wxi, wmean, wvar = self._weights
+        chain = []  # (e, length, i, lower), from the request down
+        while col is None or len(col) < length:
+            for i, ei in enumerate(e):
+                if ei:
+                    break
+            else:
+                chain.append((e, length, None, None))
+                break
+            lower = e[:i] + ((ei - 1) if wx[i] else 0,) + e[i + 1:]
+            chain.append((e, length, i, lower))
+            length += ei - lower[i]
+            e, col = lower, columns.get(lower)
+        zero = self._zero
+        for e, length, i, lower in reversed(chain):
+            col = columns.setdefault(e, [])
+            start = len(col)
+            if i is None:  # the Gaussian column; it always holds entry 0
+                for q in range(start, length):
+                    total = zero
+                    if wmean:
+                        total += wmean * col[q - 1]
+                    w = wvar * (q - 1)
+                    if w:
+                        total += w * col[q - 2]
+                    col.append(total)
                 continue
-            pairs = self._recurrence(*key)
-            missing = [dep for _, dep in pairs if dep not in mu]
-            if missing:
-                todo.extend(missing)
-                continue
-            mu[key] = sum((w * mu[dep] for w, dep in pairs), zero)
-            todo.pop()
-        return mu[(q, e)]
+            low, a, b = columns[lower], wx[i], wxi[i]
+            if a and b:
+                for j in range(start, length):
+                    col.append(zero + a * low[j] + b * low[j + 1])
+            elif a:
+                for j in range(start, length):
+                    col.append(zero + a * low[j])
+            elif b:
+                steps = e[i]
+                for j in range(start, length):
+                    v = low[j + steps]
+                    for _ in range(steps):
+                        v = zero + b * v
+                    col.append(v)
+            else:
+                col.extend([zero] * (length - start))
+        return col
 
-    def moment(self, q: int, e: tuple):
-        """mu_q(e): a Fraction on an exact line, a float on a float line."""
+    def moment(self, q: int, e: Sequence[int]):
+        """mu_q(e): a Fraction on an exact line, a float on a float line.
+
+        ``e`` is any sequence of n non-negative ints.
+        """
         _check_order(q)
+        e = tuple(e)
         if len(e) != len(self.x) or any(not isinstance(a, int) or isinstance(a, bool)
                                         or a < 0 for a in e):
             raise ValueError(f"bad exponent multi-index {e}")
-        entry = self._entry(q, e)
+        entry = self._column(e, q + 1)[q]
         if self.is_exact:
             return Fraction(entry, self.scale ** (q + 2 * sum(e)))
         return entry
@@ -577,16 +613,19 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
                 table: LineTable | None = None):
     """Integral of t^q g(x + t*xi) over the real line.
 
-    The dot product of g's coefficients with the line's moment table, times
-    sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a float on
-    any other.  On a rational line with scale L, g's stored numerators
-    ``nums`` over ``den``, of top degree D, give the sum of
-    num * A_q(e) * L^(2(D - |e|)) in ints, which is mu's dot product times
-    den * L^(q + 2D); one Fraction is built from it.  ``table`` may pass the
-    table in so that it is shared between calls (a fresh one is built
-    otherwise).  A table whose own coordinate tuples are passed as x and xi
-    is taken as is; any other is checked, and a table of another line, or of
-    the same line in the other scalars, is rejected.
+    The dot product of g's coefficients with entry q of their columns in the
+    line's moment table, times sqrt(pi/s) * exp(exponent): an ExactValue on a
+    rational line, a float on any other.  On a rational line with scale L,
+    g's stored numerators ``nums`` over ``den``, of top degree D, give the
+    sum of num * A_q(e) * L^(2(D - |e|)) in ints, with the powers of L^2
+    taken from one list built per call; that sum is mu's dot product times
+    den * L^(q + 2D), and one Fraction is built from it.  ``table`` may pass
+    the table in so that it is shared between calls (a fresh one is built
+    otherwise).  Every call computes its integral anew: a caller that asks
+    for the same one again keeps the value (see PhasePoint).  A table whose
+    own coordinate tuples are passed as x and xi is taken as is; any other
+    is checked, and a table of another line, or of the same line in the
+    other scalars, is rejected.
     """
     _check_order(q)
     if len(x) != g.n or len(xi) != g.n:
@@ -597,23 +636,25 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
             table.is_exact == (all_rational(x) and all_rational(xi))
             and tuple(x) == table.x and tuple(xi) == table.xi):
         raise ValueError("line table belongs to another line")
-    entry = table._entry
+    column = table._column
     den, nums = g.poly.den, g.poly.nums
     if not table.is_exact:
         coef = 0.0
         for e, num in nums.items():
-            mu = entry(q, e)
+            mu = column(e, q + 1)[q]
             if mu:
                 coef += num / den * mu  # float(Fraction(num, den)) * mu
         return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
     top = g.poly.total_degree()
-    square = table.scale * table.scale
+    scale = table.scale
+    powers = list(itertools.accumulate(itertools.repeat(scale * scale, top),
+                                       operator.mul, initial=1))
     total = 0
     for e, num in nums.items():
-        total += num * entry(q, e) * square ** (top - sum(e))
+        total += num * column(e, q + 1)[q] * powers[top - sum(e)]
     factor = table.root_factor
     coef = Fraction(total * factor.numerator,
-                    den * table.scale ** (q + 2 * top) * factor.denominator)
+                    den * scale ** q * powers[top] * factor.denominator)
     return ExactValue._trusted(coef, table.root, table.exponent)
 
 

@@ -503,19 +503,20 @@ class TestJetAtoms:
                + ref(f, 1, (2, 2), (1,), pt).scaled(2))
         assert e.evaluate(pt) == rhs
 
-    def test_shared_cache_keeps_fields_apart(self):
+    def test_point_memo_keeps_fields_apart(self):
         rng = random.Random(80)
         pt = random_phase_point(2, rng)
         f = random_field(2, 2, 2, 81)
         g = random_field(2, 2, 2, 82)
-        cache: dict = {}
         for h in (f, g, f, g):
             e = john(MomentExpression.transform(h, 0, (1,)), 1, 2)
-            assert e.evaluate(pt, cache) == e.evaluate(pt)
+            assert e.evaluate(pt) == e.evaluate(PhasePoint(pt.x, pt.xi))
         # fields freed between evaluations must not be mistaken for new ones
         for seed in range(20):
             e = MomentExpression.transform(random_field(2, 1, 1, seed), 0)
-            assert e.evaluate(pt, cache) == e.evaluate(pt)
+            assert e.evaluate(pt) == e.evaluate(PhasePoint(pt.x, pt.xi))
+        # the memo holds every field it has a datum of, so no id was reused
+        assert len({id(held) for held, _ in pt.transforms.values()}) == 22
 
 
 class TestJohnPower:

@@ -438,3 +438,30 @@ class TestGoldenReport:
                      "--format", "json"])
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+class TestLineIntegralCount:
+    """A verdict integrates each (polynomial, order, line) once."""
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 512),
+        (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+          "--samples", "3", "--degree", "2"], 358),
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 127),
+    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
+    def test_no_line_integral_is_computed_twice(self, monkeypatch, capsys, argv, calls):
+        seen = []
+        line_moment = moments.line_moment
+
+        def counting(g, q, x, xi, table=None):
+            seen.append((g.poly.den, tuple(sorted(g.poly.nums.items())), q,
+                         tuple(x), tuple(xi)))
+            return line_moment(g, q, x, xi, table)
+
+        monkeypatch.setattr(moments, "line_moment", counting)
+        assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
