@@ -33,13 +33,11 @@ from .polygauss import (
     sym_field,
 )
 from .diffops import (
-    OperatorReport,
     alternated_derivative,
     alternated_from_saint_venant,
     generalized_saint_venant,
     inner_derivative,
     iterate_d,
-    operator_report,
     restriction_relation_residual,
     saint_venant,
     saint_venant_from_alternated,

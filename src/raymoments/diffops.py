@@ -7,7 +7,9 @@ the linear conversions between the two.  Everything runs in exact rational
 coefficient arithmetic; no floating point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
-weight), ...))`` with int weights over one positive int row denominator.
+weight), ...))`` with int weights over one positive int row denominator;
+so is the symmetrized Saint Venant of the k-fold restrictions that the
+restriction relation compares with ``W^k``.
 The order-k stencil is built in closed form: its int weights are summed
 over derivative multisets, each counted by a product of binomials of its
 letter multiplicities, not over position subsets.  One loop applies the
@@ -22,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polygauss import PolyGauss, Polynomial, field_scale_report
@@ -333,6 +334,27 @@ def alternated_from_saint_venant(wf: BiSymTensor) -> RawTensor:
     return RawTensor(wf.n, 2 * m, data, wf.zero)
 
 
+@functools.lru_cache(maxsize=64)
+def _restriction_stencil(n: int, m: int, k: int) -> tuple:
+    """Saint Venant of the k-fold restrictions, symmetrized over (free, fixed).
+
+    One ``((pkey, ckey), len(arr), entries)`` row per key of ``W^k``: entry
+    ``((ikey, pkey, qkey), count)`` counts the rearrangements arr of ckey
+    whose k fixed slots read ikey and whose m - k free ones read qkey.
+    """
+    mk = m - k
+    rows = []
+    for pkey in all_canonical_tuples(n, mk):
+        for ckey in all_canonical_tuples(n, m):
+            arr = distinct_rearrangements(ckey)
+            counts = {}
+            for perm in arr:
+                source = (canonical(perm[mk:]), pkey, canonical(perm[:mk]))
+                counts[source] = counts.get(source, 0) + 1
+            rows.append(((pkey, ckey), len(arr), tuple(counts.items())))
+    return tuple(rows)
+
+
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     """Order-k operator versus symmetrized Saint Venant of restrictions.
 
@@ -344,34 +366,9 @@ def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
-    mk = m - k
-    wk = generalized_saint_venant(f, k)
-    w_of_restriction = {
-        ikey: saint_venant(restrict_field(f, ikey))
-        for ikey in all_canonical_tuples(f.n, k)
-    }
-    best = Fraction(0)
-    for pkey in all_canonical_tuples(f.n, mk):
-        for ckey in all_canonical_tuples(f.n, m):
-            rearr = distinct_rearrangements(ckey)
-            acc = f.zero
-            for perm in rearr:
-                q_part, i_part = perm[:mk], perm[mk:]
-                acc = acc + w_of_restriction[canonical(i_part)].get(pkey, q_part)
-            rhs = acc * Fraction(1, len(rearr))
-            diff = wk.get(pkey, ckey) - rhs
-            best = max(best, diff.poly.max_abs_coefficient())
-    return best
-
-
-@dataclass(frozen=True)
-class OperatorReport:
-    """Exact-zero certificate for an operator result."""
-
-    max_abs_coefficient: Fraction
-    is_zero: bool
-
-
-def operator_report(t) -> OperatorReport:
-    """Exact-zero certificate of a tensor of PolyGauss components."""
-    return OperatorReport(field_scale_report(t), t.is_zero())
+    w_of_restriction = {ikey: saint_venant(restrict_field(f, ikey))
+                        for ikey in all_canonical_tuples(f.n, k)}
+    data = _apply(f.n, _restriction_stencil(f.n, m, k),
+                  lambda source: w_of_restriction[source[0]].get(*source[1:]))
+    rhs = BiSymTensor(f.n, m - k, m, data, f.zero)
+    return field_scale_report(generalized_saint_venant(f, k) - rhs)

@@ -9,7 +9,8 @@ variables make sense.
 Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression), so every transform-level identity
-can be evaluated exactly on rational lines.
+can be evaluated exactly on rational lines.  The two John identities read
+one table of John data per multiset of coordinate pairs p < q.
 """
 
 from __future__ import annotations
@@ -495,34 +496,43 @@ def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
     return total.evaluate(pt)
 
 
-def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
-                        pt: PhasePoint) -> float:
-    """Iterated John operator versus the alternated-derivative transform.
+def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> dict:
+    """The (m-k)-fold John data of the k-fold restriction, per pair multiset.
 
-    Applies the John operator m-k times to the zeroth transform of the k-fold
-    restriction, once per multiset of coordinate pairs p < q, and compares
-    with (-2)^(m-k) (m-k)! times the scalar transform of the matching
-    alternated-derivative component.
+    Evaluates at pt the zeroth transform of f restricted at ``fixed``, with
+    one John operator per pair of each multiset of pairs p < q, under
+    ``_pair_key(pairs)[0]``.  John operators commute and ``J_qp = -J_pq``,
+    so any other ordered chain is a signed entry.
     """
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
-    fixed = tuple(fixed)
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    mk = m - k
     base = MomentExpression.transform(f, 0, fixed)
-    alt = alternated_derivative(restrict(f, fixed))
-    scale = Fraction((-2) ** mk * math.factorial(mk))
-    best = 0.0
-    for pairs in _pair_multisets(f.n, mk):
+    table = {}
+    for pairs in _pair_multisets(f.n, m - k):
         e = base
         for p, q in pairs:
             e = john(e, p, q)
-        lhs = e.evaluate(pt)
-        rhs = pt.integral(alt.get(_pair_key(pairs)[0]), 0) * scale
-        best = max(best, value_diff(lhs, rhs))
-    return best
+        table[_pair_key(pairs)[0]] = e.evaluate(pt)
+    return table
+
+
+def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
+                        pt: PhasePoint) -> float:
+    """Iterated John operator versus the alternated-derivative transform.
+
+    Compares the John data of each pair multiset p < q with (-2)^(m-k)
+    (m-k)! times the scalar transform of the matching alternated-derivative
+    component of the k-fold restriction.
+    """
+    table = _john_table(f, k, fixed, pt)
+    mk = f.rank - k
+    alt = alternated_derivative(restrict(f, fixed))
+    scale = Fraction((-2) ** mk * math.factorial(mk))
+    return max((value_diff(lhs, pt.integral(alt.get(key), 0) * scale)
+                for key, lhs in table.items()), default=0.0)
 
 
 def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -532,33 +542,26 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     For every derivative multi-index the contraction of the (m-k)-fold John
     data against the direction components must equal (-1)^(m-k) (m-k)! times
     the corresponding x-derivative of the restricted transform; holds with no
-    kernel hypothesis on f.
+    kernel hypothesis on f.  Each ordered John chain is a signed entry of the
+    John table, read through ``_pair_key``.
     """
-    m = f.rank
-    if not 0 <= k < m:
-        raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
-    fixed = tuple(fixed)
-    if len(fixed) != k:
-        raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    mk = m - k
+    table = _john_table(f, k, fixed, pt)
+    mk = f.rank - k
     base = MomentExpression.transform(f, 0, fixed)
-    sign = Fraction((-1) ** mk * math.factorial(mk))
+    scale = Fraction((-1) ** mk * math.factorial(mk))
     best = 0.0
     for qt in itertools.product(range(1, f.n + 1), repeat=mk):
         pairs = []
         for ptuple in itertools.product(range(1, f.n + 1), repeat=mk):
-            if any(pa == qa for pa, qa in zip(ptuple, qt)):
-                continue
-            e = base
-            for pa, qa in zip(ptuple, qt):
-                e = john(e, pa, qa)
-            weight = math.prod(pt.xi[pa - 1] for pa in ptuple)
-            pairs.append((weight, e.evaluate(pt)))
+            key, sign = _pair_key(zip(ptuple, qt))
+            if sign:
+                weight = math.prod(pt.xi[pa - 1] for pa in ptuple) * sign
+                pairs.append((weight, table[key]))
         acc = _weighted_sum(pairs, pt.zero)
         rhs_e = base
         for i in qt:
             rhs_e = dx(rhs_e, i)
-        rhs = rhs_e.evaluate(pt) * sign
+        rhs = rhs_e.evaluate(pt) * scale
         best = max(best, value_diff(acc, rhs))
     return best
 

@@ -17,11 +17,11 @@ from raymoments import (
     alternate,
     alternated_derivative,
     alternated_from_saint_venant,
+    field_scale_report,
     generalized_saint_venant,
     generate_potential,
     inner_derivative,
     iterate_d,
-    operator_report,
     restriction_relation_residual,
     restrict,
     saint_venant,
@@ -370,11 +370,11 @@ class TestSaintVenant:
 
     def test_gradient_annihilated(self):
         f = inner_derivative(scalar_field(2, seed=8))
-        assert operator_report(saint_venant(f)).is_zero
+        assert saint_venant(f).is_zero()
 
     def test_second_potential_annihilated(self):
         f = iterate_d(scalar_field(3, seed=9), 2)
-        assert operator_report(saint_venant(f)).is_zero
+        assert saint_venant(f).is_zero()
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -438,8 +438,7 @@ class TestGeneralizedSaintVenant:
         for m in range(1, 4):
             for k in range(m):
                 _, f = generate_potential(n, m, k, 2, seed=f"kernel:{n}:{m}:{k}")
-                rep = operator_report(generalized_saint_venant(f, k))
-                assert rep.is_zero, (n, m, k)
+                assert generalized_saint_venant(f, k).is_zero(), (n, m, k)
 
     @pytest.mark.parametrize("n,m", [(2, 4), (3, 4), (4, 2), (4, 3), (4, 4)])
     def test_potential_kernel_wide_ranges(self, n, m):
@@ -447,8 +446,7 @@ class TestGeneralizedSaintVenant:
         for k in range(m):
             v = sparse_field(n, m - k - 1, seed=100 + 10 * n + k)
             f = iterate_d(v, k + 1)
-            rep = operator_report(generalized_saint_venant(f, k))
-            assert rep.is_zero, (n, m, k)
+            assert generalized_saint_venant(f, k).is_zero(), (n, m, k)
 
     def test_linearity(self):
         a = random_field(2, 2, 1, 30)
@@ -538,7 +536,7 @@ class TestAlternatedDerivative:
 
     def test_potential_annihilated(self):
         f = inner_derivative(scalar_field(2, seed=42))
-        assert operator_report(alternated_derivative(f)).is_zero
+        assert alternated_derivative(f).is_zero()
 
     def test_linearity(self):
         a = random_field(2, 2, 1, 43)
@@ -557,8 +555,8 @@ class TestConversions:
         f = random_field(n, m, 1, 50 + n + m)
         r = alternated_derivative(f)
         w = saint_venant_from_alternated(r)
-        assert operator_report(w - saint_venant(f)).is_zero
-        assert operator_report(alternated_from_saint_venant(w) - r).is_zero
+        assert (w - saint_venant(f)).is_zero()
+        assert (alternated_from_saint_venant(w) - r).is_zero()
 
     def test_zero_in_zero_out(self):
         zero = sym_field(2, 2, {})
@@ -581,6 +579,29 @@ class TestConversions:
             alternated_from_saint_venant(uneven)
 
 
+def _reference_restriction_relation(f, k):
+    """The restriction relation by a hand loop over rearrangements.
+
+    Reads ``diffops.restrict_field`` at call time, as the operator does, so a
+    patched restriction reaches both.
+    """
+    m = f.rank
+    mk = m - k
+    wk = generalized_saint_venant(f, k)
+    w_of_restriction = {ikey: saint_venant(diffops.restrict_field(f, ikey))
+                        for ikey in all_canonical_tuples(f.n, k)}
+    best = Fraction(0)
+    for pkey in all_canonical_tuples(f.n, mk):
+        for ckey in all_canonical_tuples(f.n, m):
+            rearr = distinct_rearrangements(ckey)
+            acc = f.zero
+            for perm in rearr:
+                acc = acc + w_of_restriction[canonical(perm[mk:])].get(pkey, perm[:mk])
+            diff = wk.get(pkey, ckey) - acc * Fraction(1, len(rearr))
+            best = max(best, diff.poly.max_abs_coefficient())
+    return best
+
+
 class TestRestrictionRelation:
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_exact_for_all_orders(self, n, m):
@@ -601,15 +622,29 @@ class TestRestrictionRelation:
         with pytest.raises(ValueError):
             restriction_relation_residual(f, 2)
 
+    @pytest.mark.parametrize("n,m,k,seed,expected", [
+        (2, 2, 1, "rr221", Fraction(33, 2)),
+        (3, 3, 1, "rr331", Fraction(208, 3)),
+        (2, 3, 2, "rr232", Fraction(40, 3)),
+    ])
+    def test_wrong_restriction_matches_reference(self, monkeypatch, n, m, k, seed,
+                                                 expected):
+        # a restriction at indices shifted mod n breaks the relation, and the
+        # stencil residual must break it exactly as the hand loop does
+        f = random_field(n, m, 2, seed)
+        original = diffops.restrict_field
+        monkeypatch.setattr(diffops, "restrict_field", lambda g, ikey: original(
+            g, tuple(i % g.n + 1 for i in ikey)))
+        assert restriction_relation_residual(f, k) == expected
+        assert _reference_restriction_relation(f, k) == expected
 
-class TestOperatorReport:
+
+class TestZeroCertificate:
     def test_zero_flag_matches_empty_polynomials(self):
         zero = sym_field(2, 1, {})
-        rep = operator_report(zero)
-        assert rep.is_zero and rep.max_abs_coefficient == 0
+        assert zero.is_zero() and field_scale_report(zero) == 0
         f = sym_field(2, 1, {(1,): PolyGauss(Polynomial(2, {(0, 0): Fraction(-3)}))})
-        rep = operator_report(f)
-        assert not rep.is_zero and rep.max_abs_coefficient == Fraction(3)
+        assert not f.is_zero() and field_scale_report(f) == Fraction(3)
 
 
 def _reference_apply(n, rows, fetch):

@@ -36,7 +36,8 @@ from raymoments import (
     symmetrization_split_residual,
     symmetrized_derivative_residual,
 )
-from raymoments.moments import MomentAtom, value_diff, _weighted_sum
+from raymoments.diffops import _pair_key
+from raymoments.moments import MomentAtom, value_diff, _john_table, _weighted_sum
 from raymoments.polygauss import random_polynomial
 from conftest import quad_transform, random_raw
 
@@ -517,6 +518,33 @@ class TestJetAtoms:
             assert e.evaluate(pt) == e.evaluate(PhasePoint(pt.x, pt.xi))
         # the memo holds every field it has a datum of, so no id was reused
         assert len({id(held) for held, _ in pt.transforms.values()}) == 22
+
+
+class TestJohnTable:
+    """Every ordered John chain is a signed entry of the per-multiset table."""
+
+    @pytest.mark.parametrize("n,m,k", [(3, 2, 1), (3, 3, 1), (4, 2, 0)])
+    def test_ordered_chains_are_signed_entries(self, n, m, k):
+        rng = random.Random(f"johntable:{n}:{m}:{k}")
+        f = random_field(n, m, 1, f"johntable:{n}:{m}:{k}")
+        fixed = tuple(rng.randint(1, n) for _ in range(k))
+        pt = random_phase_point(n, rng)
+        table = _john_table(f, k, fixed, pt)
+        assert not all(value.is_zero for value in table.values())
+        base = MomentExpression.transform(f, 0, fixed)
+        axes = range(1, n + 1)
+        chains = 0
+        for ptuple in itertools.product(axes, repeat=m - k):
+            for qt in itertools.product(axes, repeat=m - k):
+                if any(pa == qa for pa, qa in zip(ptuple, qt)):
+                    continue
+                e = base
+                for pa, qa in zip(ptuple, qt):
+                    e = john(e, pa, qa)
+                key, sign = _pair_key(zip(ptuple, qt))
+                assert e.evaluate(pt) == table[key].scaled(sign), (ptuple, qt)
+                chains += 1
+        assert chains == (n * (n - 1)) ** (m - k)
 
 
 class TestJohnPower:

@@ -19,7 +19,6 @@ from raymoments import (
     inner_derivative,
     main,
     moment_stack,
-    operator_report,
     parse_field,
     random_field,
     random_ts_point,
@@ -39,7 +38,7 @@ class TestGeneratePotential:
 
     def test_kernel_membership(self):
         _, f = generate_potential(2, 2, 1, 2, seed=2)
-        assert operator_report(generalized_saint_venant(f, 1)).is_zero
+        assert generalized_saint_venant(f, 1).is_zero()
         rng = random.Random(3)
         for _ in range(20):
             pt = random_ts_point(2, rng)
@@ -157,6 +156,21 @@ class TestMutationSensitivity:
         assert not result.passed
         broken = [rec for rec in result.records if not rec.passed]
         assert all(rec.check_id.startswith("restricted-recovery") for rec in broken)
+
+    @pytest.mark.parametrize("factor", [0, 2])
+    @pytest.mark.parametrize("n,m,k", [(2, 2, 1), (3, 3, 1)])
+    def test_second_term_of_john(self, monkeypatch, factor, n, m, k):
+        # J_pq with its second term dropped (0) or doubled (2); a negated J is
+        # not here: it is invisible whenever m - k is even
+        def mutated(e, p, q):
+            second = moments.dx(moments.dxi(e, p), q)
+            return moments.dx(moments.dxi(e, q), p) - second * factor
+
+        monkeypatch.setattr(moments, "john", mutated)
+        result = suite_identities(SuiteConfig(n=n, m=m, k=k, seed=7, samples=3))
+        assert not result.passed
+        broken = {rec.check_id.rsplit("-", 1)[0] for rec in result.records if not rec.passed}
+        assert broken == {"john-power", "collapsed-derivative"}, broken
 
 
 class TestSerialization:
