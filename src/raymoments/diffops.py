@@ -14,9 +14,9 @@ The order-k stencil is built in closed form: its int weights are summed
 over derivative multisets, each counted by a product of binomials of its
 letter multiplicities, not over position subsets.  One loop applies the
 stencils.  It adds up the stored int numerators of each source polynomial
-(``Polynomial.nums`` over ``Polynomial.den``) and hands the int sums and
-their denominator to the output polynomial as they are; no Fraction is
-built.
+(``Polynomial.nums`` over ``Polynomial.den``, see
+``Polynomial._from_weighted``) and hands the int sums and their denominator
+to the output polynomial as they are; no Fraction is built.
 """
 
 from __future__ import annotations
@@ -49,27 +49,13 @@ def _apply(n: int, rows, fetch) -> dict:
     """Apply stencil rows to the PolyGauss values that ``fetch`` returns.
 
     Each row ``(out_key, row_den, ((source, weight), ...))`` becomes one
-    component.  The stored int numerators of the sources are added up in one
-    dict ``acc`` over a running denominator ``den``, which grows to the lcm
-    of the source denominators; ``acc`` over ``den * row_den`` is the output
-    polynomial, normalized once.  No Fraction is built.
+    component: the int-weighted sum of the sources' polynomials over
+    ``row_den``, added up in ints (``Polynomial._from_weighted``).
     """
     data = {}
     for key, row_den, entries in rows:
-        acc = {}
-        den = 1
-        for source, weight in entries:
-            poly = fetch(source).poly
-            pden = poly.den
-            if den % pden:
-                scale = pden // math.gcd(den, pden)
-                for exps in acc:
-                    acc[exps] *= scale
-                den *= scale
-            factor = weight * (den // pden)
-            for exps, num in poly.nums.items():
-                acc[exps] = acc.get(exps, 0) + num * factor
-        data[key] = PolyGauss(Polynomial._from_ints(n, den * row_den, acc))
+        weighted = ((weight, fetch(source).poly) for source, weight in entries)
+        data[key] = PolyGauss(Polynomial._from_weighted(n, weighted, row_den))
     return data
 
 
@@ -361,13 +347,17 @@ def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     For every fixed k-tuple, symmetrizing the Saint Venant output of the
     restricted field over the combined (free, fixed) group reproduces the
     generalized operator.  Returns the largest absolute coefficient of the
-    difference; exact, so zero certifies the identity.
+    difference; exact, so zero certifies the identity.  Each restriction's
+    Saint Venant output is taken through its alternated derivative, whose
+    stencils do not read the series of ``W^k``, so that a fault in the
+    series shows on one side only.
     """
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
-    w_of_restriction = {ikey: saint_venant(restrict_field(f, ikey))
-                        for ikey in all_canonical_tuples(f.n, k)}
+    w_of_restriction = {
+        ikey: saint_venant_from_alternated(alternated_derivative(restrict_field(f, ikey)))
+        for ikey in all_canonical_tuples(f.n, k)}
     data = _apply(f.n, _restriction_stencil(f.n, m, k),
                   lambda source: w_of_restriction[source[0]].get(*source[1:]))
     rhs = BiSymTensor(f.n, m - k, m, data, f.zero)

@@ -28,6 +28,8 @@ from .diffops import _pair_key, _pair_multisets, alternated_derivative
 from .polygauss import (
     ExactValue,
     LineTable,
+    PolyGauss,
+    Polynomial,
     _jet,
     is_rational,
     line_moment,
@@ -38,7 +40,6 @@ from .symtensor import (
     _check_indices,
     SymTensor,
     all_canonical_tuples,
-    distinct_rearrangements,
     restrict,
     restriction_indices,
     symmetrize,
@@ -53,34 +54,45 @@ class PhasePoint:
 
     The point's LineTable decides its scalars: coordinates are kept exact
     when every entry is rational, otherwise they are floats and downstream
-    evaluation switches to the float path.
+    evaluation switches to the float path.  An exact point also keeps its
+    direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
+    denominators of xi, so that the direction weights of a rank-r transform
+    datum are ints over ``xi_den**r`` (see ``_transform_value``).
 
-    Two memos, which live as long as the point, make each value at it one
-    computation: ``transforms`` holds transform data under
-    ``(q, sorted fixed, sorted derivs, id(field))``, and ``integrals`` holds
-    the line integrals of PolyGauss values, most of them jet entries, under
-    ``(id(value), q)``.  Each entry also holds its field or value, so that no
-    id in a key can pass to another object while the entry lives.  Every
-    line integral this module takes goes through ``integral``.
+    Three memos, which live as long as the point, make each value at it one
+    computation.  ``transforms`` holds transform data under
+    ``(q, sorted fixed, sorted derivs, id(field))`` and ``john_tables`` the
+    John tables under ``(sorted fixed, id(field))``; each entry also holds
+    its field, so that no id in a key can pass to another field while the
+    entry lives.  ``integrals`` holds line integrals of PolyGauss values
+    under their content, ``(q, den, frozenset(nums.items()))``, so that a
+    polynomial reached through two objects is integrated once.  Every line
+    integral this module takes goes through ``integral``.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
         # the moments of monomials along this line, shared by every transform
         self.line_table = table = LineTable(tuple(x), tuple(xi))
         self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
+        if self.is_exact:
+            self.xi_den = math.lcm(*(v.denominator for v in self.xi))
+            self.xi_nums = tuple(v.numerator * (self.xi_den // v.denominator)
+                                 for v in self.xi)
         # the value of an empty sum of transform data at this point
         self.zero = ExactValue.zero_value() if self.is_exact else 0.0
         self.transforms: dict = {}
+        self.john_tables: dict = {}
         self.integrals: dict = {}
 
     def integral(self, g, q: int):
         """The integral of t^q g along the point's line, computed once."""
-        key = (id(g), q)
+        poly = g.poly
+        key = (q, poly.den, frozenset(poly.nums.items()))
         hit = self.integrals.get(key)
         if hit is None:
-            hit = self.integrals[key] = (
-                g, line_moment(g, q, self.x, self.xi, self.line_table))
-        return hit[1]
+            hit = self.integrals[key] = line_moment(g, q, self.x, self.xi,
+                                                    self.line_table)
+        return hit
 
     @property
     def n(self) -> int:
@@ -271,22 +283,37 @@ def _weighted_sum(pairs, zero):
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     """The q-th transform of the derivative ``derivs`` of f restricted at ``fixed``.
 
-    Read through the point's memos: the value once per datum, and each
-    component, read from the field's jet, integrated once per point.
+    The line integral of t^q times the direction-contracted field: the sum,
+    over the canonical keys J of the remaining rank r, of the multiplicity
+    of J times the product of xi_j over J times the jet entry at
+    ``(fixed + J, derivs)``.  On an exact point the weights are ints over
+    ``pt.xi_den**r``, so the contraction is one Polynomial added up in ints,
+    as the diffops stencils are applied, and the datum costs one line
+    integral (none when the contraction is zero).  On a float point each
+    entry is integrated and the values are summed in floats.  Read through
+    the point's memos: the value once per datum, each integral once per
+    point.
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
     memo_key = (q, tuple(sorted(fixed)), tuple(sorted(derivs)), id(f))
     hit = pt.transforms.get(memo_key)
     if hit is None:
-        pairs = []
-        for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
-            weight = math.prod((pt.xi[j - 1] for j in key), start=tuple_multiplicity(key))
+        rank = f.rank - len(fixed)
+        xi = pt.xi_nums if pt.is_exact else pt.xi
+        weighted = []
+        for key in all_canonical_tuples(f.n, rank):
+            weight = math.prod((xi[j - 1] for j in key), start=tuple_multiplicity(key))
             if weight:
-                comp = _jet(f, fixed + key, derivs)
-                if comp:
-                    pairs.append((weight, pt.integral(comp, q)))
-        hit = pt.transforms[memo_key] = (f, _weighted_sum(pairs, pt.zero))
+                weighted.append((weight, _jet(f, fixed + key, derivs)))
+        if pt.is_exact:
+            poly = Polynomial._from_weighted(
+                f.n, ((weight, comp.poly) for weight, comp in weighted), pt.xi_den ** rank)
+            value = pt.integral(PolyGauss(poly), q) if poly else pt.zero
+        else:
+            value = _weighted_sum(((weight, pt.integral(comp, q))
+                                   for weight, comp in weighted if comp), pt.zero)
+        hit = pt.transforms[memo_key] = (f, value)
     return hit[1]
 
 
@@ -502,21 +529,27 @@ def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> d
     Evaluates at pt the zeroth transform of f restricted at ``fixed``, with
     one John operator per pair of each multiset of pairs p < q, under
     ``_pair_key(pairs)[0]``.  John operators commute and ``J_qp = -J_pq``,
-    so any other ordered chain is a signed entry.
+    so any other ordered chain is a signed entry.  Built once per point,
+    field and fixed multiset (the point's ``john_tables``); callers only
+    read it.
     """
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    base = MomentExpression.transform(f, 0, fixed)
-    table = {}
-    for pairs in _pair_multisets(f.n, m - k):
-        e = base
-        for p, q in pairs:
-            e = john(e, p, q)
-        table[_pair_key(pairs)[0]] = e.evaluate(pt)
-    return table
+    memo_key = (tuple(sorted(fixed)), id(f))
+    hit = pt.john_tables.get(memo_key)
+    if hit is None:
+        base = MomentExpression.transform(f, 0, fixed)
+        table = {}
+        for pairs in _pair_multisets(f.n, m - k):
+            e = base
+            for p, q in pairs:
+                e = john(e, p, q)
+            table[_pair_key(pairs)[0]] = e.evaluate(pt)
+        hit = pt.john_tables[memo_key] = (f, table)
+    return hit[1]
 
 
 def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -603,27 +636,39 @@ def symmetrization_split_residual(t: RawTensor, k: int):
     return best
 
 
+def _multiset_difference(key: tuple, sub: tuple) -> tuple:
+    """The index tuple ``key`` with the sub-multiset ``sub`` taken out."""
+    rest = list(key)
+    for i in sub:
+        rest.remove(i)
+    return tuple(rest)
+
+
 def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> float:
     """Symmetrized spatial derivatives of restricted moment data.
 
     For each canonical index tuple, averages over its rearrangements the
     (rank-r)-fold x-derivative of the zeroth transform of the r-fold
     restriction; vanishes whenever the order-r operator annihilates f.
+    A rearrangement reads only the multiset F of its last r slots: it
+    restricts at F and differentiates along key - F.  So the average is one
+    atom per distinct r-sub-multiset F of the key, weighted by the share of
+    rearrangements that split the key there,
+    ``arr(key - F) * arr(F) / arr(key)`` with ``arr`` the number of distinct
+    rearrangements (``tuple_multiplicity``).
     """
     m = f.rank
     if not 0 <= r <= m:
         raise ValueError(f"restriction depth r={r} outside [0, {m}]")
-    mk = m - r
     best = 0.0
     for key in all_canonical_tuples(f.n, m):
-        rearr = distinct_rearrangements(key)
-        weight = Fraction(1, len(rearr))
-        total = MomentExpression.zero()
-        for perm in rearr:
-            e = MomentExpression.transform(f, 0, perm[mk:])
-            for i in perm[:mk]:
-                e = dx(e, i)
-            total = total + e * weight
+        arr = tuple_multiplicity(key)
+        parts = []
+        for fixed in dict.fromkeys(itertools.combinations(key, r)):
+            derivs = _multiset_difference(key, fixed)
+            weight = Fraction(tuple_multiplicity(derivs) * tuple_multiplicity(fixed), arr)
+            parts.append((weight, MomentAtom(0, f, fixed, derivs)))
+        total = MomentExpression(parts)
         best = max(best, value_diff(total.evaluate(pt), pt.zero))
     return best
 

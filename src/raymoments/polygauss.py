@@ -103,6 +103,29 @@ class Polynomial:
         out._terms = None
         return out
 
+    @classmethod
+    def _from_weighted(cls, n: int, weighted, row_den: int = 1) -> "Polynomial":
+        """The sum of weight * poly over (int weight, poly) pairs, over ``row_den``.
+
+        The stored numerators are added up in one dict over a running
+        denominator, which grows to the lcm of the polynomials' denominators;
+        the sum over that denominator times ``row_den`` is normalized once.
+        No Fraction is built.
+        """
+        acc = {}
+        den = 1
+        for weight, poly in weighted:
+            pden = poly.den
+            if den % pden:
+                scale = pden // math.gcd(den, pden)
+                for exps in acc:
+                    acc[exps] *= scale
+                den *= scale
+            factor = weight * (den // pden)
+            for exps, num in poly.nums.items():
+                acc[exps] = acc.get(exps, 0) + num * factor
+        return cls._from_ints(n, den * row_den, acc)
+
     @property
     def terms(self) -> dict:
         """The coefficients as ``{exps: Fraction}``, in the order of ``nums``."""

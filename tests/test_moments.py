@@ -7,11 +7,13 @@ import pytest
 
 from raymoments import (
     ExactValue,
+    LineTable,
     MomentExpression,
     PhasePoint,
     PolyGauss,
     Polynomial,
     TSPoint,
+    all_canonical_tuples,
     collapsed_derivative_residual,
     dx,
     dxi,
@@ -22,6 +24,7 @@ from raymoments import (
     iterate_d,
     john,
     john_power_residual,
+    line_moment,
     moment_stack,
     moment_transform,
     random_field,
@@ -35,10 +38,19 @@ from raymoments import (
     sym_field,
     symmetrization_split_residual,
     symmetrized_derivative_residual,
+    tuple_multiplicity,
 )
+from raymoments import moments
 from raymoments.diffops import _pair_key
-from raymoments.moments import MomentAtom, value_diff, _john_table, _weighted_sum
-from raymoments.polygauss import random_polynomial
+from raymoments.moments import (
+    MomentAtom,
+    _john_table,
+    _transform_value,
+    _weighted_sum,
+    value_diff,
+)
+from raymoments.polygauss import _jet, random_polynomial
+from raymoments.symtensor import distinct_rearrangements
 from conftest import quad_transform, random_raw
 
 SQRT_PI = math.sqrt(math.pi)
@@ -216,6 +228,67 @@ class TestWeightedSum:
         assert extended_transform(f, 0, PhasePoint([0, 1], [1, 0])).is_zero
         value = extended_transform(f, 0, PhasePoint([0.0, 1.0], [1.0, 0.0]))
         assert isinstance(value, float) and value == 0.0
+
+
+class TestContractedTransform:
+    """On an exact point a datum is contracted first and integrated once."""
+
+    @staticmethod
+    def per_component(f, q, pt, fixed, derivs):
+        # every jet entry integrated on its own, on a table of its own
+        total = ExactValue.zero_value()
+        for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
+            weight = tuple_multiplicity(key) * math.prod(pt.xi[j - 1] for j in key)
+            comp = _jet(f, tuple(fixed) + key, derivs)
+            total = total + line_moment(comp, q, pt.x, pt.xi).scaled(weight)
+        return total
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2)])
+    def test_matches_per_component_integrals(self, n, m):
+        rng = random.Random(f"contract:{n}:{m}")
+        f = random_field(n, m, 2, f"contract:{n}:{m}")
+        points = [random_phase_point(n, rng) for _ in range(2)]
+        # directions with a zero component: those weights drop out
+        third = Fraction(1, 3)
+        points.append(PhasePoint([third] * n, [Fraction(0)] + [Fraction(3, 4)] * (n - 1)))
+        points.append(PhasePoint([-third] * n, [Fraction(2, 5)] * (n - 1) + [Fraction(0)]))
+        for pt in points:
+            for r in range(m + 1):
+                fixed = tuple(rng.randint(1, n) for _ in range(r))
+                for derivs in [(), (rng.randint(1, n),),
+                               (rng.randint(1, n), rng.randint(1, n))]:
+                    for q in range(3):
+                        value = _transform_value(f, q, pt, fixed, derivs)
+                        assert value == self.per_component(f, q, pt, fixed, derivs), \
+                            (pt, fixed, derivs, q)
+            assert not all(value.is_zero for _, value in pt.transforms.values())
+
+    def test_zero_field_takes_no_integral(self):
+        f = sym_field(3, 2)
+        pt = random_phase_point(3, random.Random(39))
+        for fixed, derivs in [((), ()), ((2,), (1,)), ((1, 3), (2, 2))]:
+            assert _transform_value(f, 1, pt, fixed, derivs) is pt.zero
+        assert pt.integrals == {}
+
+    def test_equal_polynomials_share_one_integral(self, monkeypatch):
+        calls = []
+        original = moments.line_moment
+
+        def counting(g, q, x, xi, table=None):
+            calls.append(q)
+            return original(g, q, x, xi, table)
+
+        monkeypatch.setattr(moments, "line_moment", counting)
+        pt = random_phase_point(2, random.Random(40))
+        a = PolyGauss(random_polynomial(2, 3, random.Random(41)))
+        b = PolyGauss(random_polynomial(2, 3, random.Random(41)))
+        assert a is not b and a.poly.nums is not b.poly.nums and a == b
+        first = pt.integral(a, 1)
+        assert pt.integral(b, 1) is first
+        assert calls == [1]
+        pt.integral(b, 2)
+        assert calls == [1, 2]
+        assert first == line_moment(a, 1, pt.x, pt.xi, LineTable(pt.x, pt.xi))
 
 
 class TestValueDiff:
@@ -546,6 +619,27 @@ class TestJohnTable:
                 chains += 1
         assert chains == (n * (n - 1)) ** (m - k)
 
+    def test_built_once_per_point(self, monkeypatch):
+        calls = []
+        original = moments.john
+
+        def counting(e, p, q):
+            calls.append((p, q))
+            return original(e, p, q)
+
+        monkeypatch.setattr(moments, "john", counting)
+        f = random_field(3, 2, 1, "johnonce")
+        pt = random_phase_point(3, random.Random(42))
+        assert john_power_residual(f, 1, (2,), pt) == 0.0
+        built = len(calls)
+        assert built == len(_john_table(f, 1, (2,), pt))
+        assert collapsed_derivative_residual(f, 1, (2,), pt) == 0.0
+        assert len(calls) == built
+        # another fixed multiset or another point builds its own table
+        _john_table(f, 1, (3,), pt)
+        _john_table(f, 1, (2,), PhasePoint(pt.x, pt.xi))
+        assert len(calls) == 3 * built
+
 
 class TestJohnPower:
     @pytest.mark.parametrize("n,m,k", [(2, 2, 0), (2, 2, 1), (3, 3, 1), (3, 3, 2)])
@@ -647,7 +741,52 @@ class TestRestrictionContraction:
             restriction_contraction_residual(f, (1, 1), 1, pt)
 
 
+def _reference_symmetrized_derivative(f, r, pt):
+    """The averaged value of each index tuple, in order.
+
+    One transform and dx chain per rearrangement of the tuple.
+    """
+    m = f.rank
+    mk = m - r
+    values = []
+    for key in all_canonical_tuples(f.n, m):
+        rearr = distinct_rearrangements(key)
+        weight = Fraction(1, len(rearr))
+        total = MomentExpression.zero()
+        for perm in rearr:
+            e = MomentExpression.transform(f, 0, perm[mk:])
+            for i in perm[:mk]:
+                e = dx(e, i)
+            total = total + e * weight
+        values.append(total.evaluate(pt))
+    return values
+
+
 class TestSymmetrizedDerivative:
+    @pytest.mark.parametrize("n,m,r", [(2, 3, r) for r in range(4)]
+                             + [(3, 3, 1), (3, 2, 2), (2, 5, 0)])
+    def test_matches_reference_off_the_kernel(self, monkeypatch, n, m, r):
+        # every index tuple's value, as the residual hands it to value_diff
+        seen = []
+        monkeypatch.setattr(moments, "value_diff",
+                            lambda a, b: seen.append(a) or value_diff(a, b))
+        rng = random.Random(f"symref:{n}:{m}:{r}")
+        for trial in range(2):
+            f = random_field(n, m, 2, f"symref:{n}:{m}:{r}:{trial}")
+            pt = random_phase_point(n, rng)
+            seen.clear()
+            residual = symmetrized_derivative_residual(f, r, pt)
+            # a fresh point, so that no memoized datum is shared
+            expected = _reference_symmetrized_derivative(f, r, PhasePoint(pt.x, pt.xi))
+            assert seen == expected
+            assert residual == max(map(moments.magnitude, expected)) > 0.0
+
+    def test_bad_depth_rejected(self):
+        f = random_field(2, 2, 1, 74)
+        pt = random_phase_point(2, random.Random(43))
+        for r in (-1, 3):
+            with pytest.raises(ValueError):
+                symmetrized_derivative_residual(f, r, pt)
     @pytest.mark.parametrize("n,m,k", [(2, 2, 0), (2, 2, 1), (3, 2, 1), (2, 3, 2)])
     def test_vanishes_on_potentials(self, n, m, k):
         from raymoments import generate_potential
