@@ -14,7 +14,6 @@ from .symtensor import (
     all_canonical_tuples,
     alternate,
     canonical,
-    contract_with_power,
     restrict,
     symmetrize,
     tuple_multiplicity,
@@ -24,7 +23,6 @@ from .polygauss import (
     LineTable,
     PolyGauss,
     Polynomial,
-    field_partial,
     field_scale_report,
     line_moment,
     line_moment_quadrature,

@@ -270,13 +270,17 @@ def _weighted_sum(pairs, zero):
     """Sum of weight * value over (weight, value) pairs; ``zero`` if none.
 
     Exact (an ExactValue) when every value is exact and every weight
-    rational, otherwise ``math.fsum`` of the float products.
+    rational, ``math.fsum`` of the float products when no value is exact.
+    An exact value with a float value or weight raises TypeError, as in
+    ``value_diff``: an exact sum never falls back to float.
     """
     pairs = list(pairs)
     if not pairs:
         return zero
     if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
         return functools.reduce(operator.add, (v.scaled(w) for w, v in pairs))
+    if any(isinstance(v, ExactValue) for _, v in pairs):
+        raise TypeError("cannot sum exact values with float values or weights")
     return math.fsum(float(w) * float(v) for w, v in pairs)
 
 
@@ -342,7 +346,8 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
     """Rebuild the extended transform from moment data on the projected line.
 
     ``i_values`` are the transforms of orders 0..q at pt.project().  Exact
-    when the direction norm is rational and the supplied values are exact.
+    when the direction norm is rational and the supplied values are exact;
+    exact values at an irrational direction norm raise TypeError.
     """
     if q < 0 or len(i_values) < q + 1:
         raise ValueError("need moment values of orders 0..q")

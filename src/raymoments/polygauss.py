@@ -138,17 +138,6 @@ class Polynomial:
     def zero(cls, n: int) -> "Polynomial":
         return cls(n)
 
-    @classmethod
-    def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * n: _as_fraction(c)})
-
-    @classmethod
-    def coordinate(cls, n: int, i: int) -> "Polynomial":
-        if not 1 <= i <= n:
-            raise ValueError(f"coordinate index {i} outside [1, {n}]")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {exps: Fraction(1)})
-
     def _compat(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
             raise TypeError("expected a Polynomial")
@@ -275,10 +264,6 @@ class PolyGauss:
     def zero(cls, n: int) -> "PolyGauss":
         return cls(Polynomial.zero(n))
 
-    @classmethod
-    def gaussian(cls, n: int, c=Fraction(1)) -> "PolyGauss":
-        return cls(Polynomial.constant(n, c))
-
     def _compat(self, other: "PolyGauss") -> None:
         if not isinstance(other, PolyGauss):
             raise TypeError("expected a PolyGauss")
@@ -334,18 +319,6 @@ class PolyGauss:
         for exps, num in shifted.items():
             data[exps] = data[exps] + num if exps in data else num
         return PolyGauss(Polynomial._from_ints(self.n, self.poly.den, data))
-
-    def multiply_by_coordinate(self, i: int) -> "PolyGauss":
-        return PolyGauss(Polynomial.coordinate(self.n, i) * self.poly)
-
-    def evaluate(self, xs: Sequence[float]) -> float:
-        norm2 = math.fsum(float(x) * float(x) for x in xs)
-        return self.poly.evaluate(xs) * math.exp(-norm2)
-
-    def evaluate_exact(self, xs: Sequence) -> tuple[Fraction, Fraction]:
-        """Value split as (polynomial part, exponent): p(x) and -|x|^2."""
-        norm2 = sum(_as_fraction(x) ** 2 for x in xs)
-        return self.poly.evaluate_exact(xs), -norm2
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -563,9 +536,8 @@ class LineTable:
         """The column of ``e``, extended to at least ``length`` entries.
 
         Walks down from ``e`` to the first column that is long enough, then
-        builds back up, without recursion.  ``e`` is not checked: ``moment``
-        checks it, and ``line_moment`` passes the exponents of a validated
-        polynomial.
+        builds back up, without recursion.  ``e`` is not checked:
+        ``line_moment`` passes the exponents of a validated polynomial.
         """
         columns = self.columns
         col = columns.get(e)
@@ -615,21 +587,6 @@ class LineTable:
             else:
                 col.extend([zero] * (length - start))
         return col
-
-    def moment(self, q: int, e: Sequence[int]):
-        """mu_q(e): a Fraction on an exact line, a float on a float line.
-
-        ``e`` is any sequence of n non-negative ints.
-        """
-        _check_order(q)
-        e = tuple(e)
-        if len(e) != len(self.x) or any(not isinstance(a, int) or isinstance(a, bool)
-                                        or a < 0 for a in e):
-            raise ValueError(f"bad exponent multi-index {e}")
-        entry = self._column(e, q + 1)[q]
-        if self.is_exact:
-            return Fraction(entry, self.scale ** (q + 2 * sum(e)))
-        return entry
 
 
 def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
@@ -690,8 +647,7 @@ def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     rounding.  The polynomial factor is evaluated pointwise on the line, not
     through the moment table used by the closed form.
     """
-    if q < 0:
-        raise ValueError("moment order must be non-negative")
+    _check_order(q)
     x = [float(v) for v in x]
     xi = [float(v) for v in xi]
     s, c, exponent = _line_data(x, xi)
@@ -749,12 +705,6 @@ def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
         hit = _jet(f, comp, derivs[:-1]).derive(derivs[-1]) if derivs else f.get(comp)
         f.jet[key] = hit
     return hit
-
-
-def field_partial(f: SymTensor, i: int) -> SymTensor:
-    """Componentwise partial derivative of a field; preserves symmetry."""
-    data = {key: _jet(f, key, (i,)) for key in f.components}
-    return SymTensor(f.n, f.rank, data, f.zero)
 
 
 def field_scale_report(f) -> Fraction:

@@ -112,9 +112,6 @@ class _SparseTensor:
             data[key] = data[key] + value if key in data else value
         return self._like(data)
 
-    def __neg__(self):
-        return self * Fraction(-1)
-
     def __sub__(self, other):
         self._compat(other)
         data = dict(self.components)
@@ -282,29 +279,3 @@ def restrict(f: SymTensor, fixed: Sequence[int]) -> SymTensor:
         if value != f.zero:
             data[key] = value
     return SymTensor(f.n, rank, data, f.zero)
-
-
-def contract_with_power(t: SymTensor, v: Sequence, p: int) -> SymTensor:
-    """Contract the first ``p`` slots of a symmetric tensor with a vector.
-
-    Sums t[j1..jp, k...] * v[j1] * ... * v[jp]; which slots are contracted is
-    immaterial by symmetry.
-    """
-    if len(v) != t.n:
-        raise ValueError(f"vector has length {len(v)}, expected {t.n}")
-    if not 0 <= p <= t.rank:
-        raise ValueError(f"cannot contract {p} slots of a rank-{t.rank} tensor")
-    if p == 0:
-        return t
-    data = {}
-    for key in all_canonical_tuples(t.n, t.rank - p):
-        acc = None
-        for js in itertools.product(range(1, t.n + 1), repeat=p):
-            weight = Fraction(1)
-            for j in js:
-                weight = weight * v[j - 1]
-            term = t.get(js + key) * weight
-            acc = term if acc is None else acc + term
-        if acc != t.zero:
-            data[key] = acc
-    return SymTensor(t.n, t.rank - p, data, t.zero)

@@ -19,7 +19,6 @@ from raymoments import (
     dxi,
     extended_from_moments,
     extended_transform,
-    field_partial,
     inner_derivative,
     iterate_d,
     john,
@@ -57,7 +56,12 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def gaussian_scalar(n):
-    return sym_field(n, 0, {(): PolyGauss.gaussian(n)})
+    return sym_field(n, 0, {(): PolyGauss(Polynomial(n, {(0,) * n: 1}))})
+
+
+def field_partial(f, i):
+    """The componentwise partial derivative of a field, read from its jet."""
+    return sym_field(f.n, f.rank, {key: _jet(f, key, (i,)) for key in f.components})
 
 
 class TestPoints:
@@ -204,19 +208,25 @@ class TestWeightedSum:
         total = _weighted_sum([(Fraction(3), a), (-1, b)], 0.0)
         assert total == ExactValue(Fraction(-1), Fraction(2), Fraction(-1))
 
-    def test_falls_back_to_fsum_when_one_value_is_a_float(self):
+    def test_exact_and_float_values_do_not_mix(self):
         a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
-        pairs = [(Fraction(3), a), (1, 1e16), (1, 1.0), (-1, 1e16)]
-        total = _weighted_sum(pairs, ExactValue.zero_value())
-        # a sequential float sum would lose both small terms to the 1e16 pair
+        with pytest.raises(TypeError):
+            _weighted_sum([(Fraction(3), a), (1, 1e16), (1, 1.0), (-1, 1e16)],
+                          ExactValue.zero_value())
+        # with no exact value the floats go through fsum; a sequential float
+        # sum would lose both small terms to the 1e16 pair
+        total = _weighted_sum([(Fraction(3), 0.5), (1, 1e16), (1, 1.0), (-1, 1e16)], 0.0)
         assert isinstance(total, float)
-        assert total == 3 * float(a) + 1.0
+        assert total == 2.5
 
-    def test_falls_back_to_fsum_when_one_weight_is_a_float(self):
+    def test_exact_value_with_a_float_weight_raises(self):
         a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
-        total = _weighted_sum([(0.5, a), (Fraction(1, 2), a)], ExactValue.zero_value())
-        assert isinstance(total, float)
-        assert total == pytest.approx(float(a))
+        with pytest.raises(TypeError):
+            _weighted_sum([(0.5, a), (Fraction(1, 2), a)], ExactValue.zero_value())
+        # |xi| = sqrt(2) makes the weights of the rebuilt transform floats
+        ivals = [ExactValue(Fraction(1)), ExactValue(Fraction(2))]
+        with pytest.raises(TypeError):
+            extended_from_moments(ivals, 1, PhasePoint([0, 1], [1, 1]), 1)
 
     def test_empty_sum_is_the_given_zero(self):
         exact_zero = ExactValue.zero_value()

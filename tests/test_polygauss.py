@@ -149,16 +149,22 @@ def _decimal_value(v):
     return float(value) * SQRT_PI
 
 
+def _entry(table, q, e):
+    """mu_q(e) of a table, read from its column once a line moment has built it."""
+    line_moment(PolyGauss(Polynomial(len(e), {e: 1})), q, table.x, table.xi, table)
+    entry = table.columns[e][q]
+    return Fraction(entry, table.scale ** (q + 2 * sum(e))) if table.is_exact else entry
+
+
 def _check_table(table, ref, g, q):
     """The int table of an exact line against the reference, entry by entry."""
+    assert line_moment(g, q, table.x, table.xi, table) == ref.line_moment(g, q)
     for e in g.poly.terms:
-        assert table.moment(q, e) == ref.moment(q, e)
         assert table.columns[e][q] == ref.moment(q, e) * table.scale ** (q + 2 * sum(e))
     for e, col in table.columns.items():
         assert all(type(v) is int for v in col)
         assert all(a == ref.moment(j, e) * table.scale ** (j + 2 * sum(e))
                    for j, a in enumerate(col))
-    assert line_moment(g, q, table.x, table.xi, table) == ref.line_moment(g, q)
 
 
 _small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -184,7 +190,7 @@ def _float_lines(draw):
 
 
 def gauss(n):
-    return PolyGauss.gaussian(n)
+    return PolyGauss(Polynomial(n, {(0,) * n: 1}))
 
 
 class TestDerive:
@@ -193,7 +199,7 @@ class TestDerive:
         assert g.poly == Polynomial(2, {(1, 0): Fraction(-2)})
 
     def test_product_rule(self):
-        g = PolyGauss(Polynomial.coordinate(2, 1)).derive(1)
+        g = PolyGauss(Polynomial(2, {(1, 0): 1})).derive(1)
         assert g.poly == Polynomial(2, {(0, 0): Fraction(1), (2, 0): Fraction(-2)})
 
     @given(st.integers())
@@ -215,8 +221,9 @@ class TestDerive:
         lhs = (g * Fraction(2, 3) + h).derive(1)
         assert lhs == g.derive(1) * Fraction(2, 3) + h.derive(1)
         # d/dx1 (x1 * g) = g + x1 * dg/dx1
-        prod = g.multiply_by_coordinate(1)
-        assert prod.derive(1) == g + g.derive(1).multiply_by_coordinate(1)
+        x1 = Polynomial(2, {(1, 0): 1})
+        prod = PolyGauss(x1 * g.poly)
+        assert prod.derive(1) == g + PolyGauss(x1 * g.derive(1).poly)
 
 
 class TestGaussianMoment:
@@ -337,12 +344,12 @@ class TestLineTable:
         assert (table.s, table.mean, table.var) == (4, Fraction(1, 2), Fraction(1, 8))
         mean, var = table.mean, table.var
         zero = (0, 0)
-        assert table.moment(1, zero) == mean
-        assert table.moment(2, zero) == mean ** 2 + var
-        assert table.moment(3, zero) == mean ** 3 + 3 * mean * var
-        assert table.moment(4, zero) == mean ** 4 + 6 * mean ** 2 * var + 3 * var ** 2
+        assert _entry(table, 1, zero) == mean
+        assert _entry(table, 2, zero) == mean ** 2 + var
+        assert _entry(table, 3, zero) == mean ** 3 + 3 * mean * var
+        assert _entry(table, 4, zero) == mean ** 4 + 6 * mean ** 2 * var + 3 * var ** 2
         # x_2 is constant along the line, so it only scales
-        assert table.moment(2, (0, 3)) == 27 * table.moment(2, zero)
+        assert _entry(table, 2, (0, 3)) == 27 * _entry(table, 2, zero)
 
     def test_other_lines_table_rejected(self):
         g = PolyGauss(random_polynomial(2, 3, random.Random(2)))
@@ -400,48 +407,33 @@ class TestLineTable:
         assert table.scale == 1
         for degree, q, seed in requests:
             g = PolyGauss(random_polynomial(len(x), degree, random.Random(seed)))
-            for e in g.poly.terms:
-                assert table.moment(q, e).hex() == ref.moment(q, e).hex()
             value = line_moment(g, q, x, xi, table)
             assert value.hex() == ref.line_moment(g, q).hex()
+            for e in g.poly.terms:
+                assert table.columns[e][q].hex() == ref.moment(q, e).hex()
         # every entry the table built, and every one the reference built
         for e, col in list(table.columns.items()):
             assert all(a.hex() == ref.moment(j, e).hex() for j, a in enumerate(col))
         for (q, e), a in list(ref.mu.items()):
-            assert table.moment(q, e).hex() == a.hex()
+            assert _entry(table, q, e).hex() == a.hex()
 
     def test_scale_is_the_common_denominator(self):
         # x = (1/2, 0), xi = (1, 2/3): s = 13/9, mean = -9/26, var = 9/26
         table = LineTable([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)])
         assert (table.mean, table.var, table.scale) == (Fraction(-9, 26), Fraction(9, 26), 78)
-        assert table.moment(1, (0, 0)) == table.mean and table.columns[(0, 0)][1] == -27
+        assert _entry(table, 1, (0, 0)) == table.mean and table.columns[(0, 0)][1] == -27
         # 1/s = 9/13 has no rational root; 1/s = 1/4 does
         assert (table.root, table.root_factor) == (Fraction(9, 13), 1)
         table = LineTable([Fraction(1), Fraction(3)], [Fraction(2), Fraction(0)])
         assert (table.root, table.root_factor) == (1, Fraction(1, 2))
 
-    @pytest.mark.parametrize("e,key", [([1, 0], (1, 0)), ([0, 2], (0, 2)),
-                                       (range(1, 3), (1, 2))])
-    def test_any_int_sequence_is_an_index(self, e, key):
-        for x, xi in (([1, 2], [1, 0]), ([0.5, 2.0], [1.0, 0.0])):
-            table = LineTable(x, xi)
-            assert table.moment(1, e) == LineTable(x, xi).moment(1, key)
-            assert key in table.columns
-
-    @pytest.mark.parametrize("e", [(1,), (1, 0, 0), (-1, 0), (0, -2), (True, 0), (1.0, 0),
-                                   [1], [1, 0, 0], [-1, 0], [True, 0], [False, 1]])
-    def test_bad_index_raises(self, e):
-        for x, xi in (([1, 2], [1, 0]), ([0.5, 2.0], [1.0, 0.0])):
-            with pytest.raises(ValueError):
-                LineTable(x, xi).moment(0, e)
-
     @pytest.mark.parametrize("q", [-1, True, 1.5])
     def test_bad_order_raises(self, q):
         for x, xi in (([1, 2], [1, 0]), ([0.5, 2.0], [1.0, 0.0])):
             with pytest.raises(ValueError):
-                LineTable(x, xi).moment(q, (0, 0))
-            with pytest.raises(ValueError):
                 line_moment(gauss(2), q, x, xi)
+            with pytest.raises(ValueError):
+                line_moment_quadrature(gauss(2), q, x, xi)
 
 
 class TestRingOps:
@@ -449,10 +441,6 @@ class TestRingOps:
         rng = random.Random(3)
         g = PolyGauss(random_polynomial(2, 2, rng))
         assert (g + g * Fraction(-1)).is_zero()
-
-    def test_multiply_by_coordinate(self):
-        g = gauss(3).multiply_by_coordinate(2)
-        assert g.poly == Polynomial(3, {(0, 1, 0): Fraction(1)})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -484,13 +472,13 @@ class TestRingOps:
         assert PolyGauss(p) - PolyGauss(q) == PolyGauss(p + (-q))
 
     def test_subtraction_keeps_type_and_shape_errors(self):
-        p = Polynomial.coordinate(2, 1)
+        p = Polynomial(2, {(1, 0): 1})
         for a, b in [(p, 1), (p, Fraction(1)), (p, PolyGauss(p)),
                      (PolyGauss(p), 1), (PolyGauss(p), p)]:
             with pytest.raises(TypeError):
                 a - b
         with pytest.raises(ValueError):
-            p - Polynomial.coordinate(3, 1)
+            p - Polynomial(3, {(1, 0, 0): 1})
         with pytest.raises(ValueError):
             gauss(2) - gauss(3)
 
@@ -608,34 +596,9 @@ class TestIntStorage:
 
     def test_zero_results_have_denominator_one(self):
         p = Polynomial(2, {(1, 0): Fraction(1, 6), (0, 2): Fraction(-5, 4)})
-        for zero in (p - p, p * 0, p + (-p), Polynomial.constant(2, Fraction(1, 3)).partial(1)):
+        for zero in (p - p, p * 0, p + (-p), Polynomial(2, {(0, 0): Fraction(1, 3)}).partial(1)):
             assert (zero.den, zero.nums, zero.terms) == (1, {}, {})
             assert zero == Polynomial.zero(2)
-
-
-class TestEvaluate:
-    def test_gaussian_at_origin(self):
-        assert gauss(2).evaluate([0.0, 0.0]) == 1.0
-
-    def test_monomial_value(self):
-        g = PolyGauss(Polynomial(2, {(2, 0): Fraction(1)}))
-        assert g.evaluate([1.0, 0.0]) == pytest.approx(math.exp(-1), rel=1e-15)
-
-    def test_exact_split(self):
-        g = PolyGauss(Polynomial(2, {(1, 1): Fraction(3, 2)}))
-        value, exponent = g.evaluate_exact([Fraction(2), Fraction(1, 2)])
-        assert value == Fraction(3, 2)
-        assert exponent == -(Fraction(4) + Fraction(1, 4))
-
-    def test_gaussian_domination(self):
-        rng = random.Random(12)
-        g = PolyGauss(random_polynomial(2, 3, rng))
-        bound_coef = float(sum(abs(c) for c in g.poly.terms.values()))
-        deg = g.poly.total_degree()
-        for radius in (0.5, 1.0, 2.0, 4.0, 8.0):
-            x = [radius / math.sqrt(2)] * 2
-            bound = bound_coef * (1 + radius) ** deg * math.exp(-radius * radius)
-            assert abs(g.evaluate(x)) <= bound * (1 + 1e-12)
 
 
 class TestExactValue:
