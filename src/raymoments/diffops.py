@@ -13,10 +13,10 @@ restriction relation compares with ``W^k``.
 The order-k stencil is built in closed form: its int weights are summed
 over derivative multisets, each counted by a product of binomials of its
 letter multiplicities, not over position subsets.  One loop applies the
-stencils.  It adds up the stored int numerators of each source polynomial
-(``Polynomial.nums`` over ``Polynomial.den``, see
-``Polynomial._from_weighted``) and hands the int sums and their denominator
-to the output polynomial as they are; no Fraction is built.
+stencils.  Each row hands its int weights and source polynomials to
+``Polynomial._from_weighted``, which adds up their int numerator tuples,
+aligned on the graded monomial index, over one denominator and normalizes
+the sum once; no Fraction is built.
 """
 
 from __future__ import annotations

@@ -65,8 +65,8 @@ class PhasePoint:
     John tables under ``(sorted fixed, id(field))``; each entry also holds
     its field, so that no id in a key can pass to another field while the
     entry lives.  ``integrals`` holds line integrals of PolyGauss values
-    under their content, ``(q, den, frozenset(nums.items()))``, so that a
-    polynomial reached through two objects is integrated once.  Every line
+    under the order and the polynomial's stored form, ``(q, poly.key)``, so
+    that a polynomial reached through two objects is integrated once.  Every line
     integral this module takes goes through ``integral``.
     """
 
@@ -87,7 +87,7 @@ class PhasePoint:
     def integral(self, g, q: int):
         """The integral of t^q g along the point's line, computed once."""
         poly = g.poly
-        key = (q, poly.den, frozenset(poly.nums.items()))
+        key = (q, poly.key)
         hit = self.integrals.get(key)
         if hit is None:
             hit = self.integrals[key] = line_moment(g, q, self.x, self.xi,

@@ -6,25 +6,37 @@ partial differentiation, coordinate multiplication and line integration,
 and every operator identity downstream can be certified by int coefficient
 arithmetic instead of floating point.
 
+The numerators are dense: one tuple over the graded monomial index of the
+dimension, which lists the exponent tuples block by block in total degree,
+is grown on demand and is shared by every polynomial of that dimension (see
+_Monomials).  A sum of int-weighted polynomials is a zip of aligned tuples,
+and a partial derivative of a field is one gather through a map of the
+index.  A polynomial of degree D in n variables stores up to C(D + n, n)
+numerators however few of them are nonzero; the command line bounds that
+size before any work starts (see verify._run_cost); library calls do not.
+
 Line integrals reduce, after completing the square, to normal moments.  On
 every line the integral of a polynomial is a dot product with the line's
-table of monomial moments (see LineTable).  Over a rational line the table
-holds ints, each moment scaled by a power of one common denominator of the
-line, so the dot product adds up ints and builds one Fraction; the result is
-kept in the exact form coef * sqrt(root) * sqrt(pi) * exp(exponent) with
-rational coef, root and exponent (see ExactValue).  Over a float line the
-same recurrence and dot product run in floats.
+table of monomial moments, kept in the same index (see LineTable).  Over a
+rational line the table holds ints, each moment scaled by a power of one
+common denominator of the line, so the dot product adds up ints and builds
+one Fraction; the result is kept in the exact form
+coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational coef, root and
+exponent (see ExactValue).  Over a float line the same recurrence and dot
+product run in floats.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import math
-import operator
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,20 +60,104 @@ def _as_fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-class Polynomial:
-    """A multivariate polynomial with rational coefficients, stored sparsely.
+class _Monomials:
+    """The graded index of the exponent tuples of one dimension n.
 
-    The coefficients are ints over one denominator: ``nums`` maps exponent
-    multi-indices (length-n tuples of naturals) to nonzero int numerators,
-    and ``den`` is a positive int with ``gcd(den, *nums) == 1``, so that each
-    polynomial has one stored form and ``==`` compares it directly.  Every
-    operation works on ints and normalizes its result once (see
-    ``_from_ints``).  ``terms``, the same coefficients as a dict of
-    Fractions in the order of ``nums``, is built on first read and kept; a
+    ``exps`` lists every exponent tuple of total degree at most the grown
+    degree, block by block: block d, the tuples of degree d, fills
+    ``exps[starts[d]:starts[d + 1]]``, and ``pos`` maps a tuple to its place.
+    Block d is built from block d - 1: for each coordinate i in turn, the
+    tuples of block d - 1 that have no nonzero coordinate before i, raised
+    in coordinate i.  Those tuples form the end of block d - 1, the
+    C(d - 1 + n - i - 1, n - i - 1) tuples of degree d - 1 in the last
+    n - i coordinates, because block d - 1 lists its tuples grouped by
+    their first nonzero coordinate in the same way.  ``lowers`` keeps, for
+    every place but 0, that coordinate i and the place of the tuple it was
+    raised from; the LineTable recurrence reads it.  One index serves each
+    dimension (``_monomials``); it only grows, so a numerator tuple stays
+    valid.
+    """
+
+    __slots__ = ("n", "exps", "pos", "starts", "lowers", "_derive")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.exps = [(0,) * n]
+        self.pos = {(0,) * n: 0}
+        self.starts = [0, 1]
+        self.lowers = [None]
+        self._derive = {}
+
+    def grow(self, degree: int) -> None:
+        """Extend the index through block ``degree``."""
+        exps, pos, starts, lowers, n = self.exps, self.pos, self.starts, self.lowers, self.n
+        while len(starts) <= degree + 1:
+            d = len(starts) - 1
+            hi = starts[d]
+            for i in range(n):
+                for p in range(hi - math.comb(d + n - i - 2, n - i - 1), hi):
+                    e = exps[p]
+                    raised = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    pos[raised] = len(exps)
+                    exps.append(raised)
+                    lowers.append((i, p))
+            starts.append(len(exps))
+
+    def derive_map(self, i: int, degree: int) -> tuple:
+        """The gather that takes p to dp/dx_i - 2 x_i p, for p of top degree ``degree``.
+
+        For each place j of the result through block ``degree + 1``, with
+        tuple e: the weight e_i + 1 and the place of e + delta_i (weight 0
+        and place -1 above block ``degree - 1``), and the place of
+        e - delta_i (-1 where e_i = 0).  Place -1 is a zero that the caller
+        pads the numerators with, to the returned length.  The places at the
+        end of block ``degree + 1`` with e_i = 0, always zero, are left out.
+        Returned as (weights, two itemgetters, padded length), built once
+        per (i, degree).
+        """
+        key = (i, degree)
+        hit = self._derive.get(key)
+        if hit is None:
+            self.grow(degree + 1)
+            pos, starts = self.pos, self.starts
+            weights, ups, downs = [], [], []
+            for j, e in enumerate(self.exps[:starts[degree + 2]]):
+                head, ei, tail = e[:i], e[i], e[i + 1:]
+                if j < starts[degree]:
+                    weights.append(ei + 1)
+                    ups.append(pos[head + (ei + 1,) + tail])
+                else:
+                    weights.append(0)
+                    ups.append(-1)
+                downs.append(pos[head + (ei - 1,) + tail] if ei else -1)
+            while downs[-1] < 0:
+                del weights[-1], ups[-1], downs[-1]
+            hit = self._derive[key] = (tuple(weights), itemgetter(*ups),
+                                       itemgetter(*downs), starts[degree + 1] + 1)
+        return hit
+
+
+@functools.cache
+def _monomials(n: int) -> _Monomials:
+    return _Monomials(n)
+
+
+class Polynomial:
+    """A multivariate polynomial with rational coefficients, stored densely.
+
+    The coefficients are ints over one denominator: ``vec`` holds the int
+    numerator of each exponent tuple of the dimension's graded index (see
+    _Monomials), in index order, up to the last nonzero one (zero is the
+    empty tuple), and ``den`` is a positive int with ``gcd(den, *vec) == 1``.
+    So each polynomial has one stored form, ``==`` compares it directly, and
+    ``key`` hands it out as a hashable.  Every operation works on ints and
+    normalizes its result once (see ``_from_ints``).  ``terms``, the nonzero
+    coefficients as ``{exps: Fraction}`` in index order, is built on first
+    read and kept, and ``nums`` is the same view of the numerators; a
     polynomial is never changed after it is built.
     """
 
-    __slots__ = ("n", "den", "nums", "_terms")
+    __slots__ = ("n", "den", "vec", "_terms")
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -78,61 +174,77 @@ class Polynomial:
                 data[exps] = coef
         # the lcm of the reduced denominators leaves no common factor
         self.den = den = math.lcm(*(c.denominator for c in data.values()))
-        self.nums = {exps: c.numerator * (den // c.denominator)
-                     for exps, c in data.items()}
-        self._terms = data
+        index = _monomials(n)
+        index.grow(max(map(sum, data), default=0))
+        places = [index.pos[exps] for exps in data]
+        vec = [0] * (max(places) + 1 if places else 0)
+        for j, c in zip(places, data.values()):
+            vec[j] = c.numerator * (den // c.denominator)
+        self.vec = tuple(vec)
+        self._terms = None
 
     @classmethod
-    def _from_ints(cls, n: int, den: int, nums: dict) -> "Polynomial":
-        """Build from length-n exponent tuples and int numerators over ``den`` >= 1.
+    def _from_ints(cls, n: int, den: int, nums: list) -> "Polynomial":
+        """Build from int numerators in index order over ``den`` >= 1.
 
         Skips the validation of ``__init__``; only internal arithmetic, whose
-        inputs are validated polynomials, may call it.  Zero numerators are
+        inputs are validated polynomials, may call it.  Trailing zeros are
         dropped and the common factor of ``den`` and the numerators is
         divided out, so the zero polynomial gets ``den`` 1.
         """
-        out = object.__new__(cls)
-        out.n = n
-        nums = {exps: num for exps, num in nums.items() if num}
-        g = math.gcd(den, *nums.values())
+        end = len(nums) if any(nums) else 0
+        while end and not nums[end - 1]:
+            end -= 1
+        vec = tuple(nums[:end])
+        g = math.gcd(den, *vec) if vec else den
         if g > 1:
             den //= g
-            nums = {exps: num // g for exps, num in nums.items()}
-        out.den = den
-        out.nums = nums
-        out._terms = None
+            vec = tuple(map(floordiv, vec, repeat(g)))
+        out = object.__new__(cls)
+        out.n, out.den, out.vec, out._terms = n, den, vec, None
         return out
 
     @classmethod
     def _from_weighted(cls, n: int, weighted, row_den: int = 1) -> "Polynomial":
         """The sum of weight * poly over (int weight, poly) pairs, over ``row_den``.
 
-        The stored numerators are added up in one dict over a running
-        denominator, which grows to the lcm of the polynomials' denominators;
-        the sum over that denominator times ``row_den`` is normalized once.
-        No Fraction is built.
+        The numerator tuples, each brought to the lcm of the polynomials'
+        denominators, are added up aligned in one list, which starts as the
+        first of them; the sum over that lcm times ``row_den`` is normalized
+        once.  No Fraction is built.
         """
-        acc = {}
-        den = 1
+        weighted = list(weighted)
+        den = math.lcm(*(poly.den for _, poly in weighted))
+        acc = []
         for weight, poly in weighted:
-            pden = poly.den
-            if den % pden:
-                scale = pden // math.gcd(den, pden)
-                for exps in acc:
-                    acc[exps] *= scale
-                den *= scale
-            factor = weight * (den // pden)
-            for exps, num in poly.nums.items():
-                acc[exps] = acc.get(exps, 0) + num * factor
+            vec = poly.vec
+            factor = weight * (den // poly.den)
+            scaled = vec if factor == 1 else map(mul, vec, repeat(factor))
+            if not acc:
+                acc = list(scaled)
+                continue
+            if len(vec) > len(acc):
+                acc.extend(repeat(0, len(vec) - len(acc)))
+            acc[:len(vec)] = map(add, acc, scaled)
         return cls._from_ints(n, den * row_den, acc)
 
     @property
     def terms(self) -> dict:
-        """The coefficients as ``{exps: Fraction}``, in the order of ``nums``."""
+        """The nonzero coefficients as ``{exps: Fraction}``, in index order."""
         if self._terms is None:
             den = self.den
             self._terms = {exps: Fraction(num, den) for exps, num in self.nums.items()}
         return self._terms
+
+    @property
+    def nums(self) -> dict:
+        """The nonzero numerators as ``{exps: int}``, in index order."""
+        return {exps: num for exps, num in zip(_monomials(self.n).exps, self.vec) if num}
+
+    @property
+    def key(self) -> tuple:
+        """The stored form as a hashable: equal for equal polynomials of a dimension."""
+        return self.den, self.vec
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
@@ -144,53 +256,45 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other over the lcm of the denominators, self's terms first."""
-        self._compat(other)
-        den = math.lcm(self.den, other.den)
-        scale = den // self.den
-        data = {exps: num * scale for exps, num in self.nums.items()}
-        scale = sign * (den // other.den)
-        for exps, num in other.nums.items():
-            num *= scale
-            data[exps] = data[exps] + num if exps in data else num
-        return Polynomial._from_ints(self.n, den, data)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, 1)
+        self._compat(other)
+        return Polynomial._from_weighted(self.n, ((1, self), (1, other)))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_ints(
-            self.n, self.den, {e: -num for e, num in self.nums.items()})
+        return Polynomial._from_ints(self.n, self.den, [-num for num in self.vec])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, -1)
+        self._compat(other)
+        return Polynomial._from_weighted(self.n, ((1, self), (-1, other)))
 
     def __mul__(self, other):
         if is_rational(other):
             c = Fraction(other)
             return Polynomial._from_ints(
                 self.n, self.den * c.denominator,
-                {e: num * c.numerator for e, num in self.nums.items()})
+                list(map(mul, self.vec, repeat(c.numerator))))
         self._compat(other)
-        data = {}
+        top = self.total_degree() + other.total_degree()
+        index = _monomials(self.n)
+        index.grow(top)
+        pos = index.pos
+        data = [0] * index.starts[top + 1]
         for e1, n1 in self.nums.items():
             for e2, n2 in other.nums.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                data[exps] = data.get(exps, 0) + n1 * n2
+                data[pos[tuple(map(add, e1, e2))]] += n1 * n2
         return Polynomial._from_ints(self.n, self.den * other.den, data)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.n == other.n
-                and self.den == other.den and self.nums == other.nums)
+                and self.den == other.den and self.vec == other.vec)
 
     def __bool__(self) -> bool:
-        return bool(self.nums)
+        return bool(self.vec)
 
     def __repr__(self) -> str:
-        if not self.nums:
+        if not self.vec:
             return "Polynomial(0)"
         bits = []
         for exps, coef in sorted(self.terms.items()):
@@ -202,18 +306,20 @@ class Polynomial:
         """Partial derivative with respect to the i-th coordinate (1-based)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside [1, {self.n}]")
-        data = {}
+        pos = _monomials(self.n).pos
+        data = [0] * len(self.vec)
         for exps, num in self.nums.items():
             e = exps[i - 1]
             if e:
-                data[exps[: i - 1] + (e - 1,) + exps[i:]] = num * e
+                data[pos[exps[:i - 1] + (e - 1,) + exps[i:]]] = num * e
         return Polynomial._from_ints(self.n, self.den, data)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.nums), default=0)
+        vec = self.vec
+        return bisect.bisect_right(_monomials(self.n).starts, len(vec) - 1) - 1 if vec else 0
 
     def max_abs_coefficient(self) -> Fraction:
-        return Fraction(max((abs(num) for num in self.nums.values()), default=0), self.den)
+        return Fraction(max(map(abs, self.vec), default=0), self.den)
 
     def evaluate(self, xs: Sequence[float]) -> float:
         if len(xs) != self.n:
@@ -305,20 +411,21 @@ class PolyGauss:
     def derive(self, i: int) -> "PolyGauss":
         """Exact partial derivative: (dp/dx_i - 2 x_i p) * exp(-|x|^2).
 
-        One pass over the terms; the terms of dp/dx_i come first, then the
-        new ones of -2 x_i p, as in the sum of the two polynomials.
+        One gather through the index's map for coordinate i (see
+        ``_Monomials.derive_map``): at each place e of the result,
+        (e_i + 1) times the numerator at e + delta_i minus twice the one at
+        e - delta_i, over the same denominator.
         """
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate index {i} outside [1, {self.n}]")
-        data, shifted = {}, {}
-        for exps, num in self.poly.nums.items():
-            head, e, tail = exps[:i - 1], exps[i - 1], exps[i:]
-            if e:
-                data[head + (e - 1,) + tail] = num * e
-            shifted[head + (e + 1,) + tail] = -2 * num
-        for exps, num in shifted.items():
-            data[exps] = data[exps] + num if exps in data else num
-        return PolyGauss(Polynomial._from_ints(self.n, self.poly.den, data))
+        poly = self.poly
+        vec = poly.vec
+        if not vec:
+            return self
+        weights, ups, downs, size = _monomials(poly.n).derive_map(i - 1, poly.total_degree())
+        padded = vec + (0,) * (size - len(vec))
+        out = [w * up - 2 * down for w, up, down in zip(weights, ups(padded), downs(padded))]
+        return PolyGauss(Polynomial._from_ints(poly.n, poly.den, out))
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -485,25 +592,27 @@ class LineTable:
     power and leave xi_i unscaled.  A float line has L = 1 and keeps the
     recurrence's own floats.
 
-    The entries are kept by columns: ``columns[e]`` is the list
-    [A_0(e), A_1(e), ...], built on first request, extended in place and
-    kept as long as the table (a PhasePoint's table lives as long as the
-    point), so the line integral of a polynomial is a dot product of its
-    coefficients with one entry of each of its columns (see line_moment).
-    The column of e = 0 follows the Gaussian recurrence.  Any other column is built from
-    the column of e lowered at its first nonzero coordinate i, entry by
-    entry: col_e[j] = (L^2 x_i) col_lower[j] + (L xi_i) col_lower[j + 1].
-    Where x_i = 0 only the second term is left, and a chain of such steps
-    would build every column in between, each one entry longer than the
-    next; so the column is built at once from the one with e_i set to 0, by
-    e_i scalings of its entry j + e_i.  A zero weight adds no term, as in a
-    sum over the nonzero terms of the recurrence.  ``root`` and ``root_factor``
-    split sqrt(1/s) of an exact line into the root of its ExactValues and a
-    rational factor, once per line.
+    The entries are kept by rows in the dimension's graded index (see
+    _Monomials): ``rows[q][j]`` is A_q(e) for the tuple e at place j, so
+    that the line integral of a polynomial is a dot product of its
+    numerators with one row (see line_moment).  Entry 0 of each row, e = 0,
+    follows the Gaussian recurrence.  Every other entry lowers e at its
+    first nonzero coordinate i (``_Monomials.lowers``), as
+    A_q(e) = (L^2 x_i) A_q(e - delta_i) + (L xi_i) A_{q+1}(e - delta_i),
+    so block d of row q is built at once from block d - 1 of rows q and
+    q + 1.  A float entry is 0.0 plus the two terms: for finite entries, a
+    zero weight's term is a signed zero that this sum drops, as the
+    recurrence's sum over its nonzero terms, started at 0.0, does.
+    Integrating a polynomial of degree D at order q builds row q + j
+    through block D - j, so a table reaches at most
+    C(D + q + n + 1, n + 1) entries.  Rows are extended in place and kept as
+    long as the table (a PhasePoint's table lives as long as the point).
+    ``root`` and ``root_factor`` split sqrt(1/s) of an exact line into the
+    root of its ExactValues and a rational factor, once per line.
     """
 
     __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "scale",
-                 "root", "root_factor", "columns", "_zero", "_weights")
+                 "root", "root_factor", "rows", "_zero", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -530,82 +639,59 @@ class LineTable:
             self._weights = (self.x, self.xi, self.mean, self.var)
             self.root = self.root_factor = None
             self._zero, one = 0.0, 1.0
-        self.columns = {(0,) * len(x): [one]}
+        self.rows = [[one]]
 
-    def _column(self, e: tuple, length: int) -> list:
-        """The column of ``e``, extended to at least ``length`` entries.
+    def _row(self, q: int, degree: int) -> list:
+        """Row q, built through block ``degree``.
 
-        Walks down from ``e`` to the first column that is long enough, then
-        builds back up, without recursion.  ``e`` is not checked:
-        ``line_moment`` passes the exponents of a validated polynomial.
+        Rows q + degree down to q are extended in turn, row q + j through
+        block degree - j, each from the one above it, without recursion.
         """
-        columns = self.columns
-        col = columns.get(e)
-        if col is not None and len(col) >= length:
-            return col
+        rows = self.rows
         wx, wxi, wmean, wvar = self._weights
-        chain = []  # (e, length, i, lower), from the request down
-        while col is None or len(col) < length:
-            for i, ei in enumerate(e):
-                if ei:
-                    break
-            else:
-                chain.append((e, length, None, None))
-                break
-            lower = e[:i] + ((ei - 1) if wx[i] else 0,) + e[i + 1:]
-            chain.append((e, length, i, lower))
-            length += ei - lower[i]
-            e, col = lower, columns.get(lower)
+        index = _monomials(len(wx))
+        index.grow(degree)
+        starts = index.starts
+        if q + degree < len(rows) and len(rows[q]) >= starts[degree + 1]:
+            return rows[q]
         zero = self._zero
-        for e, length, i, lower in reversed(chain):
-            col = columns.setdefault(e, [])
-            start = len(col)
-            if i is None:  # the Gaussian column; it always holds entry 0
-                for q in range(start, length):
-                    total = zero
-                    if wmean:
-                        total += wmean * col[q - 1]
-                    w = wvar * (q - 1)
-                    if w:
-                        total += w * col[q - 2]
-                    col.append(total)
-                continue
-            low, a, b = columns[lower], wx[i], wxi[i]
-            if a and b:
-                for j in range(start, length):
-                    col.append(zero + a * low[j] + b * low[j + 1])
-            elif a:
-                for j in range(start, length):
-                    col.append(zero + a * low[j])
-            elif b:
-                steps = e[i]
-                for j in range(start, length):
-                    v = low[j + steps]
-                    for _ in range(steps):
-                        v = zero + b * v
-                    col.append(v)
-            else:
-                col.extend([zero] * (length - start))
-        return col
+        while len(rows) <= q + degree:  # entry 0 of each new row
+            r = len(rows)
+            total = zero
+            if wmean:
+                total += wmean * rows[r - 1][0]
+            w = wvar * (r - 1)
+            if w:
+                total += w * rows[r - 2][0]
+            rows.append([total])
+        lowers = index.lowers
+        for r in range(q + degree - 1, q - 1, -1):
+            row, upper = rows[r], rows[r + 1]
+            for d in range(bisect.bisect_left(starts, len(row)), q + degree - r + 1):
+                row.extend([zero + wx[i] * row[p] + wxi[i] * upper[p]
+                            for i, p in lowers[starts[d]:starts[d + 1]]])
+        return rows[q]
 
 
 def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
                 table: LineTable | None = None):
     """Integral of t^q g(x + t*xi) over the real line.
 
-    The dot product of g's coefficients with entry q of their columns in the
-    line's moment table, times sqrt(pi/s) * exp(exponent): an ExactValue on a
-    rational line, a float on any other.  On a rational line with scale L,
-    g's stored numerators ``nums`` over ``den``, of top degree D, give the
-    sum of num * A_q(e) * L^(2(D - |e|)) in ints, with the powers of L^2
-    taken from one list built per call; that sum is mu's dot product times
-    den * L^(q + 2D), and one Fraction is built from it.  ``table`` may pass
-    the table in so that it is shared between calls (a fresh one is built
-    otherwise).  Every call computes its integral anew: a caller that asks
-    for the same one again keeps the value (see PhasePoint).  A table whose
-    own coordinate tuples are passed as x and xi is taken as is; any other
-    is checked, and a table of another line, or of the same line in the
-    other scalars, is rejected.
+    The dot product of g's numerators with row q of the line's moment table,
+    times sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a
+    float on any other.  On a rational line with scale L, g's numerators
+    over ``den``, of top degree D, are summed one degree block d at a time,
+    S_d = the sum of num * A_q(e) over the tuples e of degree d, one
+    ``sum(map(mul, ...))`` over two aligned slices; Horner's rule in L^2
+    combines the blocks into the sum of S_d * L^(2(D - d)), which is mu's
+    dot product times den * L^(q + 2D), and one Fraction is built from it.
+    On a float line the terms num / den * mu are added in index order,
+    leaving out the zero ones.  ``table`` may pass the table in so that it
+    is shared between calls (a fresh one is built otherwise).  Every call
+    computes its integral anew: a caller that asks for the same one again
+    keeps the value (see PhasePoint).  A table whose own coordinate tuples
+    are passed as x and xi is taken as is; any other is checked, and a table
+    of another line, or of the same line in the other scalars, is rejected.
     """
     _check_order(q)
     if len(x) != g.n or len(xi) != g.n:
@@ -616,25 +702,25 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
             table.is_exact == (all_rational(x) and all_rational(xi))
             and tuple(x) == table.x and tuple(xi) == table.xi):
         raise ValueError("line table belongs to another line")
-    column = table._column
-    den, nums = g.poly.den, g.poly.nums
+    poly = g.poly
+    den, vec, top = poly.den, poly.vec, poly.total_degree()
+    row = table._row(q, top) if vec else ()
     if not table.is_exact:
         coef = 0.0
-        for e, num in nums.items():
-            mu = column(e, q + 1)[q]
-            if mu:
+        for num, mu in zip(vec, row):
+            if num and mu:
                 coef += num / den * mu  # float(Fraction(num, den)) * mu
         return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
-    top = g.poly.total_degree()
     scale = table.scale
-    powers = list(itertools.accumulate(itertools.repeat(scale * scale, top),
-                                       operator.mul, initial=1))
+    square = scale * scale
+    starts = _monomials(g.n).starts
     total = 0
-    for e, num in nums.items():
-        total += num * column(e, q + 1)[q] * powers[top - sum(e)]
+    for d in range(top + 1):
+        lo, hi = starts[d], starts[d + 1]
+        total = total * square + sum(map(mul, vec[lo:hi], row[lo:hi]))
     factor = table.root_factor
     coef = Fraction(total * factor.numerator,
-                    den * scale ** q * powers[top] * factor.denominator)
+                    den * scale ** q * square ** top * factor.denominator)
     return ExactValue._trusted(coef, table.root, table.exponent)
 
 
@@ -715,16 +801,12 @@ def field_scale_report(f) -> Fraction:
     return best
 
 
-def exponent_multi_indices(n: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent multi-indices with total degree at most ``degree``."""
-    out = [e for e in itertools.product(range(degree + 1), repeat=n)
-           if sum(e) <= degree]
-    return sorted(out)
-
-
 def random_polynomial(n: int, degree: int, rng: random.Random) -> Polynomial:
+    """Small random coefficients on the exponent tuples of degree <= ``degree``, sorted."""
+    index = _monomials(n)
+    index.grow(degree)
     terms = {}
-    for exps in exponent_multi_indices(n, degree):
+    for exps in sorted(index.exps[:index.starts[degree + 1]]):
         num = rng.randint(-4, 4)
         if num:
             terms[exps] = Fraction(num, rng.choice((1, 2, 3)))

@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -341,6 +342,33 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
     return result
 
 
+# The most entries one line table of a command line run may reach (see
+# _run_cost); a run estimated above it exits with code 2 before it builds any
+# polynomial.  Library calls are not bounded.
+TABLE_BUDGET = 100_000
+
+
+def _run_cost(n: int, m: int, k: int, degree: int, which: str) -> tuple[int, int, int]:
+    """The top polynomial degree of a run, and the dense and table sizes there.
+
+    ``degree`` is the largest degree of a field the run draws or loads.  The
+    kernel suite differentiates a degree-``degree`` potential k + 1 times
+    and applies ``W^k``, which takes m derivatives for k < m and none for
+    k = m, and integrates at orders up to k.  The identities suite takes at
+    most max(m, 1) derivatives and integrates at orders up to
+    max(3, k + 1).  A polynomial of degree D has up to C(D + n, n)
+    numerators, and integrating polynomials of degree at most D at orders at
+    most q fills at most C(D + q + n + 1, n + 1) entries of a line's table
+    (see polygauss.LineTable).
+    """
+    suites = ("kernel", "identities") if which == "all" else (which,)
+    order = max((m + k + 1 if k < m else 0) if name == "kernel" else max(m, 1)
+                for name in suites)
+    q = max(k if name == "kernel" else max(3, k + 1) for name in suites)
+    top = degree + order
+    return top, math.comb(top + n, n), math.comb(top + q + n + 1, n + 1)
+
+
 def run_suites(config: SuiteConfig, which: str) -> list[SuiteResult]:
     if which == "kernel":
         return [suite_kernel(config)]
@@ -396,6 +424,20 @@ def _parse_coef(text, where: str) -> Fraction:
 
 def parse_field(text: str) -> SymTensor:
     """Parse serialized field text; inverse of serialize_field, exactly."""
+    return _build_field(*_read_field(text))
+
+
+def _build_field(n: int, rank: int, comps: dict) -> SymTensor:
+    return sym_field(n, rank, {key: PolyGauss(Polynomial(n, terms))
+                               for key, terms in comps.items()})
+
+
+def _read_field(text: str) -> tuple:
+    """Check serialized field text and return ``(n, rank, {key: {exps: Fraction}})``.
+
+    Builds no polynomial, so that the command line can bound the run's cost
+    by the field's degree first.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -447,8 +489,8 @@ def parse_field(text: str) -> SymTensor:
             if exps in poly_terms:
                 raise FieldParseError(f"{spot}: duplicate exponent {list(exps)}")
             poly_terms[exps] = _parse_coef(term["coef"], spot)
-        comps[key] = PolyGauss(Polynomial(n, poly_terms))
-    return sym_field(n, rank, comps)
+        comps[key] = poly_terms
+    return n, rank, comps
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +560,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    loaded = None
-    if args.field is not None:
-        try:
-            with open(args.field, "r", encoding="utf-8") as handle:
-                loaded = parse_field(handle.read())
-        except OSError as exc:
-            parser.error(f"cannot read field file: {exc}")
-        except FieldParseError as exc:
-            parser.error(f"bad field file: {exc}")
     config = SuiteConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
-                         degree=args.degree, samples=args.samples,
-                         fmt=args.fmt, field=loaded)
+                         degree=args.degree, samples=args.samples, fmt=args.fmt)
     try:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))
+    n, degree, raw = config.n, config.degree, None
+    if args.field is not None:
+        try:
+            with open(args.field, "r", encoding="utf-8") as handle:
+                raw = _read_field(handle.read())
+        except OSError as exc:
+            parser.error(f"cannot read field file: {exc}")
+        except FieldParseError as exc:
+            parser.error(f"bad field file: {exc}")
+        n = raw[0]
+        degree = max(degree, max((sum(exps) for terms in raw[2].values()
+                                  for exps in terms), default=0))
+    top, dense, table = _run_cost(n, config.m, config.k, degree, args.suite)
+    if table > TABLE_BUDGET:
+        parser.error(f"run too large: polynomials of degree up to {top} in {n} "
+                     f"variables ({dense} coefficients each) need line tables of "
+                     f"up to {table} entries, over the limit of {TABLE_BUDGET}")
+    if raw is not None:
+        config.field = _build_field(*raw)
+        try:
+            config.validate()
+        except ValueError as exc:
+            parser.error(str(exc))
     sink = contextlib.nullcontext(sys.stdout)
     if args.out:
         try:

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raymoments import (
     ExactValue,
@@ -21,7 +21,7 @@ from raymoments import (
     serialize_field,
     sym_field,
 )
-from raymoments.polygauss import quadrature_mass, random_polynomial
+from raymoments.polygauss import _monomials, quadrature_mass, random_polynomial
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -126,9 +126,10 @@ class _ReferenceLineTable:
             todo.pop()
         return mu[(q, e)]
 
-    def line_moment(self, g, q):
+    def line_moment(self, terms, q):
+        """The integral of t^q times ``{exps: Fraction}``, summed in the dict's order."""
         coef = 0 * self.s
-        for e, c in g.poly.terms.items():
+        for e, c in terms.items():
             mu = self.moment(q, e)
             if mu:
                 coef += c * mu
@@ -149,22 +150,32 @@ def _decimal_value(v):
     return float(value) * SQRT_PI
 
 
+def _place(e):
+    """The place of an exponent tuple in the graded index of its dimension."""
+    return _monomials(len(e)).pos[e]
+
+
+def _table_entries(table):
+    """Every entry a table has built, as (q, e, entry)."""
+    exps = _monomials(len(table.x)).exps
+    return [(q, exps[j], a) for q, row in enumerate(table.rows) for j, a in enumerate(row)]
+
+
 def _entry(table, q, e):
-    """mu_q(e) of a table, read from its column once a line moment has built it."""
+    """mu_q(e) of a table, read from its row once a line moment has built it."""
     line_moment(PolyGauss(Polynomial(len(e), {e: 1})), q, table.x, table.xi, table)
-    entry = table.columns[e][q]
+    entry = table.rows[q][_place(e)]
     return Fraction(entry, table.scale ** (q + 2 * sum(e))) if table.is_exact else entry
 
 
 def _check_table(table, ref, g, q):
     """The int table of an exact line against the reference, entry by entry."""
-    assert line_moment(g, q, table.x, table.xi, table) == ref.line_moment(g, q)
+    assert line_moment(g, q, table.x, table.xi, table) == ref.line_moment(g.poly.terms, q)
     for e in g.poly.terms:
-        assert table.columns[e][q] == ref.moment(q, e) * table.scale ** (q + 2 * sum(e))
-    for e, col in table.columns.items():
-        assert all(type(v) is int for v in col)
-        assert all(a == ref.moment(j, e) * table.scale ** (j + 2 * sum(e))
-                   for j, a in enumerate(col))
+        assert table.rows[q][_place(e)] == ref.moment(q, e) * table.scale ** (q + 2 * sum(e))
+    for j, e, a in _table_entries(table):
+        assert type(a) is int
+        assert a == ref.moment(j, e) * table.scale ** (j + 2 * sum(e))
 
 
 _small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -369,13 +380,13 @@ class TestLineTable:
         exact = PhasePoint([Fraction(1, 2), Fraction(-1)], [Fraction(1), Fraction(1, 3)])
         assert (exact.line_table.x, exact.line_table.xi) == (exact.x, exact.xi)
         value = extended_transform(f, 1, exact)
-        assert isinstance(value, ExactValue) and len(exact.line_table.columns) > 1
+        assert isinstance(value, ExactValue) and len(_table_entries(exact.line_table)) > 1
         floaty = PhasePoint([0.5, -1.0], [1.0, 1 / 3])
         table = floaty.line_table
         assert not table.is_exact and (table.x, table.xi) == (floaty.x, floaty.xi)
         approx = extended_transform(f, 1, floaty)
-        assert isinstance(approx, float) and len(table.columns) > 1
-        assert all(type(v) is float for col in table.columns.values() for v in col)
+        assert isinstance(approx, float) and len(_table_entries(table)) > 1
+        assert all(type(a) is float for _, _, a in _table_entries(table))
         assert approx == pytest.approx(float(value), rel=1e-12)
 
     def test_high_degree_monomial_builds_iteratively(self):
@@ -408,12 +419,12 @@ class TestLineTable:
         for degree, q, seed in requests:
             g = PolyGauss(random_polynomial(len(x), degree, random.Random(seed)))
             value = line_moment(g, q, x, xi, table)
-            assert value.hex() == ref.line_moment(g, q).hex()
+            assert value.hex() == ref.line_moment(g.poly.terms, q).hex()
             for e in g.poly.terms:
-                assert table.columns[e][q].hex() == ref.moment(q, e).hex()
+                assert table.rows[q][_place(e)].hex() == ref.moment(q, e).hex()
         # every entry the table built, and every one the reference built
-        for e, col in list(table.columns.items()):
-            assert all(a.hex() == ref.moment(j, e).hex() for j, a in enumerate(col))
+        for j, e, a in _table_entries(table):
+            assert a.hex() == ref.moment(j, e).hex()
         for (q, e), a in list(ref.mu.items()):
             assert _entry(table, q, e).hex() == a.hex()
 
@@ -421,7 +432,7 @@ class TestLineTable:
         # x = (1/2, 0), xi = (1, 2/3): s = 13/9, mean = -9/26, var = 9/26
         table = LineTable([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)])
         assert (table.mean, table.var, table.scale) == (Fraction(-9, 26), Fraction(9, 26), 78)
-        assert _entry(table, 1, (0, 0)) == table.mean and table.columns[(0, 0)][1] == -27
+        assert _entry(table, 1, (0, 0)) == table.mean and table.rows[1][_place((0, 0))] == -27
         # 1/s = 9/13 has no rational root; 1/s = 1/4 does
         assert (table.root, table.root_factor) == (Fraction(9, 13), 1)
         table = LineTable([Fraction(1), Fraction(3)], [Fraction(2), Fraction(0)])
@@ -494,8 +505,7 @@ class TestRingOps:
 
 
 # The Fraction-dict arithmetic that Polynomial ran before it stored int
-# numerators over one denominator, kept as the reference of its results and
-# of their term order.
+# numerators over one denominator, kept as the reference of its results.
 
 def _ref_add(a, b):
     data = dict(a)
@@ -585,10 +595,12 @@ class TestIntStorage:
                  (PolyGauss(p).derive(i).poly, _ref_derive(a, i)),
                  (PolyGauss(q).derive(i).poly, _ref_derive(b, i))]
         for got, ref in cases:
-            assert list(got.terms.items()) == list(ref.items())
+            # the reference's terms, listed in index order
+            assert list(got.terms.items()) == sorted(ref.items(), key=lambda t: _place(t[0]))
             assert type(got.den) is int and got.den >= 1
-            assert math.gcd(got.den, *got.nums.values()) == 1
-            assert all(type(num) is int and num for num in got.nums.values())
+            assert math.gcd(got.den, *got.vec) == 1
+            assert all(type(num) is int for num in got.vec)
+            assert not got.vec or got.vec[-1]
             assert got == Polynomial(n, ref)
         for got1, ref1 in cases:
             for got2, ref2 in cases:
@@ -599,6 +611,81 @@ class TestIntStorage:
         for zero in (p - p, p * 0, p + (-p), Polynomial(2, {(0, 0): Fraction(1, 3)}).partial(1)):
             assert (zero.den, zero.nums, zero.terms) == (1, {}, {})
             assert zero == Polynomial.zero(2)
+
+
+def _index_order(e):
+    """By degree, then descending lexicographic: the order of the graded index."""
+    return sum(e), tuple(-v for v in e)
+
+
+_KERNEL_DEGREES = {1: 12, 2: 8, 3: 5, 4: 4, 5: 3}
+_KERNEL_LINES = (([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)]),
+                 ([0.5, 0.0], [1.0, 2 / 3]))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Polynomials as {exps: Fraction} dicts and the arguments of every kernel.
+
+    Three dicts of one dimension 1..5, each possibly empty, with zero
+    coefficients and mixed denominators, the second negating some terms of
+    the first so that sums cancel; a rational scalar; int weights and a row
+    denominator; a coordinate; an order; an exact and a float line.
+    """
+    n = draw(st.integers(1, 5))
+    top = _KERNEL_DEGREES[n]
+    monomial = st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple).filter(
+        lambda e: sum(e) <= top)
+    coef = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9, 12)))
+    dicts = draw(st.lists(st.dictionaries(monomial, coef, max_size=6), min_size=3, max_size=3))
+    dicts[1].update({e: -v for e, v in dicts[0].items() if draw(st.booleans())})
+    c = draw(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8)))
+    weights = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+    lines = (draw(st.lists(_small_rationals, min_size=n, max_size=n)),
+             draw(st.lists(_small_rationals, min_size=n, max_size=n).filter(any)))
+    floats = (draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n)),
+              draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)
+                   .filter(lambda v: max(map(abs, v)) >= 0.1)))
+    return (n, dicts, c, weights, draw(st.integers(1, 12)), draw(st.integers(1, n)),
+            draw(st.integers(0, 4)), lines, floats)
+
+
+class TestDenseKernel:
+    """The numerator tuples and row tables against plain {exps: Fraction} dicts."""
+
+    @given(_kernel_cases())
+    @example((2, [{}, {}, {}], Fraction(3, 2), [1, -2, 3], 6, 1, 2, *_KERNEL_LINES))
+    @example((2, [{(17, 23): Fraction(3, 4)}, {(40, 0): Fraction(-1, 6), (1, 0): Fraction(2)},
+                  {(0, 39): Fraction(5, 9)}], Fraction(-2, 3), [2, 1, -3], 4, 2, 3,
+              *_KERNEL_LINES))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_dicts(self, case):
+        n, dicts, c, weights, row_den, i, q, (x, xi), (fx, fxi) = case
+        refs = [{e: v for e, v in d.items() if v} for d in dicts]
+        polys = [Polynomial(n, d) for d in dicts]
+        (a, b, _), (p, r, _) = refs, polys
+        weighted = {}
+        for w, ref in zip(weights, refs):
+            for e, v in ref.items():
+                weighted[e] = weighted.get(e, Fraction(0)) + w * v / row_den
+        cases = list(zip(polys, refs)) + [
+            (p + r, _ref_add(a, b)), (p - r, _ref_sub(a, b)), (p * c, _ref_scale(a, c)),
+            (PolyGauss(p).derive(i).poly, _ref_derive(a, i)),
+            (PolyGauss(r).derive(i).poly, _ref_derive(b, i)),
+            (Polynomial._from_weighted(n, zip(weights, polys), row_den),
+             {e: v for e, v in weighted.items() if v})]
+        exact, floaty = _ReferenceLineTable(x, xi), _ReferenceLineTable(fx, fxi)
+        for got, ref in cases:
+            assert got.terms == ref
+            assert list(got.terms) == sorted(ref, key=_index_order)
+            assert got.total_degree() == max(map(sum, ref), default=0)
+            # one stored form: trimmed, in lowest terms, zero over 1
+            assert got == Polynomial(n, ref) and (not got.vec or got.vec[-1])
+            assert math.gcd(got.den, *got.vec) == 1 and (got.vec or got.den == 1)
+            g = PolyGauss(got)
+            assert line_moment(g, q, x, xi) == exact.line_moment(ref, q)
+            ordered = dict(sorted(ref.items(), key=lambda t: _index_order(t[0])))
+            assert line_moment(g, q, fx, fxi).hex() == floaty.line_moment(ordered, q).hex()
 
 
 class TestExactValue:

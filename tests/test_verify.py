@@ -500,3 +500,93 @@ class TestLineIntegralCount:
         capsys.readouterr()
         assert len(seen) == calls
         assert len(set(seen)) == calls
+
+
+# the command lines of the six golden reports
+GOLDEN_ARGVS = {
+    "all-n2": ["--suite", "all", "--n", "2", "--m", "2", "--k", "1", "--samples", "3",
+               "--seed", "13"],
+    "ident-moments": ["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+                      "--samples", "20", "--degree", "6", "--seed", "7"],
+    "ident-mixed": ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+                    "--samples", "3", "--degree", "2", "--seed", "7"],
+    "kernel-op": ["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+                  "--samples", "2", "--degree", "2", "--seed", "7"],
+    "order-two": ["--suite", "all", "--n", "3", "--m", "3", "--k", "2",
+                  "--samples", "2", "--degree", "2", "--seed", "7"],
+    "wide": ["--suite", "identities", "--n", "4", "--m", "3", "--k", "1",
+             "--samples", "2", "--degree", "2", "--seed", "7"],
+}
+
+
+class TestRunBudget:
+    """The closed-form size estimate, and the exit before an over-budget run."""
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS.values(), ids=GOLDEN_ARGVS.keys())
+    def test_estimate_bounds_what_a_golden_run_builds(self, monkeypatch, capsys, argv):
+        built = {"degree": 0, "table": 0}
+        init, from_ints = Polynomial.__init__, Polynomial._from_ints.__func__
+
+        def counting_init(self, n, terms=None):
+            init(self, n, terms)
+            built["degree"] = max(built["degree"], self.total_degree())
+
+        def counting_from_ints(cls, n, den, nums):
+            out = from_ints(cls, n, den, nums)
+            built["degree"] = max(built["degree"], out.total_degree())
+            return out
+
+        line_moment = moments.line_moment
+
+        def counting_line_moment(g, q, x, xi, table=None):
+            value = line_moment(g, q, x, xi, table)
+            built["table"] = max(built["table"], sum(map(len, table.rows)))
+            return value
+
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        monkeypatch.setattr(Polynomial, "_from_ints", classmethod(counting_from_ints))
+        monkeypatch.setattr(moments, "line_moment", counting_line_moment)
+        args = verify.build_parser().parse_args(argv)
+        top, dense, table = verify._run_cost(args.n, args.m, args.k, args.degree, args.suite)
+        assert main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        assert 0 < built["degree"] <= top
+        assert dense == math.comb(top + args.n, args.n)
+        assert 0 < built["table"] <= table <= verify.TABLE_BUDGET // 10
+
+    @staticmethod
+    def _refuse_polynomials(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        monkeypatch.setattr(Polynomial, "_from_ints", classmethod(refuse))
+
+    def test_over_budget_field_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        # one term of degree 100,000: dense, about 5e9 coefficients
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"n": 2, "rank": 1, "components": {
+            "1": [{"exp": [100000, 0], "coef": "1"}]}}))
+        self._refuse_polynomials(monkeypatch)
+        with pytest.raises(SystemExit) as err:
+            main(["--suite", "kernel", "--n", "2", "--m", "1", "--samples", "1",
+                  "--field", str(path)])
+        assert err.value.code == 2
+        assert f"over the limit of {verify.TABLE_BUDGET}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "all", "--n", "12", "--m", "2", "--k", "1", "--degree", "2"],
+        ["--suite", "kernel", "--n", "2", "--m", "1", "--degree", "300"],
+    ], ids=["wide", "deep"])
+    def test_over_budget_dimension_or_degree_exits_two(self, monkeypatch, capsys, argv):
+        self._refuse_polynomials(monkeypatch)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"over the limit of {verify.TABLE_BUDGET}" in capsys.readouterr().err
+
+    def test_estimate_of_the_sparse_wide_argv_is_within_budget(self):
+        # --suite all --n 8 --m 1 --k 0 --degree 2, checked in CI, and
+        # --n 12 --m 1 --degree 1: the sparsest drawn inputs measured
+        assert verify._run_cost(8, 1, 0, 2, "all")[2] <= verify.TABLE_BUDGET // 5
+        assert verify._run_cost(12, 1, 1, 1, "all")[2] <= verify.TABLE_BUDGET // 5
