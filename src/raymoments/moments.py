@@ -10,7 +10,9 @@ Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression), so every transform-level identity
 can be evaluated exactly on rational lines.  The two John identities read
-one table of John data per multiset of coordinate pairs p < q.
+one table of John data per multiset of coordinate pairs p < q.  The
+rewrite chains behind that table do not depend on the line: each field
+holds them, built once, and a point only evaluates them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .diffops import _pair_key, _pair_multisets, alternated_derivative
+from .diffops import _pair_key, alternated_derivative
 from .polygauss import (
     ExactValue,
     LineTable,
@@ -40,7 +42,6 @@ from .symtensor import (
     _check_indices,
     SymTensor,
     all_canonical_tuples,
-    restrict,
     restriction_indices,
     symmetrize,
     tuple_multiplicity,
@@ -62,12 +63,14 @@ class PhasePoint:
     Three memos, which live as long as the point, make each value at it one
     computation.  ``transforms`` holds transform data under
     ``(q, sorted fixed, sorted derivs, id(field))`` and ``john_tables`` the
-    John tables under ``(sorted fixed, id(field))``; each entry also holds
-    its field, so that no id in a key can pass to another field while the
-    entry lives.  ``integrals`` holds line integrals of PolyGauss values
-    under the order and the polynomial's stored form, ``(q, poly.key)``, so
-    that a polynomial reached through two objects is integrated once.  Every line
-    integral this module takes goes through ``integral``.
+    John tables under ``(sorted fixed, id(field))``: the values at this
+    point of the John chains that the field holds (see ``_john_table``).
+    Each entry also holds its field, so that no id in a key can pass to
+    another field while the entry lives.  ``integrals`` holds line
+    integrals of PolyGauss values under the order and the polynomial's
+    stored form, ``(q, poly.key)``, so that a polynomial reached through two
+    objects is integrated once.  Every line integral this module takes goes
+    through ``integral``.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
@@ -528,15 +531,44 @@ def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
     return total.evaluate(pt)
 
 
+def _chains(f: SymTensor, fixed: Sequence[int], kind: str) -> dict:
+    """Rewrite chains of the zeroth transform of f restricted at ``fixed``.
+
+    One MomentExpression per multiset of ``r = rank - len(fixed)`` letters,
+    keyed by the multiset as a sorted tuple.  For ``kind`` "john" the
+    letters are the pairs p < q and each applies ``john``; for "dx" they are
+    the axes and each applies ``dx``.  Both rewrites commute, so a multiset
+    names its chain, and each shorter chain is built once and extended by
+    every letter that may follow it.  A chain does not depend on the point:
+    it is built once per field, fixed multiset and kind, and held in the
+    field's ``chains``, as the field's derivatives are held in its jet.
+    """
+    memo_key = (kind, tuple(sorted(fixed)))
+    hit = f.chains.get(memo_key)
+    if hit is None:
+        axes = range(1, f.n + 1)
+        letters = list(itertools.combinations(axes, 2)) if kind == "john" else axes
+        size = f.rank - len(fixed)
+        chains = {(): MomentExpression.transform(f, 0, fixed)}
+        for length in range(1, size + 1):
+            for word in itertools.combinations_with_replacement(letters, length):
+                prefix, last = chains[word[:-1]], word[-1]
+                chains[word] = john(prefix, *last) if kind == "john" else dx(prefix, last)
+        hit = f.chains[memo_key] = {word: e for word, e in chains.items()
+                                    if len(word) == size}
+    return hit
+
+
 def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> dict:
     """The (m-k)-fold John data of the k-fold restriction, per pair multiset.
 
-    Evaluates at pt the zeroth transform of f restricted at ``fixed``, with
-    one John operator per pair of each multiset of pairs p < q, under
-    ``_pair_key(pairs)[0]``.  John operators commute and ``J_qp = -J_pq``,
-    so any other ordered chain is a signed entry.  Built once per point,
-    field and fixed multiset (the point's ``john_tables``); callers only
-    read it.
+    Evaluates at pt the John chains of f at ``fixed`` (``_chains``): the
+    zeroth transform of f restricted at ``fixed``, with one John operator
+    per pair of each multiset of pairs p < q, under ``_pair_key(pairs)[0]``.
+    John operators commute and ``J_qp = -J_pq``, so any other ordered chain
+    is a signed entry.  The chains are built once per field and fixed
+    multiset, however many points read them; the table of their values once
+    per point (the point's ``john_tables``).  Callers only read it.
     """
     m = f.rank
     if not 0 <= k < m:
@@ -546,13 +578,8 @@ def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> d
     memo_key = (tuple(sorted(fixed)), id(f))
     hit = pt.john_tables.get(memo_key)
     if hit is None:
-        base = MomentExpression.transform(f, 0, fixed)
-        table = {}
-        for pairs in _pair_multisets(f.n, m - k):
-            e = base
-            for p, q in pairs:
-                e = john(e, p, q)
-            table[_pair_key(pairs)[0]] = e.evaluate(pt)
+        table = {_pair_key(pairs)[0]: e.evaluate(pt)
+                 for pairs, e in _chains(f, fixed, "john").items()}
         hit = pt.john_tables[memo_key] = (f, table)
     return hit[1]
 
@@ -563,14 +590,35 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
 
     Compares the John data of each pair multiset p < q with (-2)^(m-k)
     (m-k)! times the scalar transform of the matching alternated-derivative
-    component of the k-fold restriction.
+    component of the k-fold restriction, read from f's jet.
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
-    alt = alternated_derivative(restrict(f, fixed))
+    alt = alternated_derivative(f, fixed)
     scale = Fraction((-2) ** mk * math.factorial(mk))
     return max((value_diff(lhs, pt.integral(alt.get(key), 0) * scale)
                 for key, lhs in table.items()), default=0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _signed_pair_reads(n: int, r: int) -> tuple:
+    """The John table entries that the collapsed derivatives read, per q-tuple.
+
+    One ``(sorted qt, reads)`` item per ordered r-tuple qt of axes, where
+    ``reads`` lists ``(ptuple, key, sign)`` for each r-tuple ptuple with no
+    ``p_a == q_a``: the chain of the pairs ``(p_a, q_a)`` is ``sign`` times
+    the table entry at ``key`` (``_pair_key``).
+    """
+    axes = range(1, n + 1)
+    out = []
+    for qt in itertools.product(axes, repeat=r):
+        reads = []
+        for ptuple in itertools.product(axes, repeat=r):
+            key, sign = _pair_key(zip(ptuple, qt))
+            if sign:
+                reads.append((ptuple, key, sign))
+        out.append((tuple(sorted(qt)), tuple(reads)))
+    return tuple(out)
 
 
 def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -581,25 +629,18 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     data against the direction components must equal (-1)^(m-k) (m-k)! times
     the corresponding x-derivative of the restricted transform; holds with no
     kernel hypothesis on f.  Each ordered John chain is a signed entry of the
-    John table, read through ``_pair_key``.
+    John table (``_signed_pair_reads``), and each x-derivative a ``dx``
+    chain that the field holds (``_chains``).
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
-    base = MomentExpression.transform(f, 0, fixed)
+    rhs_chains = _chains(f, fixed, "dx")
     scale = Fraction((-1) ** mk * math.factorial(mk))
     best = 0.0
-    for qt in itertools.product(range(1, f.n + 1), repeat=mk):
-        pairs = []
-        for ptuple in itertools.product(range(1, f.n + 1), repeat=mk):
-            key, sign = _pair_key(zip(ptuple, qt))
-            if sign:
-                weight = math.prod(pt.xi[pa - 1] for pa in ptuple) * sign
-                pairs.append((weight, table[key]))
-        acc = _weighted_sum(pairs, pt.zero)
-        rhs_e = base
-        for i in qt:
-            rhs_e = dx(rhs_e, i)
-        rhs = rhs_e.evaluate(pt) * scale
+    for qkey, reads in _signed_pair_reads(f.n, mk):
+        acc = _weighted_sum(((math.prod(pt.xi[pa - 1] for pa in ptuple) * sign, table[key])
+                             for ptuple, key, sign in reads), pt.zero)
+        rhs = rhs_chains[qkey].evaluate(pt) * scale
         best = max(best, value_diff(acc, rhs))
     return best
 

@@ -84,11 +84,22 @@ class _SparseTensor:
                 data[idx] = value
         self.components = data
 
+    @classmethod
+    def _trusted(cls, n: int, shape: tuple, data: dict, zero: Any):
+        """A tensor that keeps ``data`` as it is, without checking a key.
+
+        Every key of ``data`` must be canonical and no value the zero
+        scalar: the operators' stencil rows are keyed so, and the rows that
+        sum to zero are left out.
+        """
+        out = cls(n, *shape, zero=zero)
+        out.components = data
+        return out
+
     def _like(self, data: dict):
         """Same kind and shape, over keys that are canonical already."""
-        out = type(self)(self.n, *self.shape, zero=self.zero)
-        out.components = {k: v for k, v in data.items() if v != self.zero}
-        return out
+        return self._trusted(self.n, self.shape,
+                             {k: v for k, v in data.items() if v != self.zero}, self.zero)
 
     def get(self, indices: Sequence[int]):
         return self.components.get(self._key(indices), self.zero)
@@ -140,14 +151,17 @@ class SymTensor(_SparseTensor):
     """A fully symmetric tensor over an arbitrary scalar type.
 
     Component lookup accepts the indices in any order.  ``jet`` memoizes
-    partial derivatives of the components (see polygauss); it stays valid
-    because a tensor is never changed after it is built.
+    partial derivatives of the components (see polygauss), and ``chains``
+    the John and x-derivative chains of the transform data of its
+    restrictions (see moments); both stay valid because a tensor is never
+    changed after it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,
                  zero: Any = Fraction(0)):
         self.rank = rank
         self.jet = {}
+        self.chains = {}
         super().__init__(n, (rank,), components, zero)
 
     def _key(self, key) -> Index:

@@ -629,7 +629,7 @@ class TestJohnTable:
                 chains += 1
         assert chains == (n * (n - 1)) ** (m - k)
 
-    def test_built_once_per_point(self, monkeypatch):
+    def test_chains_built_once_per_field_and_fixed_multiset(self, monkeypatch):
         calls = []
         original = moments.john
 
@@ -639,16 +639,33 @@ class TestJohnTable:
 
         monkeypatch.setattr(moments, "john", counting)
         f = random_field(3, 2, 1, "johnonce")
-        pt = random_phase_point(3, random.Random(42))
+        rng = random.Random(42)
+        pt = random_phase_point(3, rng)
         assert john_power_residual(f, 1, (2,), pt) == 0.0
         built = len(calls)
-        assert built == len(_john_table(f, 1, (2,), pt))
+        table = _john_table(f, 1, (2,), pt)
+        assert built == len(table)
         assert collapsed_derivative_residual(f, 1, (2,), pt) == 0.0
+        # the table of values is built once per point
+        assert _john_table(f, 1, (2,), pt) is table
+        # however many points read the chains
+        for _ in range(4):
+            other = random_phase_point(3, rng)
+            assert john_power_residual(f, 1, (2,), other) == 0.0
+            assert collapsed_derivative_residual(f, 1, (2,), other) == 0.0
+        assert _john_table(f, 1, (2,), PhasePoint(pt.x, pt.xi)) == table
         assert len(calls) == built
-        # another fixed multiset or another point builds its own table
+        # another fixed multiset or another field builds its own chains
         _john_table(f, 1, (3,), pt)
-        _john_table(f, 1, (2,), PhasePoint(pt.x, pt.xi))
+        assert len(calls) == 2 * built
+        _john_table(random_field(3, 2, 1, "johnonce:other"), 1, (2,), pt)
         assert len(calls) == 3 * built
+        # a fixed multiset is one, in whatever order its indices come
+        g = random_field(3, 3, 1, "johnonce:rank3")
+        _john_table(g, 2, (3, 1), pt)
+        built_g = len(calls)
+        _john_table(g, 2, (1, 3), PhasePoint(pt.x, pt.xi))
+        assert len(calls) == built_g
 
 
 class TestJohnPower:
@@ -680,6 +697,26 @@ class TestCollapsedDerivative:
         fixed = tuple(rng.randint(1, n) for _ in range(k))
         pt = random_phase_point(n, rng)
         assert collapsed_derivative_residual(f, k, fixed, pt) == 0.0
+
+    def test_rewrites_built_once_per_field_and_fixed_multiset(self, monkeypatch):
+        # the John chains and the right side's dx chains are both held by the field
+        calls = []
+        original = moments.dx
+
+        def counting(e, i):
+            calls.append(i)
+            return original(e, i)
+
+        monkeypatch.setattr(moments, "dx", counting)
+        f = random_field(3, 3, 1, "dxonce")
+        rng = random.Random(43)
+        assert collapsed_derivative_residual(f, 1, (2,), random_phase_point(3, rng)) == 0.0
+        built = len(calls)
+        assert built
+        for _ in range(3):
+            pt = random_phase_point(3, rng)
+            assert collapsed_derivative_residual(f, 1, (2,), pt) == 0.0
+        assert len(calls) == built
 
     def test_single_step_case(self):
         # m-k = 1 collapses in one application

@@ -2,13 +2,16 @@ import json
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import raymoments
 import raymoments.diffops as diffops
 import raymoments.moments as moments
+import raymoments.symtensor as symtensor
 import raymoments.verify as verify
 from raymoments import (
     PolyGauss,
@@ -500,6 +503,49 @@ class TestLineIntegralCount:
         capsys.readouterr()
         assert len(seen) == calls
         assert len(set(seen)) == calls
+
+
+class TestJetCount:
+    """A verdict takes each derivative of its field once, in the field's own jet.
+
+    The operators and the John residuals read a restriction as an address
+    into that jet, so the one restricted tensor a sample builds is the
+    independent right side of ``restricted-recovery``.
+    """
+
+    @pytest.mark.parametrize("argv,derives,restricts", [
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 9, 20),
+        (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+          "--samples", "3", "--degree", "2"], 137, 3),
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 160, 0),
+    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
+    def test_derives_and_restrictions(self, monkeypatch, capsys, argv, derives, restricts):
+        derived = []
+        derive = PolyGauss.derive
+
+        def counting_derive(self, i):
+            derived.append(i)
+            return derive(self, i)
+
+        callers = []
+        restrict = symtensor.restrict
+
+        def counting_restrict(f, fixed):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return restrict(f, fixed)
+
+        monkeypatch.setattr(PolyGauss, "derive", counting_derive)
+        for module in (raymoments, symtensor, diffops, moments, verify):
+            for name, value in list(vars(module).items()):
+                if value is restrict:
+                    monkeypatch.setattr(module, name, counting_restrict)
+        assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(derived) == derives
+        # once per sample, in the suite itself: the restricted-recovery record
+        assert callers == ["suite_identities"] * restricts
 
 
 # the command lines of the six golden reports
