@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 import sys
 from fractions import Fraction
@@ -60,7 +59,7 @@ class PhasePoint:
     denominators of xi, so that the direction weights of a rank-r transform
     datum are ints over ``xi_den**r`` (see ``_transform_value``).
 
-    Three memos, which live as long as the point, make each value at it one
+    Four memos, which live as long as the point, make each value at it one
     computation.  ``transforms`` holds transform data under
     ``(q, sorted fixed, sorted derivs, id(field))`` and ``john_tables`` the
     John tables under ``(sorted fixed, id(field))``: the values at this
@@ -70,7 +69,9 @@ class PhasePoint:
     integrals of PolyGauss values under the order and the polynomial's
     stored form, ``(q, poly.key)``, so that a polynomial reached through two
     objects is integrated once.  Every line integral this module takes goes
-    through ``integral``.
+    through ``integral``.  ``direction_weights`` holds, per rank, the
+    direction weight of each canonical key (see ``_direction_weights``).
+    ``xi_norm_sq`` and ``x_dot_xi`` read s and c from the line table.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
@@ -86,6 +87,7 @@ class PhasePoint:
         self.transforms: dict = {}
         self.john_tables: dict = {}
         self.integrals: dict = {}
+        self.direction_weights: dict = {}
 
     def integral(self, g, q: int):
         """The integral of t^q g along the point's line, computed once."""
@@ -102,18 +104,18 @@ class PhasePoint:
         return len(self.x)
 
     def xi_norm_sq(self):
-        return sum(v * v for v in self.xi)
+        return self.line_table.s
 
     def x_dot_xi(self):
-        return sum(a * b for a, b in zip(self.x, self.xi))
+        return self.line_table.c
 
     def project(self) -> "TSPoint":
         """The oriented-line representative: orthogonal offset, unit direction."""
-        s = self.xi_norm_sq()
-        c = self.x_dot_xi()
         if self.is_exact:
-            xp = tuple(a - (c / s) * b for a, b in zip(self.x, self.xi))
-            lam = rational_sqrt(s)
+            table = self.line_table
+            # mean = -c/s, the parameter of the line's closest point
+            xp = tuple(a + table.mean * b for a, b in zip(self.x, self.xi))
+            lam = rational_sqrt(table.s)
             if lam is not None:
                 return TSPoint(xp, tuple(b / lam for b in self.xi))
             x, xi = [float(v) for v in xp], [float(v) for v in self.xi]
@@ -256,35 +258,100 @@ def magnitude(v) -> float:
 def value_diff(a, b) -> float:
     """Absolute difference of two transform values.
 
-    Two ExactValues are subtracted exactly and the difference goes through
-    ``magnitude``, so the result is 0.0 iff they are equal; values that
-    cannot be subtracted exactly (different exponents or incompatible roots)
-    raise ArithmeticError.  Two floats, on the float route, give the float
-    difference; an ExactValue against a float raises TypeError.
+    Two ExactValues are subtracted exactly, as an int sum (``_exact_sum``),
+    and the difference goes through ``magnitude``, so the result is 0.0 iff
+    they are equal; values that cannot be subtracted exactly (different
+    exponents or incompatible roots) raise ArithmeticError.  Two floats, on
+    the float route, give the float difference; an ExactValue against a
+    float raises TypeError.
     """
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
-        return magnitude(a - b)
+        return magnitude(_exact_sum(((1, a), (-1, b))))
     if isinstance(a, ExactValue) or isinstance(b, ExactValue):
         raise TypeError("cannot compare an exact value with a float one")
     return abs(float(a) - float(b))
 
 
+_EXACT_ZERO = ExactValue.zero_value()
+
+
+def _exact_sum(pairs) -> ExactValue:
+    """Sum of rational weight * ExactValue over (weight, value) pairs.
+
+    Terms with a zero weight or value drop out, as zeros do in
+    ``ExactValue.__add__``.  Every other term must share the exponent of the
+    first; its root is brought to the first term's root by the rational
+    ratio sqrt(root / first root) that ``ExactValue.__add__`` uses, and
+    ArithmeticError is raised where either fails.  The terms are then int
+    numerators over int denominators, added over their lcm into one
+    Fraction.
+    """
+    nums, dens = [], []
+    root = exponent = None
+    for w, v in pairs:
+        coef = v.coef
+        if not (w and coef):
+            continue
+        num, den = w.numerator * coef.numerator, w.denominator * coef.denominator
+        if root is None:
+            root, exponent = v.root, v.exponent
+        else:
+            if v.exponent != exponent:
+                raise ArithmeticError("cannot add exact values with different exponents")
+            if v.root != root:
+                ratio = rational_sqrt(v.root / root)
+                if ratio is None:
+                    raise ArithmeticError("cannot add exact values with incompatible roots")
+                num, den = num * ratio.numerator, den * ratio.denominator
+        nums.append(num)
+        dens.append(den)
+    if not nums:
+        return _EXACT_ZERO
+    common = math.lcm(*dens)
+    total = sum(num * (common // den) for num, den in zip(nums, dens))
+    return ExactValue._trusted(Fraction(total, common), root, exponent)
+
+
 def _weighted_sum(pairs, zero):
     """Sum of weight * value over (weight, value) pairs; ``zero`` if none.
 
-    Exact (an ExactValue) when every value is exact and every weight
-    rational, ``math.fsum`` of the float products when no value is exact.
-    An exact value with a float value or weight raises TypeError, as in
-    ``value_diff``: an exact sum never falls back to float.
+    Exact (an ExactValue, summed in ints by ``_exact_sum``) when every value
+    is exact and every weight rational, ``math.fsum`` of the float products
+    when no value is exact.  An exact value with a float value or weight
+    raises TypeError, as in ``value_diff``: an exact sum never falls back to
+    float.
     """
     pairs = list(pairs)
     if not pairs:
         return zero
     if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
-        return functools.reduce(operator.add, (v.scaled(w) for w, v in pairs))
+        return _exact_sum(pairs)
     if any(isinstance(v, ExactValue) for _, v in pairs):
         raise TypeError("cannot sum exact values with float values or weights")
     return math.fsum(float(w) * float(v) for w, v in pairs)
+
+
+@functools.lru_cache(maxsize=64)
+def _keys_with_multiplicity(n: int, rank: int) -> tuple:
+    """``(key, tuple_multiplicity(key))`` for the canonical keys of a rank."""
+    return tuple((key, tuple_multiplicity(key)) for key in all_canonical_tuples(n, rank))
+
+
+def _direction_weights(pt: PhasePoint, rank: int) -> tuple:
+    """``(key, weight)`` for each canonical key of ``rank`` with a nonzero weight.
+
+    The weight of key J is its multiplicity times the product of xi_j over
+    J, in ``pt.xi_nums`` on an exact point (an int over ``pt.xi_den**rank``)
+    and in ``pt.xi`` on a float one.  Built once per point and rank, in the
+    point's ``direction_weights``.
+    """
+    hit = pt.direction_weights.get(rank)
+    if hit is None:
+        xi = pt.xi_nums if pt.is_exact else pt.xi
+        hit = pt.direction_weights[rank] = tuple(
+            (key, weight) for key, mult in _keys_with_multiplicity(pt.n, rank)
+            if (weight := math.prod((xi[j - 1] for j in key), start=mult)))
+    return hit
 
 
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
@@ -299,7 +366,7 @@ def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     integral (none when the contraction is zero).  On a float point each
     entry is integrated and the values are summed in floats.  Read through
     the point's memos: the value once per datum, each integral once per
-    point.
+    point, the weights once per rank (``_direction_weights``).
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
@@ -307,12 +374,8 @@ def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     hit = pt.transforms.get(memo_key)
     if hit is None:
         rank = f.rank - len(fixed)
-        xi = pt.xi_nums if pt.is_exact else pt.xi
-        weighted = []
-        for key in all_canonical_tuples(f.n, rank):
-            weight = math.prod((xi[j - 1] for j in key), start=tuple_multiplicity(key))
-            if weight:
-                weighted.append((weight, _jet(f, fixed + key, derivs)))
+        weighted = [(weight, _jet(f, fixed + key, derivs))
+                    for key, weight in _direction_weights(pt, rank)]
         if pt.is_exact:
             poly = Polynomial._from_weighted(
                 f.n, ((weight, comp.poly) for weight, comp in weighted), pt.xi_den ** rank)
@@ -399,12 +462,16 @@ class MomentExpression:
     Closed under the derivative rewrites below; atoms are deduplicated by
     (order, restriction, derivatives, field) with coefficient merging so that
     structurally canceling identities collapse to the empty expression.
+    ``gradients`` holds the expression's ``dx`` and ``dxi`` gradients once
+    they are built (see ``_gradient``); an expression is never changed, so
+    they stay valid as long as it lives.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "gradients")
 
     def __init__(self, terms=()):
         self.terms = tuple(terms)
+        self.gradients = None
 
     @classmethod
     def zero(cls) -> "MomentExpression":
@@ -511,23 +578,30 @@ def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
 
     Symmetrizes over the fixed indices an alternating sum of mixed x/xi
     derivatives of the transforms of orders 0..r and evaluates at pt; equals
-    the zeroth transform of the restriction of f at those indices.
+    the zeroth transform of the restriction of f at those indices.  The sum
+    runs over every ordering of the fixed indices, so it depends only on
+    their multiset and not on the point: the expression is built once per
+    field and sorted fixed multiset and held in the field's ``chains``,
+    beside the John and ``dx`` chains (see ``_chains``).
     """
-    m = f.rank
-    fixed = restriction_indices(f, fixed)
-    r = len(fixed)
-    perms = list(itertools.permutations(fixed)) or [()]
-    weight = Fraction(1, len(perms))
-    total = MomentExpression.zero()
-    for perm in perms:
-        for p in range(r + 1):
-            e = MomentExpression.transform(f, p) * (_recovery_term(r, p) * weight)
-            for i in perm[:p]:
-                e = dx(e, i)
-            for i in perm[p:]:
-                e = dxi(e, i)
-            total = total + e
-    total = total * Fraction(math.factorial(m - r), math.factorial(m))
+    fixed = tuple(sorted(restriction_indices(f, fixed)))
+    memo_key = ("recovery", fixed)
+    total = f.chains.get(memo_key)
+    if total is None:
+        m, r = f.rank, len(fixed)
+        perms = list(itertools.permutations(fixed)) or [()]
+        weight = Fraction(1, len(perms))
+        total = MomentExpression.zero()
+        for perm in perms:
+            for p in range(r + 1):
+                e = MomentExpression.transform(f, p) * (_recovery_term(r, p) * weight)
+                for i in perm[:p]:
+                    e = dx(e, i)
+                for i in perm[p:]:
+                    e = dxi(e, i)
+                total = total + e
+        total = f.chains[memo_key] = total * Fraction(math.factorial(m - r),
+                                                      math.factorial(m))
     return total.evaluate(pt)
 
 
@@ -542,6 +616,8 @@ def _chains(f: SymTensor, fixed: Sequence[int], kind: str) -> dict:
     every letter that may follow it.  A chain does not depend on the point:
     it is built once per field, fixed multiset and kind, and held in the
     field's ``chains``, as the field's derivatives are held in its jet.
+    The same dict holds ``recover_restricted``'s expressions under
+    ``("recovery", sorted fixed)``.
     """
     memo_key = (kind, tuple(sorted(fixed)))
     hit = f.chains.get(memo_key)
@@ -602,22 +678,24 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
 
 @functools.lru_cache(maxsize=64)
 def _signed_pair_reads(n: int, r: int) -> tuple:
-    """The John table entries that the collapsed derivatives read, per q-tuple.
+    """The John table entries that the collapsed derivatives read, per q-multiset.
 
-    One ``(sorted qt, reads)`` item per ordered r-tuple qt of axes, where
-    ``reads`` lists ``(ptuple, key, sign)`` for each r-tuple ptuple with no
+    One ``(qt, reads)`` item per sorted r-tuple qt of axes, where ``reads``
+    lists ``(ptuple, key, sign)`` for each r-tuple ptuple with no
     ``p_a == q_a``: the chain of the pairs ``(p_a, q_a)`` is ``sign`` times
-    the table entry at ``key`` (``_pair_key``).
+    the table entry at ``key`` (``_pair_key``).  A rearrangement of qt,
+    with its ptuples rearranged alike, reads the same entries with the same
+    signs and direction weights, so only sorted tuples are walked.
     """
     axes = range(1, n + 1)
     out = []
-    for qt in itertools.product(axes, repeat=r):
+    for qt in itertools.combinations_with_replacement(axes, r):
         reads = []
         for ptuple in itertools.product(axes, repeat=r):
             key, sign = _pair_key(zip(ptuple, qt))
             if sign:
                 reads.append((ptuple, key, sign))
-        out.append((tuple(sorted(qt)), tuple(reads)))
+        out.append((qt, tuple(reads)))
     return tuple(out)
 
 
@@ -628,9 +706,11 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     For every derivative multi-index the contraction of the (m-k)-fold John
     data against the direction components must equal (-1)^(m-k) (m-k)! times
     the corresponding x-derivative of the restricted transform; holds with no
-    kernel hypothesis on f.  Each ordered John chain is a signed entry of the
-    John table (``_signed_pair_reads``), and each x-derivative a ``dx``
-    chain that the field holds (``_chains``).
+    kernel hypothesis on f.  Both sides depend only on the multiset of the
+    derivative multi-index, so one sorted tuple stands for its
+    rearrangements.  Each ordered John chain is a signed entry of the John
+    table (``_signed_pair_reads``), and each x-derivative a ``dx`` chain
+    that the field holds (``_chains``).
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
@@ -739,13 +819,35 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
     return value_diff(lhs, acc)
 
 
+def _gradient(e: MomentExpression, kind: str, n: int) -> tuple:
+    """The expressions ``dx(e, i)`` (kind "dx") or ``dxi(e, i)`` for i = 1..n.
+
+    They do not depend on the point: each is built once per expression and
+    held in its ``gradients``, however many points evaluate it.
+    """
+    if e.gradients is None:
+        e.gradients = {}
+    memo_key = (kind, n)
+    hit = e.gradients.get(memo_key)
+    if hit is None:
+        rewrite = dx if kind == "dx" else dxi
+        hit = e.gradients[memo_key] = tuple(rewrite(e, i) for i in range(1, n + 1))
+    return hit
+
+
 def directional_x_derivative(e: MomentExpression, pt: PhasePoint):
-    """Evaluate the direction-contracted x-gradient of transform data at pt."""
-    return _weighted_sum(((pt.xi[i - 1], dx(e, i).evaluate(pt))
-                          for i in range(1, pt.n + 1)), pt.zero)
+    """Evaluate the direction-contracted x-gradient of transform data at pt.
+
+    The gradient expressions are held by ``e`` (see ``_gradient``).
+    """
+    return _weighted_sum(zip(pt.xi, (g.evaluate(pt) for g in _gradient(e, "dx", pt.n))),
+                         pt.zero)
 
 
 def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
-    """Evaluate the direction-contracted xi-gradient of transform data at pt."""
-    return _weighted_sum(((pt.xi[i - 1], dxi(e, i).evaluate(pt))
-                          for i in range(1, pt.n + 1)), pt.zero)
+    """Evaluate the direction-contracted xi-gradient of transform data at pt.
+
+    The gradient expressions are held by ``e`` (see ``_gradient``).
+    """
+    return _weighted_sum(zip(pt.xi, (g.evaluate(pt) for g in _gradient(e, "dxi", pt.n))),
+                         pt.zero)

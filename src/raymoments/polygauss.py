@@ -572,7 +572,8 @@ class LineTable:
 
     A line whose coordinates are all rational is exact: its coordinates are
     Fractions.  Any other line is coerced to floats.  With s = |xi|^2 and
-    c = x.xi, completing the square gives
+    c = x.xi, both kept (a PhasePoint reads them here), completing the
+    square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
@@ -583,8 +584,11 @@ class LineTable:
     M_{q+1} = mean*M_q + var*q*M_{q-1}, and one more factor of coordinate i
     gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).
 
-    On an exact line, ``scale`` is the lcm L of the denominators of x, xi,
-    mean and var, and the entry kept for (q, e) is the int
+    An exact line is set up in ints: x and xi are brought to one common
+    denominator, and s, c, exponent, mean and var are built from int sums as
+    one Fraction each (see _exact_setup).  ``scale`` is the lcm L of the
+    denominators of x, xi, mean and var, and the entry kept for (q, e) is
+    the int
     A_q(e) = L^(q + 2|e|) * mu_q(e).  The same recurrence builds it with the
     int weights L^2 x_i and L xi_i, L mean and L^2 var (q - 1).  The power
     counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
@@ -611,35 +615,61 @@ class LineTable:
     root of its ExactValues and a rational factor, once per line.
     """
 
-    __slots__ = ("x", "xi", "is_exact", "s", "exponent", "mean", "var", "scale",
+    __slots__ = ("x", "xi", "is_exact", "s", "c", "exponent", "mean", "var", "scale",
                  "root", "root_factor", "rows", "_zero", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
             raise ValueError("x and xi must share a positive dimension")
         self.is_exact = all_rational(x) and all_rational(xi)
-        scalar = _as_fraction if self.is_exact else float
-        self.x = tuple(scalar(v) for v in x)
-        self.xi = tuple(scalar(v) for v in xi)
-        self.s, c, self.exponent = _line_data(self.x, self.xi)
-        self.mean = -c / self.s
-        self.var = 1 / (2 * self.s)
         if self.is_exact:
-            big = self.scale = math.lcm(*(v.denominator for v in
-                                          (*self.x, *self.xi, self.mean, self.var)))
-            self._weights = (tuple(int(big * big * v) for v in self.x),
-                             tuple(int(big * v) for v in self.xi),
-                             int(big * self.mean), int(big * big * self.var))
-            r = rational_sqrt(1 / self.s)
-            self.root, self.root_factor = ((Fraction(1), r) if r is not None
-                                           else (1 / self.s, Fraction(1)))
+            self.x = tuple(map(_as_fraction, x))
+            self.xi = tuple(map(_as_fraction, xi))
+            self._exact_setup()
             self._zero, one = 0, 1
         else:
+            self.x = tuple(map(float, x))
+            self.xi = tuple(map(float, xi))
+            self.s, self.c, self.exponent = _line_data(self.x, self.xi)
+            self.mean = -self.c / self.s
+            self.var = 1 / (2 * self.s)
             self.scale = 1
             self._weights = (self.x, self.xi, self.mean, self.var)
             self.root = self.root_factor = None
             self._zero, one = 0.0, 1.0
         self.rows = [[one]]
+
+    def _exact_setup(self) -> None:
+        """The scalars of a rational line, from its coordinates over one denominator.
+
+        With x = X/D and xi = XI/D for ints X, XI and D the lcm of the
+        denominators, the int sums S = |XI|^2, C = X.XI and N = |X|^2 give
+        s = S/D^2, c = C/D^2, exponent = (C^2 - N*S)/(D^2*S), mean = -C/S and
+        var = D^2/(2*S), one Fraction each.
+        """
+        big = math.lcm(*(v.denominator for v in (*self.x, *self.xi)))
+        xs = [v.numerator * (big // v.denominator) for v in self.x]
+        xis = [v.numerator * (big // v.denominator) for v in self.xi]
+        s = sum(v * v for v in xis)
+        if not s:
+            raise ValueError("direction must be nonzero")
+        c = sum(map(mul, xs, xis))
+        norm2 = sum(v * v for v in xs)
+        den2 = big * big
+        self.s, self.c = Fraction(s, den2), Fraction(c, den2)
+        self.exponent = Fraction(c * c - norm2 * s, den2 * s)
+        mean = self.mean = Fraction(-c, s)
+        var = self.var = Fraction(den2, 2 * s)
+        # the lcm of the denominators of x, xi, mean and var
+        scale = self.scale = math.lcm(big, mean.denominator, var.denominator)
+        self._weights = (tuple(v * (scale * scale // big) for v in xs),
+                         tuple(v * (scale // big) for v in xis),
+                         mean.numerator * (scale // mean.denominator),
+                         var.numerator * (scale * scale // var.denominator))
+        inverse = Fraction(self.s.denominator, self.s.numerator)  # 1/s
+        r = rational_sqrt(inverse)
+        self.root, self.root_factor = ((Fraction(1), r) if r is not None
+                                       else (inverse, Fraction(1)))
 
     def _row(self, q: int, degree: int) -> list:
         """Row q, built through block ``degree``.

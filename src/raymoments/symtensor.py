@@ -153,8 +153,8 @@ class SymTensor(_SparseTensor):
     Component lookup accepts the indices in any order.  ``jet`` memoizes
     partial derivatives of the components (see polygauss), and ``chains``
     the John and x-derivative chains of the transform data of its
-    restrictions (see moments); both stay valid because a tensor is never
-    changed after it is built.
+    restrictions and their recovery expressions (see moments); both stay
+    valid because a tensor is never changed after it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,

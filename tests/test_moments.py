@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -46,6 +48,8 @@ from raymoments.moments import (
     _john_table,
     _transform_value,
     _weighted_sum,
+    directional_x_derivative,
+    directional_xi_derivative,
     value_diff,
 )
 from raymoments.polygauss import _jet, random_polynomial
@@ -238,6 +242,66 @@ class TestWeightedSum:
         assert extended_transform(f, 0, PhasePoint([0, 1], [1, 0])).is_zero
         value = extended_transform(f, 0, PhasePoint([0.0, 1.0], [1.0, 0.0]))
         assert isinstance(value, float) and value == 0.0
+
+    @staticmethod
+    def pairwise(pairs):
+        # the sum as ExactValue addition builds it, one scaled term at a time
+        return functools.reduce(operator.add, (v.scaled(w) for w, v in pairs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_int_sum_matches_pairwise_addition(self, seed):
+        rng = random.Random(f"intsum:{seed}")
+        n = rng.randint(1, 3)
+        pt = random_phase_point(n, rng) if n > 1 else PhasePoint(
+            [Fraction(rng.randint(-4, 4), 3)], [Fraction(rng.randint(1, 5), 2)])
+        zero = ExactValue.zero_value()
+        values = [pt.integral(PolyGauss(random_polynomial(n, rng.randint(0, 4), rng)),
+                              rng.randint(0, 3)) for _ in range(8)]
+        assert len({(v.root, v.exponent) for v in values if not v.is_zero}) == 1
+        for _ in range(20):
+            pairs = [(rng.choice([0, 1, -2, Fraction(rng.randint(-9, 9), rng.randint(1, 7))]),
+                      rng.choice(values + [zero])) for _ in range(rng.randint(1, 7))]
+            total = _weighted_sum(pairs, zero)
+            assert total == self.pairwise(pairs)
+            assert isinstance(total, ExactValue) and isinstance(total.coef, Fraction)
+            a, b = rng.choice(values + [zero]), rng.choice(values + [zero])
+            assert value_diff(a, b) == moments.magnitude(a - b)
+
+    def test_zero_weights_and_zero_values_drop_out(self):
+        a = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1, 2))
+        zero = ExactValue.zero_value()
+        # a zero term of another exponent or root is not compared
+        other = ExactValue(Fraction(5), Fraction(3), Fraction(7))
+        total = _weighted_sum([(0, other), (Fraction(3), a), (Fraction(0), other), (1, zero)],
+                              0.0)
+        assert total == ExactValue(Fraction(2), Fraction(2), Fraction(-1, 2))
+        for pairs in ([(0, a)], [(1, zero), (Fraction(-1), zero)], [(1, a), (-1, a)]):
+            total = _weighted_sum(pairs, 0.0)
+            assert isinstance(total, ExactValue) and total.is_zero
+            assert total == ExactValue.zero_value()
+
+    def test_compatible_roots_sum_exactly(self):
+        # sqrt(8) = 2 sqrt(2): the second term is brought to the first's root
+        a = ExactValue(Fraction(1, 2), Fraction(2), Fraction(-1))
+        b = ExactValue(Fraction(3), Fraction(8), Fraction(-1))
+        total = _weighted_sum([(2, a), (Fraction(1, 3), b)], 0.0)
+        assert total == ExactValue(Fraction(3), Fraction(2), Fraction(-1))
+        assert total == self.pairwise([(2, a), (Fraction(1, 3), b)])
+        # first term's root: 3 sqrt(8) - 2 sqrt(2) = 2 sqrt(8)
+        assert _weighted_sum([(1, b), (-4, a)], 0.0) == ExactValue(Fraction(2), Fraction(8),
+                                                                   Fraction(-1))
+        assert value_diff(b, a.scaled(12)) == 0.0 < value_diff(b, a.scaled(6))
+
+    def test_incompatible_root_or_other_exponent_raises(self):
+        a = ExactValue(Fraction(1, 2), Fraction(2), Fraction(-1))
+        for b in (ExactValue(Fraction(1), Fraction(3), Fraction(-1)),
+                  ExactValue(Fraction(1), Fraction(2), Fraction(-2))):
+            with pytest.raises(ArithmeticError):
+                _weighted_sum([(1, a), (1, b)], 0.0)
+            with pytest.raises(ArithmeticError):
+                _weighted_sum([(0, b), (1, b), (Fraction(2, 3), a)], 0.0)
+            with pytest.raises(ArithmeticError):
+                value_diff(a, b)
 
 
 class TestContractedTransform:
@@ -455,6 +519,27 @@ class TestDerivativeRules:
                    - quad_transform(field_partial(restrict(g, (1,)), 2), 0, xf, xif))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
+    def test_gradients_built_once_per_expression(self, monkeypatch):
+        calls = []
+        for name in ("dx", "dxi"):
+            original = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda e, i, _name=name, _f=original:
+                                calls.append(_name) or _f(e, i))
+        f = random_field(3, 3, 2, 60)
+        e = MomentExpression.transform(f, 1)
+        rng = random.Random(23)
+        for _ in range(4):
+            pt = random_phase_point(3, rng)
+            # integration by parts (-q) and the Euler degree (m - q - 1), at q = 1
+            assert value_diff(directional_x_derivative(e, pt),
+                              extended_transform(f, 0, pt).scaled(-1)) == 0.0
+            assert value_diff(directional_xi_derivative(e, pt),
+                              extended_transform(f, 1, pt)) == 0.0
+        assert calls == ["dx"] * 3 + ["dxi"] * 3
+        # another expression of the same data builds its own
+        directional_x_derivative(MomentExpression.transform(f, 1), pt)
+        assert calls[6:] == ["dx"] * 3
+
     def test_zero_expression_evaluates_exactly_zero(self):
         pt = TSPoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
         value = MomentExpression.zero().evaluate(pt)
@@ -519,6 +604,38 @@ class TestRecovery:
         pt = PhasePoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
         with pytest.raises(ValueError):
             recover_restricted(f, (1, 1), pt)
+
+    def test_built_once_per_field_and_fixed_multiset(self, monkeypatch):
+        calls = []
+        original = moments._recovery_term
+
+        def counting(r, p):
+            calls.append((r, p))
+            return original(r, p)
+
+        monkeypatch.setattr(moments, "_recovery_term", counting)
+        f = random_field(3, 3, 1, "recoveronce")
+        rng = random.Random(44)
+        pt = random_phase_point(3, rng)
+        assert value_diff(recover_restricted(f, (3, 1), pt),
+                          extended_transform(restrict(f, (3, 1)), 0, pt)) == 0.0
+        built = len(calls)
+        assert built
+        # however many points evaluate it, in whatever order the indices come
+        for fixed in [(1, 3), (3, 1), (1, 3), (3, 1)]:
+            other = random_phase_point(3, rng)
+            assert value_diff(recover_restricted(f, fixed, other),
+                              extended_transform(restrict(f, fixed), 0, other)) == 0.0
+        assert len(calls) == built
+        assert ("recovery", (1, 3)) in f.chains
+        # another fixed multiset or another field builds its own
+        recover_restricted(f, (1, 1), pt)
+        assert len(calls) == 2 * built
+        recover_restricted(random_field(3, 3, 1, "recoveronce:other"), (1, 3), pt)
+        assert len(calls) == 3 * built
+        # a bad index is refused before the memo is read
+        with pytest.raises(ValueError):
+            recover_restricted(f, (1, 4), pt)
 
 
 class TestRestrictionValidation:

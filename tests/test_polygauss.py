@@ -92,7 +92,7 @@ class _ReferenceLineTable:
         self.x = tuple(scalar(v) for v in x)
         self.xi = tuple(scalar(v) for v in xi)
         self.s = sum(v * v for v in self.xi)
-        c = sum(a * b for a, b in zip(self.x, self.xi))
+        self.c = c = sum(a * b for a, b in zip(self.x, self.xi))
         self.exponent = -(sum(a * a for a in self.x) - c * c / self.s)
         self.mean = -c / self.s
         self.var = 1 / (2 * self.s)
@@ -427,6 +427,36 @@ class TestLineTable:
             assert a.hex() == ref.moment(j, e).hex()
         for (q, e), a in list(ref.mu.items()):
             assert _entry(table, q, e).hex() == a.hex()
+
+    @given(_exact_lines())
+    @example(([Fraction(-1), Fraction(3)], [Fraction(2), Fraction(0)]))  # 1/s = 1/4
+    @example(([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)]))  # 1/s = 9/13
+    @example(([Fraction(0), Fraction(0), Fraction(0)],
+              [Fraction(-3, 4), Fraction(0), Fraction(1, 2)]))  # 1/s = 16/13
+    @example(([Fraction(-5, 3)], [Fraction(-2, 9)]))  # 1/s = 81/4
+    @settings(max_examples=200, deadline=None)
+    def test_int_setup_matches_fraction_formulas(self, line):
+        # the scalars of an exact line, set up from int sums over one common
+        # denominator, against the Fraction formulas of the reference
+        x, xi = line
+        table, ref = LineTable(x, xi), _ReferenceLineTable(x, xi)
+        mine = (table.s, table.c, table.exponent, table.mean, table.var)
+        assert mine == (ref.s, ref.c, ref.exponent, ref.mean, ref.var)
+        assert all(type(v) is Fraction for v in mine)
+        # scale, the int recurrence weights and the root, as defined from them
+        big = math.lcm(*(v.denominator for v in (*ref.x, *ref.xi, ref.mean, ref.var)))
+        assert table.scale == big
+        assert table._weights == (tuple(int(big * big * v) for v in ref.x),
+                                  tuple(int(big * v) for v in ref.xi),
+                                  int(big * ref.mean), int(big * big * ref.var))
+        assert all(type(w) is int for w in (*table._weights[0], *table._weights[1],
+                                            *table._weights[2:]))
+        r = rational_sqrt(1 / ref.s)
+        expected = (Fraction(1), r) if r is not None else (1 / ref.s, Fraction(1))
+        assert (table.root, table.root_factor) == expected
+        # a point reads s and c from its table
+        pt = PhasePoint(x, xi)
+        assert (pt.xi_norm_sq(), pt.x_dot_xi()) == (ref.s, ref.c)
 
     def test_scale_is_the_common_denominator(self):
         # x = (1/2, 0), xi = (1, 2/3): s = 13/9, mean = -9/26, var = 9/26

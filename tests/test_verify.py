@@ -548,6 +548,33 @@ class TestJetCount:
         assert callers == ["suite_identities"] * restricts
 
 
+class TestRewriteCount:
+    """A verdict builds each point-independent rewrite chain once.
+
+    The field holds its John, ``dx`` and recovery chains, and each base
+    transform its gradients, so the ``dx`` and ``dxi`` calls of a verdict
+    do not grow with the samples that evaluate them.
+    """
+
+    @pytest.mark.parametrize("argv,dx_calls,dxi_calls", [
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 32, 28),
+        (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+          "--samples", "3", "--degree", "2"], 67, 49),
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 0, 0),
+    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
+    def test_dx_and_dxi_calls(self, monkeypatch, capsys, argv, dx_calls, dxi_calls):
+        calls = []
+        for name in ("dx", "dxi"):
+            original = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda e, i, _name=name, _f=original:
+                                calls.append(_name) or _f(e, i))
+        assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert (calls.count("dx"), calls.count("dxi")) == (dx_calls, dxi_calls)
+
+
 # the command lines of the six golden reports
 GOLDEN_ARGVS = {
     "all-n2": ["--suite", "all", "--n", "2", "--m", "2", "--k", "1", "--samples", "3",
