@@ -9,10 +9,14 @@ variables make sense.
 Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression), so every transform-level identity
-can be evaluated exactly on rational lines.  The two John identities read
-one table of John data per multiset of coordinate pairs p < q.  The
-rewrite chains behind that table do not depend on the line: each field
-holds them, built once, and a point only evaluates them.
+can be evaluated exactly on rational lines.  At an exact point a datum is
+not read from the field's jet: the point contracts the field with its
+direction once per restriction, in ints, and differentiates that one
+polynomial, so each datum costs one derive and one line integral at most.
+Exact values are summed as int pairs.  The two John identities read one
+table of John data per multiset of coordinate pairs p < q.  The rewrite
+chains behind that table do not depend on the line: each field holds them,
+built once, and a point only evaluates them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from .symtensor import (
 
 PROJECTION_TOL = 1e-12
 
+# the one canonical exact zero, shared by every exact point and empty sum
+_EXACT_ZERO = ExactValue.zero_value()
+
 
 class PhasePoint:
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
@@ -56,35 +63,38 @@ class PhasePoint:
     when every entry is rational, otherwise they are floats and downstream
     evaluation switches to the float path.  An exact point also keeps its
     direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
-    denominators of xi, so that the direction weights of a rank-r transform
-    datum are ints over ``xi_den**r`` (see ``_transform_value``).
+    denominators of xi, as the line table set them up, so that the
+    direction weights of a rank-r transform datum are ints over
+    ``xi_den**r`` (see ``_contraction``).
 
-    Four memos, which live as long as the point, make each value at it one
+    Five memos, which live as long as the point, make each value at it one
     computation.  ``transforms`` holds transform data under
-    ``(q, sorted fixed, sorted derivs, id(field))`` and ``john_tables`` the
-    John tables under ``(sorted fixed, id(field))``: the values at this
-    point of the John chains that the field holds (see ``_john_table``).
-    Each entry also holds its field, so that no id in a key can pass to
-    another field while the entry lives.  ``integrals`` holds line
-    integrals of PolyGauss values under the order and the polynomial's
-    stored form, ``(q, poly.key)``, so that a polynomial reached through two
-    objects is integrated once.  Every line integral this module takes goes
-    through ``integral``.  ``direction_weights`` holds, per rank, the
-    direction weight of each canonical key (see ``_direction_weights``).
-    ``xi_norm_sq`` and ``x_dot_xi`` read s and c from the line table.
+    ``(q, sorted fixed, sorted derivs, id(field))``, ``contracted`` the
+    direction contractions that an exact point integrates under
+    ``(sorted fixed, sorted derivs, id(field))`` (see ``_contraction``),
+    and ``john_tables`` the John tables under ``(sorted fixed, id(field))``:
+    the values at this point of the John chains that the field holds (see
+    ``_john_table``).  Each entry also holds its field, so that no id in a
+    key can pass to another field while the entry lives.  ``integrals``
+    holds line integrals of PolyGauss values under the order and the
+    polynomial's stored form, ``(q, poly.key)``, so that a polynomial
+    reached through two objects is integrated once.  Every line integral
+    this module takes goes through ``integral``.  ``direction_weights``
+    holds, per rank, the direction weight of each canonical key (see
+    ``_direction_weights``).
+    ``xi_norm_sq`` and ``x_dot_xi`` read s and c from the line table, and
+    ``zero`` is the value of an empty sum at the point: the shared exact
+    zero on an exact point, 0.0 on a float one.
     """
 
     def __init__(self, x: Sequence, xi: Sequence):
         # the moments of monomials along this line, shared by every transform
         self.line_table = table = LineTable(tuple(x), tuple(xi))
         self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
-        if self.is_exact:
-            self.xi_den = math.lcm(*(v.denominator for v in self.xi))
-            self.xi_nums = tuple(v.numerator * (self.xi_den // v.denominator)
-                                 for v in self.xi)
-        # the value of an empty sum of transform data at this point
-        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
+        self.xi_den, self.xi_nums = table.xi_den, table.xi_nums
+        self.zero = _EXACT_ZERO if self.is_exact else 0.0
         self.transforms: dict = {}
+        self.contracted: dict = {}
         self.john_tables: dict = {}
         self.integrals: dict = {}
         self.direction_weights: dict = {}
@@ -272,63 +282,78 @@ def value_diff(a, b) -> float:
     return abs(float(a) - float(b))
 
 
-_EXACT_ZERO = ExactValue.zero_value()
-
-
-def _exact_sum(pairs) -> ExactValue:
-    """Sum of rational weight * ExactValue over (weight, value) pairs.
+def _exact_sum(pairs, den: int = 1) -> ExactValue:
+    """Sum of rational weight * ExactValue over (weight, value) pairs, over ``den``.
 
     Terms with a zero weight or value drop out, as zeros do in
     ``ExactValue.__add__``.  Every other term must share the exponent of the
     first; its root is brought to the first term's root by the rational
     ratio sqrt(root / first root) that ``ExactValue.__add__`` uses, and
-    ArithmeticError is raised where either fails.  The terms are then int
-    numerators over int denominators, added over their lcm into one
-    Fraction.
+    ArithmeticError is raised where either fails.  Values of one line share
+    their root and exponent objects, so those are compared by identity
+    first.  The terms are then int numerators over int denominators (an int
+    weight is its own numerator over 1), added over their lcm; that sum
+    over the lcm times the int ``den`` is reduced by one gcd, and no
+    Fraction is built.
     """
     nums, dens = [], []
     root = exponent = None
     for w, v in pairs:
-        coef = v.coef
-        if not (w and coef):
+        num = v.num
+        if not (w and num):
             continue
-        num, den = w.numerator * coef.numerator, w.denominator * coef.denominator
+        num *= w.numerator
+        vden = v.den * w.denominator
         if root is None:
             root, exponent = v.root, v.exponent
         else:
-            if v.exponent != exponent:
+            if v.exponent is not exponent and v.exponent != exponent:
                 raise ArithmeticError("cannot add exact values with different exponents")
-            if v.root != root:
+            if v.root is not root and v.root != root:
                 ratio = rational_sqrt(v.root / root)
                 if ratio is None:
                     raise ArithmeticError("cannot add exact values with incompatible roots")
-                num, den = num * ratio.numerator, den * ratio.denominator
+                num, vden = num * ratio.numerator, vden * ratio.denominator
         nums.append(num)
-        dens.append(den)
+        dens.append(vden)
     if not nums:
         return _EXACT_ZERO
     common = math.lcm(*dens)
-    total = sum(num * (common // den) for num, den in zip(nums, dens))
-    return ExactValue._trusted(Fraction(total, common), root, exponent)
+    total = sum(num * (common // vden) for num, vden in zip(nums, dens))
+    return ExactValue._from_ints(total, common * den, root, exponent)
 
 
-def _weighted_sum(pairs, zero):
-    """Sum of weight * value over (weight, value) pairs; ``zero`` if none.
+def _weighted_sum(pairs, zero, den: int = 1):
+    """Sum of weight * value over (weight, value) pairs, over ``den``; ``zero`` if none.
 
     Exact (an ExactValue, summed in ints by ``_exact_sum``) when every value
     is exact and every weight rational, ``math.fsum`` of the float products
     when no value is exact.  An exact value with a float value or weight
     raises TypeError, as in ``value_diff``: an exact sum never falls back to
-    float.
+    float.  ``den`` is a positive int (1 on a float point).
     """
     pairs = list(pairs)
     if not pairs:
         return zero
     if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
-        return _exact_sum(pairs)
+        return _exact_sum(pairs, den)
     if any(isinstance(v, ExactValue) for _, v in pairs):
         raise TypeError("cannot sum exact values with float values or weights")
-    return math.fsum(float(w) * float(v) for w, v in pairs)
+    return math.fsum(float(w) * float(v) for w, v in pairs) / den
+
+
+def _direction_sum(pt: PhasePoint, terms, rank: int):
+    """Sum of c * (the product of xi_a over axes) * value over (axes, c, value) terms.
+
+    Every axes tuple has length ``rank``.  On an exact point the products
+    are taken in the int ``pt.xi_nums`` and the int-weighted sum is divided
+    once by ``pt.xi_den**rank``; on a float point they are taken in
+    ``pt.xi``.
+    """
+    xi = pt.xi_nums if pt.is_exact else pt.xi
+    return _weighted_sum(((math.prod((xi[a - 1] for a in axes), start=c), v)
+                          for axes, c, v in terms),
+                         pt.zero, pt.xi_den ** rank if pt.is_exact else 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,33 +379,61 @@ def _direction_weights(pt: PhasePoint, rank: int) -> tuple:
     return hit
 
 
+def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> PolyGauss:
+    """The direction contraction of the derivative ``derivs`` of f restricted at ``fixed``.
+
+    For an exact point and sorted ``fixed`` and ``derivs``: the sum, over the
+    canonical keys J of the remaining rank r, of the direction weight of J
+    (``_direction_weights``, ints over ``pt.xi_den**r``) times the partial
+    derivative ``derivs`` of f's component at ``fixed + J``.
+    Differentiation is linear, so only the root entry, with no derivatives,
+    reads f: its components are added up in ints, as the diffops stencils
+    are applied.  Every other entry is its prefix in the sorted ``derivs``
+    differentiated once more, so each entry costs one derive and no jet
+    entry of f with derivatives is read.  Memoized in the point's
+    ``contracted`` under ``(fixed, derivs, id(f))``, with the field held
+    beside it.
+    """
+    memo_key = (fixed, derivs, id(f))
+    hit = pt.contracted.get(memo_key)
+    if hit is None:
+        if derivs:
+            value = _contraction(f, pt, fixed, derivs[:-1]).derive(derivs[-1])
+        else:
+            rank = f.rank - len(fixed)
+            value = PolyGauss(Polynomial._from_weighted(
+                f.n, ((weight, _jet(f, fixed + key, ()).poly)
+                      for key, weight in _direction_weights(pt, rank)), pt.xi_den ** rank))
+        hit = pt.contracted[memo_key] = (f, value)
+    return hit[1]
+
+
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     """The q-th transform of the derivative ``derivs`` of f restricted at ``fixed``.
 
     The line integral of t^q times the direction-contracted field: the sum,
     over the canonical keys J of the remaining rank r, of the multiplicity
-    of J times the product of xi_j over J times the jet entry at
-    ``(fixed + J, derivs)``.  On an exact point the weights are ints over
-    ``pt.xi_den**r``, so the contraction is one Polynomial added up in ints,
-    as the diffops stencils are applied, and the datum costs one line
-    integral (none when the contraction is zero).  On a float point each
-    entry is integrated and the values are summed in floats.  Read through
-    the point's memos: the value once per datum, each integral once per
-    point, the weights once per rank (``_direction_weights``).
+    of J times the product of xi_j over J times the partial derivative
+    ``derivs`` of f's component at ``fixed + J``.  On an exact point the
+    contraction is one polynomial that the point holds (``_contraction``),
+    and the datum costs one line integral (none when the contraction is
+    zero).  On a float point each jet entry is integrated and the values
+    are summed in floats.  Read through the point's memos: the value once
+    per datum, each integral once per point, the weights once per rank
+    (``_direction_weights``).
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
-    memo_key = (q, tuple(sorted(fixed)), tuple(sorted(derivs)), id(f))
+    fixed, derivs = tuple(sorted(fixed)), tuple(sorted(derivs))
+    memo_key = (q, fixed, derivs, id(f))
     hit = pt.transforms.get(memo_key)
     if hit is None:
-        rank = f.rank - len(fixed)
-        weighted = [(weight, _jet(f, fixed + key, derivs))
-                    for key, weight in _direction_weights(pt, rank)]
         if pt.is_exact:
-            poly = Polynomial._from_weighted(
-                f.n, ((weight, comp.poly) for weight, comp in weighted), pt.xi_den ** rank)
-            value = pt.integral(PolyGauss(poly), q) if poly else pt.zero
+            g = _contraction(f, pt, fixed, derivs)
+            value = pt.integral(g, q) if g else pt.zero
         else:
+            weighted = [(weight, _jet(f, fixed + key, derivs))
+                        for key, weight in _direction_weights(pt, f.rank - len(fixed))]
             value = _weighted_sum(((weight, pt.integral(comp, q))
                                    for weight, comp in weighted if comp), pt.zero)
         hit = pt.transforms[memo_key] = (f, value)
@@ -718,8 +771,8 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     scale = Fraction((-1) ** mk * math.factorial(mk))
     best = 0.0
     for qkey, reads in _signed_pair_reads(f.n, mk):
-        acc = _weighted_sum(((math.prod(pt.xi[pa - 1] for pa in ptuple) * sign, table[key])
-                             for ptuple, key, sign in reads), pt.zero)
+        acc = _direction_sum(pt, ((ptuple, sign, table[key]) for ptuple, key, sign in reads),
+                             mk)
         rhs = rhs_chains[qkey].evaluate(pt) * scale
         best = max(best, value_diff(acc, rhs))
     return best
@@ -813,9 +866,8 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
         raise ValueError(f"need len(fixed) <= k <= rank, got {r}, {k}, {f.rank}")
     lhs = _transform_value(f, 0, pt, fixed)
     tails = itertools.product(range(1, f.n + 1), repeat=k - r)
-    acc = _weighted_sum(((math.prod(pt.xi[j - 1] for j in tail),
-                          _transform_value(f, 0, pt, fixed + tail))
-                         for tail in tails), pt.zero)
+    acc = _direction_sum(pt, ((tail, 1, _transform_value(f, 0, pt, fixed + tail))
+                              for tail in tails), k - r)
     return value_diff(lhs, acc)
 
 
@@ -840,8 +892,8 @@ def directional_x_derivative(e: MomentExpression, pt: PhasePoint):
 
     The gradient expressions are held by ``e`` (see ``_gradient``).
     """
-    return _weighted_sum(zip(pt.xi, (g.evaluate(pt) for g in _gradient(e, "dx", pt.n))),
-                         pt.zero)
+    return _direction_sum(pt, (((i,), 1, g.evaluate(pt))
+                               for i, g in enumerate(_gradient(e, "dx", pt.n), 1)), 1)
 
 
 def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
@@ -849,5 +901,5 @@ def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
 
     The gradient expressions are held by ``e`` (see ``_gradient``).
     """
-    return _weighted_sum(zip(pt.xi, (g.evaluate(pt) for g in _gradient(e, "dxi", pt.n))),
-                         pt.zero)
+    return _direction_sum(pt, (((i,), 1, g.evaluate(pt))
+                               for i, g in enumerate(_gradient(e, "dxi", pt.n), 1)), 1)

@@ -20,10 +20,11 @@ every line the integral of a polynomial is a dot product with the line's
 table of monomial moments, kept in the same index (see LineTable).  Over a
 rational line the table holds ints, each moment scaled by a power of one
 common denominator of the line, so the dot product adds up ints and builds
-one Fraction; the result is kept in the exact form
-coef * sqrt(root) * sqrt(pi) * exp(exponent) with rational coef, root and
-exponent (see ExactValue).  Over a float line the same recurrence and dot
-product run in floats.
+no Fraction; the result is kept in the exact form
+coef * sqrt(root) * sqrt(pi) * exp(exponent), with rational root and
+exponent and the coefficient as an int numerator over an int denominator,
+reduced by one gcd (see ExactValue).  Over a float line the same recurrence
+and dot product run in floats.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, itemgetter, mul
@@ -439,26 +439,28 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class ExactValue:
     """An exact real of the form coef * sqrt(root) * sqrt(pi) * exp(exponent).
 
-    All three fields are rational; any perfect-square factor of ``root`` is
-    absorbed into ``coef`` at construction, and zero is kept in the canonical
-    form (0, 1, 0).  Values on the same line share root and exponent, so sums
-    and differences of transform data stay exact.  Arithmetic on values
-    whose root is already in that form builds its results with ``_trusted``,
-    which does not take the square root again.
+    All three factors are rational.  ``coef`` is held as two ints, ``num``
+    over ``den``, with ``den`` positive and no common factor, and read as a
+    Fraction through the ``coef`` property; ``root`` and ``exponent`` are
+    Fractions.  Any perfect-square factor of ``root`` is absorbed into the
+    coefficient at construction, and zero is kept in the one canonical form
+    (0, 1, 0), a single shared object (``zero_value``).  Values on the same
+    line share root and exponent, so sums and differences of transform data
+    stay exact.  Arithmetic on values whose root is already in that form
+    builds its results with ``_from_ints``, which reduces the int pair by
+    one gcd and does not take the square root again.  A value is never
+    changed after it is built: assignment raises AttributeError.
     """
 
-    coef: Fraction
-    root: Fraction = Fraction(1)
-    exponent: Fraction = Fraction(0)
+    __slots__ = ("num", "den", "root", "exponent")
 
-    def __post_init__(self):
-        coef = _as_fraction(self.coef)
-        root = _as_fraction(self.root)
-        exponent = _as_fraction(self.exponent)
+    def __init__(self, coef, root=1, exponent=0):
+        coef = _as_fraction(coef)
+        root = _as_fraction(root)
+        exponent = _as_fraction(exponent)
         if root <= 0:
             raise ValueError("root must be positive")
         r = rational_sqrt(root)
@@ -466,51 +468,81 @@ class ExactValue:
             coef, root = coef * r, Fraction(1)
         if not coef:
             root, exponent = Fraction(1), Fraction(0)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "exponent", exponent)
+        _set(self, "num", coef.numerator)
+        _set(self, "den", coef.denominator)
+        _set(self, "root", root)
+        _set(self, "exponent", exponent)
 
     @classmethod
-    def _trusted(cls, coef: Fraction, root: Fraction, exponent: Fraction) -> "ExactValue":
-        """Build from a Fraction coef and a root with no perfect-square factor.
+    def _from_ints(cls, num: int, den: int, root: Fraction,
+                   exponent: Fraction) -> "ExactValue":
+        """Build from an int coefficient ``num / den`` (den > 0) and a canonical root.
 
         Skips the checks of the constructor; only callers whose root comes
-        from a canonical ExactValue or a LineTable may call it.  Zero is
-        still kept as (0, 1, 0).
+        from a canonical ExactValue or a LineTable may call it.  The pair is
+        reduced by its gcd, and zero is the shared canonical zero.
         """
+        if not num:
+            return _ZERO
+        g = math.gcd(num, den)
         out = object.__new__(cls)
-        if not coef:
-            root, exponent = Fraction(1), coef
-        object.__setattr__(out, "coef", coef)
-        object.__setattr__(out, "root", root)
-        object.__setattr__(out, "exponent", exponent)
+        _set(out, "num", num // g)
+        _set(out, "den", den // g)
+        _set(out, "root", root)
+        _set(out, "exponent", exponent)
         return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactValue is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExactValue is immutable; cannot delete {name!r}")
+
+    @property
+    def coef(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coef
+        return not self.num
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactValue):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.root == other.root and self.exponent == other.exponent)
+
+    def __hash__(self) -> int:
+        return hash((self.coef, self.root, self.exponent))
+
+    def __repr__(self) -> str:
+        return (f"ExactValue(coef={self.coef!r}, root={self.root!r}, "
+                f"exponent={self.exponent!r})")
 
     def scaled(self, c) -> "ExactValue":
-        return ExactValue._trusted(self.coef * _as_fraction(c), self.root, self.exponent)
+        c = _as_fraction(c)
+        return ExactValue._from_ints(self.num * c.numerator, self.den * c.denominator,
+                                     self.root, self.exponent)
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         if not isinstance(other, ExactValue):
             return NotImplemented
-        if self.is_zero:
+        if not self.num:
             return other
-        if other.is_zero:
+        if not other.num:
             return self
         if self.exponent != other.exponent:
             raise ArithmeticError("cannot add exact values with different exponents")
         if self.root == other.root:
-            return ExactValue._trusted(self.coef + other.coef, self.root, self.exponent)
+            return ExactValue._from_ints(self.num * other.den + other.num * self.den,
+                                         self.den * other.den, self.root, self.exponent)
         ratio = rational_sqrt(other.root / self.root)
         if ratio is None:
             raise ArithmeticError("cannot add exact values with incompatible roots")
         return ExactValue(self.coef + other.coef * ratio, self.root, self.exponent)
 
     def __neg__(self) -> "ExactValue":
-        return ExactValue._trusted(-self.coef, self.root, self.exponent)
+        return ExactValue._from_ints(-self.num, self.den, self.root, self.exponent)
 
     def __sub__(self, other: "ExactValue") -> "ExactValue":
         return self + (-other)
@@ -530,25 +562,32 @@ class ExactValue:
         taken from the logs of the int numerators and denominators
         (``math.log`` takes big ints) plus the exponent.
         """
-        if self.is_zero:
+        num, den = self.num, self.den
+        if not num:
             return 0.0
-        coef, root, exponent = self.coef, self.root, self.exponent
+        root, exponent = self.root, self.exponent
         try:
-            parts = (float(coef), math.sqrt(float(root)), math.exp(float(exponent)))
+            # num / den is correctly rounded, as float(Fraction(num, den))
+            parts = (num / den, math.sqrt(float(root)), math.exp(float(exponent)))
         except OverflowError:
             parts = ()
         if parts and min(map(abs, parts)) >= sys.float_info.min:
             value = parts[0] * parts[1] * _SQRT_PI * parts[2]
             if math.isfinite(value):
                 return value
-        log = (math.log(abs(coef.numerator)) - math.log(coef.denominator)
+        log = (math.log(abs(num)) - math.log(den)
                + (math.log(root.numerator) - math.log(root.denominator)) / 2
                + math.log(_SQRT_PI) + float(max(exponent, -sys.float_info.max)))
-        return math.exp(log) if coef > 0 else -math.exp(log)
+        return math.exp(log) if num > 0 else -math.exp(log)
 
     @classmethod
     def zero_value(cls) -> "ExactValue":
-        return cls(Fraction(0))
+        """The canonical zero (0, 1, 0), one object shared by every caller."""
+        return _ZERO
+
+
+_set = object.__setattr__
+_ZERO = ExactValue(0)
 
 
 def _line_data(x: Sequence, xi: Sequence):
@@ -616,7 +655,7 @@ class LineTable:
     """
 
     __slots__ = ("x", "xi", "is_exact", "s", "c", "exponent", "mean", "var", "scale",
-                 "root", "root_factor", "rows", "_zero", "_weights")
+                 "root", "root_factor", "xi_den", "xi_nums", "rows", "_zero", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -635,21 +674,25 @@ class LineTable:
             self.var = 1 / (2 * self.s)
             self.scale = 1
             self._weights = (self.x, self.xi, self.mean, self.var)
-            self.root = self.root_factor = None
+            self.root = self.root_factor = self.xi_den = self.xi_nums = None
             self._zero, one = 0.0, 1.0
         self.rows = [[one]]
 
     def _exact_setup(self) -> None:
         """The scalars of a rational line, from its coordinates over one denominator.
 
-        With x = X/D and xi = XI/D for ints X, XI and D the lcm of the
-        denominators, the int sums S = |XI|^2, C = X.XI and N = |X|^2 give
-        s = S/D^2, c = C/D^2, exponent = (C^2 - N*S)/(D^2*S), mean = -C/S and
-        var = D^2/(2*S), one Fraction each.
+        The direction is kept as ints first, ``xi_nums`` over ``xi_den``, the
+        lcm of the denominators of xi (a PhasePoint weights its transform
+        data with them).  With x = X/D and xi = XI/D for ints X, XI and D the
+        lcm of all the denominators, the int sums S = |XI|^2, C = X.XI and
+        N = |X|^2 give s = S/D^2, c = C/D^2, exponent = (C^2 - N*S)/(D^2*S),
+        mean = -C/S and var = D^2/(2*S), one Fraction each.
         """
-        big = math.lcm(*(v.denominator for v in (*self.x, *self.xi)))
+        xi_den = self.xi_den = math.lcm(*(v.denominator for v in self.xi))
+        self.xi_nums = tuple(v.numerator * (xi_den // v.denominator) for v in self.xi)
+        big = math.lcm(xi_den, *(v.denominator for v in self.x))
         xs = [v.numerator * (big // v.denominator) for v in self.x]
-        xis = [v.numerator * (big // v.denominator) for v in self.xi]
+        xis = [v * (big // xi_den) for v in self.xi_nums]
         s = sum(v * v for v in xis)
         if not s:
             raise ValueError("direction must be nonzero")
@@ -714,7 +757,9 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     S_d = the sum of num * A_q(e) over the tuples e of degree d, one
     ``sum(map(mul, ...))`` over two aligned slices; Horner's rule in L^2
     combines the blocks into the sum of S_d * L^(2(D - d)), which is mu's
-    dot product times den * L^(q + 2D), and one Fraction is built from it.
+    dot product times den * L^(q + 2D); that int over den * L^(q + 2D),
+    times the line's root factor, is the value's coefficient, reduced by
+    one gcd, with no Fraction built.
     On a float line the terms num / den * mu are added in index order,
     leaving out the zero ones.  ``table`` may pass the table in so that it
     is shared between calls (a fresh one is built otherwise).  Every call
@@ -749,9 +794,9 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
         lo, hi = starts[d], starts[d + 1]
         total = total * square + sum(map(mul, vec[lo:hi], row[lo:hi]))
     factor = table.root_factor
-    coef = Fraction(total * factor.numerator,
-                    den * scale ** q * square ** top * factor.denominator)
-    return ExactValue._trusted(coef, table.root, table.exponent)
+    return ExactValue._from_ints(total * factor.numerator,
+                                 den * scale ** q * square ** top * factor.denominator,
+                                 table.root, table.exponent)
 
 
 def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
@@ -809,10 +854,13 @@ def sym_field(n: int, rank: int, components: dict | None = None) -> SymTensor:
 def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
     """The partial derivative ``derivs`` of one component of a field.
 
-    Every derivative that the diffops operators and the moment atoms read
-    comes from here.  It is memoized in ``f.jet`` under the canonical
-    component and the sorted derivative multiset (mixed partials commute),
-    and built from its memoized prefix, so each new entry costs one derive.
+    Every derivative that the diffops operators read, and that moment atoms
+    read on a float point, comes from here; an exact point differentiates
+    its own direction contraction of the field instead (see
+    ``moments._contraction``).  It is memoized in ``f.jet`` under the
+    canonical component and the sorted derivative multiset (mixed partials
+    commute), and built from its memoized prefix, so each new entry costs
+    one derive.
     """
     key = (canonical(comp), tuple(sorted(derivs)))
     hit = f.jet.get(key)

@@ -151,7 +151,8 @@ class SymTensor(_SparseTensor):
     """A fully symmetric tensor over an arbitrary scalar type.
 
     Component lookup accepts the indices in any order.  ``jet`` memoizes
-    partial derivatives of the components (see polygauss), and ``chains``
+    the partial derivatives of the components that the operators and the
+    float transform path read (see polygauss), and ``chains``
     the John and x-derivative chains of the transform data of its
     restrictions and their recovery expressions (see moments); both stay
     valid because a tensor is never changed after it is built.

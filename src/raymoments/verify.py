@@ -498,6 +498,48 @@ def _read_field(text: str) -> tuple:
 # report rendering and CLI
 # ---------------------------------------------------------------------------
 
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder that writes the items of flat dicts one a line at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + " " * depth, ": "))
+
+
+def _is_flat(obj) -> bool:
+    """Whether ``obj`` is a nonempty dict none of whose values is a dict or list."""
+    return (type(obj) is dict and bool(obj)
+            and not any(isinstance(v, (dict, list)) for v in obj.values()))
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` at nesting ``depth``, through the C encoder.
+
+    ``obj`` is built of str-keyed dicts, lists and JSON scalars.  With an
+    indent, ``json.dumps`` runs CPython's pure-Python encoder.  Here the
+    C encoder writes every flat dict (``_is_flat``), as every report record
+    is, with the newline and indentation of its items as the item
+    separator, and a list of flat dicts in one call: a real newline never
+    occurs inside an encoded string, so ``},`` newline ``{`` occurs only
+    between two of the dicts, where the indentation of the list's own items
+    is put.  The lists and dicts above them are written with the same fixed
+    indentation, so the bytes are those of ``json.dumps(obj, indent=2)``.
+    """
+    pad, inner = " " * depth, " " * (depth + 2)
+    if type(obj) is list and obj:
+        if all(map(_is_flat, obj)):
+            sep = ",\n" + inner + "  "
+            body = _flat_encoder(depth + 4).encode(obj)[2:-2].replace(
+                "}" + sep + "{", "\n" + inner + "}," + "\n" + inner + "{\n" + inner + "  ")
+            return "[\n" + inner + "{\n" + inner + "  " + body + "\n" + inner + "}\n" + pad + "]"
+        items = (inner + _json_text(v, depth + 2) for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if _is_flat(obj):
+        return "{\n" + inner + _flat_encoder(depth + 2).encode(obj)[1:-1] + "\n" + pad + "}"
+    if type(obj) is dict and obj:
+        items = (f"{inner}{json.dumps(key)}: {_json_text(v, depth + 2)}"
+                 for key, v in obj.items())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
 def render_report(results: list[SuiteResult], config: SuiteConfig, fmt: str) -> str:
     if fmt == "json":
         obj = {
@@ -509,7 +551,7 @@ def render_report(results: list[SuiteResult], config: SuiteConfig, fmt: str) -> 
             ],
             "pass": all(r.passed for r in results),
         }
-        return json.dumps(obj, indent=2) + "\n"
+        return _json_text(obj) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

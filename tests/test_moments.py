@@ -267,6 +267,43 @@ class TestWeightedSum:
             a, b = rng.choice(values + [zero]), rng.choice(values + [zero])
             assert value_diff(a, b) == moments.magnitude(a - b)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_and_fraction_weights_agree(self, seed):
+        rng = random.Random(f"weights:{seed}")
+        pt = random_phase_point(2, rng)
+        values = [pt.integral(PolyGauss(random_polynomial(2, rng.randint(0, 3), rng)),
+                              rng.randint(0, 2)) for _ in range(6)] + [pt.zero]
+        ints = [rng.randint(-9, 9) for _ in values]
+        den = rng.randint(1, 12)
+        fractions = [Fraction(w, den) for w in ints]
+        # int weights over one int denominator, as the direction sums pass them
+        by_ints = _weighted_sum(zip(ints, values), pt.zero, den)
+        assert by_ints == _weighted_sum(zip(fractions, values), pt.zero)
+        assert by_ints == self.pairwise(zip(fractions, values))
+        assert by_ints.den > 0 and math.gcd(by_ints.num, by_ints.den) == 1
+        for w, v in zip(ints, values):
+            assert (_weighted_sum([(w, v)], pt.zero) == _weighted_sum([(Fraction(w), v)], pt.zero)
+                    == v.scaled(w) == v.scaled(Fraction(w)))
+        # a Fraction weight that is an int in value, and mixed weights
+        mixed = [(Fraction(w) if i % 2 else w, v) for i, (w, v) in enumerate(zip(ints, values))]
+        assert _weighted_sum(mixed, pt.zero) == self.pairwise(mixed)
+
+    @pytest.mark.parametrize("n,rank", [(2, 1), (3, 2), (2, 3)])
+    def test_direction_sums_weight_by_the_xi_numerators(self, n, rank):
+        rng = random.Random(f"direction:{n}:{rank}")
+        pt = random_phase_point(n, rng)
+        assert pt.xi_den > 1 or any(v.denominator > 1 for v in pt.x)
+        values = [pt.integral(PolyGauss(random_polynomial(n, 2, rng)), 0) for _ in range(5)]
+        terms = [(tuple(rng.randint(1, n) for _ in range(rank)), rng.choice((1, -1, 2)),
+                  rng.choice(values)) for _ in range(8)]
+        reference = _weighted_sum(((c * math.prod(pt.xi[a - 1] for a in axes), v)
+                                   for axes, c, v in terms), pt.zero)
+        assert moments._direction_sum(pt, terms, rank) == reference
+        float_pt = PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi])
+        float_terms = [(axes, c, float(v)) for axes, c, v in terms]
+        assert moments._direction_sum(float_pt, float_terms, rank) == math.fsum(
+            c * math.prod(float_pt.xi[a - 1] for a in axes) * v for axes, c, v in float_terms)
+
     def test_zero_weights_and_zero_values_drop_out(self):
         a = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1, 2))
         zero = ExactValue.zero_value()
@@ -667,7 +704,11 @@ class TestRestrictionValidation:
 
 
 class TestJetAtoms:
-    """Atoms read the field's jet; the reference builds every derived field."""
+    """Atoms match fields built by content: restricted, then derived componentwise.
+
+    On an exact point an atom differentiates the point's contraction of the
+    field (``moments._contraction``); the reference builds every derived field.
+    """
 
     @staticmethod
     def reference(f, q, fixed, derivs, pt):

@@ -806,6 +806,82 @@ class TestExactValue:
         assert float(ExactValue(Fraction(-1), Fraction(1), Fraction(-10 ** 400))) == 0.0
         assert math.copysign(1, float(ExactValue(Fraction(-1), Fraction(1), Fraction(-800)))) == -1
 
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30), st.integers(1, 40),
+           st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9))
+    @example(0, 7, 12, 5, 2, -3, 4)
+    @example(-12, 18, 6, 0, 9, 1, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_int_pair_against_a_fraction_reference(self, num, den, common, rn, rd, en, ed):
+        # ints with a common factor and either sign, against Fraction's normal form
+        root, exponent = Fraction(rn * rn + 1, rd), Fraction(en, ed)
+        r = rational_sqrt(root)
+        # the canonical triple: a perfect-square root absorbed into the coefficient
+        coef, canon = (Fraction(num, den), root) if r is None else (Fraction(num, den) * r, 1)
+        triple = (coef, canon, exponent) if coef else (0, 1, 0)
+        checked = ExactValue(Fraction(num, den), root, exponent)
+        trusted = ExactValue._from_ints(coef.numerator * common, coef.denominator * common,
+                                        Fraction(canon), exponent)
+        for built in (checked, trusted):
+            assert type(built.num) is int and type(built.den) is int
+            assert built.den > 0 and math.gcd(built.num, built.den) == 1
+            assert type(built.coef) is Fraction and built.coef == Fraction(built.num, built.den)
+            assert (built.coef, built.root, built.exponent) == triple
+            assert built.is_zero == (not coef)
+            assert hash(built) == hash(triple)
+            assert float(built) == float(checked)
+        assert checked == trusted and hash(checked) == hash(trusted)
+        other = ExactValue(coef + Fraction(1, common), canon, exponent)
+        assert (trusted == other) == (triple == (other.coef, other.root, other.exponent))
+        assert (trusted != other) == (triple != (other.coef, other.root, other.exponent))
+
+    @given(st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=10 ** 6),
+           st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_arithmetic_keeps_the_triple_of_the_fraction_reference(self, a, b, c):
+        root, exponent = Fraction(2, 3), Fraction(-1, 7)
+        va, vb = ExactValue(a, root, exponent), ExactValue(b, root, exponent)
+        for value, coef in ((va + vb, a + b), (va - vb, a - b), (-va, -a),
+                            (va.scaled(c), a * c), (va.scaled(Fraction(c, 7)), a * c / 7),
+                            (va * Fraction(1, 3), a / 3), (3 * va, 3 * a)):
+            assert value == ExactValue(coef, root, exponent)
+            assert (value.coef, value.root, value.exponent) == (
+                (coef, root, exponent) if coef else (0, 1, 0))
+            assert value.den > 0 and math.gcd(value.num, value.den) == 1
+
+    def test_zero_is_one_canonical_value(self):
+        zero = ExactValue.zero_value()
+        assert zero is ExactValue.zero_value()
+        assert (zero.num, zero.den, zero.root, zero.exponent) == (0, 1, 1, 0)
+        v = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1))
+        for z in (ExactValue(0, Fraction(5), Fraction(3)), v.scaled(0), v - v, v + (-v),
+                  ExactValue._from_ints(0, 7, v.root, v.exponent)):
+            assert z == zero and hash(z) == hash(zero)
+            assert (z.coef, z.root, z.exponent) == (0, 1, 0)
+        assert v.scaled(0) is zero and (v - v) is zero
+        assert zero + v is v and v + zero is v
+        assert not (zero == 0) and zero != (0, 1, 0)
+
+    def test_assignment_raises(self):
+        v = ExactValue(Fraction(1, 2), Fraction(3), Fraction(-1))
+        for name, value in (("num", 5), ("den", 3), ("root", Fraction(1)),
+                            ("exponent", Fraction(0)), ("coef", Fraction(1)), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        with pytest.raises(AttributeError):
+            del v.num
+        assert not hasattr(v, "__dict__")
+        assert (v.num, v.den, v.root, v.exponent) == (1, 2, 3, -1)
+
+    def test_constructor_still_checks_its_input(self):
+        with pytest.raises(TypeError):
+            ExactValue(0.5)
+        with pytest.raises(TypeError):
+            ExactValue(Fraction(1), 2.0)
+        with pytest.raises(ValueError):
+            ExactValue(Fraction(1), Fraction(-2))
+        with pytest.raises(TypeError):
+            ExactValue(Fraction(1)).scaled(0.5)
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
         assert rational_sqrt(Fraction(2)) is None

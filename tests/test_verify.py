@@ -477,6 +477,17 @@ class TestGoldenReport:
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("text", "txt")])
+    def test_mixed_operator_csv_and_text_match_golden_files(self, capsys, fmt, suffix):
+        # the json renderer is not the only one the CLI has
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / f"golden_report_identities_n3_m3_k1_s3_d2_seed7.{suffix}")
+        code = main(["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+                     "--samples", "3", "--degree", "2", "--seed", "7",
+                     "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestLineIntegralCount:
     """A verdict integrates each (polynomial, order, line) once."""
@@ -506,27 +517,36 @@ class TestLineIntegralCount:
 
 
 class TestJetCount:
-    """A verdict takes each derivative of its field once, in the field's own jet.
+    """A verdict takes each derivative once: in the field's jet or a point's contraction.
 
     The operators and the John residuals read a restriction as an address
-    into that jet, so the one restricted tensor a sample builds is the
-    independent right side of ``restricted-recovery``.
+    into the field's jet, so the one restricted tensor a sample builds is
+    the independent right side of ``restricted-recovery``.  Transform data
+    at an exact point differentiate the point's contraction of the field
+    instead, each (fixed, derivs, field) once per point.
     """
 
     @pytest.mark.parametrize("argv,derives,restricts", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 9, 20),
+          "--samples", "20", "--degree", "6"], {"_jet": 7, "_contraction": 120}, 20),
         (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
-          "--samples", "3", "--degree", "2"], 137, 3),
+          "--samples", "3", "--degree", "2"], {"_jet": 124, "_contraction": 138}, 3),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
-          "--samples", "2", "--degree", "2"], 160, 0),
+          "--samples", "2", "--degree", "2"], {"_jet": 70, "_contraction": 60}, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
     def test_derives_and_restrictions(self, monkeypatch, capsys, argv, derives, restricts):
+        # derives by owner: the field's jet, or an exact point's contraction
         derived = []
+        contracted = []
         derive = PolyGauss.derive
 
         def counting_derive(self, i):
-            derived.append(i)
+            frame = sys._getframe(1)
+            derived.append(frame.f_code.co_name)
+            if frame.f_code.co_name == "_contraction":
+                # the objects themselves, so that no id is reused while held
+                args = frame.f_locals
+                contracted.append((args["pt"], args["fixed"], args["derivs"], args["f"]))
             return derive(self, i)
 
         callers = []
@@ -543,7 +563,11 @@ class TestJetCount:
                     monkeypatch.setattr(module, name, counting_restrict)
         assert main(argv + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        assert len(derived) == derives
+        assert {owner: derived.count(owner) for owner in set(derived)} == derives
+        # no exact point differentiates one (fixed, derivs, field) twice
+        keys = {(id(pt), fixed, derivs, id(f)) for pt, fixed, derivs, f in contracted}
+        assert len(keys) == len(contracted) == derives["_contraction"]
+        assert all(pt.is_exact for pt, _, _, _ in contracted)
         # once per sample, in the suite itself: the restricted-recovery record
         assert callers == ["suite_identities"] * restricts
 
@@ -663,3 +687,97 @@ class TestRunBudget:
         # --n 12 --m 1 --degree 1: the sparsest drawn inputs measured
         assert verify._run_cost(8, 1, 0, 2, "all")[2] <= verify.TABLE_BUDGET // 5
         assert verify._run_cost(12, 1, 1, 1, "all")[2] <= verify.TABLE_BUDGET // 5
+
+
+class TestJsonRendering:
+    """The JSON report is ``json.dumps(obj, indent=2)`` byte for byte."""
+
+    @staticmethod
+    def reference(results, config):
+        # the report object as render_report builds it, through the indenting encoder
+        obj = {"config": config.as_dict(),
+               "suites": [{"name": r.name, "pass": r.passed, "resamples": r.resamples,
+                           "records": [rec.as_dict() for rec in r.records]}
+                          for r in results],
+               "pass": all(r.passed for r in results)}
+        return json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS.values(), ids=GOLDEN_ARGVS.keys())
+    def test_golden_argvs(self, argv):
+        args = verify.build_parser().parse_args(argv + ["--format", "json"])
+        config = SuiteConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
+                             degree=args.degree, samples=args.samples, fmt="json")
+        results = run_suites(config, args.suite)
+        assert verify.render_report(results, config, "json") == self.reference(results, config)
+
+    def test_suites_with_no_records_and_no_suites(self):
+        config = SuiteConfig(fmt="json")
+        for results in ([], [verify.SuiteResult("kernel")],
+                        [verify.SuiteResult("identities"), verify.SuiteResult("kernel", [], 2)]):
+            assert verify.render_report(results, config, "json") == self.reference(results, config)
+
+    @given(st.lists(st.tuples(st.text(), st.text(), st.floats(allow_nan=False), st.booleans()),
+                    max_size=4),
+           st.text())
+    @settings(max_examples=60, deadline=None)
+    def test_strings_that_need_escapes(self, rows, name):
+        records = [verify.CheckRecord(name, check_id, identity, residual, passed)
+                   for check_id, identity, residual, passed in rows]
+        # quotes, backslashes, control characters, non-ASCII and the item separator
+        records.append(verify.CheckRecord("s", '"},\n          {"\\', "\u00e9\t\x00\u2028",
+                                          1e300, False))
+        results = [verify.SuiteResult(name, records), verify.SuiteResult("kernel")]
+        config = SuiteConfig(fmt="json")
+        assert verify.render_report(results, config, "json") == self.reference(results, config)
+
+    def test_nested_values_of_every_kind(self):
+        for obj in ({}, [], {"a": []}, {"a": {}}, [[[]]], "x", 3, None,
+                    {"a": [1, {"b": "x\n\"\u00e9 },\n  {"}], "c": None, "d": 1.5e300},
+                    [{"a": 1}, {"b": "},\n      {"}, {"c": 2}], [{"a": 1}, {}],
+                    [{"a": 1}, [2]], {"x": [{"a": {"b": 1}}]}):
+            assert verify._json_text(obj) == json.dumps(obj, indent=2)
+
+
+class TestExactSumsBuildNoFraction:
+    """``line_moment`` and ``_exact_sum`` add exact values up as int pairs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+         "--samples", "20", "--degree", "6"],
+        ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+         "--samples", "3", "--degree", "2"],
+        ["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+         "--samples", "2", "--degree", "2"],
+    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
+    def test_no_fraction_is_built_inside_them(self, monkeypatch, capsys, argv):
+        depth = [0]
+        built = {"inside": 0, "outside": 0}
+        calls = []
+
+        def entered(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        monkeypatch.setattr(moments, "line_moment", entered(moments.line_moment))
+        monkeypatch.setattr(moments, "_exact_sum", entered(moments._exact_sum))
+        new = Fraction.__dict__["__new__"]
+
+        def counting_new(cls, *args, **kwargs):
+            built["inside" if depth[0] else "outside"] += 1
+            return new.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+        finally:
+            Fraction.__new__ = new
+        capsys.readouterr()
+        assert "line_moment" in calls and "_exact_sum" in calls
+        assert built["outside"] > 0  # the counter does see the Fractions built elsewhere
+        assert built["inside"] == 0
