@@ -41,7 +41,6 @@ from .diffops import (
     saint_venant_from_alternated,
 )
 from .moments import (
-    MomentAtom,
     MomentExpression,
     PhasePoint,
     TSPoint,

@@ -8,15 +8,16 @@ variables make sense.
 
 Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
-or restricted fields (MomentExpression), so every transform-level identity
-can be evaluated exactly on rational lines.  At an exact point a datum is
-not read from the field's jet: the point contracts the field with its
-direction once per restriction, in ints, and differentiates that one
-polynomial, so each datum costs one derive and one line integral at most.
-Exact values are summed as int pairs.  The two John identities read one
-table of John data per multiset of coordinate pairs p < q.  The rewrite
-chains behind that table do not depend on the line: each field holds them,
-built once, and a point only evaluates them.
+or restricted fields (MomentExpression, which names each datum by address
+and no field), so every transform-level identity can be evaluated exactly on
+rational lines.  At an exact point a datum is not read from the field's jet:
+the point contracts the field with its direction once per restriction, in
+ints, and differentiates that one polynomial, so each datum costs one derive
+and one line integral at most.  Exact values are summed as int pairs.  The
+two John identities read one table of John data per multiset of coordinate
+pairs p < q.  The John chains behind that table, the recovery expressions
+and the gradients depend on neither the line nor the field: each is built
+once per field shape, and a point only evaluates them for a field.
 """
 
 from __future__ import annotations
@@ -67,14 +68,12 @@ class PhasePoint:
     direction weights of a rank-r transform datum are ints over
     ``xi_den**r`` (see ``_contraction``).
 
-    Five memos, which live as long as the point, make each value at it one
-    computation.  ``transforms`` holds transform data under
-    ``(q, sorted fixed, sorted derivs, id(field))``, ``contracted`` the
-    direction contractions that an exact point integrates under
-    ``(sorted fixed, sorted derivs, id(field))`` (see ``_contraction``),
-    and ``john_tables`` the John tables under ``(sorted fixed, id(field))``:
-    the values at this point of the John chains that the field holds (see
-    ``_john_table``).  Each entry also holds its field, so that no id in a
+    Four memos, which live as long as the point, make each value at it one
+    computation.  ``transforms`` holds transform data under their address
+    and field, ``(q, sorted fixed, sorted derivs, id(field))``, and
+    ``contracted`` the direction contractions that an exact point
+    integrates under ``(sorted fixed, sorted derivs, id(field))`` (see
+    ``_contraction``).  Each entry also holds its field, so that no id in a
     key can pass to another field while the entry lives.  ``integrals``
     holds line integrals of PolyGauss values under the order and the
     polynomial's stored form, ``(q, poly.key)``, so that a polynomial
@@ -95,7 +94,6 @@ class PhasePoint:
         self.zero = _EXACT_ZERO if self.is_exact else 0.0
         self.transforms: dict = {}
         self.contracted: dict = {}
-        self.john_tables: dict = {}
         self.integrals: dict = {}
         self.direction_weights: dict = {}
 
@@ -481,84 +479,65 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
     return _weighted_sum(pairs, pt.zero)
 
 
-class MomentAtom:
-    """One transform datum: order q of a field's derivative and restriction.
-
-    The datum is the q-th transform of the partial derivative ``derivs`` of
-    ``field`` restricted at the indices ``fixed``.  Both tuples are kept
-    sorted, because partials commute with each other and with restriction.
-    ``fingerprint`` names the datum by the field's identity, not its content.
-    """
-
-    __slots__ = ("q", "field", "fixed", "derivs", "fingerprint")
-
-    def __init__(self, q: int, field: SymTensor, fixed=(), derivs=()):
-        if q < 0:
-            raise ValueError("moment order must be non-negative")
-        self.q = q
-        self.field = field
-        self.fixed = tuple(sorted(fixed))
-        self.derivs = tuple(sorted(derivs))
-        self.fingerprint = (q, self.fixed, self.derivs, id(field))
-
-    @property
-    def rank(self) -> int:
-        return self.field.rank - len(self.fixed)
-
-    def value(self, pt: PhasePoint):
-        return _transform_value(self.field, self.q, pt, self.fixed, self.derivs)
-
-
 class MomentExpression:
-    """A rational-linear combination of moment atoms.
+    """A rational-linear combination of transform data of one field shape.
 
-    Closed under the derivative rewrites below; atoms are deduplicated by
-    (order, restriction, derivatives, field) with coefficient merging so that
-    structurally canceling identities collapse to the empty expression.
-    ``gradients`` holds the expression's ``dx`` and ``dxi`` gradients once
-    they are built (see ``_gradient``); an expression is never changed, so
-    they stay valid as long as it lives.
+    An expression names no field.  It holds the shape ``(n, m)`` of the
+    fields it applies to, dimension and rank, and a tuple of ``(coef,
+    address)`` terms sorted by address.  The address ``(q, fixed, derivs)``
+    names the q-th transform of the partial derivative ``derivs`` of a field
+    restricted at the indices ``fixed``; both tuples are sorted, because
+    partials commute with each other and with restriction.  The rewrites
+    below merge the terms of one address and drop zero coefficients, so
+    that structurally canceling identities collapse to the empty
+    expression, and expressions compare and hash by value.
+    ``evaluate(f, pt)`` reads every address of one field at one point.
     """
 
-    __slots__ = ("terms", "gradients")
+    __slots__ = ("n", "m", "terms")
 
-    def __init__(self, terms=()):
-        self.terms = tuple(terms)
-        self.gradients = None
-
-    @classmethod
-    def zero(cls) -> "MomentExpression":
-        return cls()
+    def __init__(self, n: int, m: int, terms=()):
+        self.n, self.m, self.terms = n, m, tuple(terms)
 
     @classmethod
     def transform(cls, f: SymTensor, q: int,
                   fixed: Sequence[int] = ()) -> "MomentExpression":
-        """The q-th transform of f restricted at the indices ``fixed``."""
-        atom = MomentAtom(q, f, restriction_indices(f, fixed))
-        if f.is_zero():
-            return cls()
-        return cls(((Fraction(1), atom),))
+        """The q-th transform of fields of f's shape restricted at the indices ``fixed``."""
+        if q < 0:
+            raise ValueError("moment order must be non-negative")
+        fixed = tuple(sorted(restriction_indices(f, fixed)))
+        return cls._datum(f.n, f.rank, q, fixed)
 
     @classmethod
-    def _merge(cls, parts) -> "MomentExpression":
+    def _datum(cls, n: int, m: int, q: int, fixed: tuple = ()) -> "MomentExpression":
+        return cls(n, m, ((Fraction(1), (q, fixed, ())),))
+
+    @classmethod
+    def _merge(cls, n: int, m: int, parts) -> "MomentExpression":
         acc: dict = {}
-        for coef, atom in parts:
-            key = atom.fingerprint
-            if key in acc:
-                acc[key] = (acc[key][0] + coef, atom)
-            else:
-                acc[key] = (coef, atom)
-        terms = [(coef, atom) for coef, atom in acc.values() if coef]
-        terms.sort(key=lambda item: item[1].fingerprint[:3])
-        return cls(terms)
+        for coef, address in parts:
+            acc[address] = acc.get(address, 0) + coef
+        return cls(n, m, ((coef, address) for address, coef in sorted(acc.items()) if coef))
+
+    def _same_shape(self, n: int, m: int) -> None:
+        if (n, m) != (self.n, self.m):
+            raise ValueError(f"shape {(n, m)} is not the expression's {(self.n, self.m)}")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MomentExpression)
+                and (self.n, self.m, self.terms) == (other.n, other.m, other.terms))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.terms))
 
     def __add__(self, other: "MomentExpression") -> "MomentExpression":
         if not isinstance(other, MomentExpression):
             return NotImplemented
-        return MomentExpression._merge(self.terms + other.terms)
+        self._same_shape(other.n, other.m)
+        return MomentExpression._merge(self.n, self.m, self.terms + other.terms)
 
     def __neg__(self) -> "MomentExpression":
-        return MomentExpression(tuple((-c, a) for c, a in self.terms))
+        return MomentExpression(self.n, self.m, ((-c, a) for c, a in self.terms))
 
     def __sub__(self, other: "MomentExpression") -> "MomentExpression":
         return self + (-other)
@@ -568,20 +547,21 @@ class MomentExpression:
             return NotImplemented
         coef = Fraction(coef)
         if not coef:
-            return MomentExpression()
-        return MomentExpression(tuple((c * coef, a) for c, a in self.terms))
+            return MomentExpression(self.n, self.m)
+        return MomentExpression(self.n, self.m, ((c * coef, a) for c, a in self.terms))
 
     __rmul__ = __mul__
 
-    def evaluate(self, pt: PhasePoint):
-        """Value at one phase point.
+    def evaluate(self, f: SymTensor, pt: PhasePoint):
+        """Value for the field f, which must have the expression's shape, at one point.
 
-        Each atom is read through the point's transform memo, which lives as
-        long as the point: a datum that any evaluation or check at the point
-        has already met is not computed again.
+        Each address is read through the point's transform memo, which lives
+        as long as the point: a datum of f that any evaluation or check at
+        the point has already met is not computed again.
         """
-        return _weighted_sum(((coef, atom.value(pt)) for coef, atom in self.terms),
-                             pt.zero)
+        self._same_shape(f.n, f.rank)
+        return _weighted_sum(((coef, _transform_value(f, q, pt, fixed, derivs))
+                              for coef, (q, fixed, derivs) in self.terms), pt.zero)
 
 
 def dx(e: MomentExpression, i: int) -> MomentExpression:
@@ -589,11 +569,10 @@ def dx(e: MomentExpression, i: int) -> MomentExpression:
 
     Differentiation under the integral moves onto the field componentwise.
     """
-    parts = []
-    for coef, atom in e.terms:
-        derivs = atom.derivs + _check_indices((i,), atom.field.n)
-        parts.append((coef, MomentAtom(atom.q, atom.field, atom.fixed, derivs)))
-    return MomentExpression._merge(parts)
+    axis = _check_indices((i,), e.n)
+    return MomentExpression._merge(e.n, e.m, (
+        (coef, (q, fixed, tuple(sorted(derivs + axis))))
+        for coef, (q, fixed, derivs) in e.terms))
 
 
 def dxi(e: MomentExpression, i: int) -> MomentExpression:
@@ -603,15 +582,14 @@ def dxi(e: MomentExpression, i: int) -> MomentExpression:
     differentiated) and the direction contraction (rank-many copies of the
     transform of the field restricted at i).
     """
+    axis = _check_indices((i,), e.n)
     parts = []
-    for coef, atom in e.terms:
-        derivs = atom.derivs + _check_indices((i,), atom.field.n)
-        parts.append((coef, MomentAtom(atom.q + 1, atom.field, atom.fixed, derivs)))
-        r = atom.rank
+    for coef, (q, fixed, derivs) in e.terms:
+        parts.append((coef, (q + 1, fixed, tuple(sorted(derivs + axis)))))
+        r = e.m - len(fixed)
         if r:
-            parts.append((coef * r, MomentAtom(atom.q, atom.field, atom.fixed + (i,),
-                                               atom.derivs)))
-    return MomentExpression._merge(parts)
+            parts.append((coef * r, (q, tuple(sorted(fixed + axis)), derivs)))
+    return MomentExpression._merge(e.n, e.m, parts)
 
 
 def john(e: MomentExpression, p: int, q: int) -> MomentExpression:
@@ -626,91 +604,84 @@ def _recovery_term(r: int, p: int) -> Fraction:
     return Fraction((-1) ** p * math.comb(r, p))
 
 
+# The chains below depend on the field shape (n, m) and a sorted fixed
+# multiset, so each is built once per shape.  Their keys also carry every
+# function of this module the build reaches (``rewrites``), as
+# diffops._stencil keeps ``series``: a patched one is never served a chain
+# built before the patch.
+
+@functools.lru_cache(maxsize=64)
+def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression:
+    """The restricted-recovery expression at the sorted ``fixed``.
+
+    ``rewrites`` is ``(_recovery_term, dx, dxi)``.  The alternating sum runs
+    over every ordering of the fixed indices, so it depends only on their
+    multiset.
+    """
+    r = len(fixed)
+    perms = list(itertools.permutations(fixed)) or [()]
+    weight = Fraction(1, len(perms))
+    total = MomentExpression(n, m)
+    for perm in perms:
+        for p in range(r + 1):
+            e = MomentExpression._datum(n, m, p) * (_recovery_term(r, p) * weight)
+            for i in perm[:p]:
+                e = dx(e, i)
+            for i in perm[p:]:
+                e = dxi(e, i)
+            total = total + e
+    return total * Fraction(math.factorial(m - r), math.factorial(m))
+
+
 def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
     """Transform of a restricted field rebuilt from derivatives of moment data.
 
     Symmetrizes over the fixed indices an alternating sum of mixed x/xi
     derivatives of the transforms of orders 0..r and evaluates at pt; equals
-    the zeroth transform of the restriction of f at those indices.  The sum
-    runs over every ordering of the fixed indices, so it depends only on
-    their multiset and not on the point: the expression is built once per
-    field and sorted fixed multiset and held in the field's ``chains``,
-    beside the John and ``dx`` chains (see ``_chains``).
+    the zeroth transform of the restriction of f at those indices.  The
+    expression is built once per field shape and fixed multiset
+    (``_recovery``).
     """
     fixed = tuple(sorted(restriction_indices(f, fixed)))
-    memo_key = ("recovery", fixed)
-    total = f.chains.get(memo_key)
-    if total is None:
-        m, r = f.rank, len(fixed)
-        perms = list(itertools.permutations(fixed)) or [()]
-        weight = Fraction(1, len(perms))
-        total = MomentExpression.zero()
-        for perm in perms:
-            for p in range(r + 1):
-                e = MomentExpression.transform(f, p) * (_recovery_term(r, p) * weight)
-                for i in perm[:p]:
-                    e = dx(e, i)
-                for i in perm[p:]:
-                    e = dxi(e, i)
-                total = total + e
-        total = f.chains[memo_key] = total * Fraction(math.factorial(m - r),
-                                                      math.factorial(m))
-    return total.evaluate(pt)
+    return _recovery(f.n, f.rank, fixed, (_recovery_term, dx, dxi)).evaluate(f, pt)
 
 
-def _chains(f: SymTensor, fixed: Sequence[int], kind: str) -> dict:
-    """Rewrite chains of the zeroth transform of f restricted at ``fixed``.
+@functools.lru_cache(maxsize=64)
+def _john_chains(n: int, m: int, fixed: tuple, rewrites: tuple) -> dict:
+    """The John chains of the zeroth transform at the sorted ``fixed``, per pair multiset.
 
-    One MomentExpression per multiset of ``r = rank - len(fixed)`` letters,
-    keyed by the multiset as a sorted tuple.  For ``kind`` "john" the
-    letters are the pairs p < q and each applies ``john``; for "dx" they are
-    the axes and each applies ``dx``.  Both rewrites commute, so a multiset
-    names its chain, and each shorter chain is built once and extended by
-    every letter that may follow it.  A chain does not depend on the point:
-    it is built once per field, fixed multiset and kind, and held in the
-    field's ``chains``, as the field's derivatives are held in its jet.
-    The same dict holds ``recover_restricted``'s expressions under
-    ``("recovery", sorted fixed)``.
+    ``rewrites`` is ``(john, dx, dxi)``.  One MomentExpression per multiset
+    of ``m - len(fixed)`` pairs p < q, the chain that applies ``john`` once
+    per pair, keyed by ``_pair_key(pairs)[0]``.  John operators commute, so
+    a multiset names its chain, and each shorter chain is built once and
+    extended by every pair that may follow it.
     """
-    memo_key = (kind, tuple(sorted(fixed)))
-    hit = f.chains.get(memo_key)
-    if hit is None:
-        axes = range(1, f.n + 1)
-        letters = list(itertools.combinations(axes, 2)) if kind == "john" else axes
-        size = f.rank - len(fixed)
-        chains = {(): MomentExpression.transform(f, 0, fixed)}
-        for length in range(1, size + 1):
-            for word in itertools.combinations_with_replacement(letters, length):
-                prefix, last = chains[word[:-1]], word[-1]
-                chains[word] = john(prefix, *last) if kind == "john" else dx(prefix, last)
-        hit = f.chains[memo_key] = {word: e for word, e in chains.items()
-                                    if len(word) == size}
-    return hit
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    size = m - len(fixed)
+    chains = {(): MomentExpression._datum(n, m, 0, fixed)}
+    for length in range(1, size + 1):
+        for word in itertools.combinations_with_replacement(pairs, length):
+            chains[word] = john(chains[word[:-1]], *word[-1])
+    return {_pair_key(word)[0]: e for word, e in chains.items() if len(word) == size}
 
 
 def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> dict:
     """The (m-k)-fold John data of the k-fold restriction, per pair multiset.
 
-    Evaluates at pt the John chains of f at ``fixed`` (``_chains``): the
-    zeroth transform of f restricted at ``fixed``, with one John operator
-    per pair of each multiset of pairs p < q, under ``_pair_key(pairs)[0]``.
-    John operators commute and ``J_qp = -J_pq``, so any other ordered chain
-    is a signed entry.  The chains are built once per field and fixed
-    multiset, however many points read them; the table of their values once
-    per point (the point's ``john_tables``).  Callers only read it.
+    Evaluates for f at pt the John chains of its shape at ``fixed``
+    (``_john_chains``), under ``_pair_key(pairs)[0]``.  John operators
+    commute and ``J_qp = -J_pq``, so any other ordered chain is a signed
+    entry.  Each datum the chains read is computed once per point (its
+    ``transforms``).
     """
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
-    memo_key = (tuple(sorted(fixed)), id(f))
-    hit = pt.john_tables.get(memo_key)
-    if hit is None:
-        table = {_pair_key(pairs)[0]: e.evaluate(pt)
-                 for pairs, e in _chains(f, fixed, "john").items()}
-        hit = pt.john_tables[memo_key] = (f, table)
-    return hit[1]
+    fixed = tuple(sorted(restriction_indices(f, fixed)))
+    chains = _john_chains(f.n, m, fixed, (john, dx, dxi))
+    return {key: e.evaluate(f, pt) for key, e in chains.items()}
 
 
 def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -762,18 +733,17 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     kernel hypothesis on f.  Both sides depend only on the multiset of the
     derivative multi-index, so one sorted tuple stands for its
     rearrangements.  Each ordered John chain is a signed entry of the John
-    table (``_signed_pair_reads``), and each x-derivative a ``dx`` chain
-    that the field holds (``_chains``).
+    table (``_signed_pair_reads``), and each x-derivative the datum at the
+    address ``(0, fixed, qkey)``.
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
-    rhs_chains = _chains(f, fixed, "dx")
     scale = Fraction((-1) ** mk * math.factorial(mk))
     best = 0.0
     for qkey, reads in _signed_pair_reads(f.n, mk):
         acc = _direction_sum(pt, ((ptuple, sign, table[key]) for ptuple, key, sign in reads),
                              mk)
-        rhs = rhs_chains[qkey].evaluate(pt) * scale
+        rhs = _transform_value(f, 0, pt, fixed, qkey) * scale
         best = max(best, value_diff(acc, rhs))
     return best
 
@@ -831,7 +801,7 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
     restriction; vanishes whenever the order-r operator annihilates f.
     A rearrangement reads only the multiset F of its last r slots: it
     restricts at F and differentiates along key - F.  So the average is one
-    atom per distinct r-sub-multiset F of the key, weighted by the share of
+    datum per distinct r-sub-multiset F of the key, weighted by the share of
     rearrangements that split the key there,
     ``arr(key - F) * arr(F) / arr(key)`` with ``arr`` the number of distinct
     rearrangements (``tuple_multiplicity``).
@@ -846,9 +816,8 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
         for fixed in dict.fromkeys(itertools.combinations(key, r)):
             derivs = _multiset_difference(key, fixed)
             weight = Fraction(tuple_multiplicity(derivs) * tuple_multiplicity(fixed), arr)
-            parts.append((weight, MomentAtom(0, f, fixed, derivs)))
-        total = MomentExpression(parts)
-        best = max(best, value_diff(total.evaluate(pt), pt.zero))
+            parts.append((weight, _transform_value(f, 0, pt, fixed, derivs)))
+        best = max(best, value_diff(_weighted_sum(parts, pt.zero), pt.zero))
     return best
 
 
@@ -871,35 +840,24 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
     return value_diff(lhs, acc)
 
 
-def _gradient(e: MomentExpression, kind: str, n: int) -> tuple:
-    """The expressions ``dx(e, i)`` (kind "dx") or ``dxi(e, i)`` for i = 1..n.
+@functools.lru_cache(maxsize=64)
+def _gradient(e: MomentExpression, rewrite) -> tuple:
+    """The expressions ``rewrite(e, i)`` for i = 1..n, with ``rewrite`` ``dx`` or ``dxi``.
 
-    They do not depend on the point: each is built once per expression and
-    held in its ``gradients``, however many points evaluate it.
+    Built once per expression, which hashes by value, and rewrite, however
+    many fields and points evaluate them; the rewrite is in the key, as in
+    ``_recovery``.
     """
-    if e.gradients is None:
-        e.gradients = {}
-    memo_key = (kind, n)
-    hit = e.gradients.get(memo_key)
-    if hit is None:
-        rewrite = dx if kind == "dx" else dxi
-        hit = e.gradients[memo_key] = tuple(rewrite(e, i) for i in range(1, n + 1))
-    return hit
+    return tuple(rewrite(e, i) for i in range(1, e.n + 1))
 
 
-def directional_x_derivative(e: MomentExpression, pt: PhasePoint):
-    """Evaluate the direction-contracted x-gradient of transform data at pt.
-
-    The gradient expressions are held by ``e`` (see ``_gradient``).
-    """
-    return _direction_sum(pt, (((i,), 1, g.evaluate(pt))
-                               for i, g in enumerate(_gradient(e, "dx", pt.n), 1)), 1)
+def directional_x_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
+    """Evaluate for f the direction-contracted x-gradient of transform data at pt."""
+    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
+                               for i, g in enumerate(_gradient(e, dx), 1)), 1)
 
 
-def directional_xi_derivative(e: MomentExpression, pt: PhasePoint):
-    """Evaluate the direction-contracted xi-gradient of transform data at pt.
-
-    The gradient expressions are held by ``e`` (see ``_gradient``).
-    """
-    return _direction_sum(pt, (((i,), 1, g.evaluate(pt))
-                               for i, g in enumerate(_gradient(e, "dxi", pt.n), 1)), 1)
+def directional_xi_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
+    """Evaluate for f the direction-contracted xi-gradient of transform data at pt."""
+    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
+                               for i, g in enumerate(_gradient(e, dxi), 1)), 1)

@@ -854,8 +854,8 @@ def sym_field(n: int, rank: int, components: dict | None = None) -> SymTensor:
 def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
     """The partial derivative ``derivs`` of one component of a field.
 
-    Every derivative that the diffops operators read, and that moment atoms
-    read on a float point, comes from here; an exact point differentiates
+    Every derivative that the diffops operators read, and that transform
+    data read on a float point, comes from here; an exact point differentiates
     its own direction contraction of the field instead (see
     ``moments._contraction``).  It is memoized in ``f.jet`` under the
     canonical component and the sorted derivative multiset (mixed partials

@@ -152,17 +152,14 @@ class SymTensor(_SparseTensor):
 
     Component lookup accepts the indices in any order.  ``jet`` memoizes
     the partial derivatives of the components that the operators and the
-    float transform path read (see polygauss), and ``chains``
-    the John and x-derivative chains of the transform data of its
-    restrictions and their recovery expressions (see moments); both stay
-    valid because a tensor is never changed after it is built.
+    float transform path read (see polygauss); it stays valid because a
+    tensor is never changed after it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,
                  zero: Any = Fraction(0)):
         self.rank = rank
         self.jet = {}
-        self.chains = {}
         super().__init__(n, (rank,), components, zero)
 
     def _key(self, key) -> Index:

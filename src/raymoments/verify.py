@@ -292,7 +292,7 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
 
     # transform-level identities, one record per sampled line; each point
     # (and its line table) is drawn and dropped with its sample, while the
-    # base transforms, and the gradients they hold, serve every sample
+    # base transforms serve every sample
     bases = [MomentExpression.transform(f, q) for q in range(max(k, 1) + 1)]
     for s_idx in range(config.samples):
         pt = random_phase_point(n, rng)
@@ -323,7 +323,7 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
         record("restriction-contraction",
                restriction_contraction_residual(f, fixed_r, k, pt), tag)
 
-        drift = value_diff(directional_x_derivative(bases[0], pt), pt.zero)
+        drift = value_diff(directional_x_derivative(bases[0], f, pt), pt.zero)
         moved = PhasePoint(
             tuple(a + Fraction(1, 3) * b for a, b in zip(pt.x, pt.xi)), pt.xi)
         record("translation-invariance",
@@ -331,12 +331,12 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
                                      extended_transform(f, 0, pt))), tag)
 
         qq = k if k >= 1 else 1
-        lhs = directional_x_derivative(bases[qq], pt)
+        lhs = directional_x_derivative(bases[qq], f, pt)
         rhs = extended_transform(f, qq - 1, pt)
         record("integration-by-parts", value_diff(lhs, rhs * -qq), tag)
 
         qe = s_idx % (k + 1)
-        lhs = directional_xi_derivative(bases[qe], pt)
+        lhs = directional_xi_derivative(bases[qe], f, pt)
         rhs = extended_transform(f, qe, pt)
         record("euler-degree", value_diff(lhs, rhs * (m - qe - 1)), tag)
 
@@ -344,9 +344,11 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
 
 
 # The most entries one line table of a command line run may reach (see
-# _run_cost); a run estimated above it exits with code 2 before it builds any
-# polynomial.  Library calls are not bounded.
+# _run_cost), and the tables of all its samples, which the kernel suite
+# draws up front; a run estimated above either exits with code 2 before it
+# builds any point or polynomial.  Library calls are not bounded.
 TABLE_BUDGET = 100_000
+SAMPLES_BUDGET = 20 * TABLE_BUDGET
 
 
 def _run_cost(n: int, m: int, k: int, degree: int, which: str) -> tuple[int, int, int]:
@@ -626,6 +628,9 @@ def main(argv=None) -> int:
         parser.error(f"run too large: polynomials of degree up to {top} in {n} "
                      f"variables ({dense} coefficients each) need line tables of "
                      f"up to {table} entries, over the limit of {TABLE_BUDGET}")
+    if config.samples * table > SAMPLES_BUDGET:
+        parser.error(f"run too large: {config.samples} samples of line tables of up to "
+                     f"{table} entries, over the limit of {SAMPLES_BUDGET} in all")
     if raw is not None:
         config.field = _build_field(*raw)
         try:

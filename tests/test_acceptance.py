@@ -198,7 +198,7 @@ def test_criterion_08_transport_and_euler():
         f = random_field(2, 2, 2, f"acc8:{k}")
         for _ in range(5):
             pt = random_phase_point(2, rng)
-            lhs = directional_x_derivative(MomentExpression.transform(f, k), pt)
+            lhs = directional_x_derivative(MomentExpression.transform(f, k), f, pt)
             rhs = extended_transform(f, k - 1, pt).scaled(-k)
             res = value_diff(lhs, rhs)
             worst = max(worst, res)
@@ -207,7 +207,7 @@ def test_criterion_08_transport_and_euler():
         g = random_field(2, r, 1, f"acc8euler:{r}")
         for q in (0, 1, 2, 3):
             pt = random_phase_point(2, rng)
-            lhs = directional_xi_derivative(MomentExpression.transform(g, q), pt)
+            lhs = directional_xi_derivative(MomentExpression.transform(g, q), g, pt)
             rhs = extended_transform(g, q, pt).scaled(r - q - 1)
             res = value_diff(lhs, rhs)
             worst = max(worst, res)

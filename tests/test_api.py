@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     "generalized_saint_venant", "inner_derivative", "iterate_d",
     "restriction_relation_residual", "saint_venant", "saint_venant_from_alternated",
     # moments
-    "MomentAtom", "MomentExpression", "PhasePoint", "TSPoint",
+    "MomentExpression", "PhasePoint", "TSPoint",
     "collapsed_derivative_residual", "dx", "dxi", "extended_from_moments",
     "extended_transform", "john", "john_power_residual", "moment_stack",
     "moment_transform", "random_float_ts_point", "random_phase_point",

@@ -44,7 +44,6 @@ from raymoments import (
 from raymoments import moments
 from raymoments.diffops import _pair_key
 from raymoments.moments import (
-    MomentAtom,
     _john_table,
     _transform_value,
     _weighted_sum,
@@ -483,7 +482,7 @@ class TestDerivativeRules:
         pt = random_phase_point(2, rng)
         e = MomentExpression.transform(f, 0)
         from raymoments.moments import directional_x_derivative
-        assert directional_x_derivative(e, pt).is_zero
+        assert directional_x_derivative(e, f, pt).is_zero
 
     def test_integration_by_parts(self):
         rng = random.Random(19)
@@ -491,7 +490,7 @@ class TestDerivativeRules:
         from raymoments.moments import directional_x_derivative
         for k in (1, 2, 3):
             pt = random_phase_point(3, rng)
-            lhs = directional_x_derivative(MomentExpression.transform(f, k), pt)
+            lhs = directional_x_derivative(MomentExpression.transform(f, k), f, pt)
             rhs = extended_transform(f, k - 1, pt).scaled(-k)
             assert value_diff(lhs, rhs) == 0.0
 
@@ -502,7 +501,7 @@ class TestDerivativeRules:
             g = random_field(2, r, 2, 54 + r)
             for q in (0, 1, 2):
                 pt = random_phase_point(2, rng)
-                lhs = directional_xi_derivative(MomentExpression.transform(g, q), pt)
+                lhs = directional_xi_derivative(MomentExpression.transform(g, q), g, pt)
                 rhs = extended_transform(g, q, pt).scaled(r - q - 1)
                 assert value_diff(lhs, rhs) == 0.0
 
@@ -513,8 +512,8 @@ class TestDerivativeRules:
         from raymoments.moments import directional_xi_derivative
         e = john(MomentExpression.transform(g, 0), 1, 2)
         pt = random_phase_point(2, rng)
-        lhs = directional_xi_derivative(e, pt)
-        rhs = e.evaluate(pt).scaled(2 - 1 - 1)
+        lhs = directional_xi_derivative(e, g, pt)
+        rhs = e.evaluate(g, pt).scaled(2 - 1 - 1)
         assert value_diff(lhs, rhs) == 0.0
 
     def test_rewrites_commute_structurally(self):
@@ -522,16 +521,19 @@ class TestDerivativeRules:
         e = MomentExpression.transform(f, 1)
         one = dx(dxi(e, 2), 1)
         two = dxi(dx(e, 1), 2)
-        assert [(c, a.fingerprint) for c, a in one.terms] == \
-               [(c, a.fingerprint) for c, a in two.terms]
+        # by address: J^1 of f restricted at 2, then d/dx_1; J^2 with both partials
+        assert one.terms == two.terms == (
+            (2, (1, (2,), (1,))), (1, (2, (), (1, 2))))
+        assert one == two and hash(one) == hash(two)
 
     def test_john_antisymmetry(self):
         f = random_field(2, 1, 1, 57)
         e = MomentExpression.transform(f, 0)
         one = john(e, 1, 2)
         two = john(e, 2, 1)
-        assert [(c, a.fingerprint) for c, a in one.terms] == \
-               [(-c, a.fingerprint) for c, a in two.terms]
+        assert one.terms and [(c, a) for c, a in one.terms] == \
+               [(-c, a) for c, a in two.terms]
+        assert one == -two
 
     def test_john_on_scalar_data_cancels(self):
         phi = gaussian_scalar(2)
@@ -549,7 +551,7 @@ class TestDerivativeRules:
         g = random_field(2, 2, 2, 59)
         e = john(MomentExpression.transform(g, 0), 1, 2)
         pt = random_phase_point(2, rng)
-        lhs = float(e.evaluate(pt))
+        lhs = float(e.evaluate(g, pt))
         xf = [float(v) for v in pt.x]
         xif = [float(v) for v in pt.xi]
         rhs = 2 * (quad_transform(field_partial(restrict(g, (2,)), 1), 0, xf, xif)
@@ -568,18 +570,36 @@ class TestDerivativeRules:
         for _ in range(4):
             pt = random_phase_point(3, rng)
             # integration by parts (-q) and the Euler degree (m - q - 1), at q = 1
-            assert value_diff(directional_x_derivative(e, pt),
+            assert value_diff(directional_x_derivative(e, f, pt),
                               extended_transform(f, 0, pt).scaled(-1)) == 0.0
-            assert value_diff(directional_xi_derivative(e, pt),
+            assert value_diff(directional_xi_derivative(e, f, pt),
                               extended_transform(f, 1, pt)) == 0.0
         assert calls == ["dx"] * 3 + ["dxi"] * 3
-        # another expression of the same data builds its own
-        directional_x_derivative(MomentExpression.transform(f, 1), pt)
+        # an equal expression, of another field of the same shape, builds nothing
+        g = random_field(3, 3, 2, 61)
+        assert value_diff(directional_x_derivative(MomentExpression.transform(g, 1), g, pt),
+                          extended_transform(g, 0, pt).scaled(-1)) == 0.0
+        assert len(calls) == 6
+        # another shape builds its own
+        h = random_field(3, 2, 2, 62)
+        directional_x_derivative(MomentExpression.transform(h, 1), h, pt)
         assert calls[6:] == ["dx"] * 3
+
+    def test_other_shape_rejected(self):
+        f = random_field(2, 1, 1, 62)
+        pt = random_phase_point(2, random.Random(24))
+        e = MomentExpression.transform(f, 0)
+        for other in (random_field(2, 2, 1, 63), random_field(3, 1, 1, 64)):
+            with pytest.raises(ValueError, match="shape"):
+                e.evaluate(other, pt)
+            with pytest.raises(ValueError, match="shape"):
+                e + MomentExpression.transform(other, 0)
+            with pytest.raises(ValueError, match="shape"):
+                MomentExpression.transform(other, 0) - e
 
     def test_zero_expression_evaluates_exactly_zero(self):
         pt = TSPoint([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
-        value = MomentExpression.zero().evaluate(pt)
+        value = MomentExpression(2, 1).evaluate(random_field(2, 1, 1, 60), pt)
         assert isinstance(value, ExactValue) and value.is_zero
 
     def test_expression_linearity(self):
@@ -588,10 +608,14 @@ class TestDerivativeRules:
         g = random_field(2, 1, 1, 61)
         pt = random_phase_point(2, rng)
         e1 = MomentExpression.transform(f, 0)
-        e2 = MomentExpression.transform(g, 1)
+        e2 = MomentExpression.transform(f, 1, (2,))
         c = Fraction(5, 3)
-        lhs = (e1 * c + e2).evaluate(pt)
-        rhs = e1.evaluate(pt).scaled(c) + e2.evaluate(pt)
+        lhs = (e1 * c + e2).evaluate(f, pt)
+        rhs = e1.evaluate(f, pt).scaled(c) + e2.evaluate(f, pt)
+        assert value_diff(lhs, rhs) == 0.0
+        # and linear in the field
+        lhs = (e1 * c + e2).evaluate(f + g, pt)
+        rhs = (e1 * c + e2).evaluate(f, pt) + (e1 * c + e2).evaluate(g, pt)
         assert value_diff(lhs, rhs) == 0.0
 
 
@@ -642,7 +666,7 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_restricted(f, (1, 1), pt)
 
-    def test_built_once_per_field_and_fixed_multiset(self, monkeypatch):
+    def test_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
         calls = []
         original = moments._recovery_term
 
@@ -664,11 +688,16 @@ class TestRecovery:
             assert value_diff(recover_restricted(f, fixed, other),
                               extended_transform(restrict(f, fixed), 0, other)) == 0.0
         assert len(calls) == built
-        assert ("recovery", (1, 3)) in f.chains
-        # another fixed multiset or another field builds its own
+        # a second field of the same shape builds nothing
+        g = random_field(3, 3, 1, "recoveronce:other")
+        assert value_diff(recover_restricted(g, (1, 3), pt),
+                          extended_transform(restrict(g, (1, 3)), 0, pt)) == 0.0
+        assert len(calls) == built
+        # another fixed multiset or another shape builds its own
         recover_restricted(f, (1, 1), pt)
         assert len(calls) == 2 * built
-        recover_restricted(random_field(3, 3, 1, "recoveronce:other"), (1, 3), pt)
+        recover_restricted(random_field(4, 3, 1, "recoveronce:shape"), (1, 3),
+                           random_phase_point(4, rng))
         assert len(calls) == 3 * built
         # a bad index is refused before the memo is read
         with pytest.raises(ValueError):
@@ -729,7 +758,11 @@ class TestJetAtoms:
                 for d in range(3):
                     for derivs in itertools.product(axes, repeat=d):
                         for q in range(3):
-                            lhs = MomentAtom(q, f, fixed, derivs).value(pt)
+                            e = MomentExpression.transform(f, q, fixed)
+                            for i in derivs:
+                                e = dx(e, i)
+                            assert len(e.terms) == 1
+                            lhs = e.evaluate(f, pt)
                             assert lhs == self.reference(f, q, fixed, derivs, pt), \
                                 (fixed, derivs, q)
 
@@ -743,7 +776,7 @@ class TestJetAtoms:
         ref = self.reference
         rhs = (ref(f, 2, (2,), (1, 2), pt)
                + ref(f, 1, (2, 2), (1,), pt).scaled(2))
-        assert e.evaluate(pt) == rhs
+        assert e.evaluate(f, pt) == rhs
 
     def test_point_memo_keeps_fields_apart(self):
         rng = random.Random(80)
@@ -752,11 +785,12 @@ class TestJetAtoms:
         g = random_field(2, 2, 2, 82)
         for h in (f, g, f, g):
             e = john(MomentExpression.transform(h, 0, (1,)), 1, 2)
-            assert e.evaluate(pt) == e.evaluate(PhasePoint(pt.x, pt.xi))
+            assert e.evaluate(h, pt) == e.evaluate(h, PhasePoint(pt.x, pt.xi))
         # fields freed between evaluations must not be mistaken for new ones
         for seed in range(20):
-            e = MomentExpression.transform(random_field(2, 1, 1, seed), 0)
-            assert e.evaluate(pt) == e.evaluate(PhasePoint(pt.x, pt.xi))
+            h = random_field(2, 1, 1, seed)
+            e = MomentExpression.transform(h, 0)
+            assert e.evaluate(h, pt) == e.evaluate(h, PhasePoint(pt.x, pt.xi))
         # the memo holds every field it has a datum of, so no id was reused
         assert len({id(held) for held, _ in pt.transforms.values()}) == 22
 
@@ -783,11 +817,11 @@ class TestJohnTable:
                 for pa, qa in zip(ptuple, qt):
                     e = john(e, pa, qa)
                 key, sign = _pair_key(zip(ptuple, qt))
-                assert e.evaluate(pt) == table[key].scaled(sign), (ptuple, qt)
+                assert e.evaluate(f, pt) == table[key].scaled(sign), (ptuple, qt)
                 chains += 1
         assert chains == (n * (n - 1)) ** (m - k)
 
-    def test_chains_built_once_per_field_and_fixed_multiset(self, monkeypatch):
+    def test_chains_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
         calls = []
         original = moments.john
 
@@ -804,8 +838,6 @@ class TestJohnTable:
         table = _john_table(f, 1, (2,), pt)
         assert built == len(table)
         assert collapsed_derivative_residual(f, 1, (2,), pt) == 0.0
-        # the table of values is built once per point
-        assert _john_table(f, 1, (2,), pt) is table
         # however many points read the chains
         for _ in range(4):
             other = random_phase_point(3, rng)
@@ -813,17 +845,23 @@ class TestJohnTable:
             assert collapsed_derivative_residual(f, 1, (2,), other) == 0.0
         assert _john_table(f, 1, (2,), PhasePoint(pt.x, pt.xi)) == table
         assert len(calls) == built
-        # another fixed multiset or another field builds its own chains
+        # a second field of the same shape builds nothing
+        g = random_field(3, 2, 1, "johnonce:other")
+        assert john_power_residual(g, 1, (2,), pt) == 0.0
+        assert collapsed_derivative_residual(g, 1, (2,), pt) == 0.0
+        assert len(calls) == built
+        # another fixed multiset or another shape builds its own chains
         _john_table(f, 1, (3,), pt)
         assert len(calls) == 2 * built
-        _john_table(random_field(3, 2, 1, "johnonce:other"), 1, (2,), pt)
-        assert len(calls) == 3 * built
+        h = random_field(4, 2, 1, "johnonce:shape")
+        assert john_power_residual(h, 1, (2,), random_phase_point(4, rng)) == 0.0
+        assert len(calls) == 2 * built + math.comb(4, 2)
         # a fixed multiset is one, in whatever order its indices come
-        g = random_field(3, 3, 1, "johnonce:rank3")
-        _john_table(g, 2, (3, 1), pt)
-        built_g = len(calls)
-        _john_table(g, 2, (1, 3), PhasePoint(pt.x, pt.xi))
-        assert len(calls) == built_g
+        h = random_field(3, 3, 1, "johnonce:rank3")
+        _john_table(h, 2, (3, 1), pt)
+        built_h = len(calls)
+        _john_table(h, 2, (1, 3), PhasePoint(pt.x, pt.xi))
+        assert len(calls) == built_h
 
 
 class TestJohnPower:
@@ -856,8 +894,9 @@ class TestCollapsedDerivative:
         pt = random_phase_point(n, rng)
         assert collapsed_derivative_residual(f, k, fixed, pt) == 0.0
 
-    def test_rewrites_built_once_per_field_and_fixed_multiset(self, monkeypatch):
-        # the John chains and the right side's dx chains are both held by the field
+    def test_rewrites_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
+        # the John chains are built once per shape; the right side is an
+        # address, which no rewrite builds
         calls = []
         original = moments.dx
 
@@ -869,12 +908,19 @@ class TestCollapsedDerivative:
         f = random_field(3, 3, 1, "dxonce")
         rng = random.Random(43)
         assert collapsed_derivative_residual(f, 1, (2,), random_phase_point(3, rng)) == 0.0
-        built = len(calls)
-        assert built
+        # two per John operator: the 3 chains of one pair and 6 of two
+        assert len(calls) == 2 * (3 + 6)
         for _ in range(3):
             pt = random_phase_point(3, rng)
             assert collapsed_derivative_residual(f, 1, (2,), pt) == 0.0
-        assert len(calls) == built
+        # a second field of the same shape builds nothing
+        g = random_field(3, 3, 1, "dxonce:other")
+        assert collapsed_derivative_residual(g, 1, (2,), pt) == 0.0
+        assert len(calls) == 18
+        # another shape builds its own: 1 chain of one pair over 2 axes
+        h = random_field(2, 2, 1, "dxonce:shape")
+        assert collapsed_derivative_residual(h, 1, (2,), random_phase_point(2, rng)) == 0.0
+        assert len(calls) == 18 + 2
 
     def test_single_step_case(self):
         # m-k = 1 collapses in one application
@@ -957,13 +1003,13 @@ def _reference_symmetrized_derivative(f, r, pt):
     for key in all_canonical_tuples(f.n, m):
         rearr = distinct_rearrangements(key)
         weight = Fraction(1, len(rearr))
-        total = MomentExpression.zero()
+        total = MomentExpression(f.n, f.rank)
         for perm in rearr:
             e = MomentExpression.transform(f, 0, perm[mk:])
             for i in perm[:mk]:
                 e = dx(e, i)
             total = total + e * weight
-        values.append(total.evaluate(pt))
+        values.append(total.evaluate(f, pt))
     return values
 
 

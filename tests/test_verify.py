@@ -575,20 +575,18 @@ class TestJetCount:
 class TestRewriteCount:
     """A verdict builds each point-independent rewrite chain once.
 
-    The field holds its John, ``dx`` and recovery chains, and each base
-    transform its gradients, so the ``dx`` and ``dxi`` calls of a verdict
-    do not grow with the samples that evaluate them.
+    The John chains, the recovery expressions and the gradients of the base
+    transforms are built once per field shape, so the ``dx`` and ``dxi``
+    calls of a verdict do not grow with the samples that evaluate them.
+    The collapsed-derivative check reads its right side by address, with
+    no rewrite.
     """
 
-    @pytest.mark.parametrize("argv,dx_calls,dxi_calls", [
-        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 32, 28),
-        (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
-          "--samples", "3", "--degree", "2"], 67, 49),
-        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
-          "--samples", "2", "--degree", "2"], 0, 0),
-    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
-    def test_dx_and_dxi_calls(self, monkeypatch, capsys, argv, dx_calls, dxi_calls):
+    IDENT_MIXED = ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+                   "--samples", "3", "--degree", "2"]
+
+    @staticmethod
+    def count(monkeypatch, capsys, argv) -> tuple:
         calls = []
         for name in ("dx", "dxi"):
             original = getattr(moments, name)
@@ -596,7 +594,24 @@ class TestRewriteCount:
                                 calls.append(_name) or _f(e, i))
         assert main(argv + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        assert (calls.count("dx"), calls.count("dxi")) == (dx_calls, dxi_calls)
+        return calls.count("dx"), calls.count("dxi")
+
+    @pytest.mark.parametrize("argv,dx_calls,dxi_calls", [
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 28, 28),
+        (IDENT_MIXED, 49, 49),
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 0, 0),
+    ], ids=["ident-moments", "ident-mixed", "kernel-op"])
+    def test_dx_and_dxi_calls(self, monkeypatch, capsys, argv, dx_calls, dxi_calls):
+        assert self.count(monkeypatch, capsys, argv) == (dx_calls, dxi_calls)
+
+    def test_patch_after_an_unpatched_verdict_counts_every_call(self, monkeypatch, capsys):
+        # the chains a warm verdict cached are keyed by the unpatched
+        # rewrites, so none of them is served to the patched ones
+        assert main(self.IDENT_MIXED + ["--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (49, 49)
 
 
 # the command lines of the six golden reports
@@ -681,6 +696,39 @@ class TestRunBudget:
             main(argv)
         assert err.value.code == 2
         assert f"over the limit of {verify.TABLE_BUDGET}" in capsys.readouterr().err
+
+    def test_over_budget_samples_exit_two(self, monkeypatch, capsys):
+        # a drawn line holds about 1.9 KB: 10,000,000 of them, about 19 GB
+        self._refuse_polynomials(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(verify, "random_ts_point", refuse)
+        monkeypatch.setattr(verify, "random_phase_point", refuse)
+        for suite in ("kernel", "identities", "all"):
+            with pytest.raises(SystemExit) as err:
+                main(["--suite", suite, "--n", "2", "--m", "1", "--samples", "10000000"])
+            assert err.value.code == 2
+            assert (f"over the limit of {verify.SAMPLES_BUDGET} in all"
+                    in capsys.readouterr().err)
+
+    def test_samples_budget_boundary(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(verify, "run_suites",
+                            lambda config, which: ran.append(config.samples) or [])
+        # the most samples the budget admits run, and one more is refused
+        argv = ["--suite", "kernel", "--n", "2", "--m", "1", "--k", "0"]
+        limit = verify.SAMPLES_BUDGET // verify._run_cost(2, 1, 0, 2, "kernel")[2]
+        assert main(argv + ["--samples", str(limit)]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--samples", str(limit + 1)])
+        assert err.value.code == 2
+        # at the default 20 samples, a table at the table budget is admitted
+        monkeypatch.setattr(verify, "_run_cost", lambda *args: (2, 6, verify.TABLE_BUDGET))
+        assert main(["--suite", "kernel"]) == 0
+        capsys.readouterr()
+        assert ran == [limit, 20]
 
     def test_estimate_of_the_sparse_wide_argv_is_within_budget(self):
         # --suite all --n 8 --m 1 --k 0 --degree 2, checked in CI, and
