@@ -10,10 +10,12 @@ Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression, which names each datum by address
 and no field), so every transform-level identity can be evaluated exactly on
-rational lines.  At an exact point a datum is not read from the field's jet:
-the point contracts the field with its direction once per restriction, in
-ints, and differentiates that one polynomial, so each datum costs one derive
-and one line integral at most.  Exact values are summed as int pairs.  The
+rational lines.  A datum is never read from the field's jet: every point,
+exact or float, keeps its direction as ints, contracts the field with it once
+per restriction, in ints, and differentiates that one polynomial, so each
+datum costs one derive and one line integral at most, taken on the point's
+own line table (an exact value on a rational line, a float on any other).
+Exact values are summed as int pairs (``ExactValue.sum``).  The
 two John identities read one table of John data per multiset of coordinate
 pairs p < q.  The John chains behind that table, the recovery expressions
 and the gradients depend on neither the line nor the field: each is built
@@ -36,7 +38,6 @@ from .polygauss import (
     LineTable,
     PolyGauss,
     Polynomial,
-    _jet,
     is_rational,
     line_moment,
     rational_sqrt,
@@ -53,34 +54,28 @@ from .symtensor import (
 
 PROJECTION_TOL = 1e-12
 
-# the one canonical exact zero, shared by every exact point and empty sum
-_EXACT_ZERO = ExactValue.zero_value()
-
 
 class PhasePoint:
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
 
     The point's LineTable decides its scalars: coordinates are kept exact
-    when every entry is rational, otherwise they are floats and downstream
-    evaluation switches to the float path.  An exact point also keeps its
+    when every entry is rational, otherwise they are floats, and so are the
+    line integrals taken at the point.  Either way the point keeps its
     direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
-    denominators of xi, as the line table set them up, so that the
-    direction weights of a rank-r transform datum are ints over
-    ``xi_den**r`` (see ``_contraction``).
+    denominators of xi (a power of 2 on a float point), as the line table
+    set them up, so that the direction weights of a rank-r transform datum
+    are ints over ``xi_den**r`` (see ``_contraction``).
 
-    Four memos, which live as long as the point, make each value at it one
-    computation.  ``transforms`` holds transform data under their address
-    and field, ``(q, sorted fixed, sorted derivs, id(field))``, and
-    ``contracted`` the direction contractions that an exact point
-    integrates under ``(sorted fixed, sorted derivs, id(field))`` (see
-    ``_contraction``).  Each entry also holds its field, so that no id in a
+    Two memos, which live as long as the point, make each value at it one
+    computation.  ``contracted`` holds the direction contractions of a
+    field under ``(sorted fixed, sorted derivs, id(field))`` (see
+    ``_contraction``); each entry also holds its field, so that no id in a
     key can pass to another field while the entry lives.  ``integrals``
     holds line integrals of PolyGauss values under the order and the
     polynomial's stored form, ``(q, poly.key)``, so that a polynomial
     reached through two objects is integrated once.  Every line integral
-    this module takes goes through ``integral``.  ``direction_weights``
-    holds, per rank, the direction weight of each canonical key (see
-    ``_direction_weights``).
+    this module takes goes through ``integral``, so a transform datum is
+    one lookup in each.
     ``xi_norm_sq`` and ``x_dot_xi`` read s and c from the line table, and
     ``zero`` is the value of an empty sum at the point: the shared exact
     zero on an exact point, 0.0 on a float one.
@@ -91,11 +86,9 @@ class PhasePoint:
         self.line_table = table = LineTable(tuple(x), tuple(xi))
         self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
         self.xi_den, self.xi_nums = table.xi_den, table.xi_nums
-        self.zero = _EXACT_ZERO if self.is_exact else 0.0
-        self.transforms: dict = {}
+        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
         self.contracted: dict = {}
         self.integrals: dict = {}
-        self.direction_weights: dict = {}
 
     def integral(self, g, q: int):
         """The integral of t^q g along the point's line, computed once."""
@@ -266,7 +259,7 @@ def magnitude(v) -> float:
 def value_diff(a, b) -> float:
     """Absolute difference of two transform values.
 
-    Two ExactValues are subtracted exactly, as an int sum (``_exact_sum``),
+    Two ExactValues are subtracted exactly, as an int sum (``ExactValue.sum``),
     and the difference goes through ``magnitude``, so the result is 0.0 iff
     they are equal; values that cannot be subtracted exactly (different
     exponents or incompatible roots) raise ArithmeticError.  Two floats, on
@@ -274,84 +267,44 @@ def value_diff(a, b) -> float:
     float raises TypeError.
     """
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
-        return magnitude(_exact_sum(((1, a), (-1, b))))
+        return magnitude(a - b)
     if isinstance(a, ExactValue) or isinstance(b, ExactValue):
         raise TypeError("cannot compare an exact value with a float one")
     return abs(float(a) - float(b))
 
 
-def _exact_sum(pairs, den: int = 1) -> ExactValue:
-    """Sum of rational weight * ExactValue over (weight, value) pairs, over ``den``.
-
-    Terms with a zero weight or value drop out, as zeros do in
-    ``ExactValue.__add__``.  Every other term must share the exponent of the
-    first; its root is brought to the first term's root by the rational
-    ratio sqrt(root / first root) that ``ExactValue.__add__`` uses, and
-    ArithmeticError is raised where either fails.  Values of one line share
-    their root and exponent objects, so those are compared by identity
-    first.  The terms are then int numerators over int denominators (an int
-    weight is its own numerator over 1), added over their lcm; that sum
-    over the lcm times the int ``den`` is reduced by one gcd, and no
-    Fraction is built.
-    """
-    nums, dens = [], []
-    root = exponent = None
-    for w, v in pairs:
-        num = v.num
-        if not (w and num):
-            continue
-        num *= w.numerator
-        vden = v.den * w.denominator
-        if root is None:
-            root, exponent = v.root, v.exponent
-        else:
-            if v.exponent is not exponent and v.exponent != exponent:
-                raise ArithmeticError("cannot add exact values with different exponents")
-            if v.root is not root and v.root != root:
-                ratio = rational_sqrt(v.root / root)
-                if ratio is None:
-                    raise ArithmeticError("cannot add exact values with incompatible roots")
-                num, vden = num * ratio.numerator, vden * ratio.denominator
-        nums.append(num)
-        dens.append(vden)
-    if not nums:
-        return _EXACT_ZERO
-    common = math.lcm(*dens)
-    total = sum(num * (common // vden) for num, vden in zip(nums, dens))
-    return ExactValue._from_ints(total, common * den, root, exponent)
-
-
 def _weighted_sum(pairs, zero, den: int = 1):
     """Sum of weight * value over (weight, value) pairs, over ``den``; ``zero`` if none.
 
-    Exact (an ExactValue, summed in ints by ``_exact_sum``) when every value
-    is exact and every weight rational, ``math.fsum`` of the float products
-    when no value is exact.  An exact value with a float value or weight
-    raises TypeError, as in ``value_diff``: an exact sum never falls back to
-    float.  ``den`` is a positive int (1 on a float point).
+    Exact (an ExactValue, summed in ints by ``ExactValue.sum``) when every
+    value is exact and every weight rational, ``math.fsum`` of the float
+    products when no value is exact.  An exact value with a float value or
+    weight raises TypeError, as in ``value_diff``: an exact sum never falls
+    back to float.  ``den`` is a positive int.  On the float route each
+    weight is divided by it before it meets its value, so that an int
+    weight and ``den`` too large for a float still give their finite
+    quotient.
     """
     pairs = list(pairs)
     if not pairs:
         return zero
     if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
-        return _exact_sum(pairs, den)
+        return ExactValue.sum(pairs, den)
     if any(isinstance(v, ExactValue) for _, v in pairs):
         raise TypeError("cannot sum exact values with float values or weights")
-    return math.fsum(float(w) * float(v) for w, v in pairs) / den
+    return math.fsum(w / den * float(v) for w, v in pairs)
 
 
 def _direction_sum(pt: PhasePoint, terms, rank: int):
     """Sum of c * (the product of xi_a over axes) * value over (axes, c, value) terms.
 
-    Every axes tuple has length ``rank``.  On an exact point the products
-    are taken in the int ``pt.xi_nums`` and the int-weighted sum is divided
-    once by ``pt.xi_den**rank``; on a float point they are taken in
-    ``pt.xi``.
+    Every axes tuple has length ``rank``.  The products are taken in the int
+    ``pt.xi_nums``, and the int-weighted sum is divided by
+    ``pt.xi_den**rank``.
     """
-    xi = pt.xi_nums if pt.is_exact else pt.xi
+    xi = pt.xi_nums
     return _weighted_sum(((math.prod((xi[a - 1] for a in axes), start=c), v)
-                          for axes, c, v in terms),
-                         pt.zero, pt.xi_den ** rank if pt.is_exact else 1)
+                          for axes, c, v in terms), pt.zero, pt.xi_den ** rank)
 
 
 @functools.lru_cache(maxsize=64)
@@ -360,37 +313,19 @@ def _keys_with_multiplicity(n: int, rank: int) -> tuple:
     return tuple((key, tuple_multiplicity(key)) for key in all_canonical_tuples(n, rank))
 
 
-def _direction_weights(pt: PhasePoint, rank: int) -> tuple:
-    """``(key, weight)`` for each canonical key of ``rank`` with a nonzero weight.
-
-    The weight of key J is its multiplicity times the product of xi_j over
-    J, in ``pt.xi_nums`` on an exact point (an int over ``pt.xi_den**rank``)
-    and in ``pt.xi`` on a float one.  Built once per point and rank, in the
-    point's ``direction_weights``.
-    """
-    hit = pt.direction_weights.get(rank)
-    if hit is None:
-        xi = pt.xi_nums if pt.is_exact else pt.xi
-        hit = pt.direction_weights[rank] = tuple(
-            (key, weight) for key, mult in _keys_with_multiplicity(pt.n, rank)
-            if (weight := math.prod((xi[j - 1] for j in key), start=mult)))
-    return hit
-
-
 def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> PolyGauss:
     """The direction contraction of the derivative ``derivs`` of f restricted at ``fixed``.
 
-    For an exact point and sorted ``fixed`` and ``derivs``: the sum, over the
-    canonical keys J of the remaining rank r, of the direction weight of J
-    (``_direction_weights``, ints over ``pt.xi_den**r``) times the partial
-    derivative ``derivs`` of f's component at ``fixed + J``.
+    For sorted ``fixed`` and ``derivs``: the sum, over the canonical keys J
+    of the remaining rank r, of the multiplicity of J times the product of
+    xi_j over J (ints in ``pt.xi_nums``, over ``pt.xi_den**r``) times the
+    partial derivative ``derivs`` of f's component at ``fixed + J``.
     Differentiation is linear, so only the root entry, with no derivatives,
     reads f: its components are added up in ints, as the diffops stencils
     are applied.  Every other entry is its prefix in the sorted ``derivs``
     differentiated once more, so each entry costs one derive and no jet
-    entry of f with derivatives is read.  Memoized in the point's
-    ``contracted`` under ``(fixed, derivs, id(f))``, with the field held
-    beside it.
+    entry of f is read.  Memoized in the point's ``contracted`` under
+    ``(fixed, derivs, id(f))``, with the field held beside it.
     """
     memo_key = (fixed, derivs, id(f))
     hit = pt.contracted.get(memo_key)
@@ -398,10 +333,12 @@ def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> P
         if derivs:
             value = _contraction(f, pt, fixed, derivs[:-1]).derive(derivs[-1])
         else:
-            rank = f.rank - len(fixed)
+            rank, xi = f.rank - len(fixed), pt.xi_nums
             value = PolyGauss(Polynomial._from_weighted(
-                f.n, ((weight, _jet(f, fixed + key, ()).poly)
-                      for key, weight in _direction_weights(pt, rank)), pt.xi_den ** rank))
+                f.n, ((weight, f.get(fixed + key).poly)
+                      for key, mult in _keys_with_multiplicity(pt.n, rank)
+                      if (weight := math.prod((xi[j - 1] for j in key), start=mult))),
+                pt.xi_den ** rank))
         hit = pt.contracted[memo_key] = (f, value)
     return hit[1]
 
@@ -409,33 +346,15 @@ def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> P
 def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     """The q-th transform of the derivative ``derivs`` of f restricted at ``fixed``.
 
-    The line integral of t^q times the direction-contracted field: the sum,
-    over the canonical keys J of the remaining rank r, of the multiplicity
-    of J times the product of xi_j over J times the partial derivative
-    ``derivs`` of f's component at ``fixed + J``.  On an exact point the
-    contraction is one polynomial that the point holds (``_contraction``),
-    and the datum costs one line integral (none when the contraction is
-    zero).  On a float point each jet entry is integrated and the values
-    are summed in floats.  Read through the point's memos: the value once
-    per datum, each integral once per point, the weights once per rank
-    (``_direction_weights``).
+    The line integral of t^q times the direction-contracted field
+    (``_contraction``), one polynomial that the point holds: one line
+    integral on the point's table, none when the contraction is zero.  Both
+    the contraction and the integral are read through the point's memos.
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
-    fixed, derivs = tuple(sorted(fixed)), tuple(sorted(derivs))
-    memo_key = (q, fixed, derivs, id(f))
-    hit = pt.transforms.get(memo_key)
-    if hit is None:
-        if pt.is_exact:
-            g = _contraction(f, pt, fixed, derivs)
-            value = pt.integral(g, q) if g else pt.zero
-        else:
-            weighted = [(weight, _jet(f, fixed + key, derivs))
-                        for key, weight in _direction_weights(pt, f.rank - len(fixed))]
-            value = _weighted_sum(((weight, pt.integral(comp, q))
-                                   for weight, comp in weighted if comp), pt.zero)
-        hit = pt.transforms[memo_key] = (f, value)
-    return hit[1]
+    g = _contraction(f, pt, tuple(sorted(fixed)), tuple(sorted(derivs)))
+    return pt.integral(g, q) if g else pt.zero
 
 
 def moment_transform(f: SymTensor, q: int, pt: TSPoint):
@@ -555,9 +474,10 @@ class MomentExpression:
     def evaluate(self, f: SymTensor, pt: PhasePoint):
         """Value for the field f, which must have the expression's shape, at one point.
 
-        Each address is read through the point's transform memo, which lives
-        as long as the point: a datum of f that any evaluation or check at
-        the point has already met is not computed again.
+        Each address is read through the point's memos, which live as long
+        as the point: a contraction or line integral of f that any
+        evaluation or check at the point has already met is not computed
+        again.
         """
         self._same_shape(f.n, f.rank)
         return _weighted_sum(((coef, _transform_value(f, q, pt, fixed, derivs))
@@ -671,8 +591,8 @@ def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> d
     Evaluates for f at pt the John chains of its shape at ``fixed``
     (``_john_chains``), under ``_pair_key(pairs)[0]``.  John operators
     commute and ``J_qp = -J_pq``, so any other ordered chain is a signed
-    entry.  Each datum the chains read is computed once per point (its
-    ``transforms``).
+    entry.  Each contraction and line integral the chains read is computed
+    once per point (its ``contracted`` and ``integrals``).
     """
     m = f.rank
     if not 0 <= k < m:
@@ -851,13 +771,17 @@ def _gradient(e: MomentExpression, rewrite) -> tuple:
     return tuple(rewrite(e, i) for i in range(1, e.n + 1))
 
 
+def _directional(e: MomentExpression, f: SymTensor, pt: PhasePoint, rewrite):
+    """Evaluate for f the gradient ``_gradient(e, rewrite)`` contracted with xi at pt."""
+    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
+                               for i, g in enumerate(_gradient(e, rewrite), 1)), 1)
+
+
 def directional_x_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
     """Evaluate for f the direction-contracted x-gradient of transform data at pt."""
-    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
-                               for i, g in enumerate(_gradient(e, dx), 1)), 1)
+    return _directional(e, f, pt, dx)
 
 
 def directional_xi_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
     """Evaluate for f the direction-contracted xi-gradient of transform data at pt."""
-    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
-                               for i, g in enumerate(_gradient(e, dxi), 1)), 1)
+    return _directional(e, f, pt, dxi)

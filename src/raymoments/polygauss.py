@@ -449,10 +449,11 @@ class ExactValue:
     coefficient at construction, and zero is kept in the one canonical form
     (0, 1, 0), a single shared object (``zero_value``).  Values on the same
     line share root and exponent, so sums and differences of transform data
-    stay exact.  Arithmetic on values whose root is already in that form
-    builds its results with ``_from_ints``, which reduces the int pair by
-    one gcd and does not take the square root again.  A value is never
-    changed after it is built: assignment raises AttributeError.
+    stay exact; ``+``, ``-`` and every weighted sum go through ``sum``, the
+    one exact n-ary sum.  Arithmetic on values whose root is already in
+    that form builds its results with ``_from_ints``, which reduces the int
+    pair by one gcd and does not take the square root again.  A value is
+    never changed after it is built: assignment raises AttributeError.
     """
 
     __slots__ = ("num", "den", "root", "exponent")
@@ -531,21 +532,56 @@ class ExactValue:
             return other
         if not other.num:
             return self
-        if self.exponent != other.exponent:
-            raise ArithmeticError("cannot add exact values with different exponents")
-        if self.root == other.root:
-            return ExactValue._from_ints(self.num * other.den + other.num * self.den,
-                                         self.den * other.den, self.root, self.exponent)
-        ratio = rational_sqrt(other.root / self.root)
-        if ratio is None:
-            raise ArithmeticError("cannot add exact values with incompatible roots")
-        return ExactValue(self.coef + other.coef * ratio, self.root, self.exponent)
+        return ExactValue.sum(((1, self), (1, other)))
 
     def __neg__(self) -> "ExactValue":
         return ExactValue._from_ints(-self.num, self.den, self.root, self.exponent)
 
     def __sub__(self, other: "ExactValue") -> "ExactValue":
-        return self + (-other)
+        if not isinstance(other, ExactValue):
+            return NotImplemented
+        return ExactValue.sum(((1, self), (-1, other)))
+
+    @staticmethod
+    def sum(pairs, den: int = 1) -> "ExactValue":
+        """Sum of rational weight * value over (weight, value) pairs, over the int ``den``.
+
+        The one exact sum of ExactValues; ``+`` and ``-`` call it too.  Terms
+        with a zero weight or value drop out.  Every other term must share
+        the exponent of the first; its root is brought to the first term's
+        root by the rational ratio sqrt(root / first root), and
+        ArithmeticError is raised where either fails.  Values of one line
+        share their root and exponent objects, so those are compared by
+        identity first.  The terms are then int numerators over int
+        denominators (an int weight is its own numerator over 1), added over
+        their lcm; that sum over the lcm times ``den`` is reduced by one gcd,
+        and no Fraction is built.
+        """
+        nums, dens = [], []
+        root = exponent = None
+        for w, v in pairs:
+            num = v.num
+            if not (w and num):
+                continue
+            num *= w.numerator
+            vden = v.den * w.denominator
+            if root is None:
+                root, exponent = v.root, v.exponent
+            else:
+                if v.exponent is not exponent and v.exponent != exponent:
+                    raise ArithmeticError("cannot add exact values with different exponents")
+                if v.root is not root and v.root != root:
+                    ratio = rational_sqrt(v.root / root)
+                    if ratio is None:
+                        raise ArithmeticError("cannot add exact values with incompatible roots")
+                    num, vden = num * ratio.numerator, vden * ratio.denominator
+            nums.append(num)
+            dens.append(vden)
+        if not nums:
+            return _ZERO
+        common = math.lcm(*dens)
+        total = sum(num * (common // vden) for num, vden in zip(nums, dens))
+        return ExactValue._from_ints(total, common * den, root, exponent)
 
     def __mul__(self, c):
         if is_rational(c):
@@ -633,7 +669,13 @@ class LineTable:
     counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
     trades one order for one coordinate: under L^(q + |e|) it would keep the
     power and leave xi_i unscaled.  A float line has L = 1 and keeps the
-    recurrence's own floats.
+    recurrence's own floats; one whose coordinates, s, c, exponent, mean or
+    var are not finite is rejected.
+
+    Every line also keeps its direction as ints, ``xi_nums`` over
+    ``xi_den``, the lcm of the denominators of xi (a PhasePoint weights its
+    transform data with them).  That is exact on a float line too: a finite
+    float is an int over a power of 2 (``float.as_integer_ratio``).
 
     The entries are kept by rows in the dimension's graded index (see
     _Monomials): ``rows[q][j]`` is A_q(e) for the tuple e at place j, so
@@ -661,35 +703,39 @@ class LineTable:
         if len(x) != len(xi) or not x:
             raise ValueError("x and xi must share a positive dimension")
         self.is_exact = all_rational(x) and all_rational(xi)
+        kind = _as_fraction if self.is_exact else float
+        self.x, self.xi = tuple(map(kind, x)), tuple(map(kind, xi))
+        if not self.is_exact and not all(map(math.isfinite, self.x + self.xi)):
+            raise ValueError("line coordinates must be finite")
+        ratios = [v.as_integer_ratio() for v in self.xi]
+        xi_den = self.xi_den = math.lcm(*(d for _, d in ratios))
+        self.xi_nums = tuple(num * (xi_den // d) for num, d in ratios)
         if self.is_exact:
-            self.x = tuple(map(_as_fraction, x))
-            self.xi = tuple(map(_as_fraction, xi))
             self._exact_setup()
             self._zero, one = 0, 1
         else:
-            self.x = tuple(map(float, x))
-            self.xi = tuple(map(float, xi))
             self.s, self.c, self.exponent = _line_data(self.x, self.xi)
             self.mean = -self.c / self.s
             self.var = 1 / (2 * self.s)
+            if not all(map(math.isfinite, (self.s, self.c, self.exponent,
+                                           self.mean, self.var))):
+                raise ValueError("line scalars overflow the float range")
             self.scale = 1
             self._weights = (self.x, self.xi, self.mean, self.var)
-            self.root = self.root_factor = self.xi_den = self.xi_nums = None
+            self.root = self.root_factor = None
             self._zero, one = 0.0, 1.0
         self.rows = [[one]]
 
     def _exact_setup(self) -> None:
         """The scalars of a rational line, from its coordinates over one denominator.
 
-        The direction is kept as ints first, ``xi_nums`` over ``xi_den``, the
-        lcm of the denominators of xi (a PhasePoint weights its transform
-        data with them).  With x = X/D and xi = XI/D for ints X, XI and D the
-        lcm of all the denominators, the int sums S = |XI|^2, C = X.XI and
-        N = |X|^2 give s = S/D^2, c = C/D^2, exponent = (C^2 - N*S)/(D^2*S),
-        mean = -C/S and var = D^2/(2*S), one Fraction each.
+        With x = X/D and xi = XI/D for ints X, XI and D the lcm of all the
+        denominators (a multiple of ``xi_den``), the int sums S = |XI|^2,
+        C = X.XI and N = |X|^2 give s = S/D^2, c = C/D^2,
+        exponent = (C^2 - N*S)/(D^2*S), mean = -C/S and var = D^2/(2*S), one
+        Fraction each.
         """
-        xi_den = self.xi_den = math.lcm(*(v.denominator for v in self.xi))
-        self.xi_nums = tuple(v.numerator * (xi_den // v.denominator) for v in self.xi)
+        xi_den = self.xi_den
         big = math.lcm(xi_den, *(v.denominator for v in self.x))
         xs = [v.numerator * (big // v.denominator) for v in self.x]
         xis = [v * (big // xi_den) for v in self.xi_nums]
@@ -854,9 +900,9 @@ def sym_field(n: int, rank: int, components: dict | None = None) -> SymTensor:
 def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
     """The partial derivative ``derivs`` of one component of a field.
 
-    Every derivative that the diffops operators read, and that transform
-    data read on a float point, comes from here; an exact point differentiates
-    its own direction contraction of the field instead (see
+    Every derivative that the diffops operators read comes from here.
+    Transform data never read the jet: a point differentiates its own
+    direction contraction of the field instead (see
     ``moments._contraction``).  It is memoized in ``f.jet`` under the
     canonical component and the sorted derivative multiset (mixed partials
     commute), and built from its memoized prefix, so each new entry costs

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from raymoments import (
+    PolyGauss,
+    Polynomial,
     RawTensor,
     SymTensor,
     line_moment_quadrature,
     tuple_multiplicity,
 )
+from raymoments.polygauss import quadrature_mass
 
 
 def brute_symmetrize(t: RawTensor, positions) -> RawTensor:
@@ -48,6 +51,17 @@ def quad_transform(f: SymTensor, q: int, x, xi) -> float:
         if weight:
             total += weight * line_moment_quadrature(comp, q, xf, xif)
     return total
+
+
+def termwise_mass(g: PolyGauss, q: int, x, xi) -> float:
+    """The sum over g's terms c_e x^e of |c_e| times the quadrature mass of x^e.
+
+    A scale for the float error of a line integral that does not cancel:
+    where g vanishes on the line, the quadrature mass of g itself is only
+    rounding noise, while every term still rounds on its own.
+    """
+    return sum(abs(coef) * quadrature_mass(PolyGauss(Polynomial(g.n, {e: 1})), q, x, xi)
+               for e, coef in g.poly.terms.items())
 
 
 def random_raw(n: int, rank: int, rng: random.Random) -> RawTensor:

@@ -53,7 +53,7 @@ from raymoments.moments import (
 )
 from raymoments.polygauss import _jet, random_polynomial
 from raymoments.symtensor import distinct_rearrangements
-from conftest import quad_transform, random_raw
+from conftest import quad_transform, random_raw, termwise_mass
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -298,10 +298,13 @@ class TestWeightedSum:
         reference = _weighted_sum(((c * math.prod(pt.xi[a - 1] for a in axes), v)
                                    for axes, c, v in terms), pt.zero)
         assert moments._direction_sum(pt, terms, rank) == reference
+        # a float point weights by the ints of its dyadic direction too
         float_pt = PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi])
         float_terms = [(axes, c, float(v)) for axes, c, v in terms]
+        den = float_pt.xi_den ** rank
         assert moments._direction_sum(float_pt, float_terms, rank) == math.fsum(
-            c * math.prod(float_pt.xi[a - 1] for a in axes) * v for axes, c, v in float_terms)
+            c * math.prod(float_pt.xi_nums[a - 1] for a in axes) / den * v
+            for axes, c, v in float_terms)
 
     def test_zero_weights_and_zero_values_drop_out(self):
         a = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1, 2))
@@ -341,7 +344,7 @@ class TestWeightedSum:
 
 
 class TestContractedTransform:
-    """On an exact point a datum is contracted first and integrated once."""
+    """A datum is contracted first and integrated once."""
 
     @staticmethod
     def per_component(f, q, pt, fixed, derivs):
@@ -371,7 +374,7 @@ class TestContractedTransform:
                         value = _transform_value(f, q, pt, fixed, derivs)
                         assert value == self.per_component(f, q, pt, fixed, derivs), \
                             (pt, fixed, derivs, q)
-            assert not all(value.is_zero for _, value in pt.transforms.values())
+            assert any(g for _, g in pt.contracted.values())
 
     def test_zero_field_takes_no_integral(self):
         f = sym_field(3, 2)
@@ -399,6 +402,84 @@ class TestContractedTransform:
         pt.integral(b, 2)
         assert calls == [1, 2]
         assert first == line_moment(a, 1, pt.x, pt.xi, LineTable(pt.x, pt.xi))
+
+
+def float_route(f, q, pt, fixed, derivs):
+    """A transform datum by the per-component float route, kept as a reference.
+
+    Every jet entry is integrated on its own float line, weighted by the
+    float product of xi over its key, and the values are summed by fsum.
+    """
+    x, xi = [float(v) for v in pt.x], [float(v) for v in pt.xi]
+    values = []
+    for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
+        weight = tuple_multiplicity(key) * math.prod(xi[j - 1] for j in key)
+        comp = _jet(f, tuple(fixed) + key, derivs)
+        if weight and comp:
+            values.append(weight * line_moment(comp, q, x, xi))
+    return math.fsum(values)
+
+
+def datum_scale(f, q, pt, fixed, derivs, masses):
+    """The termwise scale of a datum: |weight| times ``termwise_mass`` of each jet entry.
+
+    ``masses`` keeps the quadrature mass of each monomial at the point.
+    """
+    x, xi = [float(v) for v in pt.x], [float(v) for v in pt.xi]
+    total = 0.0
+    for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
+        weight = tuple_multiplicity(key) * math.prod(xi[j - 1] for j in key)
+        for e, coef in _jet(f, tuple(fixed) + key, derivs).poly.terms.items():
+            if (e, q) not in masses:
+                masses[e, q] = termwise_mass(PolyGauss(Polynomial(f.n, {e: 1})), q, x, xi)
+            total += abs(weight * coef) * masses[e, q]
+    return total
+
+
+class TestFloatRoute:
+    """A float point takes the exact point's route: contract in ints, integrate once.
+
+    Compared, within 1e-12 of the termwise scale, with the per-component
+    float route (``float_route``) and with the exact value on the same
+    dyadic line.
+    """
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2)])
+    def test_matches_per_component_route_and_exact_value(self, n, m):
+        rng = random.Random(f"float:{n}:{m}")
+        f = random_field(n, m, 3, f"float:{n}:{m}")
+        points = [random_float_ts_point(n, rng), random_float_ts_point(n, rng),
+                  PhasePoint([rng.gauss(0.0, 0.7) for _ in range(n)],
+                             [rng.gauss(0.0, 1.0) for _ in range(n)]),
+                  # xi_den is 2**1049: the int weights alone overflow a float
+                  TSPoint([0.0, 0.5, -0.25][:n], [1.0, 1e-300, 0.0][:n])]
+        for pt in points:
+            assert not pt.is_exact
+            dyadic = PhasePoint([Fraction(v) for v in pt.x], [Fraction(v) for v in pt.xi])
+            masses = {}
+            for r in range(m + 1):
+                fixed = tuple(rng.randint(1, n) for _ in range(r))
+                for derivs in [(), (rng.randint(1, n),),
+                               (rng.randint(1, n), rng.randint(1, n))]:
+                    for q in range(4):
+                        value = _transform_value(f, q, pt, fixed, derivs)
+                        assert isinstance(value, float) and math.isfinite(value)
+                        bound = 1e-12 * datum_scale(f, q, pt, fixed, derivs, masses)
+                        assert abs(value - float_route(f, q, pt, fixed, derivs)) <= bound
+                        exact = _transform_value(f, q, dyadic, fixed, derivs)
+                        assert abs(value - float(exact)) <= bound, (pt, fixed, derivs, q)
+
+    def test_direction_sums_take_weights_too_large_for_a_float(self):
+        # xi_den is 2**1049: the int weights overflow a float, their quotients do not
+        f = random_field(2, 2, 2, "float:tiny")
+        pt = TSPoint([0.0, 0.5], [1.0, 1e-300])
+        assert pt.xi_nums[0] > 2 ** 1024
+        scale = datum_scale(f, 0, pt, (), (), {})
+        for k in range(3):
+            assert restriction_contraction_residual(f, (), k, pt) <= 1e-12 * scale
+        # the translation rule: xi . grad_x of the zeroth transform vanishes
+        slope = directional_x_derivative(MomentExpression.transform(f, 0), f, pt)
+        assert abs(slope) <= 1e-12 * sum(datum_scale(f, 0, pt, (), (i,), {}) for i in (1, 2))
 
 
 class TestValueDiff:
@@ -792,7 +873,7 @@ class TestJetAtoms:
             e = MomentExpression.transform(h, 0)
             assert e.evaluate(h, pt) == e.evaluate(h, PhasePoint(pt.x, pt.xi))
         # the memo holds every field it has a datum of, so no id was reused
-        assert len({id(held) for held, _ in pt.transforms.values()}) == 22
+        assert len({id(held) for held, _ in pt.contracted.values()}) == 22
 
 
 class TestJohnTable:

@@ -14,6 +14,8 @@ import raymoments.moments as moments
 import raymoments.symtensor as symtensor
 import raymoments.verify as verify
 from raymoments import (
+    ExactValue,
+    MomentExpression,
     PolyGauss,
     Polynomial,
     SuiteConfig,
@@ -522,8 +524,8 @@ class TestJetCount:
     The operators and the John residuals read a restriction as an address
     into the field's jet, so the one restricted tensor a sample builds is
     the independent right side of ``restricted-recovery``.  Transform data
-    at an exact point differentiate the point's contraction of the field
-    instead, each (fixed, derivs, field) once per point.
+    differentiate a point's contraction of the field instead, each
+    (fixed, derivs, field) once per point.
     """
 
     @pytest.mark.parametrize("argv,derives,restricts", [
@@ -535,7 +537,7 @@ class TestJetCount:
           "--samples", "2", "--degree", "2"], {"_jet": 70, "_contraction": 60}, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
     def test_derives_and_restrictions(self, monkeypatch, capsys, argv, derives, restricts):
-        # derives by owner: the field's jet, or an exact point's contraction
+        # derives by owner: the field's jet, or a point's contraction
         derived = []
         contracted = []
         derive = PolyGauss.derive
@@ -564,7 +566,7 @@ class TestJetCount:
         assert main(argv + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
         assert {owner: derived.count(owner) for owner in set(derived)} == derives
-        # no exact point differentiates one (fixed, derivs, field) twice
+        # no point differentiates one (fixed, derivs, field) twice
         keys = {(id(pt), fixed, derivs, id(f)) for pt, fixed, derivs, f in contracted}
         assert len(keys) == len(contracted) == derives["_contraction"]
         assert all(pt.is_exact for pt, _, _, _ in contracted)
@@ -579,7 +581,8 @@ class TestRewriteCount:
     transforms are built once per field shape, so the ``dx`` and ``dxi``
     calls of a verdict do not grow with the samples that evaluate them.
     The collapsed-derivative check reads its right side by address, with
-    no rewrite.
+    no rewrite.  Each expression is evaluated once per field, point and
+    check.
     """
 
     IDENT_MIXED = ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
@@ -592,26 +595,30 @@ class TestRewriteCount:
             original = getattr(moments, name)
             monkeypatch.setattr(moments, name, lambda e, i, _name=name, _f=original:
                                 calls.append(_name) or _f(e, i))
+        evaluate = MomentExpression.evaluate
+        monkeypatch.setattr(MomentExpression, "evaluate",
+                            lambda e, f, pt: calls.append("evaluate") or evaluate(e, f, pt))
         assert main(argv + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        return calls.count("dx"), calls.count("dxi")
+        return calls.count("dx"), calls.count("dxi"), calls.count("evaluate")
 
-    @pytest.mark.parametrize("argv,dx_calls,dxi_calls", [
+    @pytest.mark.parametrize("argv,dx_calls,dxi_calls,evaluate_calls", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 28, 28),
-        (IDENT_MIXED, 49, 49),
+          "--samples", "20", "--degree", "6"], 28, 28, 180),
+        (IDENT_MIXED, 49, 49, 66),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
-          "--samples", "2", "--degree", "2"], 0, 0),
+          "--samples", "2", "--degree", "2"], 0, 0, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
-    def test_dx_and_dxi_calls(self, monkeypatch, capsys, argv, dx_calls, dxi_calls):
-        assert self.count(monkeypatch, capsys, argv) == (dx_calls, dxi_calls)
+    def test_dx_and_dxi_calls(self, monkeypatch, capsys, argv, dx_calls, dxi_calls,
+                              evaluate_calls):
+        assert self.count(monkeypatch, capsys, argv) == (dx_calls, dxi_calls, evaluate_calls)
 
     def test_patch_after_an_unpatched_verdict_counts_every_call(self, monkeypatch, capsys):
         # the chains a warm verdict cached are keyed by the unpatched
         # rewrites, so none of them is served to the patched ones
         assert main(self.IDENT_MIXED + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (49, 49)
+        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (49, 49, 66)
 
 
 # the command lines of the six golden reports
@@ -787,7 +794,7 @@ class TestJsonRendering:
 
 
 class TestExactSumsBuildNoFraction:
-    """``line_moment`` and ``_exact_sum`` add exact values up as int pairs."""
+    """``line_moment`` and ``ExactValue.sum`` add exact values up as int pairs."""
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
@@ -813,7 +820,7 @@ class TestExactSumsBuildNoFraction:
             return wrapper
 
         monkeypatch.setattr(moments, "line_moment", entered(moments.line_moment))
-        monkeypatch.setattr(moments, "_exact_sum", entered(moments._exact_sum))
+        monkeypatch.setattr(ExactValue, "sum", staticmethod(entered(ExactValue.sum)))
         new = Fraction.__dict__["__new__"]
 
         def counting_new(cls, *args, **kwargs):
@@ -826,6 +833,6 @@ class TestExactSumsBuildNoFraction:
         finally:
             Fraction.__new__ = new
         capsys.readouterr()
-        assert "line_moment" in calls and "_exact_sum" in calls
+        assert "line_moment" in calls and "sum" in calls
         assert built["outside"] > 0  # the counter does see the Fractions built elsewhere
         assert built["inside"] == 0
