@@ -19,8 +19,8 @@ aligned on the graded monomial index, over one denominator and normalizes
 the sum once; no Fraction is built.  A restriction of a field is an
 address, not a tensor: the alternated derivative of f restricted at
 ``fixed`` reads the jet entries of f at ``fixed + component``.  Transform
-data at an exact point do not read the jet: they differentiate the
-point's direction contraction of the field (see moments).
+data do not read the jet: at every point they differentiate the point's
+direction contraction of the field (see moments).
 """
 
 from __future__ import annotations

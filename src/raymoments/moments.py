@@ -14,7 +14,7 @@ rational lines.  A datum is never read from the field's jet: every point,
 exact or float, keeps its direction as ints, contracts the field with it once
 per restriction, in ints, and differentiates that one polynomial, so each
 datum costs one derive and one line integral at most, taken on the point's
-own line table (an exact value on a rational line, a float on any other).
+own line table (an exact value; on a float point, that value rounded once).
 Exact values are summed as int pairs (``ExactValue.sum``).  The
 two John identities read one table of John data per multiset of coordinate
 pairs p < q.  The John chains behind that table, the recovery expressions
@@ -60,11 +60,13 @@ class PhasePoint:
 
     The point's LineTable decides its scalars: coordinates are kept exact
     when every entry is rational, otherwise they are floats, and so are the
-    line integrals taken at the point.  Either way the point keeps its
-    direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
-    denominators of xi (a power of 2 on a float point), as the line table
-    set them up, so that the direction weights of a rank-r transform datum
-    are ints over ``xi_den**r`` (see ``_contraction``).
+    line integrals taken at the point, each the exact integral on the same
+    dyadic line rounded once.  ``xi_norm_sq`` and ``x_dot_xi`` are exact
+    either way.  The point keeps its direction as ints, ``xi_nums`` over
+    ``xi_den``, the lcm of the denominators of xi (a power of 2 on a float
+    point), as the line table set them up, so that the direction weights of
+    a rank-r transform datum are ints over ``xi_den**r`` (see
+    ``_contraction``).
 
     Two memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
@@ -150,7 +152,7 @@ class TSPoint(PhasePoint):
                 raise ValueError("offset must be exactly orthogonal to direction")
             self.projection_residual = 0.0
         else:
-            res = max(abs(self.xi_norm_sq() - 1.0), abs(self.x_dot_xi()))
+            res = float(max(abs(self.xi_norm_sq() - 1), abs(self.x_dot_xi())))
             if res > PROJECTION_TOL:
                 raise ValueError(f"line constraints violated by {res:.3e}")
             self.projection_residual = res
@@ -389,7 +391,7 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
         raise ValueError("need moment values of orders 0..q")
     s = pt.xi_norm_sq()
     c = pt.x_dot_xi()
-    lam = rational_sqrt(s) if is_rational(s) else None
+    lam = rational_sqrt(s)
     if lam is None:  # an irrational direction norm takes the weights to floats
         lam, c = math.sqrt(float(s)), float(c)
     pairs = [((-1) ** (q - ell) * math.comb(q, ell)

@@ -23,8 +23,9 @@ common denominator of the line, so the dot product adds up ints and builds
 no Fraction; the result is kept in the exact form
 coef * sqrt(root) * sqrt(pi) * exp(exponent), with rational root and
 exponent and the coefficient as an int numerator over an int denominator,
-reduced by one gcd (see ExactValue).  Over a float line the same recurrence
-and dot product run in floats.
+reduced by one gcd (see ExactValue).  A finite float is a dyadic rational,
+so a float line is a rational line too: it takes the same int table, and
+its line integral is the exact value rounded once to a float.
 """
 
 from __future__ import annotations
@@ -445,15 +446,20 @@ class ExactValue:
     All three factors are rational.  ``coef`` is held as two ints, ``num``
     over ``den``, with ``den`` positive and no common factor, and read as a
     Fraction through the ``coef`` property; ``root`` and ``exponent`` are
-    Fractions.  Any perfect-square factor of ``root`` is absorbed into the
+    Fractions.  A ``root`` that is a perfect square is absorbed into the
     coefficient at construction, and zero is kept in the one canonical form
-    (0, 1, 0), a single shared object (``zero_value``).  Values on the same
-    line share root and exponent, so sums and differences of transform data
-    stay exact; ``+``, ``-`` and every weighted sum go through ``sum``, the
-    one exact n-ary sum.  Arithmetic on values whose root is already in
-    that form builds its results with ``_from_ints``, which reduces the int
-    pair by one gcd and does not take the square root again.  A value is
-    never changed after it is built: assignment raises AttributeError.
+    (0, 1, 0), a single shared object (``zero_value``).  A root with any
+    other square factor keeps it, so one real may have several stored
+    forms: ``==`` and ``hash`` compare the stored form, and
+    ``moments.value_diff`` compares values (ExactValue(1, 8) and
+    ExactValue(2, 2), both sqrt(8) * sqrt(pi), are unequal, and their
+    value_diff is 0.0).  Values on the same line share root and exponent,
+    so sums and differences of transform data stay exact; ``+``, ``-`` and
+    every weighted sum go through ``sum``, the one exact n-ary sum.
+    Arithmetic on values whose root is already in that form builds its
+    results with ``_from_ints``, which reduces the int pair by one gcd and
+    does not take the square root again.  A value is never changed after it
+    is built: assignment raises AttributeError.
     """
 
     __slots__ = ("num", "den", "root", "exponent")
@@ -645,10 +651,14 @@ def _check_order(q) -> None:
 class LineTable:
     """Moments of the monomials along one line x + t*xi, rational or float.
 
-    A line whose coordinates are all rational is exact: its coordinates are
-    Fractions.  Any other line is coerced to floats.  With s = |xi|^2 and
-    c = x.xi, both kept (a PhasePoint reads them here), completing the
-    square gives
+    A line whose coordinates are all rational keeps them as Fractions; any
+    other line keeps them as floats, which must be finite.  Either way the
+    line is read exactly: a finite float is an int over a power of 2
+    (``float.as_integer_ratio``), so every table is the int table of a
+    rational line, and ``is_exact`` only decides whether line_moment returns
+    an ExactValue or that value rounded to a float.  With s = |xi|^2 and
+    c = x.xi, both kept as Fractions (a PhasePoint reads them here),
+    completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
@@ -659,7 +669,7 @@ class LineTable:
     M_{q+1} = mean*M_q + var*q*M_{q-1}, and one more factor of coordinate i
     gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).
 
-    An exact line is set up in ints: x and xi are brought to one common
+    The line is set up in ints: x and xi are brought to one common
     denominator, and s, c, exponent, mean and var are built from int sums as
     one Fraction each (see _exact_setup).  ``scale`` is the lcm L of the
     denominators of x, xi, mean and var, and the entry kept for (q, e) is
@@ -668,14 +678,11 @@ class LineTable:
     int weights L^2 x_i and L xi_i, L mean and L^2 var (q - 1).  The power
     counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
     trades one order for one coordinate: under L^(q + |e|) it would keep the
-    power and leave xi_i unscaled.  A float line has L = 1 and keeps the
-    recurrence's own floats; one whose coordinates, s, c, exponent, mean or
-    var are not finite is rejected.
+    power and leave xi_i unscaled.
 
     Every line also keeps its direction as ints, ``xi_nums`` over
     ``xi_den``, the lcm of the denominators of xi (a PhasePoint weights its
-    transform data with them).  That is exact on a float line too: a finite
-    float is an int over a power of 2 (``float.as_integer_ratio``).
+    transform data with them).
 
     The entries are kept by rows in the dimension's graded index (see
     _Monomials): ``rows[q][j]`` is A_q(e) for the tuple e at place j, so
@@ -685,19 +692,17 @@ class LineTable:
     first nonzero coordinate i (``_Monomials.lowers``), as
     A_q(e) = (L^2 x_i) A_q(e - delta_i) + (L xi_i) A_{q+1}(e - delta_i),
     so block d of row q is built at once from block d - 1 of rows q and
-    q + 1.  A float entry is 0.0 plus the two terms: for finite entries, a
-    zero weight's term is a signed zero that this sum drops, as the
-    recurrence's sum over its nonzero terms, started at 0.0, does.
+    q + 1.
     Integrating a polynomial of degree D at order q builds row q + j
     through block D - j, so a table reaches at most
     C(D + q + n + 1, n + 1) entries.  Rows are extended in place and kept as
     long as the table (a PhasePoint's table lives as long as the point).
-    ``root`` and ``root_factor`` split sqrt(1/s) of an exact line into the
-    root of its ExactValues and a rational factor, once per line.
+    ``root`` and ``root_factor`` split sqrt(1/s) into the root of the
+    line's ExactValues and a rational factor, once per line.
     """
 
     __slots__ = ("x", "xi", "is_exact", "s", "c", "exponent", "mean", "var", "scale",
-                 "root", "root_factor", "xi_den", "xi_nums", "rows", "_zero", "_weights")
+                 "root", "root_factor", "xi_den", "xi_nums", "rows", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -710,34 +715,22 @@ class LineTable:
         ratios = [v.as_integer_ratio() for v in self.xi]
         xi_den = self.xi_den = math.lcm(*(d for _, d in ratios))
         self.xi_nums = tuple(num * (xi_den // d) for num, d in ratios)
-        if self.is_exact:
-            self._exact_setup()
-            self._zero, one = 0, 1
-        else:
-            self.s, self.c, self.exponent = _line_data(self.x, self.xi)
-            self.mean = -self.c / self.s
-            self.var = 1 / (2 * self.s)
-            if not all(map(math.isfinite, (self.s, self.c, self.exponent,
-                                           self.mean, self.var))):
-                raise ValueError("line scalars overflow the float range")
-            self.scale = 1
-            self._weights = (self.x, self.xi, self.mean, self.var)
-            self.root = self.root_factor = None
-            self._zero, one = 0.0, 1.0
-        self.rows = [[one]]
+        self._exact_setup([v.as_integer_ratio() for v in self.x])
+        self.rows = [[1]]
 
-    def _exact_setup(self) -> None:
-        """The scalars of a rational line, from its coordinates over one denominator.
+    def _exact_setup(self, x_ratios: list) -> None:
+        """The scalars of the line, from its coordinates over one denominator.
 
-        With x = X/D and xi = XI/D for ints X, XI and D the lcm of all the
+        ``x_ratios`` holds x as (numerator, denominator) int pairs.  With
+        x = X/D and xi = XI/D for ints X, XI and D the lcm of all the
         denominators (a multiple of ``xi_den``), the int sums S = |XI|^2,
         C = X.XI and N = |X|^2 give s = S/D^2, c = C/D^2,
         exponent = (C^2 - N*S)/(D^2*S), mean = -C/S and var = D^2/(2*S), one
         Fraction each.
         """
         xi_den = self.xi_den
-        big = math.lcm(xi_den, *(v.denominator for v in self.x))
-        xs = [v.numerator * (big // v.denominator) for v in self.x]
+        big = math.lcm(xi_den, *(d for _, d in x_ratios))
+        xs = [num * (big // d) for num, d in x_ratios]
         xis = [v * (big // xi_den) for v in self.xi_nums]
         s = sum(v * v for v in xis)
         if not s:
@@ -773,21 +766,14 @@ class LineTable:
         starts = index.starts
         if q + degree < len(rows) and len(rows[q]) >= starts[degree + 1]:
             return rows[q]
-        zero = self._zero
-        while len(rows) <= q + degree:  # entry 0 of each new row
+        while len(rows) <= q + degree:  # entry 0 of each new row; at r = 1 var's term is 0
             r = len(rows)
-            total = zero
-            if wmean:
-                total += wmean * rows[r - 1][0]
-            w = wvar * (r - 1)
-            if w:
-                total += w * rows[r - 2][0]
-            rows.append([total])
+            rows.append([wmean * rows[r - 1][0] + wvar * (r - 1) * rows[r - 2][0]])
         lowers = index.lowers
         for r in range(q + degree - 1, q - 1, -1):
             row, upper = rows[r], rows[r + 1]
             for d in range(bisect.bisect_left(starts, len(row)), q + degree - r + 1):
-                row.extend([zero + wx[i] * row[p] + wxi[i] * upper[p]
+                row.extend([wx[i] * row[p] + wxi[i] * upper[p]
                             for i, p in lowers[starts[d]:starts[d + 1]]])
         return rows[q]
 
@@ -797,22 +783,21 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     """Integral of t^q g(x + t*xi) over the real line.
 
     The dot product of g's numerators with row q of the line's moment table,
-    times sqrt(pi/s) * exp(exponent): an ExactValue on a rational line, a
-    float on any other.  On a rational line with scale L, g's numerators
+    times sqrt(pi/s) * exp(exponent): an ExactValue, or on a float line that
+    value rounded once to a float.  With the line's scale L, g's numerators
     over ``den``, of top degree D, are summed one degree block d at a time,
     S_d = the sum of num * A_q(e) over the tuples e of degree d, one
     ``sum(map(mul, ...))`` over two aligned slices; Horner's rule in L^2
     combines the blocks into the sum of S_d * L^(2(D - d)), which is mu's
     dot product times den * L^(q + 2D); that int over den * L^(q + 2D),
     times the line's root factor, is the value's coefficient, reduced by
-    one gcd, with no Fraction built.
-    On a float line the terms num / den * mu are added in index order,
-    leaving out the zero ones.  ``table`` may pass the table in so that it
-    is shared between calls (a fresh one is built otherwise).  Every call
-    computes its integral anew: a caller that asks for the same one again
-    keeps the value (see PhasePoint).  A table whose own coordinate tuples
-    are passed as x and xi is taken as is; any other is checked, and a table
-    of another line, or of the same line in the other scalars, is rejected.
+    one gcd, with no Fraction built.  ``table`` may pass the table in so
+    that it is shared between calls (a fresh one is built otherwise).  Every
+    call computes its integral anew: a caller that asks for the same one
+    again keeps the value (see PhasePoint).  A table whose own coordinate
+    tuples are passed as x and xi is taken as is; any other is checked, and
+    a table of another line, or of the same line in the other scalars, is
+    rejected.
     """
     _check_order(q)
     if len(x) != g.n or len(xi) != g.n:
@@ -826,12 +811,6 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     poly = g.poly
     den, vec, top = poly.den, poly.vec, poly.total_degree()
     row = table._row(q, top) if vec else ()
-    if not table.is_exact:
-        coef = 0.0
-        for num, mu in zip(vec, row):
-            if num and mu:
-                coef += num / den * mu  # float(Fraction(num, den)) * mu
-        return coef * math.sqrt(math.pi / table.s) * math.exp(table.exponent)
     scale = table.scale
     square = scale * scale
     starts = _monomials(g.n).starts
@@ -840,9 +819,10 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
         lo, hi = starts[d], starts[d + 1]
         total = total * square + sum(map(mul, vec[lo:hi], row[lo:hi]))
     factor = table.root_factor
-    return ExactValue._from_ints(total * factor.numerator,
-                                 den * scale ** q * square ** top * factor.denominator,
-                                 table.root, table.exponent)
+    value = ExactValue._from_ints(total * factor.numerator,
+                                  den * scale ** q * square ** top * factor.denominator,
+                                  table.root, table.exponent)
+    return value if table.is_exact else float(value)
 
 
 def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,

@@ -151,9 +151,9 @@ class SymTensor(_SparseTensor):
     """A fully symmetric tensor over an arbitrary scalar type.
 
     Component lookup accepts the indices in any order.  ``jet`` memoizes
-    the partial derivatives of the components that the operators and the
-    float transform path read (see polygauss); it stays valid because a
-    tensor is never changed after it is built.
+    the partial derivatives of the components that the operators read (see
+    polygauss._jet); it stays valid because a tensor is never changed after
+    it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,

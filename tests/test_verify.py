@@ -479,6 +479,23 @@ class TestGoldenReport:
         assert code == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_loaded_field_report_matches_golden_file(self, tmp_path, capsys):
+        # the seed-7 ident-mixed field, written to a file and loaded with
+        # --field, gives the drawn field's report but for "field_loaded"
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / "golden_report_identities_n3_m3_k1_s3_d2_seed7.json")
+        path = tmp_path / "field.json"
+        path.write_text(serialize_field(verify._nonzero_field(3, 3, 2, "7:identities:f")),
+                        encoding="utf-8")
+        code = main(["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
+                     "--samples", "3", "--degree", "2", "--seed", "7",
+                     "--format", "json", "--field", str(path)])
+        assert code == 0
+        drawn = golden.read_text(encoding="utf-8")
+        assert drawn.count('"field_loaded": false') == 1
+        loaded = drawn.replace('"field_loaded": false', '"field_loaded": true')
+        assert capsys.readouterr().out == loaded
+
     @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("text", "txt")])
     def test_mixed_operator_csv_and_text_match_golden_files(self, capsys, fmt, suffix):
         # the json renderer is not the only one the CLI has
