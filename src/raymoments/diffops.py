@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .polygauss import PolyGauss, Polynomial, field_scale_report
@@ -138,12 +139,15 @@ def _sub_multisets(key, base: int) -> list:
     ``t_a`` taken, is the number of position subsets that take that
     sub-multiset.
     """
-    have = {a: key.count(a) for a in sorted(set(key))}
-    out = [[] for _ in range(len(key) + 1)]
-    for taken in itertools.product(*(range(c + 1) for c in have.values())):
-        code = sum(t * base ** (a - 1) for a, t in zip(have, taken))
-        mult = math.prod(math.comb(c, t) for c, t in zip(have.values(), taken))
-        out[sum(taken)].append((code, mult))
+    out = [[(0, 1)]]
+    for a in sorted(set(key)):
+        c, step = key.count(a), base ** (a - 1)
+        grown = [[] for _ in range(len(out) + c)]
+        for t in range(c + 1):
+            ways, shift = math.comb(c, t), t * step
+            for size, entries in enumerate(out):
+                grown[size + t].extend((code + shift, mult * ways) for code, mult in entries)
+        out = grown
     return out
 
 
@@ -187,21 +191,25 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
     den = math.lcm(*(weight.denominator for weight in weights))
     weights = [weight.numerator * (den // weight.denominator) for weight in weights]
     base = m + mk + 1  # above every digit of pkey + ckey
-    # every derivative multiset (size mk) and component (size m), by its code
-    key_of = {_code(key, base): key
-              for size in {mk, m} for key in all_canonical_tuples(n, size)}
-    c_subs = {ckey: (_code(ckey, base), _sub_multisets(ckey, base))
-              for ckey in all_canonical_tuples(n, m)}
+    # every derivative multiset (size mk) and component (size m), with its
+    # code and sub-multisets, taken once per key
+    subs = {key: (_code(key, base), _sub_multisets(key, base))
+            for size in {mk, m} for key in all_canonical_tuples(n, size)}
+    key_of = {code: key for key, (code, _) in subs.items()}
     rows = []
     for pkey in all_canonical_tuples(n, mk):
-        p_code, p_subs = _code(pkey, base), _sub_multisets(pkey, base)
-        for ckey, (c_code, q_subs) in c_subs.items():
+        p_code, p_subs = subs[pkey]
+        p_terms = [(ell, [(pd_code, weight * pd_mult) for pd_code, pd_mult in p_subs[ell]])
+                   for ell, weight in enumerate(weights)]
+        for ckey in all_canonical_tuples(n, m):
+            c_code, q_subs = subs[ckey]
             summed = {}
-            for ell, weight in enumerate(weights):
-                for pd_code, pd_mult in p_subs[ell]:
-                    for qd_code, qd_mult in q_subs[mk - ell]:
+            for ell, terms in p_terms:
+                q_terms = q_subs[mk - ell]
+                for pd_code, pd_weight in terms:
+                    for qd_code, qd_mult in q_terms:
                         s_code = pd_code + qd_code
-                        summed[s_code] = summed.get(s_code, 0) + weight * pd_mult * qd_mult
+                        summed[s_code] = summed.get(s_code, 0) + pd_weight * qd_mult
             g = math.gcd(den, *summed.values())
             rows.append(((pkey, ckey), den // g, tuple(
                 ((key_of[p_code + c_code - s_code], key_of[s_code]), weight // g)
@@ -232,9 +240,15 @@ def _pair_key(pairs) -> tuple:
 
     Returns that key of ``A f`` and a sign, -1 per pair turned, 0 on a pair (i, i).
     """
-    pairs = list(pairs)
-    sign = math.prod((i < j) - (i > j) for i, j in pairs)
-    return tuple(itertools.chain.from_iterable(sorted(map(sorted, pairs)))), sign
+    sign, turned = 1, []
+    for i, j in pairs:
+        if i > j:
+            i, j, sign = j, i, -sign
+        elif i == j:
+            sign = 0
+        turned.append((i, j))
+    turned.sort()
+    return tuple(itertools.chain.from_iterable(turned)), sign
 
 
 def _pair_multisets(n: int, m: int):
@@ -248,14 +262,16 @@ def _alternation_stencil(n: int, m: int) -> tuple:
     """The m pair alternations of an interleaved rank-2m tensor.
 
     One row per pair multiset, ``C(C(n, 2) + m - 1, m)`` of them: the signed
-    sum over its 2^m pair swaps over 2^m, each read with both groups canonical.
+    sum over its 2^m pair swaps over 2^m, each read with both groups canonical
+    and signed -1 per pair turned.
     """
     rows = []
     for chosen in _pair_multisets(n, m):
         signs = {}
-        for read in itertools.product(*((pair, pair[::-1]) for pair in chosen)):
-            source = tuple(canonical(group) for group in zip(*read))
-            signs[source] = signs.get(source, 0) + _pair_key(read)[1]
+        for read in itertools.product(*(((i, j, 1), (j, i, -1)) for i, j in chosen)):
+            firsts, seconds, turns = zip(*read)
+            source = (canonical(firsts), canonical(seconds))
+            signs[source] = signs.get(source, 0) + math.prod(turns)
         entries = tuple((source, sign) for source, sign in signs.items() if sign)
         rows.append((_pair_key(chosen)[0], 2 ** m, entries))
     return tuple(rows)
@@ -288,15 +304,18 @@ def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
 
     One ``((ikey, jkey), row_den, entries)`` row per pair of canonical keys.
     The pairs commute, so the average over both groups is the one over the
-    rearrangements t of jkey of the pairs ``zip(ikey, t)``, read by sign.
+    rearrangements t of jkey of the pairs ``zip(ikey, t)``, read by sign; a
+    rearrangement with a pair (i, i) reads zero and is skipped.
     """
+    arrs = {jkey: distinct_rearrangements(jkey) for jkey in all_canonical_tuples(n, m)}
     rows = []
-    for ikey in all_canonical_tuples(n, m):
-        for jkey in all_canonical_tuples(n, m):
-            arr = distinct_rearrangements(jkey)
+    for ikey in arrs:
+        for jkey, arr in arrs.items():
             weights = {}
-            for key, sign in (_pair_key(zip(ikey, t)) for t in arr):
-                weights[key] = weights.get(key, 0) + sign * 2 ** m
+            for t in arr:
+                if all(map(operator.ne, ikey, t)):
+                    key, sign = _pair_key(zip(ikey, t))
+                    weights[key] = weights.get(key, 0) + sign * 2 ** m
             entries = tuple((key, weight) for key, weight in weights.items() if weight)
             rows.append(((ikey, jkey), len(arr), entries))
     return tuple(rows)
@@ -345,19 +364,22 @@ def _restriction_stencil(n: int, m: int, k: int) -> tuple:
 
     One ``((pkey, ckey), len(arr), entries)`` row per key of ``W^k``: entry
     ``((ikey, pkey, qkey), count)`` counts the rearrangements arr of ckey
-    whose k fixed slots read ikey and whose m - k free ones read qkey.
+    whose k fixed slots read ikey and whose m - k free ones read qkey.  The
+    counts read ckey alone, so each ckey's are taken once for every pkey.
     """
     mk = m - k
-    rows = []
-    for pkey in all_canonical_tuples(n, mk):
-        for ckey in all_canonical_tuples(n, m):
-            arr = distinct_rearrangements(ckey)
-            counts = {}
-            for perm in arr:
-                source = (canonical(perm[mk:]), pkey, canonical(perm[:mk]))
-                counts[source] = counts.get(source, 0) + 1
-            rows.append(((pkey, ckey), len(arr), tuple(counts.items())))
-    return tuple(rows)
+    splits = {}
+    for ckey in all_canonical_tuples(n, m):
+        arr = distinct_rearrangements(ckey)
+        counts = {}
+        for perm in arr:
+            split = (canonical(perm[mk:]), canonical(perm[:mk]))
+            counts[split] = counts.get(split, 0) + 1
+        splits[ckey] = len(arr), counts
+    return tuple(((pkey, ckey), total, tuple(((ikey, pkey, qkey), count)
+                                             for (ikey, qkey), count in counts.items()))
+                 for pkey in all_canonical_tuples(n, mk)
+                 for ckey, (total, counts) in splits.items())
 
 
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:

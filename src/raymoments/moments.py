@@ -19,7 +19,9 @@ Exact values are summed as int pairs (``ExactValue.sum``).  The
 two John identities read one table of John data per multiset of coordinate
 pairs p < q.  The John chains behind that table, the recovery expressions
 and the gradients depend on neither the line nor the field: each is built
-once per field shape, and a point only evaluates them for a field.
+once per field shape (the John chains once per rank left after the
+restriction, relabelled per fixed multiset), and a point only evaluates
+them for a field.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -323,8 +326,9 @@ def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> P
     xi_j over J (ints in ``pt.xi_nums``, over ``pt.xi_den**r``) times the
     partial derivative ``derivs`` of f's component at ``fixed + J``.
     Differentiation is linear, so only the root entry, with no derivatives,
-    reads f: its components are added up in ints, as the diffops stencils
-    are applied.  Every other entry is its prefix in the sorted ``derivs``
+    reads f: its components, read by canonical key (every caller has
+    validated ``fixed``), are added up in ints, as the diffops stencils are
+    applied.  Every other entry is its prefix in the sorted ``derivs``
     differentiated once more, so each entry costs one derive and no jet
     entry of f is read.  Memoized in the point's ``contracted`` under
     ``(fixed, derivs, id(f))``, with the field held beside it.
@@ -335,9 +339,9 @@ def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> P
         if derivs:
             value = _contraction(f, pt, fixed, derivs[:-1]).derive(derivs[-1])
         else:
-            rank, xi = f.rank - len(fixed), pt.xi_nums
+            rank, xi, read = f.rank - len(fixed), pt.xi_nums, f.components.get
             value = PolyGauss(Polynomial._from_weighted(
-                f.n, ((weight, f.get(fixed + key).poly)
+                f.n, ((weight, read(tuple(sorted(fixed + key)), f.zero).poly)
                       for key, mult in _keys_with_multiplicity(pt.n, rank)
                       if (weight := math.prod((xi[j - 1] for j in key), start=mult))),
                 pt.xi_den ** rank))
@@ -431,7 +435,7 @@ class MomentExpression:
 
     @classmethod
     def _datum(cls, n: int, m: int, q: int, fixed: tuple = ()) -> "MomentExpression":
-        return cls(n, m, ((Fraction(1), (q, fixed, ())),))
+        return cls(n, m, ((1, (q, fixed, ())),))
 
     @classmethod
     def _merge(cls, n: int, m: int, parts) -> "MomentExpression":
@@ -576,15 +580,23 @@ def _john_chains(n: int, m: int, fixed: tuple, rewrites: tuple) -> dict:
     of ``m - len(fixed)`` pairs p < q, the chain that applies ``john`` once
     per pair, keyed by ``_pair_key(pairs)[0]``.  John operators commute, so
     a multiset names its chain, and each shorter chain is built once and
-    extended by every pair that may follow it.
+    extended by every pair that may follow it.  The rewrites read a
+    restriction only through the rank left after it (``dxi``'s factor), so
+    the chains are built once per ``(n, m - len(fixed))`` at no fixed index
+    and relabelled: the address ``(q, S, D)`` becomes ``(q, fixed + S, D)``,
+    sorted.
     """
+    if fixed:
+        return {key: MomentExpression._merge(n, m, (
+                    (coef, (q, tuple(sorted(fixed + restricted)), derivs))
+                    for coef, (q, restricted, derivs) in e.terms))
+                for key, e in _john_chains(n, m - len(fixed), (), rewrites).items()}
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    size = m - len(fixed)
-    chains = {(): MomentExpression._datum(n, m, 0, fixed)}
-    for length in range(1, size + 1):
+    chains = {(): MomentExpression._datum(n, m, 0)}
+    for length in range(1, m + 1):
         for word in itertools.combinations_with_replacement(pairs, length):
             chains[word] = john(chains[word[:-1]], *word[-1])
-    return {_pair_key(word)[0]: e for word, e in chains.items() if len(word) == size}
+    return {_pair_key(word)[0]: e for word, e in chains.items() if len(word) == m}
 
 
 def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> dict:
@@ -638,9 +650,8 @@ def _signed_pair_reads(n: int, r: int) -> tuple:
     for qt in itertools.combinations_with_replacement(axes, r):
         reads = []
         for ptuple in itertools.product(axes, repeat=r):
-            key, sign = _pair_key(zip(ptuple, qt))
-            if sign:
-                reads.append((ptuple, key, sign))
+            if all(map(operator.ne, ptuple, qt)):
+                reads.append((ptuple, *_pair_key(zip(ptuple, qt))))
         out.append((qt, tuple(reads)))
     return tuple(out)
 

@@ -214,34 +214,31 @@ def symmetrize(t: RawTensor, positions: Sequence[int]) -> RawTensor:
 
     A linear projector: symmetric in the selected positions, identity on the
     rest.  Averaging runs over distinct rearrangements only, which gives the
-    same result as the full permutation average.
+    same result as the full permutation average.  The members of an orbit
+    share their average, so it is taken once per orbit and written to each.
     """
     pos = _check_positions(positions, t.rank)
     if not pos:
         raise ValueError("position set must be non-empty")
     slots = [p - 1 for p in pos]
-
-    def rearranged(idx: Index) -> list[Index]:
-        sub = tuple(idx[s] for s in slots)
-        out = []
-        for arr in distinct_rearrangements(sub):
-            new = list(idx)
+    read = t.components.get
+    data = {}
+    for key in t.components:
+        if key in data:
+            continue
+        orbit = []
+        for arr in distinct_rearrangements(tuple(key[s] for s in slots)):
+            new = list(key)
             for s, v in zip(slots, arr):
                 new[s] = v
-            out.append(tuple(new))
-        return out
-
-    orbit = set()
-    for key in t.components:
-        orbit.update(rearranged(key))
-    data = {}
-    for key in orbit:
-        variants = rearranged(key)
-        acc = t.get(variants[0])
-        for var in variants[1:]:
-            acc = acc + t.get(var)
-        data[key] = acc * Fraction(1, len(variants))
-    return RawTensor(t.n, t.rank, data, t.zero)
+            orbit.append(tuple(new))
+        acc = read(orbit[0], t.zero)
+        for member in orbit[1:]:
+            acc = acc + read(member, t.zero)
+        acc = acc * Fraction(1, len(orbit))
+        for member in orbit:
+            data[member] = acc
+    return t._like(data)
 
 
 def alternate(t: RawTensor, pos_pair: tuple[int, int]) -> RawTensor:

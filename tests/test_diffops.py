@@ -274,6 +274,24 @@ def _pair_read(t, idx):
     return t.get(key) * Fraction(sign) if sign else t.zero
 
 
+class TestPairKey:
+    """``_pair_key`` against its definition, every sequence of up to 3 pairs."""
+
+    @staticmethod
+    def definition(pairs):
+        pairs = list(pairs)
+        sign = math.prod((i < j) - (i > j) for i, j in pairs)
+        return tuple(itertools.chain.from_iterable(sorted(map(sorted, pairs)))), sign
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_key_and_sign(self, n):
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        for length in range(4):
+            for seq in itertools.product(pairs, repeat=length):
+                assert diffops._pair_key(seq) == self.definition(seq), seq
+                assert diffops._pair_key(iter(seq)) == self.definition(seq), seq
+
+
 STENCIL_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
 
 

@@ -903,7 +903,7 @@ class TestJohnTable:
                 chains += 1
         assert chains == (n * (n - 1)) ** (m - k)
 
-    def test_chains_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
+    def test_chains_built_once_per_rank_after_restriction(self, monkeypatch):
         calls = []
         original = moments.john
 
@@ -932,18 +932,42 @@ class TestJohnTable:
         assert john_power_residual(g, 1, (2,), pt) == 0.0
         assert collapsed_derivative_residual(g, 1, (2,), pt) == 0.0
         assert len(calls) == built
-        # another fixed multiset or another shape builds its own chains
-        _john_table(f, 1, (3,), pt)
-        assert len(calls) == 2 * built
-        h = random_field(4, 2, 1, "johnonce:shape")
-        assert john_power_residual(h, 1, (2,), random_phase_point(4, rng)) == 0.0
-        assert len(calls) == 2 * built + math.comb(4, 2)
-        # a fixed multiset is one, in whatever order its indices come
+        # another fixed multiset of the same size relabels the same chains
+        assert john_power_residual(f, 1, (3,), pt) == 0.0
+        assert len(calls) == built
+        # and so does another rank with the same rank left after restriction
         h = random_field(3, 3, 1, "johnonce:rank3")
-        _john_table(h, 2, (3, 1), pt)
-        built_h = len(calls)
+        assert john_power_residual(h, 2, (3, 1), pt) == 0.0
         _john_table(h, 2, (1, 3), PhasePoint(pt.x, pt.xi))
-        assert len(calls) == built_h
+        assert len(calls) == built
+        # another rank after restriction or another dimension builds its own:
+        # at rank 2, 3 chains of one pair and 6 of two
+        assert john_power_residual(f, 0, (), pt) == 0.0
+        assert len(calls) == built + 3 + 6
+        before = len(calls)
+        e = random_field(4, 2, 1, "johnonce:shape")
+        assert john_power_residual(e, 1, (2,), random_phase_point(4, rng)) == 0.0
+        assert len(calls) == before + math.comb(4, 2)
+
+    @pytest.mark.parametrize("n,m,k", [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 3, 1),
+                                       (2, 4, 1)])
+    def test_relabelled_chains_equal_the_chains_built_at_fixed(self, n, m, k):
+        # the reference: every chain built through ``john`` from the datum
+        # restricted at ``fixed``, whose dxi factors read the restriction
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for fixed in itertools.combinations_with_replacement(range(1, n + 1), k):
+            chains = {(): MomentExpression._datum(n, m, 0, fixed)}
+            for length in range(1, m - k + 1):
+                for word in itertools.combinations_with_replacement(pairs, length):
+                    chains[word] = john(chains[word[:-1]], *word[-1])
+            want = {_pair_key(word)[0]: e for word, e in chains.items()
+                    if len(word) == m - k}
+            got = moments._john_chains(n, m, fixed, (john, dx, dxi))
+            assert got == want, fixed
+            for e in got.values():
+                assert [address for _, address in e.terms] == sorted(
+                    address for _, address in e.terms)
+                assert all(type(coef) is int for coef, _ in e.terms)
 
 
 class TestJohnPower:

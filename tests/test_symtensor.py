@@ -17,6 +17,7 @@ from raymoments import (
     symmetrize,
     tuple_multiplicity,
 )
+from raymoments.symtensor import distinct_rearrangements
 from conftest import brute_symmetrize, random_raw
 
 
@@ -121,6 +122,33 @@ class TestTensorKinds:
             assert (t * -1).items() == [(key, -v) for key, v in t.items()]
 
 
+def _reference_symmetrize(t: RawTensor, positions) -> RawTensor:
+    """Symmetrization with the average taken once per member of each orbit."""
+    slots = [p - 1 for p in positions]
+
+    def rearranged(idx):
+        sub = tuple(idx[s] for s in slots)
+        out = []
+        for arr in distinct_rearrangements(sub):
+            new = list(idx)
+            for s, v in zip(slots, arr):
+                new[s] = v
+            out.append(tuple(new))
+        return out
+
+    orbit = set()
+    for key in t.components:
+        orbit.update(rearranged(key))
+    data = {}
+    for key in orbit:
+        variants = rearranged(key)
+        acc = t.get(variants[0])
+        for var in variants[1:]:
+            acc = acc + t.get(var)
+        data[key] = acc * Fraction(1, len(variants))
+    return RawTensor(t.n, t.rank, data, t.zero)
+
+
 class TestSymmetrize:
     def test_two_permutation_average(self):
         t = RawTensor(2, 2, {(1, 2): Fraction(1)})
@@ -160,6 +188,19 @@ class TestSymmetrize:
         s1 = symmetrize(t, group)
         assert s1 == brute_symmetrize(t, group)
         assert symmetrize(s1, group) == s1
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(), st.sampled_from([0.2, 0.6, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_average_per_orbit_matches_per_member_average(self, n, rank, seed, density):
+        rng = random.Random(seed)
+        t = RawTensor(n, rank, {idx: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                                for idx in itertools.product(range(1, n + 1), repeat=rank)
+                                if rng.random() < density})
+        for size in range(1, rank + 1):
+            for group in itertools.combinations(range(1, rank + 1), size):
+                got = symmetrize(t, group)
+                assert got == _reference_symmetrize(t, group), group
+                assert all(value != 0 for value in got.components.values())
 
     def test_linearity(self):
         a = frac_raw(2, 3, 11)
