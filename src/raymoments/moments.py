@@ -41,9 +41,9 @@ from .polygauss import (
     LineTable,
     PolyGauss,
     Polynomial,
+    _ratio_sqrt,
     is_rational,
     line_moment,
-    rational_sqrt,
 )
 from .symtensor import (
     RawTensor,
@@ -69,7 +69,8 @@ class PhasePoint:
     ``xi_den``, the lcm of the denominators of xi (a power of 2 on a float
     point), as the line table set them up, so that the direction weights of
     a rank-r transform datum are ints over ``xi_den**r`` (see
-    ``_contraction``).
+    ``_contraction``), and x as ``x_nums`` over ``x_den``; the samplers
+    build exact points from ints (``_from_ints``).
 
     Two memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
@@ -88,9 +89,20 @@ class PhasePoint:
 
     def __init__(self, x: Sequence, xi: Sequence):
         # the moments of monomials along this line, shared by every transform
-        self.line_table = table = LineTable(tuple(x), tuple(xi))
+        self._attach(LineTable(tuple(x), tuple(xi)))
+
+    @classmethod
+    def _from_ints(cls, x_nums, x_den: int, xi_nums, xi_den: int):
+        """The exact point x_nums / x_den, xi_nums / xi_den (positive int dens)."""
+        pt = object.__new__(cls)
+        pt._attach(LineTable._from_ints(x_nums, x_den, xi_nums, xi_den))
+        return pt
+
+    def _attach(self, table: LineTable) -> None:
+        self.line_table = table
         self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
-        self.xi_den, self.xi_nums = table.xi_den, table.xi_nums
+        self.x_nums, self.x_den, self.xi_nums, self.xi_den = (
+            table.x_nums, table.x_den, table.xi_nums, table.xi_den)
         self.zero = ExactValue.zero_value() if self.is_exact else 0.0
         self.contracted: dict = {}
         self.integrals: dict = {}
@@ -119,12 +131,15 @@ class PhasePoint:
         """The oriented-line representative: orthogonal offset, unit direction."""
         if self.is_exact:
             table = self.line_table
-            # mean = -c/s, the parameter of the line's closest point
-            xp = tuple(a + table.mean * b for a, b in zip(self.x, self.xi))
-            lam = rational_sqrt(table.s)
-            if lam is not None:
-                return TSPoint(xp, tuple(b / lam for b in self.xi))
-            x, xi = [float(v) for v in xp], [float(v) for v in self.xi]
+            # x + mean * xi, mean = -c/s the parameter of the line's closest point
+            (mn, md), dx, dxi = table.mean_ratio, self.x_den, self.xi_den
+            xp = [a * md * dxi + mn * b * dx for a, b in zip(self.x_nums, self.xi_nums)]
+            den = dx * md * dxi
+            lam = _ratio_sqrt(*table.s_ratio)
+            if lam is not None:  # xi / lam, with lam = sqrt(s) = a / b
+                a, b = lam
+                return TSPoint._from_ints(xp, den, [v * b for v in self.xi_nums], dxi * a)
+            x, xi = [v / den for v in xp], [v / dxi for v in self.xi_nums]
         else:
             x, xi = list(self.x), list(self.xi)
         norm = math.sqrt(sum(v * v for v in xi))
@@ -146,12 +161,12 @@ class TSPoint(PhasePoint):
     within PROJECTION_TOL, with the residual recorded.
     """
 
-    def __init__(self, x: Sequence, xi: Sequence):
-        super().__init__(x, xi)
+    def _attach(self, table: LineTable) -> None:
+        super()._attach(table)
         if self.is_exact:
-            if self.xi_norm_sq() != 1:
+            if table.s_ratio[0] != table.s_ratio[1]:
                 raise ValueError("direction must have exact unit norm")
-            if self.x_dot_xi() != 0:
+            if table.c_ratio[0]:
                 raise ValueError("offset must be exactly orthogonal to direction")
             self.projection_residual = 0.0
         else:
@@ -161,73 +176,70 @@ class TSPoint(PhasePoint):
             self.projection_residual = res
 
 
-def rational_unit_vector(n: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """A random rational vector of exact unit norm.
+def _unit_nums(n: int, rng: random.Random) -> tuple[list, int]:
+    """A random rational vector of exact unit norm, as int numerators over one denominator.
 
-    Built from the rational parametrization of the circle, nested across
-    coordinates, then randomly permuted.
+    Circle points (a^2 - b^2, 2ab) / (a^2 + b^2), nested across coordinates,
+    then randomly permuted.
     """
-    def circle_pair():
-        while True:
-            a = rng.randint(-6, 6)
-            b = rng.randint(-6, 6)
-            if a or b:
-                d = a * a + b * b
-                return Fraction(a * a - b * b, d), Fraction(2 * a * b, d)
-
     if n == 1:
-        return (Fraction(rng.choice((-1, 1))),)
-    c, s = circle_pair()
-    vec = [c, s]
-    while len(vec) < n:
-        c, s = circle_pair()
-        vec = [c] + [s * v for v in vec]
+        return [rng.choice((-1, 1))], 1
+    vec, den = [1], 1
+    while len(vec) < n:  # [c] + s * vec for a circle point (c, s)
+        a = b = 0
+        while not (a or b):
+            a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+        vec = [(a * a - b * b) * den] + [2 * a * b * v for v in vec]
+        den *= a * a + b * b
     order = list(range(n))
     rng.shuffle(order)
-    return tuple(vec[i] for i in order)
+    return [vec[i] for i in order], den
 
 
-def _random_rational_vector(n: int, rng: random.Random) -> list[Fraction]:
-    return [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 4))) for _ in range(n)]
+def rational_unit_vector(n: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """A random rational vector of exact unit norm (drawn in ints by ``_unit_nums``)."""
+    nums, den = _unit_nums(n, rng)
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _random_rational_nums(n: int, rng: random.Random) -> list[int]:
+    return [rng.randint(-4, 4) * (12 // rng.choice((2, 3, 4))) for _ in range(n)]
 
 
 def random_ts_point(n: int, rng: random.Random) -> TSPoint:
-    """A random exact oriented line with offset norm at most 3/2."""
-    u = rational_unit_vector(n, rng)
-    x = None
+    """A random exact oriented line with offset norm at most 3/2, drawn in ints."""
+    u, u_den = _unit_nums(n, rng)
+    x, den = [0] * n, 1
     for _ in range(16):
-        y = _random_rational_vector(n, rng)
-        c = sum(a * b for a, b in zip(y, u))
-        cand = [a - c * b for a, b in zip(y, u)]
+        y = _random_rational_nums(n, rng)
+        c = sum(map(operator.mul, y, u))
+        cand = [a * u_den * u_den - c * b for a, b in zip(y, u)]
         if any(cand):
-            x = cand
+            x, den = cand, 12 * u_den * u_den
             break
-    if x is None:
-        x = [Fraction(0)] * n
-    while sum(v * v for v in x) > Fraction(9, 4):
-        x = [v / 2 for v in x]
-    return TSPoint(x, u)
+    while 4 * sum(v * v for v in x) > 9 * den * den:
+        den *= 2
+    return TSPoint._from_ints(x, den, u, u_den)
 
 
 def random_phase_point(n: int, rng: random.Random) -> PhasePoint:
     """A random exact phase point with rational direction norm in [1/2, 2].
 
     The offset keeps a minimum angle to the direction so the projected line
-    stays well separated from the degenerate locus.
+    stays well separated from the degenerate locus.  Drawn in ints.
     """
-    u = rational_unit_vector(n, rng)
-    lam = Fraction(rng.randint(2, 8), 4)
-    xi = tuple(lam * v for v in u)
+    u, u_den = _unit_nums(n, rng)
+    lam = rng.randint(2, 8)
+    xi, xi_den = [lam * v for v in u], 4 * u_den
     for _ in range(64):
-        x = _random_rational_vector(n, rng)
+        x, den = _random_rational_nums(n, rng), 12
         norm2 = sum(v * v for v in x)
-        while norm2 > 4:
-            x = [v / 2 for v in x]
-            norm2 = sum(v * v for v in x)
-        c = sum(a * b for a, b in zip(x, u))
-        if norm2 <= Fraction(1, 100) or c * c <= Fraction(15, 16) * norm2:
-            return PhasePoint(x, xi)
-    return PhasePoint([Fraction(0)] * n, xi)
+        while norm2 > 4 * den * den:
+            den *= 2
+        c = sum(map(operator.mul, x, u))
+        if 100 * norm2 <= den * den or 16 * c * c <= 15 * norm2 * u_den * u_den:
+            return PhasePoint._from_ints(x, den, xi, xi_den)
+    return PhasePoint._from_ints([0] * n, 1, xi, xi_den)
 
 
 def random_float_ts_point(n: int, rng: random.Random) -> TSPoint:
@@ -387,21 +399,26 @@ def moment_stack(f: SymTensor, k: int, pt: TSPoint) -> list:
 def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int):
     """Rebuild the extended transform from moment data on the projected line.
 
-    ``i_values`` are the transforms of orders 0..q at pt.project().  Exact
-    when the direction norm is rational and the supplied values are exact;
-    exact values at an irrational direction norm raise TypeError.
+    ``i_values`` are the transforms of orders 0..q at pt.project().  Exact,
+    with int weights over one denominator, when the direction norm is
+    rational and the values are exact; exact values at an irrational
+    direction norm raise TypeError.
     """
     if q < 0 or len(i_values) < q + 1:
         raise ValueError("need moment values of orders 0..q")
-    s = pt.xi_norm_sq()
-    c = pt.x_dot_xi()
-    lam = rational_sqrt(s)
+    table, e = pt.line_table, rank - 2 * q - 1
+    lam, (cn, cd) = _ratio_sqrt(*table.s_ratio), table.c_ratio
     if lam is None:  # an irrational direction norm takes the weights to floats
-        lam, c = math.sqrt(float(s)), float(c)
-    pairs = [((-1) ** (q - ell) * math.comb(q, ell)
-              * lam ** (rank - 2 * q - 1 + ell) * c ** (q - ell), i_values[ell])
-             for ell in range(q + 1)]
-    return _weighted_sum(pairs, pt.zero)
+        lam, c = math.sqrt(float(table.s)), float(table.c)
+        return _weighted_sum((((-1) ** (q - ell) * math.comb(q, ell) * lam ** (e + ell)
+                               * c ** (q - ell), i_values[ell]) for ell in range(q + 1)),
+                             pt.zero)
+    a, b = lam
+    top, bottom = (a, b) if e >= 0 else (b, a)
+    return _weighted_sum((((-1) ** (q - ell) * math.comb(q, ell) * top ** abs(e)
+                           * (a * cd) ** ell * (b * cn) ** (q - ell), i_values[ell])
+                          for ell in range(q + 1)), pt.zero,
+                         (b * cd) ** q * bottom ** abs(e))
 
 
 class MomentExpression:
@@ -525,9 +542,9 @@ def john(e: MomentExpression, p: int, q: int) -> MomentExpression:
     return dx(dxi(e, q), p) - dx(dxi(e, p), q)
 
 
-def _recovery_term(r: int, p: int) -> Fraction:
+def _recovery_term(r: int, p: int) -> int:
     """Sign and binomial factor of the p-th term of the recovery sum."""
-    return Fraction((-1) ** p * math.comb(r, p))
+    return (-1) ** p * math.comb(r, p)
 
 
 # The chains below depend on the field shape (n, m) and a sorted fixed
@@ -542,21 +559,29 @@ def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression
 
     ``rewrites`` is ``(_recovery_term, dx, dxi)``.  The alternating sum runs
     over every ordering of the fixed indices, so it depends only on their
-    multiset.
+    multiset.  Built once per orbit of coordinate relabellings, in int
+    coefficients merged once, and relabelled by an increasing map.
     """
+    labels = sorted(set(fixed))
+    first = tuple(labels.index(i) + 1 for i in fixed)
+    if first != fixed:
+        back = (0, *labels)
+        return MomentExpression(n, m, (
+            (coef, (q, tuple(back[i] for i in restricted), tuple(back[i] for i in derivs)))
+            for coef, (q, restricted, derivs) in _recovery(n, m, first, rewrites).terms))
     r = len(fixed)
-    perms = list(itertools.permutations(fixed)) or [()]
-    weight = Fraction(1, len(perms))
-    total = MomentExpression(n, m)
-    for perm in perms:
-        for p in range(r + 1):
-            e = MomentExpression._datum(n, m, p) * (_recovery_term(r, p) * weight)
+    signs = [_recovery_term(r, p) for p in range(r + 1)]
+    perms, parts = dict.fromkeys(itertools.permutations(fixed)), []
+    for perm in perms:  # every distinct ordering stands for as many of the r!
+        for p, sign in enumerate(signs):
+            e = MomentExpression._datum(n, m, p)
             for i in perm[:p]:
                 e = dx(e, i)
             for i in perm[p:]:
                 e = dxi(e, i)
-            total = total + e
-    return total * Fraction(math.factorial(m - r), math.factorial(m))
+            parts.extend((sign * coef, address) for coef, address in e.terms)
+    den = len(perms) * math.factorial(m) // math.factorial(m - r)
+    return MomentExpression._merge(n, m, parts) * Fraction(1, den)
 
 
 def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
@@ -629,7 +654,7 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
     alt = alternated_derivative(f, fixed)
-    scale = Fraction((-2) ** mk * math.factorial(mk))
+    scale = (-2) ** mk * math.factorial(mk)
     return max((value_diff(lhs, pt.integral(alt.get(key), 0) * scale)
                 for key, lhs in table.items()), default=0.0)
 
@@ -671,7 +696,7 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
-    scale = Fraction((-1) ** mk * math.factorial(mk))
+    scale = (-1) ** mk * math.factorial(mk)
     best = 0.0
     for qkey, reads in _signed_pair_reads(f.n, mk):
         acc = _direction_sum(pt, ((ptuple, sign, table[key]) for ptuple, key, sign in reads),
@@ -737,7 +762,7 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
     datum per distinct r-sub-multiset F of the key, weighted by the share of
     rearrangements that split the key there,
     ``arr(key - F) * arr(F) / arr(key)`` with ``arr`` the number of distinct
-    rearrangements (``tuple_multiplicity``).
+    rearrangements (``tuple_multiplicity``): int weights over ``arr(key)``.
     """
     m = f.rank
     if not 0 <= r <= m:
@@ -748,9 +773,9 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
         parts = []
         for fixed in dict.fromkeys(itertools.combinations(key, r)):
             derivs = _multiset_difference(key, fixed)
-            weight = Fraction(tuple_multiplicity(derivs) * tuple_multiplicity(fixed), arr)
+            weight = tuple_multiplicity(derivs) * tuple_multiplicity(fixed)
             parts.append((weight, _transform_value(f, 0, pt, fixed, derivs)))
-        best = max(best, value_diff(_weighted_sum(parts, pt.zero), pt.zero))
+        best = max(best, value_diff(_weighted_sum(parts, pt.zero, arr), pt.zero))
     return best
 
 

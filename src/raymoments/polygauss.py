@@ -188,8 +188,8 @@ class Polynomial:
     def _from_ints(cls, n: int, den: int, nums: list) -> "Polynomial":
         """Build from int numerators in index order over ``den`` >= 1.
 
-        Skips the validation of ``__init__``; only internal arithmetic, whose
-        inputs are validated polynomials, may call it.  Trailing zeros are
+        Skips the validation of ``__init__``; only internal code, whose
+        numerators are ints, may call it.  Trailing zeros are
         dropped and the common factor of ``den`` and the numerators is
         divided out, so the zero polynomial gets ``den`` 1.
         """
@@ -431,13 +431,15 @@ class PolyGauss:
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a positive rational, or None if irrational."""
-    if q <= 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    root = _ratio_sqrt(q.numerator, q.denominator) if q > 0 else None
+    return None if root is None else Fraction(*root)
+
+
+def _ratio_sqrt(num: int, den: int) -> tuple[int, int] | None:
+    """The square root of num / den > 0 as ints in lowest terms, or None if irrational."""
+    g = math.gcd(num, den)
+    rn, rd = math.isqrt(num // g), math.isqrt(den // g)
+    return (rn, rd) if rn * rn * g == num and rd * rd * g == den else None
 
 
 class ExactValue:
@@ -527,7 +529,7 @@ class ExactValue:
                 f"exponent={self.exponent!r})")
 
     def scaled(self, c) -> "ExactValue":
-        c = _as_fraction(c)
+        c = c if type(c) is int else _as_fraction(c)  # an int is its own numerator over 1
         return ExactValue._from_ints(self.num * c.numerator, self.den * c.denominator,
                                      self.root, self.exponent)
 
@@ -630,6 +632,7 @@ class ExactValue:
 
 _set = object.__setattr__
 _ZERO = ExactValue(0)
+_ONE = Fraction(1)
 
 
 def _line_data(x: Sequence, xi: Sequence):
@@ -640,6 +643,13 @@ def _line_data(x: Sequence, xi: Sequence):
     norm2 = sum(a * a for a in x)
     exponent = -(norm2 - c * c / s)
     return s, c, exponent
+
+
+def _over_one_den(values: tuple) -> tuple[tuple, int]:
+    """Fractions or finite floats as int numerators over the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return tuple(num * (den // d) for num, d in ratios), den
 
 
 def _check_order(q) -> None:
@@ -657,8 +667,7 @@ class LineTable:
     (``float.as_integer_ratio``), so every table is the int table of a
     rational line, and ``is_exact`` only decides whether line_moment returns
     an ExactValue or that value rounded to a float.  With s = |xi|^2 and
-    c = x.xi, both kept as Fractions (a PhasePoint reads them here),
-    completing the square gives
+    c = x.xi, completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
@@ -669,20 +678,19 @@ class LineTable:
     M_{q+1} = mean*M_q + var*q*M_{q-1}, and one more factor of coordinate i
     gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).
 
-    The line is set up in ints: x and xi are brought to one common
-    denominator, and s, c, exponent, mean and var are built from int sums as
-    one Fraction each (see _exact_setup).  ``scale`` is the lcm L of the
-    denominators of x, xi, mean and var, and the entry kept for (q, e) is
-    the int
+    The line is set up in ints, by ``_from_ints`` (which sampled points
+    call) or from x and xi read as int ratios: x as ``x_nums`` over
+    ``x_den`` and xi as ``xi_nums`` over ``xi_den``, and s, c, mean and var
+    as int pairs (``s_ratio`` and so on) whose Fractions ``s``, ``c``,
+    ``mean`` and ``var`` are built when read; ``exponent``, ``root`` and
+    ``root_factor`` are the Fractions every line builds.
+    ``scale`` is the lcm L of the denominators of x, xi, mean and var, and
+    the entry kept for (q, e) is the int
     A_q(e) = L^(q + 2|e|) * mu_q(e).  The same recurrence builds it with the
     int weights L^2 x_i and L xi_i, L mean and L^2 var (q - 1).  The power
     counts |e| twice because the xi step (q + 1, e) -> (q, e + delta_i)
     trades one order for one coordinate: under L^(q + |e|) it would keep the
     power and leave xi_i unscaled.
-
-    Every line also keeps its direction as ints, ``xi_nums`` over
-    ``xi_den``, the lcm of the denominators of xi (a PhasePoint weights its
-    transform data with them).
 
     The entries are kept by rows in the dimension's graded index (see
     _Monomials): ``rows[q][j]`` is A_q(e) for the tuple e at place j, so
@@ -699,10 +707,15 @@ class LineTable:
     long as the table (a PhasePoint's table lives as long as the point).
     ``root`` and ``root_factor`` split sqrt(1/s) into the root of the
     line's ExactValues and a rational factor, once per line.
+
+    A float coordinate is an int over a power of 2, so a float line's L,
+    entries and cost grow with the spread of its coordinates' binary
+    exponents and with their mantissa bits.
     """
 
-    __slots__ = ("x", "xi", "is_exact", "s", "c", "exponent", "mean", "var", "scale",
-                 "root", "root_factor", "xi_den", "xi_nums", "rows", "_weights")
+    __slots__ = ("x", "xi", "is_exact", "x_nums", "x_den", "xi_nums", "xi_den",
+                 "s_ratio", "c_ratio", "mean_ratio", "var_ratio", "exponent", "scale",
+                 "root", "root_factor", "rows", "_weights")
 
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
@@ -712,46 +725,50 @@ class LineTable:
         self.x, self.xi = tuple(map(kind, x)), tuple(map(kind, xi))
         if not self.is_exact and not all(map(math.isfinite, self.x + self.xi)):
             raise ValueError("line coordinates must be finite")
-        ratios = [v.as_integer_ratio() for v in self.xi]
-        xi_den = self.xi_den = math.lcm(*(d for _, d in ratios))
-        self.xi_nums = tuple(num * (xi_den // d) for num, d in ratios)
-        self._exact_setup([v.as_integer_ratio() for v in self.x])
-        self.rows = [[1]]
+        self._setup(*_over_one_den(self.x), *_over_one_den(self.xi))
 
-    def _exact_setup(self, x_ratios: list) -> None:
-        """The scalars of the line, from its coordinates over one denominator.
+    @classmethod
+    def _from_ints(cls, x_nums, x_den: int, xi_nums, xi_den: int) -> "LineTable":
+        """The exact line x = x_nums / x_den, xi = xi_nums / xi_den, for positive dens."""
+        table = object.__new__(cls)
+        table.is_exact = True
+        g, h = math.gcd(x_den, *x_nums), math.gcd(xi_den, *xi_nums)  # to lowest terms
+        table._setup(tuple(v // g for v in x_nums), x_den // g,
+                     tuple(v // h for v in xi_nums), xi_den // h)
+        table.x = tuple(map(Fraction, table.x_nums, repeat(table.x_den)))
+        table.xi = tuple(map(Fraction, table.xi_nums, repeat(table.xi_den)))
+        return table
 
-        ``x_ratios`` holds x as (numerator, denominator) int pairs.  With
-        x = X/D and xi = XI/D for ints X, XI and D the lcm of all the
-        denominators (a multiple of ``xi_den``), the int sums S = |XI|^2,
-        C = X.XI and N = |X|^2 give s = S/D^2, c = C/D^2,
-        exponent = (C^2 - N*S)/(D^2*S), mean = -C/S and var = D^2/(2*S), one
-        Fraction each.
+    s = property(lambda self: Fraction(*self.s_ratio))
+    c = property(lambda self: Fraction(*self.c_ratio))
+    mean = property(lambda self: Fraction(*self.mean_ratio))
+    var = property(lambda self: Fraction(*self.var_ratio))
+
+    def _setup(self, x: tuple, dx: int, xi: tuple, dxi: int) -> None:
+        """The scalars of the line x = X/dx, xi = XI/dxi, each over the lcm of its denominators.
+
+        With S = |XI|^2, C = X.XI and N = |X|^2: s = S/dxi^2, c = C/(dx dxi),
+        mean = -c/s, var = 1/(2s), 1/s = dxi^2/S, exponent = (C^2 - N S)/(dx^2 S).
         """
-        xi_den = self.xi_den
-        big = math.lcm(xi_den, *(d for _, d in x_ratios))
-        xs = [num * (big // d) for num, d in x_ratios]
-        xis = [v * (big // xi_den) for v in self.xi_nums]
-        s = sum(v * v for v in xis)
+        self.x_nums, self.x_den, self.xi_nums, self.xi_den = x, dx, xi, dxi
+        s = sum(v * v for v in xi)
         if not s:
             raise ValueError("direction must be nonzero")
-        c = sum(map(mul, xs, xis))
-        norm2 = sum(v * v for v in xs)
-        den2 = big * big
-        self.s, self.c = Fraction(s, den2), Fraction(c, den2)
-        self.exponent = Fraction(c * c - norm2 * s, den2 * s)
-        mean = self.mean = Fraction(-c, s)
-        var = self.var = Fraction(den2, 2 * s)
-        # the lcm of the denominators of x, xi, mean and var
-        scale = self.scale = math.lcm(big, mean.denominator, var.denominator)
-        self._weights = (tuple(v * (scale * scale // big) for v in xs),
-                         tuple(v * (scale // big) for v in xis),
-                         mean.numerator * (scale // mean.denominator),
-                         var.numerator * (scale * scale // var.denominator))
-        inverse = Fraction(self.s.denominator, self.s.numerator)  # 1/s
-        r = rational_sqrt(inverse)
-        self.root, self.root_factor = ((Fraction(1), r) if r is not None
-                                       else (inverse, Fraction(1)))
+        c = sum(map(mul, x, xi))
+        self.s_ratio, self.c_ratio = (s, dxi * dxi), (c, dx * dxi)
+        self.mean_ratio, self.var_ratio = (-c * dxi, dx * s), (dxi * dxi, 2 * s)
+        self.exponent = Fraction(c * c - sum(v * v for v in x) * s, dx * dx * s)
+        # the lcm of the denominators of x, xi, mean and var in lowest terms
+        scale = self.scale = math.lcm(dx, dxi, dx * s // math.gcd(c * dxi, dx * s),
+                                      2 * s // math.gcd(dxi * dxi, 2 * s))
+        self._weights = (tuple(v * (scale * scale // dx) for v in x),
+                         tuple(v * (scale // dxi) for v in xi),
+                         -c * dxi * scale // (dx * s),
+                         dxi * dxi * scale * scale // (2 * s))
+        r = _ratio_sqrt(dxi * dxi, s)
+        self.root, self.root_factor = ((_ONE, Fraction(*r)) if r is not None
+                                       else (Fraction(dxi * dxi, s), _ONE))
+        self.rows = [[1]]
 
     def _row(self, q: int, degree: int) -> list:
         """Row q, built through block ``degree``.
@@ -797,7 +814,8 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     again keeps the value (see PhasePoint).  A table whose own coordinate
     tuples are passed as x and xi is taken as is; any other is checked, and
     a table of another line, or of the same line in the other scalars, is
-    rejected.
+    rejected.  A float line's cost grows with the spread of its coordinates'
+    binary exponents and with their mantissa bits (see LineTable).
     """
     _check_order(q)
     if len(x) != g.n or len(xi) != g.n:
@@ -906,15 +924,15 @@ def field_scale_report(f) -> Fraction:
 
 
 def random_polynomial(n: int, degree: int, rng: random.Random) -> Polynomial:
-    """Small random coefficients on the exponent tuples of degree <= ``degree``, sorted."""
+    """Small random coefficients on the exponent tuples of degree <= ``degree``, sorted, over 6."""
     index = _monomials(n)
     index.grow(degree)
-    terms = {}
-    for exps in sorted(index.exps[:index.starts[degree + 1]]):
+    nums = [0] * index.starts[degree + 1]
+    for exps in sorted(index.exps[:len(nums)]):
         num = rng.randint(-4, 4)
         if num:
-            terms[exps] = Fraction(num, rng.choice((1, 2, 3)))
-    return Polynomial(n, terms)
+            nums[index.pos[exps]] = num * (6 // rng.choice((1, 2, 3)))
+    return Polynomial._from_ints(n, 6, nums)
 
 
 def random_field(n: int, m: int, degree: int, seed) -> SymTensor:

@@ -324,8 +324,9 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
                restriction_contraction_residual(f, fixed_r, k, pt), tag)
 
         drift = value_diff(directional_x_derivative(bases[0], f, pt), pt.zero)
-        moved = PhasePoint(
-            tuple(a + Fraction(1, 3) * b for a, b in zip(pt.x, pt.xi)), pt.xi)
+        moved = PhasePoint._from_ints(  # x + xi/3, in ints
+            [3 * a * pt.xi_den + b * pt.x_den for a, b in zip(pt.x_nums, pt.xi_nums)],
+            3 * pt.x_den * pt.xi_den, pt.xi_nums, pt.xi_den)
         record("translation-invariance",
                max(drift, value_diff(extended_transform(f, 0, moved),
                                      extended_transform(f, 0, pt))), tag)

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from raymoments import (
+    LineTable,
     PolyGauss,
     Polynomial,
     RawTensor,
     SymTensor,
+    line_moment,
     line_moment_quadrature,
     tuple_multiplicity,
 )
-from raymoments.polygauss import quadrature_mass
+from raymoments.polygauss import quadrature_mass, random_polynomial
 
 
 def brute_symmetrize(t: RawTensor, positions) -> RawTensor:
@@ -62,6 +64,36 @@ def termwise_mass(g: PolyGauss, q: int, x, xi) -> float:
     """
     return sum(abs(coef) * quadrature_mass(PolyGauss(Polynomial(g.n, {e: 1})), q, x, xi)
                for e, coef in g.poly.terms.items())
+
+
+def assert_same_table(got: LineTable, want: LineTable, rng: random.Random) -> None:
+    """Two tables of one line agree on every scalar, and on their rows after the same integrals."""
+    names = [name for name in LineTable.__slots__ if name != "rows"]
+    assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
+    assert [type(getattr(got, name)) for name in names] == [
+        type(getattr(want, name)) for name in names]
+    scalars = ("s", "c", "mean", "var")
+    assert [getattr(got, a) for a in scalars] == [getattr(want, a) for a in scalars]
+    g = PolyGauss(random_polynomial(len(got.x), rng.randint(0, 4), rng))
+    for q in range(3):
+        assert (line_moment(g, q, got.x, got.xi, got)
+                == line_moment(g, q, want.x, want.xi, want))
+    assert got.rows == want.rows
+
+
+def count_fractions(monkeypatch, fn, *args):
+    """The number of Fractions built by ``fn(*args)``, and its result."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        built.append(cls)
+        return new(cls, *a, **k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        result = fn(*args)
+    return len(built), result
 
 
 def random_raw(n: int, rank: int, rng: random.Random) -> RawTensor:

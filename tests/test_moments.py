@@ -32,6 +32,7 @@ from raymoments import (
     random_float_ts_point,
     random_phase_point,
     random_ts_point,
+    rational_sqrt,
     rational_unit_vector,
     recover_restricted,
     restrict,
@@ -53,7 +54,13 @@ from raymoments.moments import (
 )
 from raymoments.polygauss import _jet, random_polynomial
 from raymoments.symtensor import distinct_rearrangements
-from conftest import quad_transform, random_raw, termwise_mass
+from conftest import (
+    assert_same_table,
+    count_fractions,
+    quad_transform,
+    random_raw,
+    termwise_mass,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -65,6 +72,68 @@ def gaussian_scalar(n):
 def field_partial(f, i):
     """The componentwise partial derivative of a field, read from its jet."""
     return sym_field(f.n, f.rank, {key: _jet(f, key, (i,)) for key in f.components})
+
+
+# The Fraction samplers that the int samplers replaced, kept as their
+# reference: the int draws must make the same rng calls in the same order
+# and return the same points.
+
+def _ref_rational_unit_vector(n, rng):
+    def circle_pair():
+        while True:
+            a = rng.randint(-6, 6)
+            b = rng.randint(-6, 6)
+            if a or b:
+                d = a * a + b * b
+                return Fraction(a * a - b * b, d), Fraction(2 * a * b, d)
+
+    if n == 1:
+        return (Fraction(rng.choice((-1, 1))),)
+    c, s = circle_pair()
+    vec = [c, s]
+    while len(vec) < n:
+        c, s = circle_pair()
+        vec = [c] + [s * v for v in vec]
+    order = list(range(n))
+    rng.shuffle(order)
+    return tuple(vec[i] for i in order)
+
+
+def _ref_random_rational_vector(n, rng):
+    return [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 4))) for _ in range(n)]
+
+
+def _ref_random_ts_point(n, rng):
+    u = _ref_rational_unit_vector(n, rng)
+    x = None
+    for _ in range(16):
+        y = _ref_random_rational_vector(n, rng)
+        c = sum(a * b for a, b in zip(y, u))
+        cand = [a - c * b for a, b in zip(y, u)]
+        if any(cand):
+            x = cand
+            break
+    if x is None:
+        x = [Fraction(0)] * n
+    while sum(v * v for v in x) > Fraction(9, 4):
+        x = [v / 2 for v in x]
+    return TSPoint(x, u)
+
+
+def _ref_random_phase_point(n, rng):
+    u = _ref_rational_unit_vector(n, rng)
+    lam = Fraction(rng.randint(2, 8), 4)
+    xi = tuple(lam * v for v in u)
+    for _ in range(64):
+        x = _ref_random_rational_vector(n, rng)
+        norm2 = sum(v * v for v in x)
+        while norm2 > 4:
+            x = [v / 2 for v in x]
+            norm2 = sum(v * v for v in x)
+        c = sum(a * b for a, b in zip(x, u))
+        if norm2 <= Fraction(1, 100) or c * c <= Fraction(15, 16) * norm2:
+            return PhasePoint(x, xi)
+    return PhasePoint([Fraction(0)] * n, xi)
 
 
 class TestPoints:
@@ -119,6 +188,69 @@ class TestPoints:
         tsf = pf.project()
         assert tsf.projection_residual <= 1e-12
 
+
+
+class TestIntDraws:
+    """The samplers draw in ints the points the Fraction samplers drew."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_points_and_rng_state(self, n):
+        for seed in range(200):
+            rng, ref = random.Random(f"draws:{n}:{seed}"), random.Random(f"draws:{n}:{seed}")
+            u = rational_unit_vector(n, rng)
+            assert u == _ref_rational_unit_vector(n, ref) and rng.getstate() == ref.getstate()
+            assert all(type(v) is Fraction for v in u)
+            for draw, reference in ((random_ts_point, _ref_random_ts_point),
+                                    (random_phase_point, _ref_random_phase_point)):
+                got, want = draw(n, rng), reference(n, ref)
+                assert rng.getstate() == ref.getstate()
+                assert type(got) is type(want) and got.is_exact
+                assert (got.x, got.xi) == (want.x, want.xi)
+                assert all(type(v) is Fraction for v in got.x + got.xi)
+                # the int-built table against the one built from the Fractions
+                assert_same_table(got.line_table, want.line_table, random.Random(seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_projection_and_translate_in_ints(self, n):
+        # each against the point built from its Fraction coordinates
+        rng = random.Random(f"project:{n}")
+        for seed in range(40):
+            pt = random_phase_point(n, rng)
+            ts = pt.project()
+            mean = pt.line_table.mean
+            lam = rational_sqrt(pt.xi_norm_sq())
+            want = TSPoint([a + mean * b for a, b in zip(pt.x, pt.xi)], [b / lam for b in pt.xi])
+            assert type(ts) is TSPoint and (ts.x, ts.xi) == (want.x, want.xi)
+            assert_same_table(ts.line_table, want.line_table, random.Random(seed))
+            table = pt.line_table
+            moved = PhasePoint._from_ints(
+                [3 * a * table.xi_den + b * table.x_den
+                 for a, b in zip(table.x_nums, table.xi_nums)],
+                3 * table.x_den * table.xi_den, table.xi_nums, table.xi_den)
+            want = PhasePoint([a + Fraction(1, 3) * b for a, b in zip(pt.x, pt.xi)], pt.xi)
+            assert_same_table(moved.line_table, want.line_table, random.Random(seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_a_sampled_point_builds_its_coordinates_and_two_scalars(self, monkeypatch, n):
+        # drawing and setting up a point, projecting it and translating it
+        # each build the 2n Fractions of the new point's coordinate tuples x
+        # and xi, and the two every line builds: its exponent and the
+        # Fraction of its root (``root`` or ``root_factor``; the other is a
+        # shared 1)
+        rng = random.Random(f"count:{n}")
+        for _ in range(20):
+            for draw in (random_phase_point, random_ts_point):
+                built, pt = count_fractions(monkeypatch, draw, n, rng)
+                assert built <= 2 * n + 2
+                built, _ = count_fractions(monkeypatch, pt.project)
+                assert built <= 2 * n + 2
+                table = pt.line_table
+                built, _ = count_fractions(
+                    monkeypatch, PhasePoint._from_ints,
+                    [3 * a * table.xi_den + b * table.x_den
+                     for a, b in zip(table.x_nums, table.xi_nums)],
+                    3 * table.x_den * table.xi_den, table.xi_nums, table.xi_den)
+                assert built <= 2 * n + 2
 
 class TestTransforms:
     def test_gaussian_zeroth_moment(self):
@@ -748,6 +880,33 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_restricted(f, (1, 1), pt)
 
+    @staticmethod
+    def direct_recovery(n, m, fixed):
+        # the expression built at ``fixed`` itself, term by term in Fractions
+        r = len(fixed)
+        perms = list(itertools.permutations(fixed)) or [()]
+        weight = Fraction(1, len(perms))
+        total = MomentExpression(n, m)
+        for perm in perms:
+            for p in range(r + 1):
+                e = MomentExpression._datum(n, m, p) * (
+                    Fraction((-1) ** p * math.comb(r, p)) * weight)
+                for i in perm[:p]:
+                    e = dx(e, i)
+                for i in perm[p:]:
+                    e = dxi(e, i)
+                total = total + e
+        return total * Fraction(math.factorial(m - r), math.factorial(m))
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3)])
+    def test_relabelled_recovery_equals_the_direct_one(self, n, m):
+        rewrites = (moments._recovery_term, dx, dxi)
+        for r in range(m + 1):
+            for fixed in itertools.combinations_with_replacement(range(1, n + 1), r):
+                got = moments._recovery(n, m, fixed, rewrites)
+                assert got == self.direct_recovery(n, m, fixed), fixed
+                assert [a for _, a in got.terms] == sorted(a for _, a in got.terms)
+
     def test_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
         calls = []
         original = moments._recovery_term
@@ -775,7 +934,10 @@ class TestRecovery:
         assert value_diff(recover_restricted(g, (1, 3), pt),
                           extended_transform(restrict(g, (1, 3)), 0, pt)) == 0.0
         assert len(calls) == built
-        # another fixed multiset or another shape builds its own
+        # a relabelled multiset is relabelled from it, and another orbit or
+        # another shape builds its own
+        recover_restricted(f, (2, 3), pt)
+        assert len(calls) == built
         recover_restricted(f, (1, 1), pt)
         assert len(calls) == 2 * built
         recover_restricted(random_field(4, 3, 1, "recoveronce:shape"), (1, 3),

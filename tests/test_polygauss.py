@@ -23,7 +23,7 @@ from raymoments import (
 )
 from raymoments.moments import value_diff
 from raymoments.polygauss import _monomials, random_polynomial
-from conftest import termwise_mass
+from conftest import assert_same_table, termwise_mass
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -503,6 +503,20 @@ class TestLineTable:
         pt = PhasePoint(x, xi)
         assert (pt.xi_norm_sq(), pt.x_dot_xi()) == (ref.s, ref.c)
 
+    @given(_exact_lines(), st.integers(1, 12), st.integers(1, 12), st.integers())
+    @example(([Fraction(0)], [Fraction(1, 3)]), 6, 4, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_int_constructor_matches_the_fraction_one(self, line, kx, kxi, seed):
+        # from ints over any common denominators, brought to lowest terms: every
+        # scalar, and the rows after the same integrals, as from the Fractions
+        x, xi = (tuple(map(Fraction, vec)) for vec in line)
+        x_den = kx * math.lcm(*(v.denominator for v in x))
+        xi_den = kxi * math.lcm(*(v.denominator for v in xi))
+        table = LineTable._from_ints([int(v * x_den) for v in x], x_den,
+                                     [int(v * xi_den) for v in xi], xi_den)
+        assert table.x == x and all(type(v) is Fraction for v in table.x + table.xi)
+        assert_same_table(table, LineTable(x, xi), random.Random(seed))
+
     def test_scale_is_the_common_denominator(self):
         # x = (1/2, 0), xi = (1, 2/3): s = 13/9, mean = -9/26, var = 9/26
         table = LineTable([Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(2, 3)])
@@ -942,7 +956,29 @@ class TestExactValue:
         assert rational_sqrt(Fraction(-4)) is None
 
 
+def _ref_random_polynomial(n, degree, rng):
+    """The Fraction sampler that the int ``random_polynomial`` replaced."""
+    index = _monomials(n)
+    index.grow(degree)
+    terms = {}
+    for exps in sorted(index.exps[:index.starts[degree + 1]]):
+        num = rng.randint(-4, 4)
+        if num:
+            terms[exps] = Fraction(num, rng.choice((1, 2, 3)))
+    return Polynomial(n, terms)
+
+
 class TestRandomField:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_int_draw_matches_the_fraction_draw(self, n):
+        # the same rng calls in the same order, the same stored form
+        for seed in range(200):
+            rng, ref = random.Random(f"poly:{n}:{seed}"), random.Random(f"poly:{n}:{seed}")
+            for degree in range(4):
+                got, want = random_polynomial(n, degree, rng), _ref_random_polynomial(n, degree, ref)
+                assert (got.den, got.vec) == (want.den, want.vec)
+                assert rng.getstate() == ref.getstate()
+
     def test_seed_determinism(self):
         a = random_field(3, 2, 2, 99)
         b = random_field(3, 2, 2, 99)

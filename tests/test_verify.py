@@ -34,6 +34,7 @@ from raymoments import (
     suite_kernel,
     sym_field,
 )
+from conftest import count_fractions
 
 
 class TestGeneratePotential:
@@ -597,9 +598,10 @@ class TestRewriteCount:
 
     The John chains, the recovery expressions and the gradients of the base
     transforms are built once per field shape (the John chains once per rank
-    left after restriction, relabelled per fixed multiset), so the ``dx``
-    and ``dxi`` calls of a verdict do not grow with the samples that
-    evaluate them.
+    left after restriction, relabelled per fixed multiset; the recovery
+    expressions once per orbit of fixed multisets under relabelling the
+    coordinates), so the ``dx`` and ``dxi`` calls of a verdict do not grow
+    with the samples that evaluate them.
     The collapsed-derivative check reads its right side by address, with
     no rewrite.  Each expression is evaluated once per field, point and
     check.
@@ -624,7 +626,7 @@ class TestRewriteCount:
 
     @pytest.mark.parametrize("argv,dx_calls,dxi_calls,evaluate_calls", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 26, 26, 180),
+          "--samples", "20", "--degree", "6"], 16, 16, 180),
         (IDENT_MIXED, 31, 31, 66),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
           "--samples", "2", "--degree", "2"], 0, 0, 0),
@@ -639,6 +641,25 @@ class TestRewriteCount:
         assert main(self.IDENT_MIXED + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
         assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (31, 31, 66)
+
+
+class TestFractionCount:
+    """A verdict builds few Fractions: its sampled lines are drawn, set up,
+    projected and translated in ints, and its checks weight in ints."""
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 700),
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 80),
+        (TestRewriteCount.IDENT_MIXED, 560),
+    ], ids=["ident-moments", "kernel-op", "ident-mixed"])
+    def test_fractions_per_verdict(self, monkeypatch, capsys, argv, bound):
+        argv = argv + ["--seed", "7", "--format", "json"]
+        assert main(argv) == 0  # the shape tables are built before the count
+        built, code = count_fractions(monkeypatch, main, argv)
+        capsys.readouterr()
+        assert code == 0 and 0 < built <= bound
 
 
 class TestImportBuildsNoTable:
