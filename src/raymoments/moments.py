@@ -10,11 +10,13 @@ Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression, which names each datum by address
 and no field), so every transform-level identity can be evaluated exactly on
-rational lines.  A datum is never read from the field's jet: every point,
-exact or float, keeps its direction as ints, contracts the field with it once
-per restriction, in ints, and differentiates that one polynomial, so each
-datum costs one derive and one line integral at most, taken on the point's
-own line table (an exact value; on a float point, that value rounded once).
+rational lines.  Every point, exact or float, keeps its direction as ints,
+contracts the field with it once per restriction, in ints, and
+differentiates that one polynomial, so each datum costs one derive and one
+line integral at most, taken on the point's own line table (an exact value;
+on a float point, that value rounded once).  A datum is read from the
+field's jet only when it is fully restricted: then there is nothing to
+contract, and every point and the operators share the jet's derivative.
 Exact values are summed as int pairs (``ExactValue.sum``).  The
 two John identities read one table of John data per multiset of coordinate
 pairs p < q.  The John chains behind that table, the recovery expressions
@@ -41,6 +43,7 @@ from .polygauss import (
     LineTable,
     PolyGauss,
     Polynomial,
+    _jet,
     _ratio_sqrt,
     is_rational,
     line_moment,
@@ -276,15 +279,16 @@ def magnitude(v) -> float:
 def value_diff(a, b) -> float:
     """Absolute difference of two transform values.
 
-    Two ExactValues are subtracted exactly, as an int sum (``ExactValue.sum``),
-    and the difference goes through ``magnitude``, so the result is 0.0 iff
-    they are equal; values that cannot be subtracted exactly (different
+    Two ExactValues of equal stored form give 0.0 at once; others are
+    subtracted exactly, as an int sum (``ExactValue.sum``), and the difference
+    goes through ``magnitude``, so the result is 0.0 iff they are equal as
+    reals; values that cannot be subtracted exactly (different
     exponents or incompatible roots) raise ArithmeticError.  Two floats, on
     the float route, give the float difference; an ExactValue against a
     float raises TypeError.
     """
     if isinstance(a, ExactValue) and isinstance(b, ExactValue):
-        return magnitude(a - b)
+        return 0.0 if a == b else magnitude(a - b)
     if isinstance(a, ExactValue) or isinstance(b, ExactValue):
         raise TypeError("cannot compare an exact value with a float one")
     return abs(float(a) - float(b))
@@ -337,14 +341,19 @@ def _contraction(f: SymTensor, pt: PhasePoint, fixed: tuple, derivs: tuple) -> P
     of the remaining rank r, of the multiplicity of J times the product of
     xi_j over J (ints in ``pt.xi_nums``, over ``pt.xi_den**r``) times the
     partial derivative ``derivs`` of f's component at ``fixed + J``.
-    Differentiation is linear, so only the root entry, with no derivatives,
-    reads f: its components, read by canonical key (every caller has
-    validated ``fixed``), are added up in ints, as the diffops stencils are
-    applied.  Every other entry is its prefix in the sorted ``derivs``
-    differentiated once more, so each entry costs one derive and no jet
-    entry of f is read.  Memoized in the point's ``contracted`` under
-    ``(fixed, derivs, id(f))``, with the field held beside it.
+    When ``fixed`` fills the rank, there is nothing to contract: the
+    datum is the jet entry of f at ``(fixed, derivs)`` (``_jet``), which
+    every point and the operators share.  Otherwise differentiation is
+    linear, so only the root entry, with no derivatives, reads f: its
+    components, read by canonical key (every caller has validated
+    ``fixed``), are added up in ints, as the diffops stencils are applied.
+    Every other entry is its prefix in the sorted ``derivs`` differentiated
+    once more, so each entry costs one derive and reads no jet entry of f.
+    Memoized in the point's ``contracted`` under ``(fixed, derivs, id(f))``,
+    with the field held beside it.
     """
+    if len(fixed) == f.rank:
+        return _jet(f, fixed, derivs)
     memo_key = (fixed, derivs, id(f))
     hit = pt.contracted.get(memo_key)
     if hit is None:

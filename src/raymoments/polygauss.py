@@ -37,7 +37,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, itemgetter, mul
+from operator import add, floordiv, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,7 +212,9 @@ class Polynomial:
         The numerator tuples, each brought to the lcm of the polynomials'
         denominators, are added up aligned in one list, which starts as the
         first of them; the sum over that lcm times ``row_den`` is normalized
-        once.  No Fraction is built.
+        once.  A tuple whose factor is 1 is added and one whose factor is -1
+        subtracted as it is; only other factors take a multiply pass.  No
+        Fraction is built.
         """
         weighted = list(weighted)
         den = math.lcm(*(poly.den for _, poly in weighted))
@@ -220,13 +222,17 @@ class Polynomial:
         for weight, poly in weighted:
             vec = poly.vec
             factor = weight * (den // poly.den)
-            scaled = vec if factor == 1 else map(mul, vec, repeat(factor))
             if not acc:
-                acc = list(scaled)
+                acc = list(vec if factor == 1 else map(mul, vec, repeat(factor)))
                 continue
             if len(vec) > len(acc):
                 acc.extend(repeat(0, len(vec) - len(acc)))
-            acc[:len(vec)] = map(add, acc, scaled)
+            if factor == 1:
+                acc[:len(vec)] = map(add, acc, vec)
+            elif factor == -1:
+                acc[:len(vec)] = map(sub, acc, vec)
+            else:
+                acc[:len(vec)] = map(add, acc, map(mul, vec, repeat(factor)))
         return cls._from_ints(n, den * row_den, acc)
 
     @property
@@ -899,12 +905,12 @@ def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
     """The partial derivative ``derivs`` of one component of a field.
 
     Every derivative that the diffops operators read comes from here.
-    Transform data never read the jet: a point differentiates its own
-    direction contraction of the field instead (see
-    ``moments._contraction``).  It is memoized in ``f.jet`` under the
-    canonical component and the sorted derivative multiset (mixed partials
-    commute), and built from its memoized prefix, so each new entry costs
-    one derive.
+    Transform data read it only at a fully restricted address, where there
+    is nothing to contract; elsewhere a point differentiates its own
+    direction contraction of the field (see ``moments._contraction``).  It
+    is memoized in ``f.jet`` under the canonical component and the sorted
+    derivative multiset (mixed partials commute), and built from its
+    memoized prefix, so each new entry costs one derive.
     """
     key = (canonical(comp), tuple(sorted(derivs)))
     hit = f.jet.get(key)

@@ -124,10 +124,20 @@ class _SparseTensor:
         return self._like(data)
 
     def __sub__(self, other):
+        """The difference; a component equal to the other side's drops out.
+
+        Two components of equal stored form differ by zero, so they are
+        compared, which is cheap, and only those that differ are subtracted.
+        """
         self._compat(other)
         data = dict(self.components)
         for key, value in other.components.items():
-            data[key] = data[key] - value if key in data else -value
+            if key not in data:
+                data[key] = -value
+            elif data[key] == value:
+                del data[key]
+            else:
+                data[key] = data[key] - value
         return self._like(data)
 
     def __mul__(self, coef):

@@ -625,6 +625,22 @@ class TestValueDiff:
         assert value_diff(huge, huge) == 0.0
         assert value_diff(tiny, -tiny) > 0.0
 
+    def test_only_equal_stored_forms_skip_the_sum(self, monkeypatch):
+        # sqrt(8) and 2 sqrt(2): two stored forms of one real, still
+        # subtracted through the exact sum; one stored form is not
+        summed = []
+        exact_sum = ExactValue.sum
+
+        def counting_sum(pairs, den=1):
+            summed.append(den)
+            return exact_sum(pairs, den)
+
+        monkeypatch.setattr(ExactValue, "sum", staticmethod(counting_sum))
+        a, b = ExactValue(1, 8), ExactValue(2, 2)
+        assert value_diff(a, b) == 0.0 and len(summed) == 1
+        assert value_diff(a, ExactValue(1, 8)) == 0.0 and len(summed) == 1
+        assert value_diff(b, b.scaled(Fraction(1, 3))) > 0.0 and len(summed) == 2
+
     def test_exact_against_float_raises(self):
         tiny = ExactValue(Fraction(1, 10**400))
         with pytest.raises(TypeError):
@@ -980,7 +996,8 @@ class TestJetAtoms:
     """Atoms match fields built by content: restricted, then derived componentwise.
 
     On an exact point an atom differentiates the point's contraction of the
-    field (``moments._contraction``); the reference builds every derived field.
+    field (``moments._contraction``), or reads the field's jet where nothing
+    is left to contract; the reference builds every derived field.
     """
 
     @staticmethod
@@ -1028,7 +1045,8 @@ class TestJetAtoms:
         f = random_field(2, 2, 2, 81)
         g = random_field(2, 2, 2, 82)
         for h in (f, g, f, g):
-            e = john(MomentExpression.transform(h, 0, (1,)), 1, 2)
+            # rank 1 is left to contract: the data are not the fields' jet entries
+            e = john(MomentExpression.transform(h, 0), 1, 2)
             assert e.evaluate(h, pt) == e.evaluate(h, PhasePoint(pt.x, pt.xi))
         # fields freed between evaluations must not be mistaken for new ones
         for seed in range(20):
@@ -1037,6 +1055,18 @@ class TestJetAtoms:
             assert e.evaluate(h, pt) == e.evaluate(h, PhasePoint(pt.x, pt.xi))
         # the memo holds every field it has a datum of, so no id was reused
         assert len({id(held) for held, _ in pt.contracted.values()}) == 22
+
+    def test_fully_restricted_datum_is_the_jet_entry(self):
+        # nothing is left to contract: every point reads the field's own jet,
+        # which the operators share, and memoizes nothing of its own
+        rng = random.Random(83)
+        f = random_field(3, 2, 2, 84)
+        points = [random_phase_point(3, rng) for _ in range(2)]
+        for pt in points:
+            value = _transform_value(f, 1, pt, (2, 1), (3, 1))
+            assert value == self.reference(f, 1, (1, 2), (1, 3), pt)
+            assert moments._contraction(f, pt, (1, 2), (1, 3)) is _jet(f, (1, 2), (1, 3))
+            assert pt.contracted == {}
 
 
 class TestJohnTable:

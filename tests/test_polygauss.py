@@ -695,6 +695,28 @@ class TestIntStorage:
             for got2, ref2 in cases:
                 assert (got1 == got2) == (ref1 == ref2)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_weights_over_mixed_denominators(self, seed):
+        # a factor of 1 or -1 adds or subtracts a tuple as it is; a tuple
+        # over a smaller denominator is scaled to the lcm first
+        rng = random.Random(f"unit-weights:{seed}")
+        n = rng.randint(1, 3)
+        dicts = [{tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-5, 5), den)
+                  for _ in range(rng.randint(0, 5))} for den in (12, 3, 2, 12, 1, 4)]
+        weights = [rng.choice((1, -1)) for _ in dicts]
+        # one tuple cancels another
+        dicts.append(dicts[0])
+        weights.append(-weights[0])
+        row_den = rng.choice((1, 2, 5))
+        ref = {}
+        for w, d in zip(weights, dicts):
+            for e, v in d.items():
+                ref[e] = ref.get(e, Fraction(0)) + w * v / row_den
+        polys = [Polynomial(n, d) for d in dicts]
+        got = Polynomial._from_weighted(n, zip(weights, polys), row_den)
+        assert got == Polynomial(n, ref)
+        assert got.terms == {e: v for e, v in ref.items() if v}
+
     def test_zero_results_have_denominator_one(self):
         p = Polynomial(2, {(1, 0): Fraction(1, 6), (0, 2): Fraction(-5, 4)})
         for zero in (p - p, p * 0, p + (-p), Polynomial(2, {(0, 0): Fraction(1, 3)}).partial(1)):

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from raymoments import (
     BiSymTensor,
+    PolyGauss,
+    Polynomial,
     RawTensor,
     SymTensor,
     all_canonical_tuples,
     alternate,
     canonical,
+    random_field,
     restrict,
     symmetrize,
     tuple_multiplicity,
@@ -95,6 +98,25 @@ class TestTensorKinds:
         floats = RawTensor(2, 1, {(1,): 0.25}, zero=0.0)
         assert (floats - RawTensor(2, 1, zero=0.0)).items() == [((1,), 0.25)]
         assert (RawTensor(2, 1, zero=0.0) - floats).items() == [((1,), -0.25)]
+
+    def test_only_components_that_differ_are_subtracted(self):
+        zero = PolyGauss.zero(2)
+        f = random_field(2, 2, 2, 5)
+        assert len(f.components) == 3 and (f - f).components == {}
+        # equal numerators over another denominator are another polynomial:
+        # 1/2 - 1/3 of the same tuple leaves it over 6
+        nums = [1, -2, 0, 3]
+        a, b = (SymTensor(2, 1, {(1,): PolyGauss(Polynomial._from_ints(2, den, nums)),
+                                 (2,): f.get((1, 2))}, zero) for den in (2, 3))
+        assert a.get((1,)).poly.vec == b.get((1,)).poly.vec
+        assert (a - b).components == {(1,): PolyGauss(Polynomial._from_ints(2, 6, nums))}
+        # Fractions: one component equal, one different, one on each side only
+        x = RawTensor(2, 2, {(1, 1): Fraction(1, 2), (1, 2): Fraction(-3),
+                             (2, 1): Fraction(2, 3)})
+        y = RawTensor(2, 2, {(1, 1): Fraction(1, 2), (1, 2): Fraction(-3, 4),
+                             (2, 2): Fraction(5, 7)})
+        assert (x - y).items() == [((1, 2), Fraction(-9, 4)), ((2, 1), Fraction(2, 3)),
+                                   ((2, 2), Fraction(-5, 7))]
 
     def test_different_kinds_are_never_equal(self):
         for a, b in itertools.permutations(self.kinds(), 2):

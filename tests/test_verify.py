@@ -200,6 +200,28 @@ class TestMutationSensitivity:
                       if rec.check_id == "restriction-relation")
         assert not record.passed
 
+    def test_jet_derived_along_the_wrong_axis(self, monkeypatch):
+        # each jet entry derived from its prefix along derivs[0], not derivs[-1]:
+        # every mixed partial is wrong.  Both sides of john-power read the jet
+        # (the operators, and the fully restricted transform data), so the
+        # fault shows where a contraction of the field meets the jet
+        def mutated(f, comp, derivs):
+            key = (symtensor.canonical(comp), tuple(sorted(derivs)))
+            hit = f.jet.get(key)
+            if hit is None:
+                comp, derivs = key
+                hit = mutated(f, comp, derivs[:-1]).derive(derivs[0]) if derivs else f.get(comp)
+                f.jet[key] = hit
+            return hit
+
+        for module, name in ((raymoments.polygauss, "_jet"),
+                             (diffops, "_component_derivative"), (moments, "_jet")):
+            monkeypatch.setattr(module, name, mutated)
+        result = suite_identities(SuiteConfig(n=3, m=3, k=1, seed=7, samples=3))
+        assert not result.passed
+        broken = {rec.check_id.rsplit("-", 1)[0] for rec in result.records if not rec.passed}
+        assert broken == {"collapsed-derivative"}, broken
+
 
 class TestSerialization:
     def test_roundtrip_exact(self):
@@ -414,7 +436,7 @@ class TestGoldenReport:
 
     def test_every_golden_record_is_decided_by_an_exact_zero(self):
         paths = sorted(self.GOLDEN.parent.glob("golden_report_*.json"))
-        assert len(paths) == 6
+        assert len(paths) == 9
         for path in paths:
             report = json.loads(path.read_text(encoding="utf-8"))
             for suite in report["suites"]:
@@ -498,6 +520,21 @@ class TestGoldenReport:
         loaded = drawn.replace('"field_loaded": false', '"field_loaded": true')
         assert capsys.readouterr().out == loaded
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0", "--samples", "2",
+          "--degree", "2"], "kernel_n2_m5_k0_s2_d2"),
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1", "--samples", "20",
+          "--degree", "6"], "identities_n2_m2_k1_s20_d6"),
+        (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1", "--samples", "3",
+          "--degree", "2"], "identities_n3_m3_k1_s3_d2"),
+    ], ids=["kernel-op", "ident-moments", "ident-mixed"])
+    def test_workload_report_at_held_out_seed_matches_golden_file(self, capsys, argv, name):
+        # the benchmark's three workloads at a seed no other golden uses
+        golden = (pathlib.Path(__file__).parent / "data"
+                  / f"golden_report_{name}_seed1009.json")
+        assert main(argv + ["--seed", "1009", "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"), ("text", "txt")])
     def test_mixed_operator_csv_and_text_match_golden_files(self, capsys, fmt, suffix):
         # the json renderer is not the only one the CLI has
@@ -544,14 +581,16 @@ class TestJetCount:
     into the field's jet, so the one restricted tensor a sample builds is
     the independent right side of ``restricted-recovery``.  Transform data
     differentiate a point's contraction of the field instead, each
-    (fixed, derivs, field) once per point.
+    (fixed, derivs, field) once per point, except where ``fixed`` fills the
+    rank: there is nothing to contract, and the datum is the jet entry that
+    every point and the operators share.
     """
 
     @pytest.mark.parametrize("argv,derives,restricts", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], {"_jet": 7, "_contraction": 120}, 20),
+          "--samples", "20", "--degree", "6"], {"_jet": 7, "_contraction": 80}, 20),
         (["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
-          "--samples", "3", "--degree", "2"], {"_jet": 124, "_contraction": 138}, 3),
+          "--samples", "3", "--degree", "2"], {"_jet": 124, "_contraction": 36}, 3),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
           "--samples", "2", "--degree", "2"], {"_jet": 70, "_contraction": 60}, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
