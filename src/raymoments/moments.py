@@ -8,22 +8,22 @@ variables make sense.
 
 Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
-or restricted fields (MomentExpression, which names each datum by address
-and no field), so every transform-level identity can be evaluated exactly on
-rational lines.  Every point, exact or float, keeps its direction as ints,
-contracts the field with it once per restriction, in ints, and
-differentiates that one polynomial, so each datum costs one derive and one
-line integral at most, taken on the point's own line table (an exact value;
-on a float point, that value rounded once).  A datum is read from the
+or restricted fields (MomentExpression, which names each datum, times a
+xi-monomial, by address and no field), so every transform-level identity can
+be evaluated exactly on rational lines.  Every point, exact or float, keeps
+its direction as ints, contracts the field with it once per restriction, in
+ints, and differentiates that one polynomial, so each datum costs one derive
+and one line integral at most, taken on the point's own line table (an exact
+value; on a float point, that value rounded once).  A datum is read from the
 field's jet only when it is fully restricted: then there is nothing to
-contract, and every point and the operators share the jet's derivative.
-Exact values are summed as int pairs (``ExactValue.sum``).  The
-two John identities read one table of John data per multiset of coordinate
-pairs p < q.  The John chains behind that table, the recovery expressions
-and the gradients depend on neither the line nor the field: each is built
-once per field shape (the John chains once per rank left after the
-restriction, relabelled per fixed multiset), and a point only evaluates
-them for a field.
+contract, and every point and the operators share the jet's derivative.  Exact
+values are summed as int pairs (``ExactValue.sum``), and weighted by the
+direction in one place (``_xi_weighted_sum``).  The two John identities read
+one table of John data per multiset of pairs p < q.  The John chains behind
+it, the recovery expressions and the direction-weighted sums depend on
+neither the line nor the field: each is built once per field shape (the John
+chains once per rank left after the restriction, relabelled per fixed
+multiset), and a point only evaluates them.
 """
 
 from __future__ import annotations
@@ -316,16 +316,26 @@ def _weighted_sum(pairs, zero, den: int = 1):
     return math.fsum(w / den * float(v) for w, v in pairs)
 
 
-def _direction_sum(pt: PhasePoint, terms, rank: int):
-    """Sum of c * (the product of xi_a over axes) * value over (axes, c, value) terms.
+def _xi_weighted_sum(pt: PhasePoint, terms):
+    """Sum of coef * xi^K * value over (coef, K, value) terms, K a tuple of axes.
 
-    Every axes tuple has length ``rank``.  The products are taken in the int
-    ``pt.xi_nums``, and the int-weighted sum is divided by
-    ``pt.xi_den**rank``.
+    The one place where transform values are weighted by the direction: in
+    the ints ``pt.xi_nums`` over ``pt.xi_den**r``, r the longest K, each
+    coefficient times ``pt.xi_den`` to the power that its K lacks.
     """
-    xi = pt.xi_nums
-    return _weighted_sum(((math.prod((xi[a - 1] for a in axes), start=c), v)
-                          for axes, c, v in terms), pt.zero, pt.xi_den ** rank)
+    terms, xi, den = list(terms), pt.xi_nums, pt.xi_den
+    r = max((len(axes) for _, axes, _ in terms), default=0)
+    return _weighted_sum(((math.prod((xi[a - 1] for a in axes),
+                                     start=coef * den ** (r - len(axes))), value)
+                          for coef, axes, value in terms), pt.zero, den ** r)
+
+
+def _merged(parts) -> tuple:
+    """(coef, address) parts merged per address, sorted by address, zeros dropped."""
+    acc: dict = {}
+    for coef, address in parts:
+        acc[address] = acc.get(address, 0) + coef
+    return tuple((coef, address) for address, coef in sorted(acc.items()) if coef)
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,10 +445,11 @@ class MomentExpression:
 
     An expression names no field.  It holds the shape ``(n, m)`` of the
     fields it applies to, dimension and rank, and a tuple of ``(coef,
-    address)`` terms sorted by address.  The address ``(q, fixed, derivs)``
-    names the q-th transform of the partial derivative ``derivs`` of a field
-    restricted at the indices ``fixed``; both tuples are sorted, because
-    partials commute with each other and with restriction.  The rewrites
+    address)`` terms sorted by address.  The address ``(q, fixed, derivs,
+    mono)`` names xi^mono (the product of xi_a over a in ``mono``) times the
+    q-th transform of the partial derivative ``derivs`` of a field
+    restricted at the indices ``fixed``; all three tuples are sorted, as
+    factors and partials commute, also with restriction.  The rewrites
     below merge the terms of one address and drop zero coefficients, so
     that structurally canceling identities collapse to the empty
     expression, and expressions compare and hash by value.
@@ -461,14 +472,7 @@ class MomentExpression:
 
     @classmethod
     def _datum(cls, n: int, m: int, q: int, fixed: tuple = ()) -> "MomentExpression":
-        return cls(n, m, ((1, (q, fixed, ())),))
-
-    @classmethod
-    def _merge(cls, n: int, m: int, parts) -> "MomentExpression":
-        acc: dict = {}
-        for coef, address in parts:
-            acc[address] = acc.get(address, 0) + coef
-        return cls(n, m, ((coef, address) for address, coef in sorted(acc.items()) if coef))
+        return cls(n, m, ((1, (q, fixed, (), ())),))
 
     def _same_shape(self, n: int, m: int) -> None:
         if (n, m) != (self.n, self.m):
@@ -485,7 +489,7 @@ class MomentExpression:
         if not isinstance(other, MomentExpression):
             return NotImplemented
         self._same_shape(other.n, other.m)
-        return MomentExpression._merge(self.n, self.m, self.terms + other.terms)
+        return MomentExpression(self.n, self.m, _merged(self.terms + other.terms))
 
     def __neg__(self) -> "MomentExpression":
         return MomentExpression(self.n, self.m, ((-c, a) for c, a in self.terms))
@@ -512,8 +516,8 @@ class MomentExpression:
         again.
         """
         self._same_shape(f.n, f.rank)
-        return _weighted_sum(((coef, _transform_value(f, q, pt, fixed, derivs))
-                              for coef, (q, fixed, derivs) in self.terms), pt.zero)
+        return _xi_weighted_sum(pt, ((coef, mono, _transform_value(f, q, pt, fixed, derivs))
+                                     for coef, (q, fixed, derivs, mono) in self.terms))
 
 
 def dx(e: MomentExpression, i: int) -> MomentExpression:
@@ -522,26 +526,29 @@ def dx(e: MomentExpression, i: int) -> MomentExpression:
     Differentiation under the integral moves onto the field componentwise.
     """
     axis = _check_indices((i,), e.n)
-    return MomentExpression._merge(e.n, e.m, (
-        (coef, (q, fixed, tuple(sorted(derivs + axis))))
-        for coef, (q, fixed, derivs) in e.terms))
+    return MomentExpression(e.n, e.m, _merged(
+        (coef, (q, fixed, tuple(sorted(derivs + axis)), mono))
+        for coef, (q, fixed, derivs, mono) in e.terms))
 
 
 def dxi(e: MomentExpression, i: int) -> MomentExpression:
     """Partial derivative of transform data in the i-th direction coordinate.
 
-    Two contributions: the line parametrization (order rises by one, field
-    differentiated) and the direction contraction (rank-many copies of the
-    transform of the field restricted at i).
+    Three contributions: the line parametrization (order rises by one, field
+    differentiated), the direction contraction (rank-many copies of the
+    transform of the field restricted at i) and the address's xi^mono (one
+    copy per factor xi_i, with that factor taken out).
     """
     axis = _check_indices((i,), e.n)
     parts = []
-    for coef, (q, fixed, derivs) in e.terms:
-        parts.append((coef, (q + 1, fixed, tuple(sorted(derivs + axis)))))
+    for coef, (q, fixed, derivs, mono) in e.terms:
+        parts.append((coef, (q + 1, fixed, tuple(sorted(derivs + axis)), mono)))
         r = e.m - len(fixed)
         if r:
-            parts.append((coef * r, (q, tuple(sorted(fixed + axis)), derivs)))
-    return MomentExpression._merge(e.n, e.m, parts)
+            parts.append((coef * r, (q, tuple(sorted(fixed + axis)), derivs, mono)))
+        if times := mono.count(i):
+            parts.append((coef * times, (q, fixed, derivs, _multiset_difference(mono, axis))))
+    return MomentExpression(e.n, e.m, _merged(parts))
 
 
 def john(e: MomentExpression, p: int, q: int) -> MomentExpression:
@@ -576,8 +583,8 @@ def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression
     if first != fixed:
         back = (0, *labels)
         return MomentExpression(n, m, (
-            (coef, (q, tuple(back[i] for i in restricted), tuple(back[i] for i in derivs)))
-            for coef, (q, restricted, derivs) in _recovery(n, m, first, rewrites).terms))
+            (coef, (q, *(tuple(back[i] for i in axes) for axes in address)))
+            for coef, (q, *address) in _recovery(n, m, first, rewrites).terms))
     r = len(fixed)
     signs = [_recovery_term(r, p) for p in range(r + 1)]
     perms, parts = dict.fromkeys(itertools.permutations(fixed)), []
@@ -590,7 +597,7 @@ def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression
                 e = dxi(e, i)
             parts.extend((sign * coef, address) for coef, address in e.terms)
     den = len(perms) * math.factorial(m) // math.factorial(m - r)
-    return MomentExpression._merge(n, m, parts) * Fraction(1, den)
+    return MomentExpression(n, m, _merged(parts)) * Fraction(1, den)
 
 
 def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
@@ -617,13 +624,13 @@ def _john_chains(n: int, m: int, fixed: tuple, rewrites: tuple) -> dict:
     extended by every pair that may follow it.  The rewrites read a
     restriction only through the rank left after it (``dxi``'s factor), so
     the chains are built once per ``(n, m - len(fixed))`` at no fixed index
-    and relabelled: the address ``(q, S, D)`` becomes ``(q, fixed + S, D)``,
-    sorted.
+    and relabelled: the address ``(q, S, D, K)`` becomes ``(q, fixed + S, D,
+    K)``, sorted.
     """
     if fixed:
-        return {key: MomentExpression._merge(n, m, (
-                    (coef, (q, tuple(sorted(fixed + restricted)), derivs))
-                    for coef, (q, restricted, derivs) in e.terms))
+        return {key: MomentExpression(n, m, _merged(
+                    (coef, (q, tuple(sorted(fixed + restricted)), derivs, mono))
+                    for coef, (q, restricted, derivs, mono) in e.terms))
                 for key, e in _john_chains(n, m - len(fixed), (), rewrites).items()}
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     chains = {(): MomentExpression._datum(n, m, 0)}
@@ -673,11 +680,11 @@ def _signed_pair_reads(n: int, r: int) -> tuple:
     """The John table entries that the collapsed derivatives read, per q-multiset.
 
     One ``(qt, reads)`` item per sorted r-tuple qt of axes, where ``reads``
-    lists ``(ptuple, key, sign)`` for each r-tuple ptuple with no
+    merges ``(sign, (key, sorted ptuple))`` over the r-tuples ptuple with no
     ``p_a == q_a``: the chain of the pairs ``(p_a, q_a)`` is ``sign`` times
-    the table entry at ``key`` (``_pair_key``).  A rearrangement of qt,
-    with its ptuples rearranged alike, reads the same entries with the same
-    signs and direction weights, so only sorted tuples are walked.
+    the table entry at ``key`` (``_pair_key``), weighted by xi^ptuple.  A
+    rearrangement of qt, with its ptuples rearranged alike, reads the same
+    entries with the same signs and weights, so only sorted tuples are walked.
     """
     axes = range(1, n + 1)
     out = []
@@ -685,8 +692,9 @@ def _signed_pair_reads(n: int, r: int) -> tuple:
         reads = []
         for ptuple in itertools.product(axes, repeat=r):
             if all(map(operator.ne, ptuple, qt)):
-                reads.append((ptuple, *_pair_key(zip(ptuple, qt))))
-        out.append((qt, tuple(reads)))
+                key, sign = _pair_key(zip(ptuple, qt))
+                reads.append((sign, (key, tuple(sorted(ptuple)))))
+        out.append((qt, _merged(reads)))
     return tuple(out)
 
 
@@ -701,15 +709,15 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     derivative multi-index, so one sorted tuple stands for its
     rearrangements.  Each ordered John chain is a signed entry of the John
     table (``_signed_pair_reads``), and each x-derivative the datum at the
-    address ``(0, fixed, qkey)``.
+    address ``(0, fixed, qkey, ())``.
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
     scale = (-1) ** mk * math.factorial(mk)
     best = 0.0
     for qkey, reads in _signed_pair_reads(f.n, mk):
-        acc = _direction_sum(pt, ((ptuple, sign, table[key]) for ptuple, key, sign in reads),
-                             mk)
+        acc = _xi_weighted_sum(pt, ((sign, ptuple, table[key])
+                                    for sign, (key, ptuple) in reads))
         rhs = _transform_value(f, 0, pt, fixed, qkey) * scale
         best = max(best, value_diff(acc, rhs))
     return best
@@ -734,22 +742,10 @@ def symmetrization_split_residual(t: RawTensor, k: int):
     if k == 0:
         return Fraction(0)
     lhs = symmetrize(t, tuple(range(1, m + 1)))
-    rotated = {}
-    for idx in itertools.product(range(1, t.n + 1), repeat=m):
-        value = t.get((idx[-1],) + idx[:-1])
-        if value != t.zero:
-            rotated[idx] = value
-    rot = RawTensor(t.n, m, rotated, t.zero)
+    rot = RawTensor(t.n, m, {key[1:] + key[:1]: v for key, v in t.components.items()}, t.zero)
     inner = t * Fraction(k) + rot * Fraction(m - k)
-    if m == 1:
-        rhs = inner * Fraction(1, m)
-    else:
-        rhs = symmetrize(inner, tuple(range(1, m))) * Fraction(1, m)
-    diff = lhs - rhs
-    best = Fraction(0)
-    for _, value in diff.items():
-        best = max(best, abs(value))
-    return best
+    rhs = (symmetrize(inner, tuple(range(1, m))) if m > 1 else inner) * Fraction(1, m)
+    return max((abs(value) for value in (lhs - rhs).components.values()), default=Fraction(0))
 
 
 def _multiset_difference(key: tuple, sub: tuple) -> tuple:
@@ -794,41 +790,45 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
 
     The zeroth transform of an r-fold restriction equals the sum over the
     remaining k-r fixed indices, weighted by direction components, of the
-    k-fold restriction's transform.
+    k-fold restriction's transform (``_restriction_contraction``).
     """
     fixed = restriction_indices(f, fixed)
     r = len(fixed)
     if not r <= k <= f.rank:
         raise ValueError(f"need len(fixed) <= k <= rank, got {r}, {k}, {f.rank}")
     lhs = _transform_value(f, 0, pt, fixed)
-    tails = itertools.product(range(1, f.n + 1), repeat=k - r)
-    acc = _direction_sum(pt, ((tail, 1, _transform_value(f, 0, pt, fixed + tail))
-                              for tail in tails), k - r)
-    return value_diff(lhs, acc)
+    rhs = _restriction_contraction(f.n, f.rank, tuple(sorted(fixed)), k).evaluate(f, pt)
+    return value_diff(lhs, rhs)
 
 
 @functools.lru_cache(maxsize=64)
-def _gradient(e: MomentExpression, rewrite) -> tuple:
-    """The expressions ``rewrite(e, i)`` for i = 1..n, with ``rewrite`` ``dx`` or ``dxi``.
+def _restriction_contraction(n: int, m: int, fixed: tuple, k: int) -> MomentExpression:
+    """Sum over tails of k - len(fixed) axes of xi^tail times the transform at fixed + tail.
 
-    Built once per expression, which hashes by value, and rewrite, however
-    many fields and points evaluate them; the rewrite is in the key, as in
-    ``_recovery``.
+    One term per multiset of tails, its number of orderings the coefficient.
     """
-    return tuple(rewrite(e, i) for i in range(1, e.n + 1))
+    return MomentExpression(n, m, _merged(
+        (mult, (0, tuple(sorted(fixed + tail)), (), tail))
+        for tail, mult in _keys_with_multiplicity(n, k - len(fixed))))
 
 
-def _directional(e: MomentExpression, f: SymTensor, pt: PhasePoint, rewrite):
-    """Evaluate for f the gradient ``_gradient(e, rewrite)`` contracted with xi at pt."""
-    return _direction_sum(pt, (((i,), 1, g.evaluate(f, pt))
-                               for i, g in enumerate(_gradient(e, rewrite), 1)), 1)
+@functools.lru_cache(maxsize=64)
+def _directional(e: MomentExpression, rewrite) -> MomentExpression:
+    """The expression sum_i xi_i rewrite(e, i), with ``rewrite`` ``dx`` or ``dxi``.
+
+    Built once per expression, which hashes by value, and rewrite, which is
+    in the key as in ``_recovery``, however many fields and points use it.
+    """
+    return MomentExpression(e.n, e.m, _merged(
+        (coef, (q, fixed, derivs, tuple(sorted(mono + (i,)))))
+        for i in range(1, e.n + 1) for coef, (q, fixed, derivs, mono) in rewrite(e, i).terms))
 
 
 def directional_x_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
     """Evaluate for f the direction-contracted x-gradient of transform data at pt."""
-    return _directional(e, f, pt, dx)
+    return _directional(e, dx).evaluate(f, pt)
 
 
 def directional_xi_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):
     """Evaluate for f the direction-contracted xi-gradient of transform data at pt."""
-    return _directional(e, f, pt, dxi)
+    return _directional(e, dxi).evaluate(f, pt)

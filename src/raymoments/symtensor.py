@@ -10,6 +10,7 @@ formal moment expressions).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -55,8 +56,21 @@ def tuple_multiplicity(indices: Sequence[int]) -> int:
 
 
 def distinct_rearrangements(indices: Sequence[int]) -> list[Index]:
-    """All distinct orderings of an index tuple (each exactly once)."""
-    return sorted(set(itertools.permutations(indices)))
+    """All distinct orderings of an index tuple (each exactly once), sorted."""
+    return list(_rearrangements(canonical(indices)))
+
+
+@functools.lru_cache(maxsize=256)
+def _rearrangements(key: Index) -> tuple:
+    """The distinct orderings of the canonical ``key``, in lexicographic order.
+
+    Each distinct letter, smallest first, leads the orderings of the rest,
+    so every ordering is built once, however many letters repeat.
+    """
+    if not key:
+        return ((),)
+    return tuple((a, *rest) for j, a in enumerate(key) if not j or a != key[j - 1]
+                 for rest in _rearrangements(key[:j] + key[j + 1:]))
 
 
 class _SparseTensor:

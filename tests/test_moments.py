@@ -421,22 +421,34 @@ class TestWeightedSum:
 
     @pytest.mark.parametrize("n,rank", [(2, 1), (3, 2), (2, 3)])
     def test_direction_sums_weight_by_the_xi_numerators(self, n, rank):
+        # an expression whose addresses carry xi-monomials of mixed degree
         rng = random.Random(f"direction:{n}:{rank}")
+        f = random_field(n, rank, 2, f"direction:{n}:{rank}")
+
+        def draw(length):
+            return tuple(sorted(rng.randint(1, n) for _ in range(length)))
+
+        parts = [(rng.choice((1, -1, 2, Fraction(-1, 3))),
+                  (rng.randint(0, 2), draw(rng.randint(0, rank)), draw(rng.randint(0, 2)),
+                   draw(rng.randint(0, rank + 1)))) for _ in range(8)]
+        e = MomentExpression(n, rank, moments._merged(parts))
+        assert len(e.terms) >= 6 and len({len(mono) for _, (*_, mono) in e.terms}) > 1
+        # an exact point: the Fraction sum of c * xi^mono * value
         pt = random_phase_point(n, rng)
         assert pt.xi_den > 1 or any(v.denominator > 1 for v in pt.x)
-        values = [pt.integral(PolyGauss(random_polynomial(n, 2, rng)), 0) for _ in range(5)]
-        terms = [(tuple(rng.randint(1, n) for _ in range(rank)), rng.choice((1, -1, 2)),
-                  rng.choice(values)) for _ in range(8)]
-        reference = _weighted_sum(((c * math.prod(pt.xi[a - 1] for a in axes), v)
-                                   for axes, c, v in terms), pt.zero)
-        assert moments._direction_sum(pt, terms, rank) == reference
-        # a float point weights by the ints of its dyadic direction too
-        float_pt = PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi])
-        float_terms = [(axes, c, float(v)) for axes, c, v in terms]
-        den = float_pt.xi_den ** rank
-        assert moments._direction_sum(float_pt, float_terms, rank) == math.fsum(
-            c * math.prod(float_pt.xi_nums[a - 1] for a in axes) / den * v
-            for axes, c, v in float_terms)
+        assert e.evaluate(f, pt) == self.pairwise(
+            (c * math.prod(pt.xi[a - 1] for a in mono), _transform_value(f, q, pt, F, D))
+            for c, (q, F, D, mono) in e.terms)
+        # float points weight by the ints of their dyadic directions too, the
+        # last with xi_den = 2**1049: each weight is the finite quotient
+        tiny = PhasePoint([0.5] * n, [1.0] + [1e-300] * (n - 1))
+        assert tiny.xi_den == 2 ** 1049
+        for float_pt in (PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi]),
+                         tiny):
+            assert e.evaluate(f, float_pt) == math.fsum(
+                c * math.prod(float_pt.xi_nums[a - 1] for a in mono)
+                / float_pt.xi_den ** len(mono) * _transform_value(f, q, float_pt, F, D)
+                for c, (q, F, D, mono) in e.terms)
 
     def test_zero_weights_and_zero_values_drop_out(self):
         a = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1, 2))
@@ -735,6 +747,27 @@ class TestDerivativeRules:
                 rhs = extended_transform(g, q, pt).scaled(r - q - 1)
                 assert value_diff(lhs, rhs) == 0.0
 
+    def test_euler_degree_of_xi_carrying_data(self):
+        # xi^K (q, F, D) is homogeneous in xi of degree |K| + m - |F| - q - 1,
+        # with K on axes where xi does not vanish
+        rng = random.Random(26)
+        nonzero = 0
+        for case in range(24):
+            n, m = rng.randint(2, 3), rng.randint(1, 3)
+            f = random_field(n, m, 2, f"euler-xi:{case}")
+            pt = random_phase_point(n, rng)
+            axes = [i for i in range(1, n + 1) if pt.xi[i - 1]]
+            mono = tuple(sorted(rng.choice(axes) for _ in range(rng.randint(1, 3))))
+            fixed = tuple(sorted(rng.randint(1, n) for _ in range(rng.randint(0, m))))
+            derivs = tuple(sorted(rng.randint(1, n) for _ in range(rng.randint(0, 2))))
+            q = rng.randint(0, 2)
+            e = MomentExpression(n, m, ((1, (q, fixed, derivs, mono)),))
+            degree = len(mono) + m - len(fixed) - q - 1
+            value = e.evaluate(f, pt)
+            assert directional_xi_derivative(e, f, pt) == value.scaled(degree)
+            nonzero += not value.is_zero and degree != 0
+        assert nonzero >= 16
+
     def test_john_degree_after_application(self):
         # once applied, the data is homogeneous of degree rank-2 in direction
         rng = random.Random(21)
@@ -753,8 +786,14 @@ class TestDerivativeRules:
         two = dxi(dx(e, 1), 2)
         # by address: J^1 of f restricted at 2, then d/dx_1; J^2 with both partials
         assert one.terms == two.terms == (
-            (2, (1, (2,), (1,))), (1, (2, (), (1, 2))))
+            (2, (1, (2,), (1,), ())), (1, (2, (), (1, 2), ())))
         assert one == two and hash(one) == hash(two)
+        # xi_2^2 J^1: dxi also takes the monomial's two factors xi_2, one at a time
+        e = MomentExpression(2, 2, ((1, (1, (), (), (2, 2))),))
+        assert dxi(e, 2).terms == (
+            (2, (1, (), (), (2,))), (2, (1, (2,), (), (2, 2))), (1, (2, (), (2,), (2, 2))))
+        assert dxi(e, 1).terms == ((2, (1, (1,), (), (2, 2))), (1, (2, (), (1,), (2, 2))))
+        assert dx(dxi(e, 2), 1) == dxi(dx(e, 1), 2)
 
     def test_john_antisymmetry(self):
         f = random_field(2, 1, 1, 57)

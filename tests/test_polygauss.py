@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from decimal import Decimal, localcontext
@@ -130,6 +131,17 @@ class _ReferenceLineTable:
             todo.pop()
         return mu[(q, e)]
 
+    def absolute(self) -> "_ReferenceLineTable":
+        """The same recurrence on |x|, |xi|, |mean| and var, with no entry built.
+
+        Every weight is then non-negative, so each entry bounds the absolute
+        value of every partial sum that the entry of this table adds up.
+        """
+        out = copy.copy(self)
+        out.x, out.xi = tuple(map(abs, self.x)), tuple(map(abs, self.xi))
+        out.mean, out.mu = abs(self.mean), {(0, (0,) * len(self.x)): 1 + 0 * self.s}
+        return out
+
     def line_moment(self, terms, q):
         """The integral of t^q times ``{exps: Fraction}``, summed in the dict's order."""
         coef = 0 * self.s
@@ -140,6 +152,24 @@ class _ReferenceLineTable:
         if isinstance(coef, Fraction):
             return ExactValue(coef, 1 / self.s, self.exponent)
         return coef * math.sqrt(math.pi / self.s) * math.exp(self.exponent)
+
+
+def _float_recurrence_bound(floaty, terms, q) -> float:
+    """A bound on the rounding of ``floaty.line_moment(terms, q)`` on a float line.
+
+    u (4 (deg + q + 2 + len(terms)) + 2 |x|^2 + 2 c^2 / s + 8) times the
+    line moment of the |c_e| on the absolute recurrence, u = 2^-53.  The
+    recurrence's depth and the number of terms count the roundings of each
+    sum; the |x|^2 and c^2 / s terms cover the rounding of the exponent,
+    which exp turns into a relative error.
+    """
+    absolute = floaty.absolute()
+    mass = math.fsum(float(abs(c)) * absolute.moment(q, e) for e, c in terms.items())
+    deg = max(map(sum, terms), default=0)
+    steps = (4 * (deg + q + 2 + len(terms)) + 2 * sum(v * v for v in floaty.x)
+             + 2 * floaty.c ** 2 / floaty.s + 8)
+    return (2.0 ** -53 * steps * mass * math.sqrt(math.pi / floaty.s)
+            * math.exp(floaty.exponent))
 
 
 def _decimal_value(v):
@@ -447,6 +477,9 @@ class TestLineTable:
     @given(_float_lines(),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers()),
                     min_size=1, max_size=4))
+    # the float recurrence cancels here: off by 2.2e-11, above the
+    # 1e-12 * termwise_mass = 2.08e-11 that once bounded it
+    @example(([2.875, 0.0, 0.0], [2.0, 0.0, 0.25]), [(7, 0, 92)])
     @settings(max_examples=60, deadline=None)
     def test_float_line_is_its_dyadic_line(self, line, requests):
         # a finite float is a dyadic rational: the float line's table is the
@@ -466,10 +499,10 @@ class TestLineTable:
             exact = ref.line_moment(g.poly.terms, q)
             assert line_moment(g, q, dx, dxi, dyadic) == exact
             assert type(value) is float and value.hex() == float(exact).hex()
-            # the float recurrence is off by its rounding, bounded on a scale
-            # that does not cancel
+            # the float recurrence is off by its rounding, bounded by the same
+            # recurrence on absolute values, which does not cancel
             error = abs(floaty.line_moment(g.poly.terms, q) - value)
-            assert error <= 1e-12 * termwise_mass(g, q, x, xi)
+            assert error <= _float_recurrence_bound(floaty, g.poly.terms, q)
         assert table.rows == dyadic.rows
         assert all(type(a) is int for _, _, a in _table_entries(table))
 

@@ -65,6 +65,18 @@ class TestCanonicalStorage:
                           {key: Fraction(1) for key in all_canonical_tuples(n, rank)})
             assert len(t.components) == math.comb(n + rank - 1, rank)
 
+    def test_distinct_rearrangements_match_the_permutation_set(self):
+        # every key up to length 6 over at most 4 letters, in any order
+        for length in range(7):
+            for key in itertools.product(range(1, 5), repeat=length):
+                assert distinct_rearrangements(key) == sorted(set(itertools.permutations(key)))
+
+    def test_distinct_rearrangements_of_a_long_two_letter_key(self):
+        # each of the C(16, 8) orderings once, without walking the 16! permutations
+        arrs = distinct_rearrangements((2, 1) * 8)
+        assert len(arrs) == len(set(arrs)) == math.comb(16, 8) == 12870
+        assert arrs == sorted(arrs) and all(sorted(a) == [1] * 8 + [2] * 8 for a in arrs)
+
     def test_bisym_groups_independent(self):
         t = BiSymTensor(2, 2, 1, {((1, 2), (2,)): Fraction(3)})
         assert t.get((2, 1), (2,)) == Fraction(3)

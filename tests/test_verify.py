@@ -635,15 +635,16 @@ class TestJetCount:
 class TestRewriteCount:
     """A verdict builds each point-independent rewrite chain once.
 
-    The John chains, the recovery expressions and the gradients of the base
-    transforms are built once per field shape (the John chains once per rank
-    left after restriction, relabelled per fixed multiset; the recovery
-    expressions once per orbit of fixed multisets under relabelling the
-    coordinates), so the ``dx`` and ``dxi`` calls of a verdict do not grow
-    with the samples that evaluate them.
+    The John chains, the recovery expressions and the directional
+    derivatives of the base transforms are built once per field shape (the
+    John chains once per rank left after restriction, relabelled per fixed
+    multiset; the recovery expressions once per orbit of fixed multisets
+    under relabelling the coordinates), so the ``dx`` and ``dxi`` calls of a
+    verdict do not grow with the samples that evaluate them.
     The collapsed-derivative check reads its right side by address, with
     no rewrite.  Each expression is evaluated once per field, point and
-    check.
+    check: a directional derivative is one expression, the xi-weighted sum
+    of its gradient, and so is the right side of restriction-contraction.
     """
 
     IDENT_MIXED = ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
@@ -665,8 +666,8 @@ class TestRewriteCount:
 
     @pytest.mark.parametrize("argv,dx_calls,dxi_calls,evaluate_calls", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 16, 16, 180),
-        (IDENT_MIXED, 31, 31, 66),
+          "--samples", "20", "--degree", "6"], 16, 16, 140),
+        (IDENT_MIXED, 31, 31, 51),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
           "--samples", "2", "--degree", "2"], 0, 0, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
@@ -679,7 +680,7 @@ class TestRewriteCount:
         # rewrites, so none of them is served to the patched ones
         assert main(self.IDENT_MIXED + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (31, 31, 66)
+        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (31, 31, 51)
 
 
 class TestFractionCount:
@@ -719,7 +720,9 @@ class TestImportBuildsNoTable:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True).stdout
         caches = [line.split() for line in out.splitlines()]
-        assert {name for _, name, _ in caches} >= {"_stencil", "_john_chains", "_gradient"}
+        assert {name for _, name, _ in caches} >= {
+            "_stencil", "_john_chains", "_directional", "_restriction_contraction",
+            "_rearrangements"}
         assert [(module, name) for module, name, size in caches if size != "0"] == []
 
 
