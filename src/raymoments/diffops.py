@@ -7,9 +7,9 @@ the linear conversions between the two.  Everything runs in exact rational
 coefficient arithmetic; no floating point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
-weight), ...))`` with int weights over one positive int row denominator;
-so is the symmetrized Saint Venant of the k-fold restrictions that the
-restriction relation compares with ``W^k``.
+weight), ...))`` with int weights over one positive int row denominator,
+each built by ``symtensor._row``; so is the symmetrized Saint Venant of the
+k-fold restrictions that the restriction relation compares with ``W^k``.
 The order-k stencil is built in closed form: its int weights are summed
 over derivative multisets, each counted by a product of binomials of its
 letter multiplicities, not over position subsets.  One loop applies the
@@ -19,8 +19,8 @@ aligned on the graded monomial index, over one denominator and normalizes
 the sum once; no Fraction is built.  A restriction of a field is an
 address, not a tensor: the alternated derivative of f restricted at
 ``fixed`` reads the jet entries of f at ``fixed + component``.  Transform
-data do not read the jet: at every point they differentiate the point's
-direction contraction of the field (see moments).
+data read the jet only where they are fully restricted; elsewhere a point
+differentiates its own direction contraction of the field (see moments).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .symtensor import (
     BiSymTensor,
     RawTensor,
     SymTensor,
+    _multiset_difference,
+    _row,
     all_canonical_tuples,
     canonical,
     distinct_rearrangements,
@@ -81,14 +83,9 @@ def _d_stencil(n: int, m: int) -> tuple:
     the component at J minus slot a, taken in the J_a direction: each row
     counts the slots that read a source, over m + 1.
     """
-    rows = []
-    for key in all_canonical_tuples(n, m + 1):
-        counts = {}
-        for a in range(m + 1):
-            source = (key[:a] + key[a + 1:], (key[a],))
-            counts[source] = counts.get(source, 0) + 1
-        rows.append((key, m + 1, tuple(counts.items())))
-    return tuple(rows)
+    return tuple((key, *_row((((key[:a] + key[a + 1:], (key[a],)), 1) for a in range(m + 1)),
+                             m + 1))
+                 for key in all_canonical_tuples(n, m + 1))
 
 
 def inner_derivative(u: SymTensor) -> SymTensor:
@@ -176,7 +173,7 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
     ``mult`` the count from ``_sub_multisets``: once the ``Qd`` slots are
     placed, ``C(k + ell, k)`` ways remain to pick the fixed slots among the
     rest.  The weights are scaled to ints over their common denominator
-    ``D`` and summed; dividing a row by ``g = gcd(D, *sums)`` leaves
+    ``D``, summed per ``S`` and divided by ``g = gcd(D, *sums)`` (``_row``):
     ``row_den = D // g``, the lcm of the reduced weights' denominators.
 
     ``series`` is the coefficient function of the alternating binomial sum.
@@ -203,17 +200,13 @@ def _stencil(n: int, m: int, k: int, series) -> tuple:
                    for ell, weight in enumerate(weights)]
         for ckey in all_canonical_tuples(n, m):
             c_code, q_subs = subs[ckey]
-            summed = {}
-            for ell, terms in p_terms:
-                q_terms = q_subs[mk - ell]
-                for pd_code, pd_weight in terms:
-                    for qd_code, qd_mult in q_terms:
-                        s_code = pd_code + qd_code
-                        summed[s_code] = summed.get(s_code, 0) + pd_weight * qd_mult
-            g = math.gcd(den, *summed.values())
-            rows.append(((pkey, ckey), den // g, tuple(
-                ((key_of[p_code + c_code - s_code], key_of[s_code]), weight // g)
-                for s_code, weight in summed.items() if weight)))
+            row_den, summed = _row(((pd_code + qd_code, pd_weight * qd_mult)
+                                    for ell, terms in p_terms
+                                    for pd_code, pd_weight in terms
+                                    for qd_code, qd_mult in q_subs[mk - ell]), den)
+            rows.append(((pkey, ckey), row_den, tuple(
+                ((key_of[p_code + c_code - s_code], key_of[s_code]), weight)
+                for s_code, weight in summed)))
     return tuple(rows)
 
 
@@ -267,13 +260,11 @@ def _alternation_stencil(n: int, m: int) -> tuple:
     """
     rows = []
     for chosen in _pair_multisets(n, m):
-        signs = {}
-        for read in itertools.product(*(((i, j, 1), (j, i, -1)) for i, j in chosen)):
-            firsts, seconds, turns = zip(*read)
-            source = (canonical(firsts), canonical(seconds))
-            signs[source] = signs.get(source, 0) + math.prod(turns)
-        entries = tuple((source, sign) for source, sign in signs.items() if sign)
-        rows.append((_pair_key(chosen)[0], 2 ** m, entries))
+        reads = (zip(*read) for read in itertools.product(
+            *(((i, j, 1), (j, i, -1)) for i, j in chosen)))
+        rows.append((_pair_key(chosen)[0], *_row(
+            (((canonical(firsts), canonical(seconds)), math.prod(turns))
+             for firsts, seconds, turns in reads), 2 ** m)))
     return tuple(rows)
 
 
@@ -311,13 +302,9 @@ def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
     rows = []
     for ikey in arrs:
         for jkey, arr in arrs.items():
-            weights = {}
-            for t in arr:
-                if all(map(operator.ne, ikey, t)):
-                    key, sign = _pair_key(zip(ikey, t))
-                    weights[key] = weights.get(key, 0) + sign * 2 ** m
-            entries = tuple((key, weight) for key, weight in weights.items() if weight)
-            rows.append(((ikey, jkey), len(arr), entries))
+            reads = (_pair_key(zip(ikey, t)) for t in arr if all(map(operator.ne, ikey, t)))
+            rows.append(((ikey, jkey), *_row(((key, sign * 2 ** m) for key, sign in reads),
+                                             len(arr))))
     return tuple(rows)
 
 
@@ -359,27 +346,29 @@ def alternated_from_saint_venant(wf: BiSymTensor) -> RawTensor:
 
 
 @functools.lru_cache(maxsize=64)
+def _splits(n: int, m: int, k: int) -> dict:
+    """Per rank-m key, the share of its rearrangements with k fixed slots reading ``fixed``.
+
+    Rows ``(den, (((fixed, free), weight), ...))``, ``free`` the other m - k slots.  The
+    share ``arr(fixed) * arr(free) / arr(key)``, ``arr`` the number of distinct
+    rearrangements, is that of the ``C(m, k)`` position subsets that take ``fixed``.
+    """
+    return {key: _row((((fixed, _multiset_difference(key, fixed)), 1)
+                       for fixed in itertools.combinations(key, k)), math.comb(m, k))
+            for key in all_canonical_tuples(n, m)}
+
+
+@functools.lru_cache(maxsize=64)
 def _restriction_stencil(n: int, m: int, k: int) -> tuple:
     """Saint Venant of the k-fold restrictions, symmetrized over (free, fixed).
 
-    One ``((pkey, ckey), len(arr), entries)`` row per key of ``W^k``: entry
-    ``((ikey, pkey, qkey), count)`` counts the rearrangements arr of ckey
-    whose k fixed slots read ikey and whose m - k free ones read qkey.  The
-    counts read ckey alone, so each ckey's are taken once for every pkey.
+    One ``((pkey, ckey), den, entries)`` row per key of ``W^k``: entry ``((ikey, pkey,
+    qkey), weight)`` is the ``_splits`` share of ckey with fixed slots ikey and free qkey.
     """
-    mk = m - k
-    splits = {}
-    for ckey in all_canonical_tuples(n, m):
-        arr = distinct_rearrangements(ckey)
-        counts = {}
-        for perm in arr:
-            split = (canonical(perm[mk:]), canonical(perm[:mk]))
-            counts[split] = counts.get(split, 0) + 1
-        splits[ckey] = len(arr), counts
-    return tuple(((pkey, ckey), total, tuple(((ikey, pkey, qkey), count)
-                                             for (ikey, qkey), count in counts.items()))
-                 for pkey in all_canonical_tuples(n, mk)
-                 for ckey, (total, counts) in splits.items())
+    return tuple(((pkey, ckey), den, tuple(((ikey, pkey, qkey), weight)
+                                           for (ikey, qkey), weight in entries))
+                 for pkey in all_canonical_tuples(n, m - k)
+                 for ckey, (den, entries) in _splits(n, m, k).items())
 
 
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:

@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .diffops import _pair_key, alternated_derivative
+from .diffops import _pair_key, _splits, alternated_derivative
 from .polygauss import (
     ExactValue,
     LineTable,
@@ -51,6 +51,8 @@ from .polygauss import (
 from .symtensor import (
     RawTensor,
     _check_indices,
+    _multiset_difference,
+    _row,
     SymTensor,
     all_canonical_tuples,
     restriction_indices,
@@ -100,6 +102,12 @@ class PhasePoint:
         pt = object.__new__(cls)
         pt._attach(LineTable._from_ints(x_nums, x_den, xi_nums, xi_den))
         return pt
+
+    def _translated(self, den: int) -> "PhasePoint":
+        """The exact point (x + xi / den, xi), from the point's ints, for an int ``den`` > 0."""
+        return PhasePoint._from_ints(
+            [den * a * self.xi_den + b * self.x_den for a, b in zip(self.x_nums, self.xi_nums)],
+            den * self.x_den * self.xi_den, self.xi_nums, self.xi_den)
 
     def _attach(self, table: LineTable) -> None:
         self.line_table = table
@@ -316,26 +324,18 @@ def _weighted_sum(pairs, zero, den: int = 1):
     return math.fsum(w / den * float(v) for w, v in pairs)
 
 
-def _xi_weighted_sum(pt: PhasePoint, terms):
-    """Sum of coef * xi^K * value over (coef, K, value) terms, K a tuple of axes.
+def _xi_weighted_sum(pt: PhasePoint, terms, den: int = 1):
+    """Sum of weight * xi^K * value over (weight, K, value) terms, K a tuple of axes.
 
     The one place where transform values are weighted by the direction: in
-    the ints ``pt.xi_nums`` over ``pt.xi_den**r``, r the longest K, each
-    coefficient times ``pt.xi_den`` to the power that its K lacks.
+    int weights over ``den * pt.xi_den**r``, r the longest K, each weight
+    times the ints ``pt.xi_nums`` on K and ``pt.xi_den`` as often as K lacks.
     """
-    terms, xi, den = list(terms), pt.xi_nums, pt.xi_den
+    terms, xi, xi_den = list(terms), pt.xi_nums, pt.xi_den
     r = max((len(axes) for _, axes, _ in terms), default=0)
     return _weighted_sum(((math.prod((xi[a - 1] for a in axes),
-                                     start=coef * den ** (r - len(axes))), value)
-                          for coef, axes, value in terms), pt.zero, den ** r)
-
-
-def _merged(parts) -> tuple:
-    """(coef, address) parts merged per address, sorted by address, zeros dropped."""
-    acc: dict = {}
-    for coef, address in parts:
-        acc[address] = acc.get(address, 0) + coef
-    return tuple((coef, address) for address, coef in sorted(acc.items()) if coef)
+                                     start=weight * xi_den ** (r - len(axes))), value)
+                          for weight, axes, value in terms), pt.zero, den * xi_den ** r)
 
 
 @functools.lru_cache(maxsize=64)
@@ -444,22 +444,22 @@ class MomentExpression:
     """A rational-linear combination of transform data of one field shape.
 
     An expression names no field.  It holds the shape ``(n, m)`` of the
-    fields it applies to, dimension and rank, and a tuple of ``(coef,
-    address)`` terms sorted by address.  The address ``(q, fixed, derivs,
-    mono)`` names xi^mono (the product of xi_a over a in ``mono``) times the
-    q-th transform of the partial derivative ``derivs`` of a field
-    restricted at the indices ``fixed``; all three tuples are sorted, as
-    factors and partials commute, also with restriction.  The rewrites
-    below merge the terms of one address and drop zero coefficients, so
-    that structurally canceling identities collapse to the empty
-    expression, and expressions compare and hash by value.
+    fields it applies to, dimension and rank, and the row (``_row``) of its
+    ``(address, weight)`` parts: ``terms`` sorted by address, int weights
+    over ``den``.  The address ``(q, fixed, derivs, mono)`` names xi^mono
+    (the product of xi_a over a in ``mono``) times the q-th transform of
+    the partial derivative ``derivs`` of a field restricted at the indices
+    ``fixed``; all three tuples are sorted, as factors and partials commute,
+    also with restriction.  Structurally canceling identities collapse to
+    the empty expression, and expressions compare and hash by value.
     ``evaluate(f, pt)`` reads every address of one field at one point.
     """
 
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m", "den", "terms")
 
-    def __init__(self, n: int, m: int, terms=()):
-        self.n, self.m, self.terms = n, m, tuple(terms)
+    def __init__(self, n: int, m: int, parts=(), den: int = 1):
+        den, terms = _row(parts, den)
+        self.n, self.m, self.den, self.terms = n, m, den, tuple(sorted(terms))
 
     @classmethod
     def transform(cls, f: SymTensor, q: int,
@@ -472,27 +472,34 @@ class MomentExpression:
 
     @classmethod
     def _datum(cls, n: int, m: int, q: int, fixed: tuple = ()) -> "MomentExpression":
-        return cls(n, m, ((1, (q, fixed, (), ())),))
+        return cls(n, m, (((q, fixed, (), ()), 1),))
 
     def _same_shape(self, n: int, m: int) -> None:
         if (n, m) != (self.n, self.m):
             raise ValueError(f"shape {(n, m)} is not the expression's {(self.n, self.m)}")
 
+    def _over(self, den: int):
+        """The terms as int weights over ``den``, a multiple of ``self.den``."""
+        scale = den // self.den
+        return ((address, weight * scale) for address, weight in self.terms)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, MomentExpression)
-                and (self.n, self.m, self.terms) == (other.n, other.m, other.terms))
+                and (self.n, self.m, self.den, self.terms)
+                == (other.n, other.m, other.den, other.terms))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.m, self.terms))
+        return hash((self.n, self.m, self.den, self.terms))
 
     def __add__(self, other: "MomentExpression") -> "MomentExpression":
         if not isinstance(other, MomentExpression):
             return NotImplemented
         self._same_shape(other.n, other.m)
-        return MomentExpression(self.n, self.m, _merged(self.terms + other.terms))
+        den = math.lcm(self.den, other.den)
+        return MomentExpression(self.n, self.m, [*self._over(den), *other._over(den)], den)
 
     def __neg__(self) -> "MomentExpression":
-        return MomentExpression(self.n, self.m, ((-c, a) for c, a in self.terms))
+        return MomentExpression(self.n, self.m, ((a, -w) for a, w in self.terms), self.den)
 
     def __sub__(self, other: "MomentExpression") -> "MomentExpression":
         return self + (-other)
@@ -500,10 +507,9 @@ class MomentExpression:
     def __mul__(self, coef) -> "MomentExpression":
         if not is_rational(coef):
             return NotImplemented
-        coef = Fraction(coef)
-        if not coef:
-            return MomentExpression(self.n, self.m)
-        return MomentExpression(self.n, self.m, ((c * coef, a) for c, a in self.terms))
+        num, den = coef.as_integer_ratio()
+        return MomentExpression(self.n, self.m, ((a, w * num) for a, w in self.terms),
+                                self.den * den)
 
     __rmul__ = __mul__
 
@@ -516,8 +522,9 @@ class MomentExpression:
         again.
         """
         self._same_shape(f.n, f.rank)
-        return _xi_weighted_sum(pt, ((coef, mono, _transform_value(f, q, pt, fixed, derivs))
-                                     for coef, (q, fixed, derivs, mono) in self.terms))
+        return _xi_weighted_sum(pt, ((weight, mono, _transform_value(f, q, pt, fixed, derivs))
+                                     for (q, fixed, derivs, mono), weight in self.terms),
+                                self.den)
 
 
 def dx(e: MomentExpression, i: int) -> MomentExpression:
@@ -526,9 +533,8 @@ def dx(e: MomentExpression, i: int) -> MomentExpression:
     Differentiation under the integral moves onto the field componentwise.
     """
     axis = _check_indices((i,), e.n)
-    return MomentExpression(e.n, e.m, _merged(
-        (coef, (q, fixed, tuple(sorted(derivs + axis)), mono))
-        for coef, (q, fixed, derivs, mono) in e.terms))
+    return MomentExpression(e.n, e.m, (((q, fixed, tuple(sorted(derivs + axis)), mono), w)
+                                       for (q, fixed, derivs, mono), w in e.terms), e.den)
 
 
 def dxi(e: MomentExpression, i: int) -> MomentExpression:
@@ -541,14 +547,14 @@ def dxi(e: MomentExpression, i: int) -> MomentExpression:
     """
     axis = _check_indices((i,), e.n)
     parts = []
-    for coef, (q, fixed, derivs, mono) in e.terms:
-        parts.append((coef, (q + 1, fixed, tuple(sorted(derivs + axis)), mono)))
+    for (q, fixed, derivs, mono), w in e.terms:
+        parts.append(((q + 1, fixed, tuple(sorted(derivs + axis)), mono), w))
         r = e.m - len(fixed)
         if r:
-            parts.append((coef * r, (q, tuple(sorted(fixed + axis)), derivs, mono)))
+            parts.append(((q, tuple(sorted(fixed + axis)), derivs, mono), w * r))
         if times := mono.count(i):
-            parts.append((coef * times, (q, fixed, derivs, _multiset_difference(mono, axis))))
-    return MomentExpression(e.n, e.m, _merged(parts))
+            parts.append(((q, fixed, derivs, _multiset_difference(mono, axis)), w * times))
+    return MomentExpression(e.n, e.m, parts, e.den)
 
 
 def john(e: MomentExpression, p: int, q: int) -> MomentExpression:
@@ -576,15 +582,16 @@ def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression
     ``rewrites`` is ``(_recovery_term, dx, dxi)``.  The alternating sum runs
     over every ordering of the fixed indices, so it depends only on their
     multiset.  Built once per orbit of coordinate relabellings, in int
-    coefficients merged once, and relabelled by an increasing map.
+    weights merged once, and relabelled by an increasing map.
     """
     labels = sorted(set(fixed))
     first = tuple(labels.index(i) + 1 for i in fixed)
     if first != fixed:
         back = (0, *labels)
+        e = _recovery(n, m, first, rewrites)
         return MomentExpression(n, m, (
-            (coef, (q, *(tuple(back[i] for i in axes) for axes in address)))
-            for coef, (q, *address) in _recovery(n, m, first, rewrites).terms))
+            ((q, *(tuple(back[i] for i in axes) for axes in address)), w)
+            for (q, *address), w in e.terms), e.den)
     r = len(fixed)
     signs = [_recovery_term(r, p) for p in range(r + 1)]
     perms, parts = dict.fromkeys(itertools.permutations(fixed)), []
@@ -595,9 +602,9 @@ def _recovery(n: int, m: int, fixed: tuple, rewrites: tuple) -> MomentExpression
                 e = dx(e, i)
             for i in perm[p:]:
                 e = dxi(e, i)
-            parts.extend((sign * coef, address) for coef, address in e.terms)
+            parts.extend((address, sign * w) for address, w in e.terms)  # e.den is 1
     den = len(perms) * math.factorial(m) // math.factorial(m - r)
-    return MomentExpression(n, m, _merged(parts)) * Fraction(1, den)
+    return MomentExpression(n, m, parts, den)
 
 
 def recover_restricted(f: SymTensor, fixed: Sequence[int], pt: PhasePoint):
@@ -628,9 +635,9 @@ def _john_chains(n: int, m: int, fixed: tuple, rewrites: tuple) -> dict:
     K)``, sorted.
     """
     if fixed:
-        return {key: MomentExpression(n, m, _merged(
-                    (coef, (q, tuple(sorted(fixed + restricted)), derivs, mono))
-                    for coef, (q, restricted, derivs, mono) in e.terms))
+        return {key: MomentExpression(n, m, (
+                    ((q, tuple(sorted(fixed + restricted)), derivs, mono), w)
+                    for (q, restricted, derivs, mono), w in e.terms), e.den)
                 for key, e in _john_chains(n, m - len(fixed), (), rewrites).items()}
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     chains = {(): MomentExpression._datum(n, m, 0)}
@@ -679,8 +686,8 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
 def _signed_pair_reads(n: int, r: int) -> tuple:
     """The John table entries that the collapsed derivatives read, per q-multiset.
 
-    One ``(qt, reads)`` item per sorted r-tuple qt of axes, where ``reads``
-    merges ``(sign, (key, sorted ptuple))`` over the r-tuples ptuple with no
+    One ``(qt, den, reads)`` row per sorted r-tuple qt of axes, merging
+    ``((key, sorted ptuple), sign)`` over the r-tuples ptuple with no
     ``p_a == q_a``: the chain of the pairs ``(p_a, q_a)`` is ``sign`` times
     the table entry at ``key`` (``_pair_key``), weighted by xi^ptuple.  A
     rearrangement of qt, with its ptuples rearranged alike, reads the same
@@ -689,12 +696,12 @@ def _signed_pair_reads(n: int, r: int) -> tuple:
     axes = range(1, n + 1)
     out = []
     for qt in itertools.combinations_with_replacement(axes, r):
-        reads = []
+        parts = []
         for ptuple in itertools.product(axes, repeat=r):
             if all(map(operator.ne, ptuple, qt)):
                 key, sign = _pair_key(zip(ptuple, qt))
-                reads.append((sign, (key, tuple(sorted(ptuple)))))
-        out.append((qt, _merged(reads)))
+                parts.append(((key, tuple(sorted(ptuple))), sign))
+        out.append((qt, *_row(parts)))
     return tuple(out)
 
 
@@ -715,9 +722,9 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     mk = f.rank - k
     scale = (-1) ** mk * math.factorial(mk)
     best = 0.0
-    for qkey, reads in _signed_pair_reads(f.n, mk):
+    for qkey, den, reads in _signed_pair_reads(f.n, mk):
         acc = _xi_weighted_sum(pt, ((sign, ptuple, table[key])
-                                    for sign, (key, ptuple) in reads))
+                                    for (key, ptuple), sign in reads), den)
         rhs = _transform_value(f, 0, pt, fixed, qkey) * scale
         best = max(best, value_diff(acc, rhs))
     return best
@@ -748,14 +755,6 @@ def symmetrization_split_residual(t: RawTensor, k: int):
     return max((abs(value) for value in (lhs - rhs).components.values()), default=Fraction(0))
 
 
-def _multiset_difference(key: tuple, sub: tuple) -> tuple:
-    """The index tuple ``key`` with the sub-multiset ``sub`` taken out."""
-    rest = list(key)
-    for i in sub:
-        rest.remove(i)
-    return tuple(rest)
-
-
 def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> float:
     """Symmetrized spatial derivatives of restricted moment data.
 
@@ -765,22 +764,16 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
     A rearrangement reads only the multiset F of its last r slots: it
     restricts at F and differentiates along key - F.  So the average is one
     datum per distinct r-sub-multiset F of the key, weighted by the share of
-    rearrangements that split the key there,
-    ``arr(key - F) * arr(F) / arr(key)`` with ``arr`` the number of distinct
-    rearrangements (``tuple_multiplicity``): int weights over ``arr(key)``.
+    rearrangements that split the key there (``diffops._splits``).
     """
     m = f.rank
     if not 0 <= r <= m:
         raise ValueError(f"restriction depth r={r} outside [0, {m}]")
     best = 0.0
-    for key in all_canonical_tuples(f.n, m):
-        arr = tuple_multiplicity(key)
-        parts = []
-        for fixed in dict.fromkeys(itertools.combinations(key, r)):
-            derivs = _multiset_difference(key, fixed)
-            weight = tuple_multiplicity(derivs) * tuple_multiplicity(fixed)
-            parts.append((weight, _transform_value(f, 0, pt, fixed, derivs)))
-        best = max(best, value_diff(_weighted_sum(parts, pt.zero, arr), pt.zero))
+    for den, splits in _splits(f.n, m, r).values():
+        total = _weighted_sum(((weight, _transform_value(f, 0, pt, fixed, derivs))
+                               for (fixed, derivs), weight in splits), pt.zero, den)
+        best = max(best, value_diff(total, pt.zero))
     return best
 
 
@@ -805,11 +798,10 @@ def restriction_contraction_residual(f: SymTensor, fixed: Sequence[int], k: int,
 def _restriction_contraction(n: int, m: int, fixed: tuple, k: int) -> MomentExpression:
     """Sum over tails of k - len(fixed) axes of xi^tail times the transform at fixed + tail.
 
-    One term per multiset of tails, its number of orderings the coefficient.
+    One term per multiset of tails, its number of orderings the weight.
     """
-    return MomentExpression(n, m, _merged(
-        (mult, (0, tuple(sorted(fixed + tail)), (), tail))
-        for tail, mult in _keys_with_multiplicity(n, k - len(fixed))))
+    return MomentExpression(n, m, (((0, tuple(sorted(fixed + tail)), (), tail), mult)
+                                   for tail, mult in _keys_with_multiplicity(n, k - len(fixed))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -819,9 +811,10 @@ def _directional(e: MomentExpression, rewrite) -> MomentExpression:
     Built once per expression, which hashes by value, and rewrite, which is
     in the key as in ``_recovery``, however many fields and points use it.
     """
-    return MomentExpression(e.n, e.m, _merged(
-        (coef, (q, fixed, derivs, tuple(sorted(mono + (i,)))))
-        for i in range(1, e.n + 1) for coef, (q, fixed, derivs, mono) in rewrite(e, i).terms))
+    return MomentExpression(e.n, e.m, (
+        ((q, fixed, derivs, tuple(sorted(mono + (i,)))), w)
+        for i in range(1, e.n + 1)
+        for (q, fixed, derivs, mono), w in rewrite(e, i)._over(e.den)), e.den)
 
 
 def directional_x_derivative(e: MomentExpression, f: SymTensor, pt: PhasePoint):

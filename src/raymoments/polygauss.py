@@ -610,19 +610,21 @@ class ExactValue:
         The product of the three factors as floats, unless one of them
         overflows or underflows or the product overflows.  Then the value is
         taken from the logs of the int numerators and denominators
-        (``math.log`` takes big ints) plus the exponent.
+        (``math.log`` takes big ints) plus the exponent.  A num / den that
+        may be subnormal is taken 2^200 larger, and the product 2^200 smaller.
         """
         num, den = self.num, self.den
         if not num:
             return 0.0
         root, exponent = self.root, self.exponent
+        shift = 200 if den.bit_length() - num.bit_length() > 1020 else 0
         try:
             # num / den is correctly rounded, as float(Fraction(num, den))
-            parts = (num / den, math.sqrt(float(root)), math.exp(float(exponent)))
+            parts = ((num << shift) / den, math.sqrt(float(root)), math.exp(float(exponent)))
         except OverflowError:
             parts = ()
         if parts and min(map(abs, parts)) >= sys.float_info.min:
-            value = parts[0] * parts[1] * _SQRT_PI * parts[2]
+            value = math.ldexp(parts[0] * parts[1] * _SQRT_PI * parts[2], -shift)
             if math.isfinite(value):
                 return value
         log = (math.log(abs(num)) - math.log(den)

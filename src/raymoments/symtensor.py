@@ -4,8 +4,7 @@ Tensors are stored as mappings from canonical index tuples to scalar values,
 with missing keys meaning zero.  Indices are 1-based and the canonical form of
 a symmetric index group is the non-decreasing ordering.  The scalar type is
 generic: anything supporting addition with itself and multiplication by
-``fractions.Fraction`` works (rationals, floats, polynomial-Gaussian values,
-formal moment expressions).
+``fractions.Fraction`` works (rationals, floats, polynomial-Gaussian values).
 """
 
 from __future__ import annotations
@@ -46,12 +45,9 @@ def all_canonical_tuples(n: int, rank: int) -> Iterator[Index]:
 
 def tuple_multiplicity(indices: Sequence[int]) -> int:
     """Number of distinct rearrangements of an index tuple."""
-    counts = {}
-    for i in indices:
-        counts[i] = counts.get(i, 0) + 1
     mult = math.factorial(len(indices))
-    for c in counts.values():
-        mult //= math.factorial(c)
+    for _, count in _row((i, 1) for i in indices)[1]:  # each letter's count
+        mult //= math.factorial(count)
     return mult
 
 
@@ -71,6 +67,28 @@ def _rearrangements(key: Index) -> tuple:
         return ((),)
     return tuple((a, *rest) for j, a in enumerate(key) if not j or a != key[j - 1]
                  for rest in _rearrangements(key[:j] + key[j + 1:]))
+
+
+def _row(parts, den: int = 1) -> tuple:
+    """``(address, int weight)`` parts over the int ``den`` > 0 as one row ``(den, entries)``.
+
+    The one form of a ``diffops`` stencil row and a moment expression: parts merged
+    per address in first-seen order, zeros dropped, ``den`` and weights divided by their gcd.
+    """
+    summed: dict = {}
+    for address, weight in parts:
+        summed[address] = summed.get(address, 0) + weight
+    g = math.gcd(den, *summed.values())
+    return den // g, tuple([(address, weight // g)
+                            for address, weight in summed.items() if weight])
+
+
+def _multiset_difference(key: tuple, sub: tuple) -> tuple:
+    """The index tuple ``key`` with the sub-multiset ``sub`` taken out."""
+    rest = list(key)
+    for i in sub:
+        rest.remove(i)
+    return tuple(rest)
 
 
 class _SparseTensor:

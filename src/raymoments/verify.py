@@ -41,7 +41,6 @@ from .diffops import (
 )
 from .moments import (
     MomentExpression,
-    PhasePoint,
     collapsed_derivative_residual,
     directional_x_derivative,
     directional_xi_derivative,
@@ -324,9 +323,7 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
                restriction_contraction_residual(f, fixed_r, k, pt), tag)
 
         drift = value_diff(directional_x_derivative(bases[0], f, pt), pt.zero)
-        moved = PhasePoint._from_ints(  # x + xi/3, in ints
-            [3 * a * pt.xi_den + b * pt.x_den for a, b in zip(pt.x_nums, pt.xi_nums)],
-            3 * pt.x_den * pt.xi_den, pt.xi_nums, pt.xi_den)
+        moved = pt._translated(3)  # x + xi/3
         record("translation-invariance",
                max(drift, value_diff(extended_transform(f, 0, moved),
                                      extended_transform(f, 0, pt))), tag)

@@ -339,6 +339,25 @@ class TestStencilsMatchReferenceLoops:
                                     _reference_alternated_from_saint_venant(wf))
 
 
+class TestSplitTable:
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 5), (3, 4)])
+    def test_shares_of_position_subsets_are_rearrangement_counts(self, n, m):
+        # the reference counts the rearrangements one by one, as the
+        # restriction relation's stencil once did
+        for k in range(m + 1):
+            table = diffops._splits(n, m, k)
+            for key in all_canonical_tuples(n, m):
+                counts = {}
+                arr = distinct_rearrangements(key)
+                for perm in arr:
+                    split = (canonical(perm[m - k:]), canonical(perm[:m - k]))
+                    counts[split] = counts.get(split, 0) + 1
+                den, entries = table[key]
+                assert math.gcd(den, *(w for _, w in entries)) == 1
+                assert ({split: Fraction(w, den) for split, w in entries}
+                        == {split: Fraction(c, len(arr)) for split, c in counts.items()})
+
+
 class TestInnerDerivative:
     def test_gradient_case(self):
         phi = scalar_field(2, seed=1)

@@ -42,7 +42,7 @@ from raymoments import (
     symmetrized_derivative_residual,
     tuple_multiplicity,
 )
-from raymoments import moments
+from raymoments import diffops, moments
 from raymoments.diffops import _pair_key
 from raymoments.moments import (
     _john_table,
@@ -428,17 +428,19 @@ class TestWeightedSum:
         def draw(length):
             return tuple(sorted(rng.randint(1, n) for _ in range(length)))
 
-        parts = [(rng.choice((1, -1, 2, Fraction(-1, 3))),
+        # int weights over 3: the weights 1, -1, 2 and -1/3
+        parts = [(rng.choice((3, -3, 6, -1)),
                   (rng.randint(0, 2), draw(rng.randint(0, rank)), draw(rng.randint(0, 2)),
                    draw(rng.randint(0, rank + 1)))) for _ in range(8)]
-        e = MomentExpression(n, rank, moments._merged(parts))
-        assert len(e.terms) >= 6 and len({len(mono) for _, (*_, mono) in e.terms}) > 1
-        # an exact point: the Fraction sum of c * xi^mono * value
+        e = MomentExpression(n, rank, ((a, w) for w, a in parts), 3)
+        assert len(e.terms) >= 6 and len({len(mono) for (*_, mono), _ in e.terms}) > 1
+        # an exact point: the Fraction sum of w / den * xi^mono * value
         pt = random_phase_point(n, rng)
         assert pt.xi_den > 1 or any(v.denominator > 1 for v in pt.x)
         assert e.evaluate(f, pt) == self.pairwise(
-            (c * math.prod(pt.xi[a - 1] for a in mono), _transform_value(f, q, pt, F, D))
-            for c, (q, F, D, mono) in e.terms)
+            (Fraction(w, e.den) * math.prod(pt.xi[a - 1] for a in mono),
+             _transform_value(f, q, pt, F, D))
+            for (q, F, D, mono), w in e.terms)
         # float points weight by the ints of their dyadic directions too, the
         # last with xi_den = 2**1049: each weight is the finite quotient
         tiny = PhasePoint([0.5] * n, [1.0] + [1e-300] * (n - 1))
@@ -446,9 +448,10 @@ class TestWeightedSum:
         for float_pt in (PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi]),
                          tiny):
             assert e.evaluate(f, float_pt) == math.fsum(
-                c * math.prod(float_pt.xi_nums[a - 1] for a in mono)
-                / float_pt.xi_den ** len(mono) * _transform_value(f, q, float_pt, F, D)
-                for c, (q, F, D, mono) in e.terms)
+                Fraction(w * math.prod(float_pt.xi_nums[a - 1] for a in mono),
+                         e.den * float_pt.xi_den ** len(mono))
+                * _transform_value(f, q, float_pt, F, D)
+                for (q, F, D, mono), w in e.terms)
 
     def test_zero_weights_and_zero_values_drop_out(self):
         a = ExactValue(Fraction(2, 3), Fraction(2), Fraction(-1, 2))
@@ -761,7 +764,7 @@ class TestDerivativeRules:
             fixed = tuple(sorted(rng.randint(1, n) for _ in range(rng.randint(0, m))))
             derivs = tuple(sorted(rng.randint(1, n) for _ in range(rng.randint(0, 2))))
             q = rng.randint(0, 2)
-            e = MomentExpression(n, m, ((1, (q, fixed, derivs, mono)),))
+            e = MomentExpression(n, m, (((q, fixed, derivs, mono), 1),))
             degree = len(mono) + m - len(fixed) - q - 1
             value = e.evaluate(f, pt)
             assert directional_xi_derivative(e, f, pt) == value.scaled(degree)
@@ -786,13 +789,13 @@ class TestDerivativeRules:
         two = dxi(dx(e, 1), 2)
         # by address: J^1 of f restricted at 2, then d/dx_1; J^2 with both partials
         assert one.terms == two.terms == (
-            (2, (1, (2,), (1,), ())), (1, (2, (), (1, 2), ())))
+            ((1, (2,), (1,), ()), 2), ((2, (), (1, 2), ()), 1))
         assert one == two and hash(one) == hash(two)
         # xi_2^2 J^1: dxi also takes the monomial's two factors xi_2, one at a time
-        e = MomentExpression(2, 2, ((1, (1, (), (), (2, 2))),))
+        e = MomentExpression(2, 2, (((1, (), (), (2, 2)), 1),))
         assert dxi(e, 2).terms == (
-            (2, (1, (), (), (2,))), (2, (1, (2,), (), (2, 2))), (1, (2, (), (2,), (2, 2))))
-        assert dxi(e, 1).terms == ((2, (1, (1,), (), (2, 2))), (1, (2, (), (1,), (2, 2))))
+            ((1, (), (), (2,)), 2), ((1, (2,), (), (2, 2)), 2), ((2, (), (2,), (2, 2)), 1))
+        assert dxi(e, 1).terms == (((1, (1,), (), (2, 2)), 2), ((2, (), (1,), (2, 2)), 1))
         assert dx(dxi(e, 2), 1) == dxi(dx(e, 1), 2)
 
     def test_john_antisymmetry(self):
@@ -800,9 +803,24 @@ class TestDerivativeRules:
         e = MomentExpression.transform(f, 0)
         one = john(e, 1, 2)
         two = john(e, 2, 1)
-        assert one.terms and [(c, a) for c, a in one.terms] == \
-               [(-c, a) for c, a in two.terms]
+        assert one.terms and [(a, w) for a, w in one.terms] == \
+               [(a, -w) for a, w in two.terms]
         assert one == -two
+
+    def test_one_row_per_value(self):
+        # parts of one address merge, zero weights drop out, den is reduced:
+        # equal values are equal rows, whatever parts and den built them
+        a, b = (0, (), (), ()), (1, (), (1,), ())
+        e = MomentExpression(2, 1, [(b, 4), (a, 2), (b, 2), (a, -2)], 12)
+        assert (e.den, e.terms) == (2, ((b, 1),))
+        assert e == MomentExpression(2, 1, [(b, 1)], 2)
+        assert e == MomentExpression(2, 1, [(b, 3)]) * Fraction(1, 6)
+        assert hash(e) == hash(MomentExpression(2, 1, [(b, 3)], 6))
+        third = MomentExpression(2, 1, [(a, 1)]) * Fraction(2, 3) + e
+        assert (third.den, third.terms) == (6, ((a, 4), (b, 3)))
+        assert type(third.den) is int and all(type(w) is int for _, w in third.terms)
+        zero = e * 0
+        assert (zero.den, zero.terms) == (1, ()) and zero == e - e
 
     def test_john_on_scalar_data_cancels(self):
         phi = gaussian_scalar(2)
@@ -960,7 +978,18 @@ class TestRecovery:
             for fixed in itertools.combinations_with_replacement(range(1, n + 1), r):
                 got = moments._recovery(n, m, fixed, rewrites)
                 assert got == self.direct_recovery(n, m, fixed), fixed
-                assert [a for _, a in got.terms] == sorted(a for _, a in got.terms)
+                assert [a for a, _ in got.terms] == sorted(a for a, _ in got.terms)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (3, 3), (2, 4)])
+    def test_recovery_cancels_to_the_restricted_datum(self, n, m):
+        # every term but the zeroth transform at ``fixed`` cancels: the row is
+        # that one datum, weight 1 over den 1
+        rewrites = (moments._recovery_term, dx, dxi)
+        for r in range(m + 1):
+            for fixed in itertools.combinations_with_replacement(range(1, n + 1), r):
+                e = moments._recovery(n, m, fixed, rewrites)
+                assert (e.den, e.terms) == (1, (((0, fixed, (), ()), 1),)), fixed
+                assert type(e.den) is int and type(e.terms[0][1]) is int
 
     def test_built_once_per_shape_and_fixed_multiset(self, monkeypatch):
         calls = []
@@ -1196,9 +1225,22 @@ class TestJohnTable:
             got = moments._john_chains(n, m, fixed, (john, dx, dxi))
             assert got == want, fixed
             for e in got.values():
-                assert [address for _, address in e.terms] == sorted(
-                    address for _, address in e.terms)
-                assert all(type(coef) is int for coef, _ in e.terms)
+                assert [address for address, _ in e.terms] == sorted(
+                    address for address, _ in e.terms)
+                assert type(e.den) is int and all(type(w) is int for _, w in e.terms)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (3, 3), (2, 4), (4, 2)])
+    def test_chains_are_the_alternation_rows(self, n, m):
+        # at each pair key, the chain is (-2)^m m! times the row of the
+        # alternation stencil, read at the fully restricted addresses
+        chains = moments._john_chains(n, m, (), (john, dx, dxi))
+        rows = diffops._alternation_stencil(n, m)
+        assert set(chains) == {key for key, _, _ in rows}
+        scale = (-2) ** m * math.factorial(m)
+        for key, den, entries in rows:
+            row = MomentExpression(n, m, (((0, component, derivs, ()), w * scale)
+                                          for (component, derivs), w in entries), den)
+            assert (chains[key].den, chains[key].terms) == (row.den, row.terms), key
 
 
 class TestJohnPower:

@@ -162,14 +162,43 @@ def _float_recurrence_bound(floaty, terms, q) -> float:
     recurrence's depth and the number of terms count the roundings of each
     sum; the |x|^2 and c^2 / s terms cover the rounding of the exponent,
     which exp turns into a relative error.
+
+    Two errors are not relative to the entries: the mean -c / s, whose sum
+    c of n products may cancel, and every product whose result is
+    subnormal, off by up to ulp(0) / 2 however small it is (a sum is exact
+    there; ulp(0) / 2 is no float, so ulp(0) is charged).  So each entry
+    also carries an absolute error: ulp(0) per product, the errors of the
+    entries it reads times their weights, and the mean's error times the
+    entry that the mean weights.  The absolute recurrence takes the mean
+    that much larger.  The line moment adds ulp(0) per term, and 2 ulp(0)
+    for its last two products and the rounding of the value it is compared
+    with.
     """
+    u, tiny, n = 2.0 ** -53, math.ulp(0.0), len(floaty.x)
+    dots = math.fsum(abs(a * b) for a, b in zip(floaty.x, floaty.xi))
+    # c and s sum n products, the mean divides them
+    c_error, s_error = (n + 1) * u * dots + n * tiny, (n + 1) * u * floaty.s + n * tiny
+    mean_error = ((c_error + abs(floaty.mean) * s_error) / (floaty.s - s_error)
+                  + u * abs(floaty.mean) + tiny)
     absolute = floaty.absolute()
+    absolute.mean += mean_error
+    errors = {(0, (0,) * n): 0.0}
+
+    def error(key):
+        if key not in errors:
+            errors[key] = math.fsum(
+                w * error(dep) + tiny
+                + (mean_error * absolute.moment(*dep) if dep[0] == key[0] - 1 else 0.0)
+                for w, dep in absolute._recurrence(*key))
+        return errors[key]
+
     mass = math.fsum(float(abs(c)) * absolute.moment(q, e) for e, c in terms.items())
+    spread = math.fsum(float(abs(c)) * error((q, e)) + tiny for e, c in terms.items())
     deg = max(map(sum, terms), default=0)
     steps = (4 * (deg + q + 2 + len(terms)) + 2 * sum(v * v for v in floaty.x)
              + 2 * floaty.c ** 2 / floaty.s + 8)
-    return (2.0 ** -53 * steps * mass * math.sqrt(math.pi / floaty.s)
-            * math.exp(floaty.exponent))
+    scale = math.sqrt(math.pi / floaty.s) * math.exp(floaty.exponent)
+    return (u * steps * mass + spread) * scale + 2 * tiny
 
 
 def _decimal_value(v):
@@ -480,6 +509,9 @@ class TestLineTable:
     # the float recurrence cancels here: off by 2.2e-11, above the
     # 1e-12 * termwise_mass = 2.08e-11 that once bounded it
     @example(([2.875, 0.0, 0.0], [2.0, 0.0, 0.25]), [(7, 0, 92)])
+    # a subnormal offset: the float recurrence is off by 1.5e-323, where its
+    # relative bound underflows to 0.0
+    @example(([2.2250738585e-313], [0.75]), [(0, 1, 0)])
     @settings(max_examples=60, deadline=None)
     def test_float_line_is_its_dyadic_line(self, line, requests):
         # a finite float is a dyadic rational: the float line's table is the
@@ -915,6 +947,17 @@ class TestExactValue:
     def test_float_of_a_value_whose_factors_leave_the_float_range(self, coef, root, exponent):
         v = ExactValue(coef, root, exponent)
         assert math.isclose(float(v), _decimal_value(v), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("coef, root, exponent", [
+        (Fraction(-3, 2 ** 1030), Fraction(4, 9), Fraction(0)),   # a subnormal value
+        (Fraction(7, 2 ** 1025), Fraction(5, 2), Fraction(-1, 3)),  # a normal one, about 3.9e-308
+    ])
+    def test_float_of_a_subnormal_quotient_is_rounded_once(self, coef, root, exponent):
+        # num / den is subnormal: the float is within the two roundings of the
+        # 40-digit reference, not |log| u relative off as the logs would give
+        v = ExactValue(coef, root, exponent)
+        reference = _decimal_value(v)
+        assert abs(float(v) - reference) <= 2 * math.ulp(reference)
 
     @pytest.mark.parametrize("coef, exponent", [
         (Fraction(10 ** 400), Fraction(0)),

@@ -20,7 +20,7 @@ from raymoments import (
     symmetrize,
     tuple_multiplicity,
 )
-from raymoments.symtensor import distinct_rearrangements
+from raymoments.symtensor import _row, distinct_rearrangements
 from conftest import brute_symmetrize, random_raw
 
 
@@ -48,6 +48,12 @@ class TestCanonicalStorage:
         t = SymTensor(2, 1, {(1,): Fraction(1)})
         with pytest.raises(ValueError):
             t.get((0,))
+
+    def test_row_merges_in_first_seen_order_over_a_reduced_denominator(self):
+        assert _row([("b", 2), ("a", 4), ("b", 4), ("c", -4), ("c", 4)], 12) == (
+            6, (("b", 3), ("a", 2)))
+        assert _row([("a", 3), ("a", -3)], 5) == _row([], 7) == (1, ())
+        assert _row([("a", -4)], 6) == (3, (("a", -2),))
 
     @given(st.integers(2, 4), st.integers(0, 3), st.integers())
     @settings(max_examples=40, deadline=None)
