@@ -13,17 +13,17 @@ xi-monomial, by address and no field), so every transform-level identity can
 be evaluated exactly on rational lines.  Every point, exact or float, keeps
 its direction as ints, contracts the field with it once per restriction, in
 ints, and differentiates that one polynomial, so each datum costs one derive
-and one line integral at most, taken on the point's own line table (an exact
-value; on a float point, that value rounded once).  A datum is read from the
-field's jet only when it is fully restricted: then there is nothing to
-contract, and every point and the operators share the jet's derivative.  Exact
-values are summed as int pairs (``ExactValue.sum``), and weighted by the
-direction in one place (``_xi_weighted_sum``).  The two John identities read
-one table of John data per multiset of pairs p < q.  The John chains behind
-it, the recovery expressions and the direction-weighted sums depend on
-neither the line nor the field: each is built once per field shape (the John
-chains once per rank left after the restriction, relabelled per fixed
-multiset), and a point only evaluates them.
+and one line integral at most, taken on the point, which is its own line
+table (an exact value; on a float point, that value rounded once).  A datum
+is read from the field's jet only when it is fully restricted: then there is
+nothing to contract, and every point and the operators share the jet's
+derivative.  Exact values are summed as int pairs (``ExactValue.sum``), and
+weighted by the direction in one place (``_xi_weighted_sum``).  The two
+John identities read one table of John data per multiset of pairs p < q.
+The John chains behind it, the recovery expressions and the
+direction-weighted sums depend on neither the line nor the field: each is
+built once per field shape (the John chains once per rank left after the
+restriction, relabelled per fixed multiset), and a point only evaluates them.
 """
 
 from __future__ import annotations
@@ -63,19 +63,19 @@ from .symtensor import (
 PROJECTION_TOL = 1e-12
 
 
-class PhasePoint:
+class PhasePoint(LineTable):
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
 
-    The point's LineTable decides its scalars: coordinates are kept exact
-    when every entry is rational, otherwise they are floats, and so are the
-    line integrals taken at the point, each the exact integral on the same
-    dyadic line rounded once.  ``xi_norm_sq`` and ``x_dot_xi`` are exact
-    either way.  The point keeps its direction as ints, ``xi_nums`` over
-    ``xi_den``, the lcm of the denominators of xi (a power of 2 on a float
-    point), as the line table set them up, so that the direction weights of
-    a rank-r transform datum are ints over ``xi_den**r`` (see
-    ``_contraction``), and x as ``x_nums`` over ``x_den``; the samplers
-    build exact points from ints (``_from_ints``).
+    A point is the LineTable of its line x + t*xi, which decides its
+    scalars: coordinates are kept exact when every entry is rational,
+    otherwise they are floats, and so are the line integrals taken at the
+    point, each the exact integral on the same dyadic line rounded once.
+    ``s`` = |xi|^2 and ``c`` = x.xi are exact either way.  The point keeps
+    its direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
+    denominators of xi (a power of 2 on a float point), so that the
+    direction weights of a rank-r transform datum are ints over
+    ``xi_den**r`` (see ``_contraction``), and x as ``x_nums`` over
+    ``x_den``; the samplers build exact points from ints (``_from_ints``).
 
     Two memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
@@ -86,22 +86,17 @@ class PhasePoint:
     polynomial's stored form, ``(q, poly.key)``, so that a polynomial
     reached through two objects is integrated once.  Every line integral
     this module takes goes through ``integral``, so a transform datum is
-    one lookup in each.
-    ``xi_norm_sq`` and ``x_dot_xi`` read s and c from the line table, and
-    ``zero`` is the value of an empty sum at the point: the shared exact
-    zero on an exact point, 0.0 on a float one.
+    one lookup in each.  ``zero`` is the value of an empty sum at the
+    point: the shared exact zero on an exact point, 0.0 on a float one.
     """
 
-    def __init__(self, x: Sequence, xi: Sequence):
-        # the moments of monomials along this line, shared by every transform
-        self._attach(LineTable(tuple(x), tuple(xi)))
+    __slots__ = ("zero", "contracted", "integrals")
 
-    @classmethod
-    def _from_ints(cls, x_nums, x_den: int, xi_nums, xi_den: int):
-        """The exact point x_nums / x_den, xi_nums / xi_den (positive int dens)."""
-        pt = object.__new__(cls)
-        pt._attach(LineTable._from_ints(x_nums, x_den, xi_nums, xi_den))
-        return pt
+    def _setup(self, *line) -> None:
+        super()._setup(*line)
+        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
+        self.contracted: dict = {}
+        self.integrals: dict = {}
 
     def _translated(self, den: int) -> "PhasePoint":
         """The exact point (x + xi / den, xi), from the point's ints, for an int ``den`` > 0."""
@@ -109,44 +104,27 @@ class PhasePoint:
             [den * a * self.xi_den + b * self.x_den for a, b in zip(self.x_nums, self.xi_nums)],
             den * self.x_den * self.xi_den, self.xi_nums, self.xi_den)
 
-    def _attach(self, table: LineTable) -> None:
-        self.line_table = table
-        self.x, self.xi, self.is_exact = table.x, table.xi, table.is_exact
-        self.x_nums, self.x_den, self.xi_nums, self.xi_den = (
-            table.x_nums, table.x_den, table.xi_nums, table.xi_den)
-        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
-        self.contracted: dict = {}
-        self.integrals: dict = {}
-
     def integral(self, g, q: int):
         """The integral of t^q g along the point's line, computed once."""
         poly = g.poly
         key = (q, poly.key)
         hit = self.integrals.get(key)
         if hit is None:
-            hit = self.integrals[key] = line_moment(g, q, self.x, self.xi,
-                                                    self.line_table)
+            hit = self.integrals[key] = line_moment(g, q, self.x, self.xi, self)
         return hit
 
     @property
     def n(self) -> int:
         return len(self.x)
 
-    def xi_norm_sq(self):
-        return self.line_table.s
-
-    def x_dot_xi(self):
-        return self.line_table.c
-
     def project(self) -> "TSPoint":
         """The oriented-line representative: orthogonal offset, unit direction."""
         if self.is_exact:
-            table = self.line_table
             # x + mean * xi, mean = -c/s the parameter of the line's closest point
-            (mn, md), dx, dxi = table.mean_ratio, self.x_den, self.xi_den
+            (mn, md), dx, dxi = self.mean_ratio, self.x_den, self.xi_den
             xp = [a * md * dxi + mn * b * dx for a, b in zip(self.x_nums, self.xi_nums)]
             den = dx * md * dxi
-            lam = _ratio_sqrt(*table.s_ratio)
+            lam = _ratio_sqrt(*self.s_ratio)
             if lam is not None:  # xi / lam, with lam = sqrt(s) = a / b
                 a, b = lam
                 return TSPoint._from_ints(xp, den, [v * b for v in self.xi_nums], dxi * a)
@@ -172,16 +150,18 @@ class TSPoint(PhasePoint):
     within PROJECTION_TOL, with the residual recorded.
     """
 
-    def _attach(self, table: LineTable) -> None:
-        super()._attach(table)
+    __slots__ = ("projection_residual",)
+
+    def _setup(self, *line) -> None:
+        super()._setup(*line)
         if self.is_exact:
-            if table.s_ratio[0] != table.s_ratio[1]:
+            if self.s_ratio[0] != self.s_ratio[1]:
                 raise ValueError("direction must have exact unit norm")
-            if table.c_ratio[0]:
+            if self.c_ratio[0]:
                 raise ValueError("offset must be exactly orthogonal to direction")
             self.projection_residual = 0.0
         else:
-            res = float(max(abs(self.xi_norm_sq() - 1), abs(self.x_dot_xi())))
+            res = float(max(abs(self.s - 1), abs(self.c)))
             if res > PROJECTION_TOL:
                 raise ValueError(f"line constraints violated by {res:.3e}")
             self.projection_residual = res
@@ -257,15 +237,10 @@ def random_float_ts_point(n: int, rng: random.Random) -> TSPoint:
     """A random float-path oriented line (projected and normalized)."""
     while True:
         xi = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        norm = math.sqrt(sum(v * v for v in xi))
-        if norm > 1e-3:
+        if math.sqrt(sum(v * v for v in xi)) > 1e-3:
             break
-    u = [v / norm for v in xi]
     x = [rng.gauss(0.0, 0.7) for _ in range(n)]
-    for _ in range(2):
-        c = sum(a * b for a, b in zip(x, u))
-        x = [a - c * b for a, b in zip(x, u)]
-    return TSPoint(x, u)
+    return PhasePoint(x, xi).project()
 
 
 def magnitude(v) -> float:
@@ -425,10 +400,10 @@ def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int)
     """
     if q < 0 or len(i_values) < q + 1:
         raise ValueError("need moment values of orders 0..q")
-    table, e = pt.line_table, rank - 2 * q - 1
-    lam, (cn, cd) = _ratio_sqrt(*table.s_ratio), table.c_ratio
+    e = rank - 2 * q - 1
+    lam, (cn, cd) = _ratio_sqrt(*pt.s_ratio), pt.c_ratio
     if lam is None:  # an irrational direction norm takes the weights to floats
-        lam, c = math.sqrt(float(table.s)), float(table.c)
+        lam, c = math.sqrt(float(pt.s)), float(pt.c)
         return _weighted_sum((((-1) ** (q - ell) * math.comb(q, ell) * lam ** (e + ell)
                                * c ** (q - ell), i_values[ell]) for ell in range(q + 1)),
                              pt.zero)

@@ -607,11 +607,15 @@ class ExactValue:
     def __float__(self) -> float:
         """The value as a float; OverflowError only if it is out of range.
 
-        The product of the three factors as floats, unless one of them
-        overflows or underflows or the product overflows.  Then the value is
-        taken from the logs of the int numerators and denominators
-        (``math.log`` takes big ints) plus the exponent.  A num / den that
-        may be subnormal is taken 2^200 larger, and the product 2^200 smaller.
+        The product of the three factors as floats, unless one of them or
+        the product of the first two overflows or underflows, or the product
+        overflows.  A num / den that may be subnormal is taken 2^200 larger,
+        and the product 2^200 smaller.  Otherwise each factor is split into a
+        power of 2 and a float in range: num / den and root by their bit
+        lengths, and exp(exponent) as 2^k exp(r), with k the int nearest
+        exponent / ln 2 and r = exponent - k ln 2 in exact rationals
+        (``_LN2``, ln 2 to 160 bits); one ldexp scales the product of the
+        parts.
         """
         num, den = self.num, self.den
         if not num:
@@ -623,14 +627,18 @@ class ExactValue:
             parts = ((num << shift) / den, math.sqrt(float(root)), math.exp(float(exponent)))
         except OverflowError:
             parts = ()
-        if parts and min(map(abs, parts)) >= sys.float_info.min:
+        if parts and min(*map(abs, parts), abs(parts[0] * parts[1])) >= sys.float_info.min:
             value = math.ldexp(parts[0] * parts[1] * _SQRT_PI * parts[2], -shift)
             if math.isfinite(value):
                 return value
-        log = (math.log(abs(num)) - math.log(den)
-               + (math.log(root.numerator) - math.log(root.denominator)) / 2
-               + math.log(_SQRT_PI) + float(max(exponent, -sys.float_info.max)))
-        return math.exp(log) if num > 0 else -math.exp(log)
+        k = round(exponent / _LN2)
+        a = num.bit_length() - den.bit_length()
+        rn, rd = root.numerator, root.denominator
+        b = (rn.bit_length() - rd.bit_length()) // 2  # sqrt(root) = 2^b sqrt(root / 4^b)
+        parts = ((num << max(-a, 0)) / (den << max(a, 0)),
+                 math.sqrt((rn << max(-2 * b, 0)) / (rd << max(2 * b, 0))),
+                 math.exp(float(exponent - k * _LN2)))
+        return math.ldexp(parts[0] * parts[1] * _SQRT_PI * parts[2], a + b + k)
 
     @classmethod
     def zero_value(cls) -> "ExactValue":
@@ -641,6 +649,7 @@ class ExactValue:
 _set = object.__setattr__
 _ZERO = ExactValue(0)
 _ONE = Fraction(1)
+_LN2 = Fraction(0xb17217f7d1cf79abc9e3b39803f2f6af40f34326, 1 << 160)  # ln 2, within 2^-161
 
 
 def _line_data(x: Sequence, xi: Sequence):
@@ -687,7 +696,8 @@ class LineTable:
     gives mu_q(e + delta_i) = x_i mu_q(e) + xi_i mu_{q+1}(e).
 
     The line is set up in ints, by ``_from_ints`` (which sampled points
-    call) or from x and xi read as int ratios: x as ``x_nums`` over
+    call) or from x and xi read as int ratios, both through ``_setup``
+    (which ``moments.PhasePoint`` extends): x as ``x_nums`` over
     ``x_den`` and xi as ``xi_nums`` over ``xi_den``, and s, c, mean and var
     as int pairs (``s_ratio`` and so on) whose Fractions ``s``, ``c``,
     ``mean`` and ``var`` are built when read; ``exponent``, ``root`` and
@@ -712,7 +722,7 @@ class LineTable:
     Integrating a polynomial of degree D at order q builds row q + j
     through block D - j, so a table reaches at most
     C(D + q + n + 1, n + 1) entries.  Rows are extended in place and kept as
-    long as the table (a PhasePoint's table lives as long as the point).
+    long as the table.
     ``root`` and ``root_factor`` split sqrt(1/s) into the root of the
     line's ExactValues and a rational factor, once per line.
 

@@ -290,8 +290,8 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
            symmetrization_split_residual(block, min(k, max(m, 1))))
 
     # transform-level identities, one record per sampled line; each point
-    # (and its line table) is drawn and dropped with its sample, while the
-    # base transforms serve every sample
+    # (the moment table of its line) is drawn and dropped with its sample,
+    # while the base transforms serve every sample
     bases = [MomentExpression.transform(f, q) for q in range(max(k, 1) + 1)]
     for s_idx in range(config.samples):
         pt = random_phase_point(n, rng)

@@ -151,6 +151,15 @@ class TestPoints:
         pt = TSPoint([Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)])
         assert pt.is_exact and pt.projection_residual == 0.0
 
+    def test_ts_invariants_exact_from_ints(self):
+        # the samplers' int constructor checks the same constraints
+        with pytest.raises(ValueError):
+            TSPoint._from_ints([0, 0], 1, [2, 0], 1)  # not unit
+        with pytest.raises(ValueError):
+            TSPoint._from_ints([1, 0], 1, [1, 0], 1)  # not orthogonal
+        pt = TSPoint._from_ints([0, 4], 2, [3, 0], 3)
+        assert (pt.x, pt.xi) == ((0, 2), (1, 0)) and pt.projection_residual == 0.0
+
     def test_ts_invariants_float(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -174,7 +183,7 @@ class TestPoints:
             assert ts.is_exact
             pp = random_phase_point(3, rng)
             assert pp.is_exact
-            s = pp.xi_norm_sq()
+            s = pp.s
             assert Fraction(1, 4) <= s <= 4
 
     def test_projection(self):
@@ -182,7 +191,7 @@ class TestPoints:
         pp = random_phase_point(2, rng)
         ts = pp.project()
         assert ts.is_exact
-        assert ts.x_dot_xi() == 0 and ts.xi_norm_sq() == 1
+        assert ts.c == 0 and ts.s == 1
         # float fallback
         pf = PhasePoint([0.3, 1.1], [1.0, 0.5])
         tsf = pf.project()
@@ -208,7 +217,7 @@ class TestIntDraws:
                 assert (got.x, got.xi) == (want.x, want.xi)
                 assert all(type(v) is Fraction for v in got.x + got.xi)
                 # the int-built table against the one built from the Fractions
-                assert_same_table(got.line_table, want.line_table, random.Random(seed))
+                assert_same_table(got, want, random.Random(seed))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_projection_and_translate_in_ints(self, n):
@@ -217,18 +226,15 @@ class TestIntDraws:
         for seed in range(40):
             pt = random_phase_point(n, rng)
             ts = pt.project()
-            mean = pt.line_table.mean
-            lam = rational_sqrt(pt.xi_norm_sq())
+            mean = pt.mean
+            lam = rational_sqrt(pt.s)
             want = TSPoint([a + mean * b for a, b in zip(pt.x, pt.xi)], [b / lam for b in pt.xi])
             assert type(ts) is TSPoint and (ts.x, ts.xi) == (want.x, want.xi)
-            assert_same_table(ts.line_table, want.line_table, random.Random(seed))
-            table = pt.line_table
-            moved = PhasePoint._from_ints(
-                [3 * a * table.xi_den + b * table.x_den
-                 for a, b in zip(table.x_nums, table.xi_nums)],
-                3 * table.x_den * table.xi_den, table.xi_nums, table.xi_den)
+            assert_same_table(ts, want, random.Random(seed))
+            moved = pt._translated(3)
             want = PhasePoint([a + Fraction(1, 3) * b for a, b in zip(pt.x, pt.xi)], pt.xi)
-            assert_same_table(moved.line_table, want.line_table, random.Random(seed))
+            assert type(moved) is PhasePoint and (moved.x, moved.xi) == (want.x, want.xi)
+            assert_same_table(moved, want, random.Random(seed))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_a_sampled_point_builds_its_coordinates_and_two_scalars(self, monkeypatch, n):
@@ -244,12 +250,7 @@ class TestIntDraws:
                 assert built <= 2 * n + 2
                 built, _ = count_fractions(monkeypatch, pt.project)
                 assert built <= 2 * n + 2
-                table = pt.line_table
-                built, _ = count_fractions(
-                    monkeypatch, PhasePoint._from_ints,
-                    [3 * a * table.xi_den + b * table.x_den
-                     for a, b in zip(table.x_nums, table.xi_nums)],
-                    3 * table.x_den * table.xi_den, table.xi_nums, table.xi_den)
+                built, _ = count_fractions(monkeypatch, pt._translated, 3)
                 assert built <= 2 * n + 2
 
 class TestTransforms:
@@ -705,7 +706,7 @@ class TestConversion:
         pt = random_phase_point(2, rng)
         ts = pt.project()
         i0 = moment_transform(f, 0, ts)
-        lam = math.sqrt(float(pt.xi_norm_sq()))
+        lam = math.sqrt(float(pt.s))
         lhs = extended_from_moments([i0], 0, pt, 2)
         assert float(lhs) == pytest.approx(lam * float(i0), rel=1e-13, abs=1e-300)
 

@@ -23,7 +23,7 @@ from raymoments import (
     sym_field,
 )
 from raymoments.moments import value_diff
-from raymoments.polygauss import _monomials, random_polynomial
+from raymoments.polygauss import _LN2, _monomials, random_polynomial
 from conftest import assert_same_table, termwise_mass
 
 SQRT_PI = math.sqrt(math.pi)
@@ -442,16 +442,16 @@ class TestLineTable:
     def test_phase_points_carry_their_table(self):
         f = random_field(2, 1, 3, 5)
         exact = PhasePoint([Fraction(1, 2), Fraction(-1)], [Fraction(1), Fraction(1, 3)])
-        assert (exact.line_table.x, exact.line_table.xi) == (exact.x, exact.xi)
+        # a point is the table of its line, filled by the transforms taken there
+        assert isinstance(exact, LineTable)
         value = extended_transform(f, 1, exact)
-        assert isinstance(value, ExactValue) and len(_table_entries(exact.line_table)) > 1
+        assert isinstance(value, ExactValue) and len(_table_entries(exact)) > 1
         floaty = PhasePoint([0.5, -1.0], [1.0, 1 / 3])
-        table = floaty.line_table
-        assert not table.is_exact and (table.x, table.xi) == (floaty.x, floaty.xi)
+        assert isinstance(floaty, LineTable) and not floaty.is_exact
         approx = extended_transform(f, 1, floaty)
-        assert isinstance(approx, float) and len(_table_entries(table)) > 1
+        assert isinstance(approx, float) and len(_table_entries(floaty)) > 1
         # the float point's table is the int table of its dyadic line
-        assert all(type(a) is int for _, _, a in _table_entries(table))
+        assert all(type(a) is int for _, _, a in _table_entries(floaty))
         dyadic = PhasePoint([Fraction(v) for v in floaty.x], [Fraction(v) for v in floaty.xi])
         assert approx == float(extended_transform(f, 1, dyadic))
         assert approx == pytest.approx(float(value), rel=1e-12)
@@ -501,7 +501,7 @@ class TestLineTable:
         exact = line_moment(g, 1, [Fraction(v) for v in x], [Fraction(v) for v in xi])
         assert exact.exponent == -Fraction(1e308) ** 2
         assert line_moment(g, 1, x, xi) == 0.0 == float(exact)
-        assert PhasePoint(x, xi).line_table.exponent == exact.exponent
+        assert PhasePoint(x, xi).exponent == exact.exponent
 
     @given(_float_lines(),
            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers()),
@@ -564,9 +564,9 @@ class TestLineTable:
         r = rational_sqrt(1 / ref.s)
         expected = (Fraction(1), r) if r is not None else (1 / ref.s, Fraction(1))
         assert (table.root, table.root_factor) == expected
-        # a point reads s and c from its table
+        # a point of the line has the same scalars
         pt = PhasePoint(x, xi)
-        assert (pt.xi_norm_sq(), pt.x_dot_xi()) == (ref.s, ref.c)
+        assert (pt.s, pt.c) == (ref.s, ref.c)
 
     @given(_exact_lines(), st.integers(1, 12), st.integers(1, 12), st.integers())
     @example(([Fraction(0)], [Fraction(1, 3)]), 6, 4, 0)
@@ -943,10 +943,23 @@ class TestExactValue:
         (Fraction(-10 ** 400), Fraction(1), Fraction(-900)),     # negative coef
         (Fraction(3, 10 ** 400), Fraction(5, 7), Fraction(900)),  # root with no rational sqrt
         (Fraction(1, 10 ** 200), Fraction(1, 10 ** 401), Fraction(1300)),  # root underflows
+        (Fraction(10 ** 300), Fraction(1), Fraction(-800)),      # exp underflows, about 6.5e-48
+        # every factor fits, but coef * sqrt(root) underflows: about -6.5e-264
+        (Fraction(-6548619478267659, 10 ** 383), Fraction(95993, 248203 * 10 ** 46),
+         Fraction(106699, 365)),
     ])
     def test_float_of_a_value_whose_factors_leave_the_float_range(self, coef, root, exponent):
+        # each factor split into a power of 2 and a float in range: the
+        # float is within a few roundings of the 40-digit reference
         v = ExactValue(coef, root, exponent)
-        assert math.isclose(float(v), _decimal_value(v), rel_tol=1e-12)
+        reference = _decimal_value(v)
+        assert abs(float(v) - reference) <= 4 * math.ulp(reference)
+
+    def test_ln2_is_ln2_to_160_bits(self):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            error = Decimal(_LN2.numerator) / Decimal(_LN2.denominator) - Decimal(2).ln()
+        assert abs(error) <= Decimal(2) ** -161
 
     @pytest.mark.parametrize("coef, root, exponent", [
         (Fraction(-3, 2 ** 1030), Fraction(4, 9), Fraction(0)),   # a subnormal value
