@@ -69,7 +69,7 @@ def _apply(n: int, rows, fetch) -> dict:
     for key, row_den, entries in rows:
         if entries:
             poly = Polynomial._from_weighted(
-                n, ((weight, fetch(source).poly) for source, weight in entries), row_den)
+                n, [(weight, fetch(source).poly) for source, weight in entries], row_den)
             if poly:
                 data[key] = PolyGauss(poly)
     return data
@@ -289,6 +289,15 @@ def alternated_derivative(f: SymTensor, fixed=()) -> RawTensor:
     return RawTensor._trusted(f.n, (2 * r,), data, f.zero)
 
 
+def _alternated(f: SymTensor, fixed: tuple) -> RawTensor:
+    """``alternated_derivative(f, fixed)`` at the sorted ``fixed``, built once per
+    field and kept in ``f._alternated`` for the life of the field, as its jet is."""
+    hit = f._alternated.get(fixed)
+    if hit is None:
+        hit = f._alternated[fixed] = alternated_derivative(f, fixed)
+    return hit
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_symmetrization_stencil(n: int, m: int) -> tuple:
     """An alternated tensor averaged within each index group, times 2^m.
@@ -381,13 +390,14 @@ def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     Saint Venant output is taken through its alternated derivative, whose
     stencils do not read the series of ``W^k``, so that a fault in the
     series shows on one side only.  The restrictions are addresses into
-    f's jet (``alternated_derivative(f, ikey)``).
+    f's jet, and each alternated derivative is kept for the John residuals
+    (``_alternated(f, ikey)``).
     """
     m = f.rank
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < rank, got k={k}, rank={m}")
     w_of_restriction = {
-        ikey: saint_venant_from_alternated(alternated_derivative(f, ikey)).components
+        ikey: saint_venant_from_alternated(_alternated(f, ikey)).components
         for ikey in all_canonical_tuples(f.n, k)}
     data = _apply(f.n, _restriction_stencil(f.n, m, k),
                   lambda source: w_of_restriction[source[0]].get(source[1:], f.zero))

@@ -19,7 +19,8 @@ is read from the field's jet only when it is fully restricted: then there is
 nothing to contract, and every point and the operators share the jet's
 derivative.  Exact values are summed as int pairs (``ExactValue.sum``), and
 weighted by the direction in one place (``_xi_weighted_sum``).  The two
-John identities read one table of John data per multiset of pairs p < q.
+John identities read one table of John data per multiset of pairs p < q,
+evaluated once per point (and field and fixed multiset) and kept on it.
 The John chains behind it, the recovery expressions and the
 direction-weighted sums depend on neither the line nor the field: each is
 built once per field shape (the John chains once per rank left after the
@@ -37,7 +38,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .diffops import _pair_key, _splits, alternated_derivative
+from .diffops import _alternated, _pair_key, _splits
 from .polygauss import (
     ExactValue,
     LineTable,
@@ -52,6 +53,8 @@ from .symtensor import (
     RawTensor,
     _check_indices,
     _multiset_difference,
+    _orbits,
+    _over_lcm,
     _row,
     SymTensor,
     all_canonical_tuples,
@@ -77,10 +80,11 @@ class PhasePoint(LineTable):
     ``xi_den**r`` (see ``_contraction``), and x as ``x_nums`` over
     ``x_den``; the samplers build exact points from ints (``_from_ints``).
 
-    Two memos, which live as long as the point, make each value at it one
+    Three memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
     field under ``(sorted fixed, sorted derivs, id(field))`` (see
-    ``_contraction``); each entry also holds its field, so that no id in a
+    ``_contraction``), and ``_john_tables`` its John tables under ``(sorted
+    fixed, id(field))``; each entry also holds its field, so that no id in a
     key can pass to another field while the entry lives.  ``integrals``
     holds line integrals of PolyGauss values under the order and the
     polynomial's stored form, ``(q, poly.key)``, so that a polynomial
@@ -90,13 +94,14 @@ class PhasePoint(LineTable):
     point: the shared exact zero on an exact point, 0.0 on a float one.
     """
 
-    __slots__ = ("zero", "contracted", "integrals")
+    __slots__ = ("zero", "contracted", "integrals", "_john_tables")
 
     def _setup(self, *line) -> None:
         super()._setup(*line)
         self.zero = ExactValue.zero_value() if self.is_exact else 0.0
         self.contracted: dict = {}
         self.integrals: dict = {}
+        self._john_tables: dict = {}
 
     def _translated(self, den: int) -> "PhasePoint":
         """The exact point (x + xi / den, xi), from the point's ints, for an int ``den`` > 0."""
@@ -365,7 +370,12 @@ def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
     """
     if f.n != pt.n:
         raise ValueError("field and point dimensions differ")
-    g = _contraction(f, pt, tuple(sorted(fixed)), tuple(sorted(derivs)))
+    return _sorted_value(f, q, pt, tuple(sorted(fixed)), tuple(sorted(derivs)))
+
+
+def _sorted_value(f: SymTensor, q: int, pt: PhasePoint, fixed: tuple, derivs: tuple):
+    """``_transform_value`` at a sorted ``fixed`` and ``derivs``, read as they are."""
+    g = _contraction(f, pt, fixed, derivs)
     return pt.integral(g, q) if g else pt.zero
 
 
@@ -494,10 +504,12 @@ class MomentExpression:
         Each address is read through the point's memos, which live as long
         as the point: a contraction or line integral of f that any
         evaluation or check at the point has already met is not computed
-        again.
+        again.  The addresses are sorted, so they are read as they are.
         """
         self._same_shape(f.n, f.rank)
-        return _xi_weighted_sum(pt, ((weight, mono, _transform_value(f, q, pt, fixed, derivs))
+        if f.n != pt.n:
+            raise ValueError("field and point dimensions differ")
+        return _xi_weighted_sum(pt, ((weight, mono, _sorted_value(f, q, pt, fixed, derivs))
                                      for (q, fixed, derivs, mono), weight in self.terms),
                                 self.den)
 
@@ -629,7 +641,8 @@ def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> d
     (``_john_chains``), under ``_pair_key(pairs)[0]``.  John operators
     commute and ``J_qp = -J_pq``, so any other ordered chain is a signed
     entry.  Each contraction and line integral the chains read is computed
-    once per point (its ``contracted`` and ``integrals``).
+    once per point, and so is the table (``contracted``, ``integrals``
+    and ``_john_tables``).
     """
     m = f.rank
     if not 0 <= k < m:
@@ -637,8 +650,12 @@ def _john_table(f: SymTensor, k: int, fixed: Sequence[int], pt: PhasePoint) -> d
     if len(fixed) != k:
         raise ValueError(f"expected {k} fixed indices, got {len(fixed)}")
     fixed = tuple(sorted(restriction_indices(f, fixed)))
-    chains = _john_chains(f.n, m, fixed, (john, dx, dxi))
-    return {key: e.evaluate(f, pt) for key, e in chains.items()}
+    hit = pt._john_tables.get((fixed, id(f)))
+    if hit is None:
+        chains = _john_chains(f.n, m, fixed, (john, dx, dxi))
+        hit = pt._john_tables[fixed, id(f)] = (f, {key: e.evaluate(f, pt)
+                                                  for key, e in chains.items()})
+    return hit[1]
 
 
 def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
@@ -647,11 +664,12 @@ def john_power_residual(f: SymTensor, k: int, fixed: Sequence[int],
 
     Compares the John data of each pair multiset p < q with (-2)^(m-k)
     (m-k)! times the scalar transform of the matching alternated-derivative
-    component of the k-fold restriction, read from f's jet.
+    component of the k-fold restriction, read from f's jet; both are built
+    once, per point and per field (``diffops._alternated``).
     """
     table = _john_table(f, k, fixed, pt)
     mk = f.rank - k
-    alt = alternated_derivative(f, fixed)
+    alt = _alternated(f, tuple(sorted(fixed)))
     scale = (-2) ** mk * math.factorial(mk)
     return max((value_diff(lhs, pt.integral(alt.get(key), 0) * scale)
                 for key, lhs in table.items()), default=0.0)
@@ -705,12 +723,16 @@ def collapsed_derivative_residual(f: SymTensor, k: int, fixed: Sequence[int],
     return best
 
 
-def symmetrization_split_residual(t: RawTensor, k: int):
+def symmetrization_split_residual(t: RawTensor, k: int) -> Fraction:
     """Full symmetrization versus its two-term split for block-symmetric input.
 
     The input must be symmetric in its first rank-k and last k positions.
-    Returns the largest absolute component difference, exact on rational
-    tensors (so zero certifies the identity).
+    Returns the largest absolute component difference, an exact Fraction.
+    The split symmetrizes ``(k t + (m - k) rot) / m`` over slots 1..m-1,
+    ``rot`` moving each key's first index last; so on a full orbit of |O|
+    members summing to S, at a member ending in a letter held c times, the
+    difference is (c S - k E - (m - k) B) / (c |O|), E and B the sums over
+    the members that end and begin with it: ints over t's denominator.
     """
     m = t.rank
     if not 0 <= k <= m:
@@ -721,13 +743,20 @@ def symmetrization_split_residual(t: RawTensor, k: int):
         raise ValueError("input not symmetric in its leading block")
     if len(back) >= 2 and symmetrize(t, back) != t:
         raise ValueError("input not symmetric in its trailing block")
+    best = Fraction(0)
     if k == 0:
-        return Fraction(0)
-    lhs = symmetrize(t, tuple(range(1, m + 1)))
-    rot = RawTensor(t.n, m, {key[1:] + key[:1]: v for key, v in t.components.items()}, t.zero)
-    inner = t * Fraction(k) + rot * Fraction(m - k)
-    rhs = (symmetrize(inner, tuple(range(1, m))) if m > 1 else inner) * Fraction(1, m)
-    return max((abs(value) for value in (lhs - rhs).components.values()), default=Fraction(0))
+        return best
+    nums, den = _over_lcm(t.components)
+    for orbit in _orbits(t.components, list(range(m))):
+        values = [nums.get(key, 0) for key in orbit]
+        total = sum(values)
+        for a in set(orbit[0]):
+            c = orbit[0].count(a)
+            ends = sum(v for key, v in zip(orbit, values) if key[-1] == a)
+            begins = sum(v for key, v in zip(orbit, values) if key[0] == a)
+            if diff := abs(c * total - k * ends - (m - k) * begins):
+                best = max(best, Fraction(diff, c * len(orbit) * den))
+    return best
 
 
 def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> float:

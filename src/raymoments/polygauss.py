@@ -214,9 +214,23 @@ class Polynomial:
         first of them; the sum over that lcm times ``row_den`` is normalized
         once.  A tuple whose factor is 1 is added and one whose factor is -1
         subtracted as it is; only other factors take a multiply pass.  No
-        Fraction is built.
+        Fraction is built.  A single pair is scaled in one pass, with no lcm
+        or accumulator: its numerators share no factor with its denominator,
+        so only the weight and ``row_den`` reduce, each by one gcd.
         """
         weighted = list(weighted)
+        if len(weighted) == 1:
+            (weight, poly), = weighted
+            if not (weight and poly):
+                return cls._from_ints(n, 1, ())
+            den = poly.den * row_den
+            g = math.gcd(den, weight)
+            h = math.gcd(den // g, *poly.vec)
+            vec = map(floordiv, poly.vec, repeat(h)) if h > 1 else poly.vec
+            out = object.__new__(cls)
+            out.n, out.den, out._terms = n, den // (g * h), None
+            out.vec = tuple(map(mul, vec, repeat(weight // g)))
+            return out
         den = math.lcm(*(poly.den for _, poly in weighted))
         acc = []
         for weight, poly in weighted:
@@ -924,12 +938,13 @@ def _jet(f: SymTensor, comp, derivs) -> PolyGauss:
     derivative multiset (mixed partials commute), and built from its
     memoized prefix, so each new entry costs one derive.
     """
-    key = (canonical(comp), tuple(sorted(derivs)))
-    hit = f.jet.get(key)
+    hit = f.jet.get((comp, derivs))  # a canonical address hits before any sort
     if hit is None:
-        comp, derivs = key
-        hit = _jet(f, comp, derivs[:-1]).derive(derivs[-1]) if derivs else f.get(comp)
-        f.jet[key] = hit
+        key = comp, derivs = canonical(comp), tuple(sorted(derivs))
+        hit = f.jet.get(key)
+        if hit is None:
+            hit = _jet(f, comp, derivs[:-1]).derive(derivs[-1]) if derivs else f.get(comp)
+            f.jet[key] = hit
     return hit
 
 

@@ -194,14 +194,16 @@ class SymTensor(_SparseTensor):
 
     Component lookup accepts the indices in any order.  ``jet`` memoizes
     the partial derivatives of the components that the operators read (see
-    polygauss._jet); it stays valid because a tensor is never changed after
-    it is built.
+    polygauss._jet), and ``_alternated`` the alternated derivatives of the
+    field per sorted fixed multiset (see diffops._alternated); both stay
+    valid because a tensor is never changed after it is built.
     """
 
     def __init__(self, n: int, rank: int, components: dict | None = None,
                  zero: Any = Fraction(0)):
         self.rank = rank
         self.jet = {}
+        self._alternated = {}
         super().__init__(n, (rank,), components, zero)
 
     def _key(self, key) -> Index:
@@ -251,6 +253,29 @@ def _check_positions(positions: Sequence[int], rank: int) -> tuple[int, ...]:
     return pos
 
 
+def _orbits(keys, slots: list) -> Iterator[list]:
+    """The orbits of ``keys`` under rearranging the 0-based ``slots``, each listed once."""
+    seen: set = set()
+    for key in keys:
+        if key in seen:
+            continue
+        orbit = []
+        for arr in _rearrangements(canonical(key[s] for s in slots)):
+            new = list(key)
+            for s, v in zip(slots, arr):
+                new[s] = v
+            orbit.append(tuple(new))
+        seen.update(orbit)
+        yield orbit
+
+
+def _over_lcm(values: dict) -> tuple[dict, int]:
+    """Ints, Fractions or floats as int numerators over the lcm of their denominators."""
+    ratios = {key: v.as_integer_ratio() for key, v in values.items()}
+    den = math.lcm(*(d for _, d in ratios.values()))
+    return {key: num * (den // d) for key, (num, d) in ratios.items()}, den
+
+
 def symmetrize(t: RawTensor, positions: Sequence[int]) -> RawTensor:
     """Average a raw tensor over all permutations of the selected positions.
 
@@ -258,29 +283,26 @@ def symmetrize(t: RawTensor, positions: Sequence[int]) -> RawTensor:
     rest.  Averaging runs over distinct rearrangements only, which gives the
     same result as the full permutation average.  The members of an orbit
     share their average, so it is taken once per orbit and written to each.
+    On Fractions an orbit's sum is one int sum over the tensor's common
+    denominator (``_over_lcm``); other scalars are added as they are.
     """
     pos = _check_positions(positions, t.rank)
     if not pos:
         raise ValueError("position set must be non-empty")
-    slots = [p - 1 for p in pos]
-    read = t.components.get
+    values, zero = t.components, t.zero
+    nums, den = (_over_lcm(values) if all(type(v) is Fraction for v in values.values())
+                 else (None, 0))
     data = {}
-    for key in t.components:
-        if key in data:
-            continue
-        orbit = []
-        for arr in distinct_rearrangements(tuple(key[s] for s in slots)):
-            new = list(key)
-            for s, v in zip(slots, arr):
-                new[s] = v
-            orbit.append(tuple(new))
-        acc = read(orbit[0], t.zero)
-        for member in orbit[1:]:
-            acc = acc + read(member, t.zero)
-        acc = acc * Fraction(1, len(orbit))
-        for member in orbit:
-            data[member] = acc
-    return t._like(data)
+    for orbit in _orbits(values, [p - 1 for p in pos]):
+        if den:
+            total = sum(map(nums.get, orbit, itertools.repeat(0)))
+            acc = Fraction(total, den * len(orbit)) if total else zero
+        else:
+            total = sum(map(values.get, orbit, itertools.repeat(zero)), zero)
+            acc = total * Fraction(1, len(orbit))
+        if acc != zero:
+            data.update(dict.fromkeys(orbit, acc))
+    return t._trusted(t.n, t.shape, data, zero)
 
 
 def alternate(t: RawTensor, pos_pair: tuple[int, int]) -> RawTensor:

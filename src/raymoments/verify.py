@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .diffops import (
-    alternated_derivative,
+    _alternated,
     alternated_from_saint_venant,
     generalized_saint_venant,
     iterate_d,
@@ -275,7 +275,7 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
 
     # operator-level identities, certified by exact coefficient arithmetic
     if m >= 1:
-        alt = alternated_derivative(f)
+        alt = _alternated(f, ())
         w_direct = saint_venant(f)
         w_from_alt = saint_venant_from_alternated(alt)
         record("sv-alternation-equivalence",

@@ -22,6 +22,8 @@ from raymoments import (
     generate_potential,
     inner_derivative,
     iterate_d,
+    john_power_residual,
+    random_phase_point,
     restriction_relation_residual,
     restrict,
     saint_venant,
@@ -610,6 +612,30 @@ class TestAlternatedDerivative:
         assert f.jet and all(len(comp) == 3 and 2 in comp and len(derivs) <= 2
                              for comp, derivs in f.jet)
         assert any(len(derivs) == 2 for _, derivs in f.jet)
+
+    def test_built_once_per_field_and_fixed_multiset(self, monkeypatch):
+        # the restriction relation keeps each restricted alternated
+        # derivative for the life of the field; the John residuals read them
+        calls = []
+        original = diffops.alternated_derivative
+        monkeypatch.setattr(diffops, "alternated_derivative",
+                            lambda g, fixed=(): calls.append(fixed) or original(g, fixed))
+        f = random_field(3, 3, 1, "altonce")
+        assert restriction_relation_residual(f, 1) == 0
+        assert calls == [(1,), (2,), (3,)]
+        rng = random.Random(46)
+        for fixed in ((2,), (3,), (1,)):
+            assert john_power_residual(f, 1, fixed, random_phase_point(3, rng)) == 0.0
+        assert restriction_relation_residual(f, 1) == 0
+        assert len(calls) == 3
+        kept = diffops._alternated(f, (2,))
+        assert kept is f._alternated[(2,)] and kept == original(f, (2,))
+        # another field, or another fixed multiset, builds its own
+        assert john_power_residual(f, 2, (2, 1), random_phase_point(3, rng)) == 0.0
+        assert calls[3:] == [(1, 2)]
+        g = random_field(3, 3, 1, "altonce:g")
+        assert john_power_residual(g, 1, (2,), random_phase_point(3, rng)) == 0.0
+        assert calls[4:] == [(2,)]
 
     @pytest.mark.parametrize("fixed", [(1, 2), (2, 2, 1), (0,), (3,), (1, 3), (True,)])
     def test_fixed_address_rejected(self, fixed):

@@ -14,6 +14,7 @@ from raymoments import (
     PhasePoint,
     PolyGauss,
     Polynomial,
+    RawTensor,
     TSPoint,
     all_canonical_tuples,
     collapsed_derivative_residual,
@@ -1210,6 +1211,30 @@ class TestJohnTable:
         assert john_power_residual(e, 1, (2,), random_phase_point(4, rng)) == 0.0
         assert len(calls) == before + math.comb(4, 2)
 
+    def test_collapsed_after_john_power_evaluates_nothing(self, monkeypatch):
+        # both John checks of a sample read one table per point, field and
+        # fixed multiset, and the collapsed right side is read by address
+        f = random_field(3, 3, 2, "johnshared")
+        rng = random.Random(44)
+        pt = random_phase_point(3, rng)
+        want = _john_table(f, 1, (3,), PhasePoint(pt.x, pt.xi))
+        assert john_power_residual(f, 1, (3,), pt) == 0.0
+        calls = []
+        evaluate = MomentExpression.evaluate
+        monkeypatch.setattr(MomentExpression, "evaluate",
+                            lambda e, g, p: calls.append(e) or evaluate(e, g, p))
+        assert collapsed_derivative_residual(f, 1, (3,), pt) == 0.0
+        assert calls == []
+        # the kept table is the one a fresh point evaluates, held with its field
+        held, table = pt._john_tables[((3,), id(f))]
+        assert held is f and table == want
+        # another fixed multiset, point or field evaluates its own: 6 chains each
+        assert collapsed_derivative_residual(f, 1, (1,), pt) == 0.0
+        assert collapsed_derivative_residual(f, 1, (3,), PhasePoint(pt.x, pt.xi)) == 0.0
+        assert collapsed_derivative_residual(random_field(3, 3, 2, "johnshared:g"), 1, (3,),
+                                             pt) == 0.0
+        assert len(calls) == 3 * 6
+
     @pytest.mark.parametrize("n,m,k", [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 3, 1),
                                        (2, 4, 1)])
     def test_relabelled_chains_equal_the_chains_built_at_fixed(self, n, m, k):
@@ -1350,6 +1375,57 @@ class TestSymmetrizationSplit:
         if k >= 2:
             t = symmetrize(t, tuple(range(m - k + 1, m + 1)))
         assert symmetrization_split_residual(t, k) == 0
+
+
+def _split_residual_reference(t, k):
+    """The split residual as full Fraction tensors, symmetrized over every permutation."""
+    from conftest import brute_symmetrize
+    m = t.rank
+    lhs = brute_symmetrize(t, tuple(range(1, m + 1)))
+    rot = RawTensor(t.n, m, {key[1:] + key[:1]: v for key, v in t.components.items()}, t.zero)
+    inner = t * Fraction(k) + rot * Fraction(m - k)
+    rhs = (brute_symmetrize(inner, tuple(range(1, m))) if m > 1 else inner) * Fraction(1, m)
+    return max((abs(value) for value in (lhs - rhs).components.values()), default=Fraction(0))
+
+
+class TestSplitResidualInInts:
+    """The split residual compared orbit by orbit in int numerators."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_zero_on_every_block_symmetric_tensor(self, n, m):
+        from raymoments import symmetrize
+        for k in range(m + 1):
+            t = random_raw(n, m, random.Random(f"split:{n}:{m}:{k}"))
+            if m - k >= 2:
+                t = symmetrize(t, tuple(range(1, m - k + 1)))
+            if k >= 2:
+                t = symmetrize(t, tuple(range(m - k + 1, m + 1)))
+            got = symmetrization_split_residual(t, k)
+            assert type(got) is Fraction and got == 0, k
+
+    @pytest.mark.parametrize("m,k,message", [(3, 1, "leading"), (3, 2, "trailing"),
+                                             (4, 2, "leading")])
+    def test_non_symmetric_block_rejected(self, m, k, message):
+        t = random_raw(2, m, random.Random(f"split:bad:{m}:{k}"))
+        with pytest.raises(ValueError, match=f"not symmetric in its {message} block"):
+            symmetrization_split_residual(t, k)
+        with pytest.raises(ValueError, match="outside"):
+            symmetrization_split_residual(t, m + 1)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_matches_the_fraction_tensors_off_the_identity(self, monkeypatch, n, m):
+        # with the block checks passed by, a tensor that is not block
+        # symmetric gives a nonzero residual, the same Fraction either way
+        monkeypatch.setattr(moments, "symmetrize", lambda t, positions: t)
+        nonzero = 0
+        for k in range(1, m + 1):
+            for seed in range(3):
+                t = random_raw(n, m, random.Random(f"split:off:{n}:{m}:{k}:{seed}"))
+                got = symmetrization_split_residual(t, k)
+                assert type(got) is Fraction and got == _split_residual_reference(t, k)
+                nonzero += got != 0
+        assert nonzero or n == 1
 
 
 class TestRestrictionContraction:

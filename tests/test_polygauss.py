@@ -789,6 +789,51 @@ class TestIntStorage:
             assert zero == Polynomial.zero(2)
 
 
+@st.composite
+def _one_source_rows(draw):
+    """One polynomial of dimension 1..3 and degree <= 5 (possibly zero), an int
+    weight in [-50, 50] and a row denominator in [1, 30]."""
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple).filter(
+        lambda e: sum(e) <= 5)
+    coef = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 5, 6, 9, 12)))
+    terms = draw(st.one_of(st.just({}), st.dictionaries(monomial, coef, max_size=8)))
+    return n, terms, draw(st.integers(-50, 50)), draw(st.integers(1, 30))
+
+
+class TestFromWeightedOneSource:
+    """A row of one source is scaled in one pass: the same stored form as the
+    general path and as the Fraction reference."""
+
+    @given(_one_source_rows())
+    @example((2, {(1, 0): Fraction(2, 3), (0, 2): Fraction(4, 3)}, 0, 6))
+    @example((2, {}, 7, 6))
+    @example((2, {(1, 0): Fraction(2, 3), (0, 2): Fraction(4, 3)}, 9, 6))
+    @example((1, {(3,): Fraction(5)}, -1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_general_path_and_fraction_reference(self, row):
+        n, terms, weight, row_den = row
+        poly = Polynomial(n, terms)
+        got = Polynomial._from_weighted(n, [(weight, poly)], row_den)
+        # a second pair of weight 0 takes the general path to the same sum
+        general = Polynomial._from_weighted(n, [(weight, poly), (0, poly)], row_den)
+        ref = Polynomial(n, {e: weight * c / row_den for e, c in poly.terms.items()})
+        assert got.key == general.key == ref.key
+        assert type(got.vec) is tuple and all(type(num) is int for num in got.vec)
+        assert math.gcd(got.den, *got.vec) == 1 and (not got.vec or got.vec[-1])
+        assert got == ref and got.terms == ref.terms
+
+    @pytest.mark.parametrize("weight,terms", [
+        (0, {(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 4)}),
+        (5, {}),
+        (0, {}),
+    ], ids=["zero-weight", "zero-polynomial", "both"])
+    def test_zero_is_the_canonical_zero(self, weight, terms):
+        got = Polynomial._from_weighted(2, [(weight, Polynomial(2, terms))], 6)
+        assert (got.den, got.vec) == (1, ())
+        assert got == Polynomial.zero(2) and not got
+
+
 def _index_order(e):
     """By degree, then descending lexicographic: the order of the graded index."""
     return sum(e), tuple(-v for v in e)

@@ -20,6 +20,8 @@ from raymoments import (
     symmetrize,
     tuple_multiplicity,
 )
+import raymoments.symtensor as symtensor
+from raymoments.polygauss import random_polynomial
 from raymoments.symtensor import _row, distinct_rearrangements
 from conftest import brute_symmetrize, random_raw
 
@@ -241,6 +243,55 @@ class TestSymmetrize:
                 got = symmetrize(t, group)
                 assert got == _reference_symmetrize(t, group), group
                 assert all(value != 0 for value in got.components.values())
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(), st.sampled_from([0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_int_orbit_sums_match_brute_force(self, n, rank, seed, density):
+        # Fractions over mixed denominators, and orbits whose values cancel
+        rng = random.Random(seed)
+        data = {idx: Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 7)))
+                for idx in itertools.product(range(1, n + 1), repeat=rank)
+                if rng.random() < density}
+        for key in list(data)[::2]:
+            swapped = key[::-1]
+            if swapped != key and swapped not in data:
+                data[swapped] = -data[key]  # at rank 2 their orbit sums to zero
+        t = RawTensor(n, rank, data)
+        for size in range(1, rank + 1):
+            for group in itertools.combinations(range(1, rank + 1), size):
+                got = symmetrize(t, group)
+                assert got == brute_symmetrize(t, group), group
+                assert all(type(v) is Fraction and v for v in got.components.values())
+
+    def test_orbits_list_each_key_once(self):
+        keys = list(itertools.product((1, 2, 3), repeat=3))
+        for slots in ([0, 1, 2], [0, 2], [1]):
+            orbits = list(symtensor._orbits(keys, slots))
+            assert sorted(key for orbit in orbits for key in orbit) == keys, slots
+
+    def test_cancelling_orbit_stores_nothing(self):
+        t = RawTensor(3, 2, {(1, 2): Fraction(2, 7), (2, 1): Fraction(-2, 7),
+                             (3, 3): Fraction(5, 3)})
+        assert symmetrize(t, (1, 2)).components == {(3, 3): Fraction(5, 3)}
+
+    def test_other_scalars_take_the_generic_path(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("summed in ints")
+
+        rng = random.Random(55)
+        ints = RawTensor(2, 3, {idx: rng.randint(-9, 9)
+                                for idx in itertools.product((1, 2), repeat=3)}, 0)
+        fields = RawTensor(2, 2, {idx: PolyGauss(random_polynomial(2, 2, rng))
+                                  for idx in itertools.product((1, 2), repeat=2)},
+                           PolyGauss.zero(2))
+        mixed = RawTensor(2, 2, {(1, 2): Fraction(1, 3), (2, 1): 2, (1, 1): Fraction(5)})
+        want = {id(t): [_reference_symmetrize(t, group) for group in ((1, 2), (1,))]
+                for t in (ints, fields, mixed)}
+        monkeypatch.setattr(symtensor, "_over_lcm", refuse)
+        for t in (ints, fields, mixed):
+            assert [symmetrize(t, group) for group in ((1, 2), (1,))] == want[id(t)]
+        with pytest.raises(AssertionError, match="summed in ints"):
+            symmetrize(frac_raw(2, 2, 56), (1, 2))
 
     def test_linearity(self):
         a = frac_raw(2, 3, 11)

@@ -642,9 +642,10 @@ class TestRewriteCount:
     under relabelling the coordinates), so the ``dx`` and ``dxi`` calls of a
     verdict do not grow with the samples that evaluate them.
     The collapsed-derivative check reads its right side by address, with
-    no rewrite.  Each expression is evaluated once per field, point and
-    check: a directional derivative is one expression, the xi-weighted sum
-    of its gradient, and so is the right side of restriction-contraction.
+    no rewrite.  Each expression is evaluated once per field and point: a
+    directional derivative is one expression, the xi-weighted sum of its
+    gradient, and so is the right side of restriction-contraction, and the
+    John table that both John checks of a sample read is evaluated once.
     """
 
     IDENT_MIXED = ["--suite", "identities", "--n", "3", "--m", "3", "--k", "1",
@@ -666,8 +667,8 @@ class TestRewriteCount:
 
     @pytest.mark.parametrize("argv,dx_calls,dxi_calls,evaluate_calls", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 16, 16, 140),
-        (IDENT_MIXED, 31, 31, 51),
+          "--samples", "20", "--degree", "6"], 16, 16, 120),
+        (IDENT_MIXED, 31, 31, 33),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
           "--samples", "2", "--degree", "2"], 0, 0, 0),
     ], ids=["ident-moments", "ident-mixed", "kernel-op"])
@@ -680,7 +681,29 @@ class TestRewriteCount:
         # rewrites, so none of them is served to the patched ones
         assert main(self.IDENT_MIXED + ["--seed", "7", "--format", "json"]) == 0
         capsys.readouterr()
-        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (31, 31, 51)
+        assert self.count(monkeypatch, capsys, self.IDENT_MIXED) == (31, 31, 33)
+
+
+class TestBuiltOnce:
+    """Each alternated derivative of a verdict is built once per fixed
+    multiset: the verdict's own, and those of the restriction relation, which
+    every John residual reads."""
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
+          "--samples", "2", "--degree", "2"], 0),
+        (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
+          "--samples", "20", "--degree", "6"], 3),
+        (TestRewriteCount.IDENT_MIXED, 4),
+    ], ids=["kernel-op", "ident-moments", "ident-mixed"])
+    def test_alternated_derivative_calls(self, monkeypatch, capsys, argv, calls):
+        seen = []
+        original = diffops.alternated_derivative
+        monkeypatch.setattr(diffops, "alternated_derivative",
+                            lambda f, fixed=(): seen.append(fixed) or original(f, fixed))
+        assert main(argv + ["--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(seen) == len(set(seen)) == calls
 
 
 class TestFractionCount:
