@@ -14,7 +14,7 @@ be evaluated exactly on rational lines.  Every point, exact or float, keeps
 its direction as ints, contracts the field with it once per restriction, in
 ints, and differentiates that one polynomial, so each datum costs one derive
 and one line integral at most, taken on the point, which is its own line
-table (an exact value; on a float point, that value rounded once).  A datum
+table (an exact value; on a float point, that value correctly rounded).  A datum
 is read from the field's jet only when it is fully restricted: then there is
 nothing to contract, and every point and the operators share the jet's
 derivative.  Exact values are summed as int pairs (``ExactValue.sum``), and
@@ -72,7 +72,7 @@ class PhasePoint(LineTable):
     A point is the LineTable of its line x + t*xi, which decides its
     scalars: coordinates are kept exact when every entry is rational,
     otherwise they are floats, and so are the line integrals taken at the
-    point, each the exact integral on the same dyadic line rounded once.
+    point, each the exact integral on the same dyadic line correctly rounded.
     ``s`` = |xi|^2 and ``c`` = x.xi are exact either way.  The point keeps
     its direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
     denominators of xi (a power of 2 on a float point), so that the

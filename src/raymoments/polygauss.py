@@ -25,7 +25,8 @@ coef * sqrt(root) * sqrt(pi) * exp(exponent), with rational root and
 exponent and the coefficient as an int numerator over an int denominator,
 reduced by one gcd (see ExactValue).  A finite float is a dyadic rational,
 so a float line is a rational line too: it takes the same int table, and
-its line integral is the exact value rounded once to a float.
+its line integral is the exact value correctly rounded to a float
+(see ExactValue.__float__).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import bisect
 import functools
 import math
 import random
-import sys
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
+                     InvalidOperation, localcontext)
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, itemgetter, mul, sub
@@ -44,7 +46,12 @@ import numpy as np
 
 from .symtensor import SymTensor, all_canonical_tuples, canonical
 
-_SQRT_PI = math.sqrt(math.pi)
+# for ExactValue.__float__: sqrt(pi) to 80 digits, and 40-digit decimals with
+# no exponent limit that leave Overflow untrapped, whatever the caller's context
+_SQRT_PI = Decimal(
+    "1.7724538509055160272981674833411451827975494561223871282138077898529112845910322")
+_DECIMAL = Context(prec=40, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                   traps=[InvalidOperation, DivisionByZero])
 
 
 def is_rational(value) -> bool:
@@ -619,40 +626,29 @@ class ExactValue:
     __rmul__ = __mul__
 
     def __float__(self) -> float:
-        """The value as a float; OverflowError only if it is out of range.
+        """The value as the nearest float; OverflowError if it is above the float range.
 
-        The product of the three factors as floats, unless one of them or
-        the product of the first two overflows or underflows, or the product
-        overflows.  A num / den that may be subnormal is taken 2^200 larger,
-        and the product 2^200 smaller.  Otherwise each factor is split into a
-        power of 2 and a float in range: num / den and root by their bit
-        lengths, and exp(exponent) as 2^k exp(r), with k the int nearest
-        exponent / ln 2 and r = exponent - k ln 2 in exact rationals
-        (``_LN2``, ln 2 to 160 bits); one ldexp scales the product of the
-        parts.
+        One evaluation of num / den * sqrt(root) * sqrt(pi) * exp(exponent)
+        in 40-digit decimals with no exponent limit, rounded once by
+        ``float(Decimal)``.  Each of its eight decimal operations is
+        correctly rounded, so the decimal is within (8 + |exponent|) * 5e-40
+        of the value, relative, and the float is the nearest one to the
+        value unless the value lies that close to a midpoint between two
+        floats.  The decimals are ``_DECIMAL``'s, not the caller's.  A value
+        below the float range is a zero of its sign; Overflow is not trapped,
+        so a value above the range reads as infinite, and that raises
+        OverflowError.
         """
-        num, den = self.num, self.den
+        num, den, root, exponent = self.num, self.den, self.root, self.exponent
         if not num:
             return 0.0
-        root, exponent = self.root, self.exponent
-        shift = 200 if den.bit_length() - num.bit_length() > 1020 else 0
-        try:
-            # num / den is correctly rounded, as float(Fraction(num, den))
-            parts = ((num << shift) / den, math.sqrt(float(root)), math.exp(float(exponent)))
-        except OverflowError:
-            parts = ()
-        if parts and min(*map(abs, parts), abs(parts[0] * parts[1])) >= sys.float_info.min:
-            value = math.ldexp(parts[0] * parts[1] * _SQRT_PI * parts[2], -shift)
-            if math.isfinite(value):
-                return value
-        k = round(exponent / _LN2)
-        a = num.bit_length() - den.bit_length()
-        rn, rd = root.numerator, root.denominator
-        b = (rn.bit_length() - rd.bit_length()) // 2  # sqrt(root) = 2^b sqrt(root / 4^b)
-        parts = ((num << max(-a, 0)) / (den << max(a, 0)),
-                 math.sqrt((rn << max(-2 * b, 0)) / (rd << max(2 * b, 0))),
-                 math.exp(float(exponent - k * _LN2)))
-        return math.ldexp(parts[0] * parts[1] * _SQRT_PI * parts[2], a + b + k)
+        with localcontext(_DECIMAL):
+            value = (Decimal(num) / den * (Decimal(root.numerator) / root.denominator).sqrt()
+                     * _SQRT_PI * (Decimal(exponent.numerator) / exponent.denominator).exp())
+        result = float(value)
+        if math.isinf(result):
+            raise OverflowError("exact value is above the float range")
+        return result
 
     @classmethod
     def zero_value(cls) -> "ExactValue":
@@ -663,7 +659,6 @@ class ExactValue:
 _set = object.__setattr__
 _ZERO = ExactValue(0)
 _ONE = Fraction(1)
-_LN2 = Fraction(0xb17217f7d1cf79abc9e3b39803f2f6af40f34326, 1 << 160)  # ln 2, within 2^-161
 
 
 def _line_data(x: Sequence, xi: Sequence):
@@ -697,7 +692,7 @@ class LineTable:
     line is read exactly: a finite float is an int over a power of 2
     (``float.as_integer_ratio``), so every table is the int table of a
     rational line, and ``is_exact`` only decides whether line_moment returns
-    an ExactValue or that value rounded to a float.  With s = |xi|^2 and
+    an ExactValue or that value correctly rounded to a float.  With s = |xi|^2 and
     c = x.xi, completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
@@ -833,7 +828,7 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
 
     The dot product of g's numerators with row q of the line's moment table,
     times sqrt(pi/s) * exp(exponent): an ExactValue, or on a float line that
-    value rounded once to a float.  With the line's scale L, g's numerators
+    value correctly rounded to a float.  With the line's scale L, g's numerators
     over ``den``, of top degree D, are summed one degree block d at a time,
     S_d = the sum of num * A_q(e) over the tuples e of degree d, one
     ``sum(map(mul, ...))`` over two aligned slices; Horner's rule in L^2

@@ -1,9 +1,10 @@
 import copy
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Inexact, Overflow, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from raymoments import (
     sym_field,
 )
 from raymoments.moments import value_diff
-from raymoments.polygauss import _LN2, _monomials, random_polynomial
+from raymoments.polygauss import _monomials, random_polynomial
 from conftest import assert_same_table, termwise_mass
 
 SQRT_PI = math.sqrt(math.pi)
@@ -201,16 +202,26 @@ def _float_recurrence_bound(floaty, terms, q) -> float:
     return (u * steps * mass + spread) * scale + 2 * tiny
 
 
-def _decimal_value(v):
-    """coef * sqrt(root) * sqrt(pi) * exp(exponent) in 40-digit decimals, then as a float."""
-    with localcontext() as ctx:
-        ctx.prec = 40
+def _reference(v):
+    """coef * sqrt(root) * sqrt(pi) * exp(exponent) as a 70-digit mpmath number."""
+    with mpmath.workdps(70):
+        return (mpmath.mpf(v.num) / v.den
+                * mpmath.sqrt(mpmath.mpf(v.root.numerator) / v.root.denominator)
+                * mpmath.sqrt(mpmath.pi)
+                * mpmath.exp(mpmath.mpf(v.exponent.numerator) / v.exponent.denominator))
 
-        def dec(q):
-            return Decimal(q.numerator) / Decimal(q.denominator)
 
-        value = dec(v.coef) * dec(v.root).sqrt() * dec(v.exponent).exp()
-    return float(value) * SQRT_PI
+def _reference_float(v):
+    """The 70-digit reference of ``v`` rounded once to a float.
+
+    The mpf is made an exact Fraction first: float(Fraction) rounds correctly
+    over the whole range, subnormals included, and float(mpf) need not under
+    gradual underflow.
+    """
+    value = _reference(v)
+    man, exp = value.man_exp  # the magnitude: man_exp drops the sign
+    magnitude = Fraction(man) * Fraction(2) ** exp
+    return float(magnitude if value > 0 else -magnitude)
 
 
 def _place(e):
@@ -977,10 +988,20 @@ class TestExactValue:
         results = (v.scaled(3), -v, v + v, v - v)
         assert all(type(x) is Fraction for r in results for x in fields(r))
 
-    def test_float_is_the_direct_product_when_every_factor_fits(self):
+    def test_float_is_correctly_rounded(self):
+        # the nearest float to -7/3 * sqrt(5/2) * sqrt(pi) * exp(-11/4)
         v = ExactValue(Fraction(-7, 3), Fraction(5, 2), Fraction(-11, 4))
-        assert float(v) == (float(v.coef) * math.sqrt(float(v.root)) * SQRT_PI
-                            * math.exp(float(v.exponent)))
+        assert float(v) == -0.41803428397115217 == _reference_float(v)
+
+    def test_float_ignores_the_callers_decimal_context(self):
+        # the caller's precision, rounding and traps do not reach the conversion
+        v = ExactValue(Fraction(-7, 3), Fraction(5, 2), Fraction(-11, 4))
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 3, ROUND_FLOOR
+            ctx.traps[Inexact] = ctx.traps[Overflow] = True
+            assert float(v) == -0.41803428397115217
+            with pytest.raises(OverflowError):
+                float(ExactValue(Fraction(-1), Fraction(1), Fraction(10 ** 400)))
 
     @pytest.mark.parametrize("coef, root, exponent", [
         (Fraction(10 ** 400), Fraction(1), Fraction(-900)),      # coef overflows, about 2.4e9
@@ -994,28 +1015,37 @@ class TestExactValue:
          Fraction(106699, 365)),
     ])
     def test_float_of_a_value_whose_factors_leave_the_float_range(self, coef, root, exponent):
-        # each factor split into a power of 2 and a float in range: the
-        # float is within a few roundings of the 40-digit reference
+        # no factor needs to be a float: the value is the nearest float to
+        # the 70-digit reference
         v = ExactValue(coef, root, exponent)
-        reference = _decimal_value(v)
-        assert abs(float(v) - reference) <= 4 * math.ulp(reference)
-
-    def test_ln2_is_ln2_to_160_bits(self):
-        with localcontext() as ctx:
-            ctx.prec = 100
-            error = Decimal(_LN2.numerator) / Decimal(_LN2.denominator) - Decimal(2).ln()
-        assert abs(error) <= Decimal(2) ** -161
+        assert float(v).hex() == _reference_float(v).hex()
 
     @pytest.mark.parametrize("coef, root, exponent", [
         (Fraction(-3, 2 ** 1030), Fraction(4, 9), Fraction(0)),   # a subnormal value
         (Fraction(7, 2 ** 1025), Fraction(5, 2), Fraction(-1, 3)),  # a normal one, about 3.9e-308
     ])
     def test_float_of_a_subnormal_quotient_is_rounded_once(self, coef, root, exponent):
-        # num / den is subnormal: the float is within the two roundings of the
-        # 40-digit reference, not |log| u relative off as the logs would give
+        # num / den is subnormal: the value is still rounded once, to the
+        # nearest float to the 70-digit reference
         v = ExactValue(coef, root, exponent)
-        reference = _decimal_value(v)
-        assert abs(float(v) - reference) <= 2 * math.ulp(reference)
+        assert float(v).hex() == _reference_float(v).hex()
+
+    @given(st.integers(-10 ** 30, 10 ** 30).filter(bool), st.integers(1, 10 ** 30),
+           st.integers(1, 10 ** 30), st.integers(1, 10 ** 30),
+           st.integers(-50_000, 50_000), st.integers(1, 100), st.integers(-1080, 1023))
+    @example(1, 1, 1, 1, 574_817, 1000, 0)        # exp(574.8) scaled into range
+    @example(-3, 1, 4, 9, 0, 1, -1074)             # about the least subnormal
+    @settings(max_examples=300, deadline=None)
+    def test_float_is_the_nearest_float_to_a_reference(self, num, den, rn, rd, en, ed, target):
+        # coef * sqrt(root) * sqrt(pi) * exp(exponent), its coefficient scaled
+        # by a power of 2 so that |value| lies in [2^target, 2^(target + 1)):
+        # normal values, subnormal ones and ones that round to a signed zero,
+        # each the nearest float to the 70-digit reference
+        v = ExactValue(Fraction(num, den), Fraction(rn, rd), Fraction(en, ed))
+        man, exp = _reference(v).man_exp  # |value| in [2^(exp + bits - 1), 2^(exp + bits))
+        scale = target + 1 - exp - man.bit_length()
+        v = ExactValue(v.coef * Fraction(2) ** scale, v.root, v.exponent)
+        assert float(v).hex() == _reference_float(v).hex()
 
     @pytest.mark.parametrize("coef, exponent", [
         (Fraction(10 ** 400), Fraction(0)),
