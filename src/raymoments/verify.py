@@ -13,13 +13,22 @@ the ``value_diff`` magnitude of an exact difference, which is 0.0 only for
 an exact zero.  An identity passes iff its residual is zero; a witness check
 (a quantity that must be nonzero) passes iff its residual, the witness
 magnitude, is nonzero.  There is no tolerance.
+
+The command line (``main``) reads its ten flags from one table,
+``_OPTIONS``, with the stdlib ``getopt``: ``--name value``, ``--name=value``
+and unique prefixes, as argparse reads them.  A bad flag, a bad or
+mismatched field file, a run over the size budget (``TABLE_BUDGET``,
+``SAMPLES_BUDGET``) and an ``--out`` file that cannot be written all exit
+with code 2 and argparse's ``usage:`` and ``raymoments: error:`` lines on
+stderr, before any check runs; an over-budget run exits before it builds
+any field, point or polynomial.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
+import getopt
 import io
 import itertools
 import json
@@ -343,8 +352,12 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
 
 # The most entries one line table of a command line run may reach (see
 # _run_cost), and the tables of all its samples, which the kernel suite
-# draws up front; a run estimated above either exits with code 2 before it
-# builds any point or polynomial.  Library calls are not bounded.
+# draws up front.  The identities suite's dense block tensor
+# (_random_block_symmetric, n^max(m, 1) entries) and its alternation reads
+# (2^m for each of the C(C(n, 2) + m - 1, m) rows of
+# diffops._alternation_stencil) are held to TABLE_BUDGET too.  A run
+# estimated above any of them exits with code 2 before it builds any point
+# or polynomial.  Library calls are not bounded.
 TABLE_BUDGET = 100_000
 SAMPLES_BUDGET = 20 * TABLE_BUDGET
 
@@ -575,74 +588,113 @@ def render_report(results: list[SuiteResult], config: SuiteConfig, fmt: str) -> 
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="raymoments",
-        description="Verify momentum ray transform and Saint Venant operator "
-                    "identities on random polynomial-Gaussian tensor fields.")
-    parser.add_argument("--suite", choices=("kernel", "identities", "all"),
-                        default="all")
-    parser.add_argument("--n", type=int, default=2, help="ambient dimension")
-    parser.add_argument("--m", type=int, default=2, help="tensor rank")
-    parser.add_argument("--k", type=int, default=1, help="operator order")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--degree", type=int, default=2,
-                        help="polynomial degree of random fields")
-    parser.add_argument("--samples", type=int, default=20,
-                        help="sampled lines per check family")
-    parser.add_argument("--format", dest="fmt",
-                        choices=("json", "csv", "text"), default="text")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="write the report to FILE instead of stdout")
-    parser.add_argument("--field", metavar="FILE", default=None,
-                        help="load the test field from FILE instead of drawing "
-                             "it from the seed")
-    return parser
+# flag: (int, str for a file name, or the tuple of its choices; default; help line)
+_OPTIONS = {
+    "suite": (("kernel", "identities", "all"), "all", "suites to run"),
+    "n": (int, 2, "ambient dimension"),
+    "m": (int, 2, "tensor rank"),
+    "k": (int, 1, "operator order"),
+    "seed": (int, 7, "seed of the drawn fields and lines"),
+    "degree": (int, 2, "polynomial degree of random fields"),
+    "samples": (int, 20, "sampled lines per check family"),
+    "format": (("json", "csv", "text"), "text", "report format"),
+    "out": (str, None, "write the report to FILE instead of stdout"),
+    "field": (str, None, "load the test field from FILE instead of drawing it from the seed"),
+}
+_USAGE = "usage: raymoments [-h] " + " ".join(
+    f"[--{name} {name.upper() if kind is int else 'FILE' if kind is str else '{' + ','.join(kind) + '}'}]"
+    for name, (kind, _, _) in _OPTIONS.items())
+
+
+def _fail(message: str):
+    """Exit with code 2 as argparse does: the usage line, then the error, on stderr."""
+    sys.stderr.write(f"{_USAGE}\nraymoments: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv=None) -> dict:
+    """The flag values of ``argv`` (default ``sys.argv[1:]``), keyed as in _OPTIONS.
+
+    As argparse would: ``--name value``, ``--name=value`` and unique
+    prefixes are accepted and the last of a repeated flag wins; ``-h`` or
+    ``--help`` prints the help and exits 0, and a bad argv exits 2.
+    """
+    try:
+        opts, rest = getopt.getopt(sys.argv[1:] if argv is None else argv, "h",
+                                   ["help", *(name + "=" for name in _OPTIONS)])
+    except getopt.GetoptError as exc:
+        _fail(str(exc))
+    if rest:
+        _fail(f"unrecognized arguments: {' '.join(rest)}")
+    args = {name: default for name, (_, default, _) in _OPTIONS.items()}
+    for flag, value in opts:
+        name = flag.lstrip("-")
+        if name in ("h", "help"):
+            print(_USAGE, "", *(f"  --{option:<8} {text}" if default is None else
+                                f"  --{option:<8} {text} (default: {default})"
+                                for option, (_, default, text) in _OPTIONS.items()), sep="\n")
+            raise SystemExit(0)
+        kind = _OPTIONS[name][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(f"argument --{name}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            _fail(f"argument --{name}: invalid choice: {value!r} "
+                  f"(choose from {', '.join(map(repr, kind))})")
+        args[name] = value
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = SuiteConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
-                         degree=args.degree, samples=args.samples, fmt=args.fmt)
+    args = parse_args(argv)
+    config = SuiteConfig(n=args["n"], m=args["m"], k=args["k"], seed=args["seed"],
+                         degree=args["degree"], samples=args["samples"], fmt=args["format"])
     try:
         config.validate()
     except ValueError as exc:
-        parser.error(str(exc))
-    n, degree, raw = config.n, config.degree, None
-    if args.field is not None:
+        _fail(str(exc))
+    n, m, degree, raw = config.n, config.m, config.degree, None
+    if args["field"] is not None:
         try:
-            with open(args.field, "r", encoding="utf-8") as handle:
+            with open(args["field"], "r", encoding="utf-8") as handle:
                 raw = _read_field(handle.read())
         except OSError as exc:
-            parser.error(f"cannot read field file: {exc}")
+            _fail(f"cannot read field file: {exc}")
         except FieldParseError as exc:
-            parser.error(f"bad field file: {exc}")
+            _fail(f"bad field file: {exc}")
         n = raw[0]
         degree = max(degree, max((sum(exps) for terms in raw[2].values()
                                   for exps in terms), default=0))
-    top, dense, table = _run_cost(n, config.m, config.k, degree, args.suite)
+    top, dense, table = _run_cost(n, m, config.k, degree, args["suite"])
     if table > TABLE_BUDGET:
-        parser.error(f"run too large: polynomials of degree up to {top} in {n} "
-                     f"variables ({dense} coefficients each) need line tables of "
-                     f"up to {table} entries, over the limit of {TABLE_BUDGET}")
+        _fail(f"run too large: polynomials of degree up to {top} in {n} "
+              f"variables ({dense} coefficients each) need line tables of "
+              f"up to {table} entries, over the limit of {TABLE_BUDGET}")
     if config.samples * table > SAMPLES_BUDGET:
-        parser.error(f"run too large: {config.samples} samples of line tables of up to "
-                     f"{table} entries, over the limit of {SAMPLES_BUDGET} in all")
+        _fail(f"run too large: {config.samples} samples of line tables of up to "
+              f"{table} entries, over the limit of {SAMPLES_BUDGET} in all")
+    if args["suite"] != "kernel":  # the identities suite's sizes exponential in m
+        for term, size in (("block tensor entries", n ** max(m, 1)),
+                           ("alternation reads", math.comb(math.comb(n, 2) + m - 1, m) * 2 ** m)):
+            if size > TABLE_BUDGET:
+                _fail(f"run too large: the identities suite needs {size} {term}, "
+                      f"over the limit of {TABLE_BUDGET}")
     if raw is not None:
         config.field = _build_field(*raw)
         try:
             config.validate()
         except ValueError as exc:
-            parser.error(str(exc))
+            _fail(str(exc))
     sink = contextlib.nullcontext(sys.stdout)
-    if args.out:
+    if args["out"]:
         try:
-            sink = open(args.out, "w", encoding="utf-8")
+            sink = open(args["out"], "w", encoding="utf-8")
         except OSError as exc:
-            parser.error(f"cannot write report file: {exc}")
+            _fail(f"cannot write report file: {exc}")
     with sink as handle:
-        results = run_suites(config, args.suite)
+        results = run_suites(config, args["suite"])
         handle.write(render_report(results, config, config.fmt))
     return 0 if all(r.passed for r in results) else 1
 

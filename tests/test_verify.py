@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -428,6 +429,105 @@ class TestCli:
         assert err.value.code == 2
 
 
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser the command line had before it read ``_OPTIONS`` with getopt."""
+    parser = argparse.ArgumentParser(
+        prog="raymoments",
+        description="Verify momentum ray transform and Saint Venant operator "
+                    "identities on random polynomial-Gaussian tensor fields.")
+    parser.add_argument("--suite", choices=("kernel", "identities", "all"),
+                        default="all")
+    parser.add_argument("--n", type=int, default=2, help="ambient dimension")
+    parser.add_argument("--m", type=int, default=2, help="tensor rank")
+    parser.add_argument("--k", type=int, default=1, help="operator order")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--degree", type=int, default=2,
+                        help="polynomial degree of random fields")
+    parser.add_argument("--samples", type=int, default=20,
+                        help="sampled lines per check family")
+    parser.add_argument("--format", dest="fmt",
+                        choices=("json", "csv", "text"), default="text")
+    parser.add_argument("--out", metavar="FILE", default=None,
+                        help="write the report to FILE instead of stdout")
+    parser.add_argument("--field", metavar="FILE", default=None,
+                        help="load the test field from FILE instead of drawing "
+                             "it from the seed")
+    return parser
+
+
+class TestParserParity:
+    """``verify.parse_args`` reads an argv as the argparse reference does."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--n", "3"], ["--n=3"], ["--samp", "3"], ["--n", "3", "--n", "4"],
+        ["--seed", "-5"], ["--suite", "kernel", "--format=csv", "--out", "r.txt",
+                           "--field", "f.json", "--degree", "0", "--m", "5", "--k", "2"],
+    ], ids=["defaults", "space", "equals", "prefix", "repeated", "negative", "every-kind"])
+    def test_equal_values(self, argv):
+        reference = vars(argparse_reference().parse_args(argv))
+        reference["format"] = reference.pop("fmt")
+        assert verify.parse_args(argv) == reference
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "1e-9"], ["--s", "3"], ["--n", "3", "--n"], ["--n", "x"],
+        ["--suite", "nonsense"], ["foo"],
+    ], ids=["unknown", "ambiguous", "no-value", "not-int", "bad-choice", "positional"])
+    def test_errors_exit_two(self, capsys, argv):
+        usages = []
+        for parse in (argparse_reference().parse_args, verify.parse_args):
+            with pytest.raises(SystemExit) as err:
+                parse(argv)
+            assert err.value.code == 2
+            usage, _, message = capsys.readouterr().err.partition("raymoments: error: ")
+            assert usage.startswith("usage: raymoments") and message.strip()
+            usages.append(" ".join(usage.split()))
+        assert usages[0] == usages[1]
+
+    def test_error_messages_of_bad_values(self, capsys):
+        for argv in (["--n", "x"], ["--suite", "nonsense"]):
+            errors = []
+            for parse in (argparse_reference().parse_args, verify.parse_args):
+                with pytest.raises(SystemExit):
+                    parse(argv)
+                errors.append(capsys.readouterr().err.splitlines()[-1])
+            assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            argparse_reference().parse_args([flag])
+        assert err.value.code == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["--n", "3", flag])
+        assert err.value.code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("usage: raymoments [-h] [--suite {kernel,identities,all}]")
+        assert [line.split()[0] for line in out[2:]] == [f"--{name}" for name in verify._OPTIONS]
+
+
+class TestFrontEndImports:
+    def test_a_verdict_imports_neither_argparse_nor_locale(self):
+        # a fresh interpreter: modules loaded at start-up do not count
+        src = pathlib.Path(raymoments.__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import contextlib, io\n"
+            "import raymoments.verify as verify\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = verify.main(sys.argv[1:])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n"
+        )
+        argv = ["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0", "--samples", "2",
+                "--degree", "2", "--seed", "7", "--format", "json"]
+        code, *loaded = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                       text=True, check=True).stdout.split()
+        assert code == "0" and "raymoments.verify" in loaded
+        assert "argparse" not in loaded and "locale" not in loaded
+
+
 class TestGoldenReport:
     """Report bytes pinned to a committed file, not to another run."""
 
@@ -793,12 +893,13 @@ class TestRunBudget:
         monkeypatch.setattr(Polynomial, "__init__", counting_init)
         monkeypatch.setattr(Polynomial, "_from_ints", classmethod(counting_from_ints))
         monkeypatch.setattr(moments, "line_moment", counting_line_moment)
-        args = verify.build_parser().parse_args(argv)
-        top, dense, table = verify._run_cost(args.n, args.m, args.k, args.degree, args.suite)
+        args = verify.parse_args(argv)
+        top, dense, table = verify._run_cost(args["n"], args["m"], args["k"], args["degree"],
+                                             args["suite"])
         assert main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
         assert 0 < built["degree"] <= top
-        assert dense == math.comb(top + args.n, args.n)
+        assert dense == math.comb(top + args["n"], args["n"])
         assert 0 < built["table"] <= table <= verify.TABLE_BUDGET // 10
 
     @staticmethod
@@ -865,6 +966,58 @@ class TestRunBudget:
         capsys.readouterr()
         assert ran == [limit, 20]
 
+    @pytest.mark.parametrize("argv,term", [
+        (["--suite", "identities", "--n", "2", "--m", "40"], "1099511627776 block tensor entries"),
+        (["--suite", "identities", "--n", "3", "--m", "20"], "3486784401 block tensor entries"),
+        (["--suite", "all", "--n", "4", "--m", "7"], "101376 alternation reads"),
+    ], ids=["two-40", "three-20", "four-7"])
+    def test_exponential_identity_sizes_exit_two(self, monkeypatch, capsys, argv, term):
+        # within the table budget at degree 0, but a dense n^m block tensor or
+        # 2^m alternation reads per row over it
+        self._refuse_polynomials(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("a block tensor was drawn")
+
+        monkeypatch.setattr(verify, "_random_block_symmetric", refuse)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--degree", "0"])
+        assert err.value.code == 2
+        assert (f"the identities suite needs {term}, over the limit of {verify.TABLE_BUDGET}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n,m", [(4, 1), (3, 2), (4, 2), (3, 3)])
+    def test_exponential_sizes_are_the_sizes_built(self, monkeypatch, capsys, n, m):
+        # the block tensor's draws and the alternation stencil's reads,
+        # counted at shapes where the reads are the larger
+        draws = []
+
+        class Counting(random.Random):
+            def randint(self, a, b):
+                draws.append((a, b))
+                return super().randint(a, b)
+
+        verify._random_block_symmetric(n, m, 0, Counting(0))
+        reads = len(diffops._alternation_stencil(n, m)) * 2 ** m
+        assert len(draws) < reads
+        ran = []
+        monkeypatch.setattr(verify, "run_suites", lambda config, which: ran.append(which) or [])
+        monkeypatch.setattr(verify, "_run_cost", lambda *args: (0, 1, 0))
+        argv = ["--suite", "identities", "--n", str(n), "--m", str(m), "--k", "0"]
+        for budget, refusal in ((0, f"needs {len(draws)} block tensor entries,"),
+                                (reads - 1, f"needs {reads} alternation reads,")):
+            monkeypatch.setattr(verify, "TABLE_BUDGET", budget)
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert refusal in capsys.readouterr().err
+        monkeypatch.setattr(verify, "TABLE_BUDGET", reads)
+        assert main(argv) == 0
+        # the kernel suite draws no block tensor and alternates nothing
+        monkeypatch.setattr(verify, "TABLE_BUDGET", 0)
+        assert main(["--suite", "kernel"] + argv[2:]) == 0
+        assert ran == ["identities", "kernel"]
+
     def test_estimate_of_the_sparse_wide_argv_is_within_budget(self):
         # --suite all --n 8 --m 1 --k 0 --degree 2, checked in CI, and
         # --n 12 --m 1 --degree 1: the sparsest drawn inputs measured
@@ -887,10 +1040,10 @@ class TestJsonRendering:
 
     @pytest.mark.parametrize("argv", GOLDEN_ARGVS.values(), ids=GOLDEN_ARGVS.keys())
     def test_golden_argvs(self, argv):
-        args = verify.build_parser().parse_args(argv + ["--format", "json"])
-        config = SuiteConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
-                             degree=args.degree, samples=args.samples, fmt="json")
-        results = run_suites(config, args.suite)
+        args = verify.parse_args(argv + ["--format", "json"])
+        config = SuiteConfig(n=args["n"], m=args["m"], k=args["k"], seed=args["seed"],
+                             degree=args["degree"], samples=args["samples"], fmt="json")
+        results = run_suites(config, args["suite"])
         assert verify.render_report(results, config, "json") == self.reference(results, config)
 
     def test_suites_with_no_records_and_no_suites(self):
