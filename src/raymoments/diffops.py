@@ -8,8 +8,8 @@ coefficient arithmetic; no floating point enters this module.
 
 Every operator is a cached stencil: rows ``(out_key, row_den, ((source,
 weight), ...))`` with int weights over one positive int row denominator,
-each built by ``symtensor._row``; so is the symmetrized Saint Venant of the
-k-fold restrictions that the restriction relation compares with ``W^k``.
+each built by ``symtensor._row``; the restriction relation walks the rows
+of its right side in the cached split table ``_splits``.
 The order-k stencil is built in closed form: its int weights are summed
 over derivative multisets, each counted by a product of binomials of its
 letter multiplicities, not over position subsets.  One loop applies the
@@ -367,19 +367,6 @@ def _splits(n: int, m: int, k: int) -> dict:
             for key in all_canonical_tuples(n, m)}
 
 
-@functools.lru_cache(maxsize=64)
-def _restriction_stencil(n: int, m: int, k: int) -> tuple:
-    """Saint Venant of the k-fold restrictions, symmetrized over (free, fixed).
-
-    One ``((pkey, ckey), den, entries)`` row per key of ``W^k``: entry ``((ikey, pkey,
-    qkey), weight)`` is the ``_splits`` share of ckey with fixed slots ikey and free qkey.
-    """
-    return tuple(((pkey, ckey), den, tuple(((ikey, pkey, qkey), weight)
-                                           for (ikey, qkey), weight in entries))
-                 for pkey in all_canonical_tuples(n, m - k)
-                 for ckey, (den, entries) in _splits(n, m, k).items())
-
-
 def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     """Order-k operator versus symmetrized Saint Venant of restrictions.
 
@@ -399,7 +386,12 @@ def restriction_relation_residual(f: SymTensor, k: int) -> Fraction:
     w_of_restriction = {
         ikey: saint_venant_from_alternated(_alternated(f, ikey)).components
         for ikey in all_canonical_tuples(f.n, k)}
-    data = _apply(f.n, _restriction_stencil(f.n, m, k),
-                  lambda source: w_of_restriction[source[0]].get(source[1:], f.zero))
+    # per key (pkey, ckey) of W^k, the _splits share of ckey with fixed ikey, free qkey
+    splits = _splits(f.n, m, k)
+    rows = (((pkey, ckey), den, [((ikey, pkey, qkey), weight)
+                                 for (ikey, qkey), weight in entries])
+            for pkey in all_canonical_tuples(f.n, m - k)
+            for ckey, (den, entries) in splits.items())
+    data = _apply(f.n, rows, lambda source: w_of_restriction[source[0]].get(source[1:], f.zero))
     rhs = BiSymTensor._trusted(f.n, (m - k, m), data, f.zero)
     return field_scale_report(generalized_saint_venant(f, k) - rhs)

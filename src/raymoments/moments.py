@@ -69,16 +69,17 @@ PROJECTION_TOL = 1e-12
 class PhasePoint(LineTable):
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
 
-    A point is the LineTable of its line x + t*xi, which decides its
-    scalars: coordinates are kept exact when every entry is rational,
-    otherwise they are floats, and so are the line integrals taken at the
-    point, each the exact integral on the same dyadic line correctly rounded.
+    A point is the LineTable of its line x + t*xi, the table that
+    ``line_moment`` takes, which decides its scalars: a point is exact when
+    every coordinate is rational, otherwise its line integrals are floats,
+    each the exact integral on the same dyadic line correctly rounded.
     ``s`` = |xi|^2 and ``c`` = x.xi are exact either way.  The point keeps
-    its direction as ints, ``xi_nums`` over ``xi_den``, the lcm of the
-    denominators of xi (a power of 2 on a float point), so that the
+    its coordinates only as ints, xi as ``xi_nums`` over ``xi_den``, the
+    lcm of its denominators (a power of 2 on a float point), so that the
     direction weights of a rank-r transform datum are ints over
     ``xi_den**r`` (see ``_contraction``), and x as ``x_nums`` over
-    ``x_den``; the samplers build exact points from ints (``_from_ints``).
+    ``x_den``; ``x`` and ``xi`` are views built on read (a float point's
+    reads -0.0 as 0.0).  The samplers build exact points from ints.
 
     Three memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
@@ -115,12 +116,12 @@ class PhasePoint(LineTable):
         key = (q, poly.key)
         hit = self.integrals.get(key)
         if hit is None:
-            hit = self.integrals[key] = line_moment(g, q, self.x, self.xi, self)
+            hit = self.integrals[key] = line_moment(g, q, self)
         return hit
 
     @property
     def n(self) -> int:
-        return len(self.x)
+        return len(self.x_nums)
 
     def project(self) -> "TSPoint":
         """The oriented-line representative: orthogonal offset, unit direction."""
@@ -746,7 +747,8 @@ def symmetrization_split_residual(t: RawTensor, k: int) -> Fraction:
     best = Fraction(0)
     if k == 0:
         return best
-    nums, den = _over_lcm(t.components)
+    nums, den = _over_lcm(t.components.values())
+    nums = dict(zip(t.components, nums))
     for orbit in _orbits(t.components, list(range(m))):
         values = [nums.get(key, 0) for key in orbit]
         total = sum(values)

@@ -38,13 +38,13 @@ import random
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
                      InvalidOperation, localcontext)
 from fractions import Fraction
-from itertools import repeat
-from operator import add, floordiv, itemgetter, mul, sub
+from itertools import chain, repeat
+from operator import add, floordiv, itemgetter, mul, sub, truediv
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .symtensor import SymTensor, all_canonical_tuples, canonical
+from .symtensor import SymTensor, _over_lcm, all_canonical_tuples, canonical
 
 # for ExactValue.__float__: sqrt(pi) to 80 digits, and 40-digit decimals with
 # no exponent limit that leave Overflow untrapped, whatever the caller's context
@@ -160,12 +160,12 @@ class Polynomial:
     So each polynomial has one stored form, ``==`` compares it directly, and
     ``key`` hands it out as a hashable.  Every operation works on ints and
     normalizes its result once (see ``_from_ints``).  ``terms``, the nonzero
-    coefficients as ``{exps: Fraction}`` in index order, is built on first
-    read and kept, and ``nums`` is the same view of the numerators; a
+    coefficients as ``{exps: Fraction}`` in index order, and ``nums``, the
+    same view of the numerators, are fresh dicts built on each read; a
     polynomial is never changed after it is built.
     """
 
-    __slots__ = ("n", "den", "vec", "_terms")
+    __slots__ = ("n", "den", "vec")
 
     def __init__(self, n: int, terms: dict | None = None):
         if n < 1:
@@ -189,7 +189,6 @@ class Polynomial:
         for j, c in zip(places, data.values()):
             vec[j] = c.numerator * (den // c.denominator)
         self.vec = tuple(vec)
-        self._terms = None
 
     @classmethod
     def _from_ints(cls, n: int, den: int, nums: list) -> "Polynomial":
@@ -209,7 +208,7 @@ class Polynomial:
             den //= g
             vec = tuple(map(floordiv, vec, repeat(g)))
         out = object.__new__(cls)
-        out.n, out.den, out.vec, out._terms = n, den, vec, None
+        out.n, out.den, out.vec = n, den, vec
         return out
 
     @classmethod
@@ -235,7 +234,7 @@ class Polynomial:
             h = math.gcd(den // g, *poly.vec)
             vec = map(floordiv, poly.vec, repeat(h)) if h > 1 else poly.vec
             out = object.__new__(cls)
-            out.n, out.den, out._terms = n, den // (g * h), None
+            out.n, out.den = n, den // (g * h)
             out.vec = tuple(map(mul, vec, repeat(weight // g)))
             return out
         den = math.lcm(*(poly.den for _, poly in weighted))
@@ -259,10 +258,8 @@ class Polynomial:
     @property
     def terms(self) -> dict:
         """The nonzero coefficients as ``{exps: Fraction}``, in index order."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {exps: Fraction(num, den) for exps, num in self.nums.items()}
-        return self._terms
+        den = self.den
+        return {exps: Fraction(num, den) for exps, num in self.nums.items()}
 
     @property
     def nums(self) -> dict:
@@ -630,11 +627,13 @@ class ExactValue:
 
         One evaluation of num / den * sqrt(root) * sqrt(pi) * exp(exponent)
         in 40-digit decimals with no exponent limit, rounded once by
-        ``float(Decimal)``.  Each of its eight decimal operations is
-        correctly rounded, so the decimal is within (8 + |exponent|) * 5e-40
-        of the value, relative, and the float is the nearest one to the
-        value unless the value lies that close to a midpoint between two
-        floats.  The decimals are ``_DECIMAL``'s, not the caller's.  A value
+        ``float(Decimal)``, each ratio read by ``_decimal_ratio``.  Each of
+        its at most fourteen decimal operations is correctly rounded and each
+        of its six int cuts is off by under 2^-199, so the decimal is within
+        (10 + 3|exponent|) * 5e-40 + (3 + 2|exponent|) * 2^-199 of the value,
+        relative, and the float is the nearest one to the value unless the
+        value lies that close to a midpoint between two floats.  The
+        decimals are ``_DECIMAL``'s, not the caller's.  A value
         below the float range is a zero of its sign; Overflow is not trapped,
         so a value above the range reads as infinite, and that raises
         OverflowError.
@@ -643,8 +642,8 @@ class ExactValue:
         if not num:
             return 0.0
         with localcontext(_DECIMAL):
-            value = (Decimal(num) / den * (Decimal(root.numerator) / root.denominator).sqrt()
-                     * _SQRT_PI * (Decimal(exponent.numerator) / exponent.denominator).exp())
+            value = (_decimal_ratio(num, den) * _decimal_ratio(*root.as_integer_ratio()).sqrt()
+                     * _SQRT_PI * _decimal_ratio(*exponent.as_integer_ratio()).exp())
         result = float(value)
         if math.isinf(result):
             raise OverflowError("exact value is above the float range")
@@ -654,6 +653,17 @@ class ExactValue:
     def zero_value(cls) -> "ExactValue":
         """The canonical zero (0, 1, 0), one object shared by every caller."""
         return _ZERO
+
+
+def _decimal_ratio(num: int, den: int) -> Decimal:
+    """num / den (den > 0) in the current decimal context, each int cut to its top 200 bits.
+
+    The cut bits are carried as one power of 2: an int becomes a Decimal in
+    time quadratic in its digits, so no longer int reaches Decimal.
+    """
+    a, b = max(num.bit_length() - 200, 0), max(den.bit_length() - 200, 0)
+    value = Decimal(num >> a) / Decimal(den >> b)
+    return value * Decimal(2) ** (a - b) if a != b else value
 
 
 _set = object.__setattr__
@@ -671,13 +681,6 @@ def _line_data(x: Sequence, xi: Sequence):
     return s, c, exponent
 
 
-def _over_one_den(values: tuple) -> tuple[tuple, int]:
-    """Fractions or finite floats as int numerators over the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return tuple(num * (den // d) for num, d in ratios), den
-
-
 def _check_order(q) -> None:
     """Reject an order that is not a non-negative int, below which the recurrence never ends."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 0:
@@ -687,12 +690,15 @@ def _check_order(q) -> None:
 class LineTable:
     """Moments of the monomials along one line x + t*xi, rational or float.
 
-    A line whose coordinates are all rational keeps them as Fractions; any
-    other line keeps them as floats, which must be finite.  Either way the
-    line is read exactly: a finite float is an int over a power of 2
+    A line whose coordinates are all rational is exact; any other reads
+    them as floats, which must be finite.  Either way the line is read
+    exactly: a finite float is an int over a power of 2
     (``float.as_integer_ratio``), so every table is the int table of a
     rational line, and ``is_exact`` only decides whether line_moment returns
-    an ExactValue or that value correctly rounded to a float.  With s = |xi|^2 and
+    an ExactValue or that value correctly rounded to a float.  The table
+    keeps the coordinates only as those ints; ``x`` and ``xi`` are views
+    built on read, Fractions on an exact line, floats on a float line (where
+    -0.0 reads 0.0).  With s = |xi|^2 and
     c = x.xi, completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
@@ -740,7 +746,7 @@ class LineTable:
     exponents and with their mantissa bits.
     """
 
-    __slots__ = ("x", "xi", "is_exact", "x_nums", "x_den", "xi_nums", "xi_den",
+    __slots__ = ("is_exact", "x_nums", "x_den", "xi_nums", "xi_den",
                  "s_ratio", "c_ratio", "mean_ratio", "var_ratio", "exponent", "scale",
                  "root", "root_factor", "rows", "_weights")
 
@@ -748,11 +754,11 @@ class LineTable:
         if len(x) != len(xi) or not x:
             raise ValueError("x and xi must share a positive dimension")
         self.is_exact = all_rational(x) and all_rational(xi)
-        kind = _as_fraction if self.is_exact else float
-        self.x, self.xi = tuple(map(kind, x)), tuple(map(kind, xi))
-        if not self.is_exact and not all(map(math.isfinite, self.x + self.xi)):
-            raise ValueError("line coordinates must be finite")
-        self._setup(*_over_one_den(self.x), *_over_one_den(self.xi))
+        if not self.is_exact:
+            if not all(map(math.isfinite, chain(x, xi))):
+                raise ValueError("line coordinates must be finite")
+            x, xi = map(float, x), map(float, xi)
+        self._setup(*_over_lcm(x), *_over_lcm(xi))
 
     @classmethod
     def _from_ints(cls, x_nums, x_den: int, xi_nums, xi_den: int) -> "LineTable":
@@ -762,10 +768,13 @@ class LineTable:
         g, h = math.gcd(x_den, *x_nums), math.gcd(xi_den, *xi_nums)  # to lowest terms
         table._setup(tuple(v // g for v in x_nums), x_den // g,
                      tuple(v // h for v in xi_nums), xi_den // h)
-        table.x = tuple(map(Fraction, table.x_nums, repeat(table.x_den)))
-        table.xi = tuple(map(Fraction, table.xi_nums, repeat(table.xi_den)))
         return table
 
+    def _view(self, nums: tuple, den: int) -> tuple:
+        return tuple(map(Fraction if self.is_exact else truediv, nums, repeat(den)))
+
+    x = property(lambda self: self._view(self.x_nums, self.x_den))
+    xi = property(lambda self: self._view(self.xi_nums, self.xi_den))
     s = property(lambda self: Fraction(*self.s_ratio))
     c = property(lambda self: Fraction(*self.c_ratio))
     mean = property(lambda self: Fraction(*self.mean_ratio))
@@ -822,9 +831,8 @@ class LineTable:
         return rows[q]
 
 
-def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
-                table: LineTable | None = None):
-    """Integral of t^q g(x + t*xi) over the real line.
+def line_moment(g: PolyGauss, q: int, table: LineTable):
+    """Integral of t^q g(x + t*xi) over the line x + t*xi of ``table``.
 
     The dot product of g's numerators with row q of the line's moment table,
     times sqrt(pi/s) * exp(exponent): an ExactValue, or on a float line that
@@ -835,24 +843,16 @@ def line_moment(g: PolyGauss, q: int, x: Sequence, xi: Sequence,
     combines the blocks into the sum of S_d * L^(2(D - d)), which is mu's
     dot product times den * L^(q + 2D); that int over den * L^(q + 2D),
     times the line's root factor, is the value's coefficient, reduced by
-    one gcd, with no Fraction built.  ``table`` may pass the table in so
-    that it is shared between calls (a fresh one is built otherwise).  Every
-    call computes its integral anew: a caller that asks for the same one
-    again keeps the value (see PhasePoint).  A table whose own coordinate
-    tuples are passed as x and xi is taken as is; any other is checked, and
-    a table of another line, or of the same line in the other scalars, is
-    rejected.  A float line's cost grows with the spread of its coordinates'
-    binary exponents and with their mantissa bits (see LineTable).
+    one gcd, with no Fraction built.  The table is the only name of the
+    line, and keeps its rows between calls.  Every call computes its
+    integral anew: a caller that asks for the same one again keeps the
+    value (see PhasePoint, the table of its line).  A float line's cost
+    grows with the spread of its coordinates' binary exponents and with
+    their mantissa bits (see LineTable).
     """
     _check_order(q)
-    if len(x) != g.n or len(xi) != g.n:
-        raise ValueError("point or direction has wrong dimension")
-    if table is None:
-        table = LineTable(x, xi)
-    elif not (x is table.x and xi is table.xi) and not (
-            table.is_exact == (all_rational(x) and all_rational(xi))
-            and tuple(x) == table.x and tuple(xi) == table.xi):
-        raise ValueError("line table belongs to another line")
+    if len(table.x_nums) != g.n:
+        raise ValueError("line has wrong dimension")
     poly = g.poly
     den, vec, top = poly.den, poly.vec, poly.total_degree()
     row = table._row(q, top) if vec else ()

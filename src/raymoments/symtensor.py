@@ -269,11 +269,11 @@ def _orbits(keys, slots: list) -> Iterator[list]:
         yield orbit
 
 
-def _over_lcm(values: dict) -> tuple[dict, int]:
-    """Ints, Fractions or floats as int numerators over the lcm of their denominators."""
-    ratios = {key: v.as_integer_ratio() for key, v in values.items()}
-    den = math.lcm(*(d for _, d in ratios.values()))
-    return {key: num * (den // d) for key, (num, d) in ratios.items()}, den
+def _over_lcm(values: Iterable) -> tuple[tuple, int]:
+    """Ints, Fractions or finite floats as int numerators, in order, over their lcm denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return tuple(num * (den // d) for num, d in ratios), den
 
 
 def symmetrize(t: RawTensor, positions: Sequence[int]) -> RawTensor:
@@ -290,8 +290,9 @@ def symmetrize(t: RawTensor, positions: Sequence[int]) -> RawTensor:
     if not pos:
         raise ValueError("position set must be non-empty")
     values, zero = t.components, t.zero
-    nums, den = (_over_lcm(values) if all(type(v) is Fraction for v in values.values())
-                 else (None, 0))
+    nums, den = (_over_lcm(values.values()) if all(type(v) is Fraction for v in values.values())
+                 else ((), 0))
+    nums = dict(zip(values, nums))
     data = {}
     for orbit in _orbits(values, [p - 1 for p in pos]):
         if den:

@@ -72,12 +72,11 @@ def assert_same_table(got: LineTable, want: LineTable, rng: random.Random) -> No
     assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
     assert [type(getattr(got, name)) for name in names] == [
         type(getattr(want, name)) for name in names]
-    scalars = ("s", "c", "mean", "var")
+    scalars = ("x", "xi", "s", "c", "mean", "var")
     assert [getattr(got, a) for a in scalars] == [getattr(want, a) for a in scalars]
     g = PolyGauss(random_polynomial(len(got.x), rng.randint(0, 4), rng))
     for q in range(3):
-        assert (line_moment(g, q, got.x, got.xi, got)
-                == line_moment(g, q, want.x, want.xi, want))
+        assert line_moment(g, q, got) == line_moment(g, q, want)
     assert got.rows == want.rows
 
 

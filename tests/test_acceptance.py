@@ -15,6 +15,7 @@ import pytest
 import raymoments.diffops as diffops
 import raymoments.moments as moments
 from raymoments import (
+    LineTable,
     SuiteConfig,
     alternated_derivative,
     alternated_from_saint_venant,
@@ -226,7 +227,7 @@ def test_criterion_09_quadrature_oracle():
         xi = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
         if not any(xi):
             xi[0] = Fraction(1)
-        closed = float(line_moment(g, q, x, xi))
+        closed = float(line_moment(g, q, LineTable(x, xi)))
         quad = line_moment_quadrature(g, q, x, xi)
         scale = max(abs(closed), abs(quad), quadrature_mass(g, q, x, xi), 1e-300)
         rel = abs(closed - quad) / scale

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import re
 
 import raymoments
 
@@ -59,3 +60,12 @@ def test_benchmark_traces_only_public_functions():
         owner = vars(module) if len(path) == 1 else vars(vars(module)[path[0]])
         fn = owner.get(path[-1])
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_readme_python_blocks_run():
+    # each Python block of README.md runs as written, in a fresh namespace
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -239,20 +239,22 @@ class TestIntDraws:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_a_sampled_point_builds_its_coordinates_and_two_scalars(self, monkeypatch, n):
-        # drawing and setting up a point, projecting it and translating it
-        # each build the 2n Fractions of the new point's coordinate tuples x
-        # and xi, and the two every line builds: its exponent and the
-        # Fraction of its root (``root`` or ``root_factor``; the other is a
-        # shared 1)
+        # a point keeps its coordinates as ints: drawing and setting one up,
+        # projecting it and translating it each build exactly two Fractions,
+        # its exponent and the Fraction of its root (``root`` or
+        # ``root_factor``; the other is a shared 1), and its 2n coordinate
+        # Fractions are built only when x and xi are read
         rng = random.Random(f"count:{n}")
         for _ in range(20):
             for draw in (random_phase_point, random_ts_point):
                 built, pt = count_fractions(monkeypatch, draw, n, rng)
-                assert built <= 2 * n + 2
-                built, _ = count_fractions(monkeypatch, pt.project)
-                assert built <= 2 * n + 2
+                assert built == 2
+                built, ts = count_fractions(monkeypatch, pt.project)
+                assert built == 2 and type(ts) is TSPoint
                 built, _ = count_fractions(monkeypatch, pt._translated, 3)
-                assert built <= 2 * n + 2
+                assert built == 2
+                built, x = count_fractions(monkeypatch, getattr, pt, "x")
+                assert built == n and x == pt.x and x is not pt.x
 
 class TestTransforms:
     def test_gaussian_zeroth_moment(self):
@@ -502,7 +504,7 @@ class TestContractedTransform:
         for key in all_canonical_tuples(f.n, f.rank - len(fixed)):
             weight = tuple_multiplicity(key) * math.prod(pt.xi[j - 1] for j in key)
             comp = _jet(f, tuple(fixed) + key, derivs)
-            total = total + line_moment(comp, q, pt.x, pt.xi).scaled(weight)
+            total = total + line_moment(comp, q, LineTable(pt.x, pt.xi)).scaled(weight)
         return total
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2)])
@@ -536,9 +538,9 @@ class TestContractedTransform:
         calls = []
         original = moments.line_moment
 
-        def counting(g, q, x, xi, table=None):
+        def counting(g, q, table):
             calls.append(q)
-            return original(g, q, x, xi, table)
+            return original(g, q, table)
 
         monkeypatch.setattr(moments, "line_moment", counting)
         pt = random_phase_point(2, random.Random(40))
@@ -550,7 +552,7 @@ class TestContractedTransform:
         assert calls == [1]
         pt.integral(b, 2)
         assert calls == [1, 2]
-        assert first == line_moment(a, 1, pt.x, pt.xi, LineTable(pt.x, pt.xi))
+        assert first == line_moment(a, 1, LineTable(pt.x, pt.xi))
 
 
 def float_route(f, q, pt, fixed, derivs):
@@ -565,7 +567,7 @@ def float_route(f, q, pt, fixed, derivs):
         weight = tuple_multiplicity(key) * math.prod(xi[j - 1] for j in key)
         comp = _jet(f, tuple(fixed) + key, derivs)
         if weight and comp:
-            values.append(weight * line_moment(comp, q, x, xi))
+            values.append(weight * line_moment(comp, q, LineTable(x, xi)))
     return math.fsum(values)
 
 

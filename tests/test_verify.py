@@ -662,10 +662,10 @@ class TestLineIntegralCount:
         seen = []
         line_moment = moments.line_moment
 
-        def counting(g, q, x, xi, table=None):
+        def counting(g, q, table):
             seen.append((g.poly.den, tuple(sorted(g.poly.nums.items())), q,
-                         tuple(x), tuple(xi)))
-            return line_moment(g, q, x, xi, table)
+                         table.x, table.xi))
+            return line_moment(g, q, table)
 
         monkeypatch.setattr(moments, "line_moment", counting)
         assert main(argv + ["--seed", "7", "--format", "json"]) == 0
@@ -808,14 +808,16 @@ class TestBuiltOnce:
 
 class TestFractionCount:
     """A verdict builds few Fractions: its sampled lines are drawn, set up,
-    projected and translated in ints, and its checks weight in ints."""
+    projected and translated in ints and keep their coordinates as ints, and
+    its checks weight in ints."""
 
+    # 129 / 23 / 85 at seed 7 in a warm process
     @pytest.mark.parametrize("argv,bound", [
         (["--suite", "identities", "--n", "2", "--m", "2", "--k", "1",
-          "--samples", "20", "--degree", "6"], 700),
+          "--samples", "20", "--degree", "6"], 160),
         (["--suite", "kernel", "--n", "2", "--m", "5", "--k", "0",
-          "--samples", "2", "--degree", "2"], 80),
-        (TestRewriteCount.IDENT_MIXED, 560),
+          "--samples", "2", "--degree", "2"], 30),
+        (TestRewriteCount.IDENT_MIXED, 100),
     ], ids=["ident-moments", "kernel-op", "ident-mixed"])
     def test_fractions_per_verdict(self, monkeypatch, capsys, argv, bound):
         argv = argv + ["--seed", "7", "--format", "json"]
@@ -885,8 +887,8 @@ class TestRunBudget:
 
         line_moment = moments.line_moment
 
-        def counting_line_moment(g, q, x, xi, table=None):
-            value = line_moment(g, q, x, xi, table)
+        def counting_line_moment(g, q, table):
+            value = line_moment(g, q, table)
             built["table"] = max(built["table"], sum(map(len, table.rows)))
             return value
 
