@@ -10,14 +10,16 @@ Derivatives of transform data are never taken by finite differences: closed
 rewrite rules express them as rational combinations of transforms of derived
 or restricted fields (MomentExpression, which names each datum, times a
 xi-monomial, by address and no field), so every transform-level identity can
-be evaluated exactly on rational lines.  Every point, exact or float, keeps
-its direction as ints, contracts the field with it once per restriction, in
-ints, and differentiates that one polynomial, so each datum costs one derive
-and one line integral at most, taken on the point, which is its own line
-table (an exact value; on a float point, that value correctly rounded).  A datum
+be evaluated exactly on rational lines.  Float input, exact output: a float
+point is its dyadic rational line, so every transform value, at any point,
+is an ExactValue, and an identity that holds leaves an exact zero.  Every
+point keeps its direction as ints, contracts the field with it once per
+restriction, in ints, and differentiates that one polynomial, so each datum
+costs one derive and one line integral at most, taken on the point, which is
+its own line table.  A datum
 is read from the field's jet only when it is fully restricted: then there is
 nothing to contract, and every point and the operators share the jet's
-derivative.  Exact values are summed as int pairs (``ExactValue.sum``), and
+derivative.  Values are summed as int pairs (``ExactValue.sum``), and
 weighted by the direction in one place (``_xi_weighted_sum``).  The two
 John identities read one table of John data per multiset of pairs p < q,
 evaluated once per point (and field and fixed multiset) and kept on it.
@@ -70,16 +72,15 @@ class PhasePoint(LineTable):
     """A point (x, xi) with xi nonzero; the argument of extended transforms.
 
     A point is the LineTable of its line x + t*xi, the table that
-    ``line_moment`` takes, which decides its scalars: a point is exact when
-    every coordinate is rational, otherwise its line integrals are floats,
-    each the exact integral on the same dyadic line correctly rounded.
+    ``line_moment`` takes.  A point given in floats is its dyadic rational
+    line, so its line integrals are ExactValues as on a rational point, and
     ``s`` = |xi|^2 and ``c`` = x.xi are exact either way.  The point keeps
     its coordinates only as ints, xi as ``xi_nums`` over ``xi_den``, the
     lcm of its denominators (a power of 2 on a float point), so that the
     direction weights of a rank-r transform datum are ints over
     ``xi_den**r`` (see ``_contraction``), and x as ``x_nums`` over
-    ``x_den``; ``x`` and ``xi`` are views built on read (a float point's
-    reads -0.0 as 0.0).  The samplers build exact points from ints.
+    ``x_den``; ``x`` and ``xi`` are views built on read, Fractions on every
+    point.  The samplers build exact points from ints.
 
     Three memos, which live as long as the point, make each value at it one
     computation.  ``contracted`` holds the direction contractions of a
@@ -91,15 +92,14 @@ class PhasePoint(LineTable):
     polynomial's stored form, ``(q, poly.key)``, so that a polynomial
     reached through two objects is integrated once.  Every line integral
     this module takes goes through ``integral``, so a transform datum is
-    one lookup in each.  ``zero`` is the value of an empty sum at the
-    point: the shared exact zero on an exact point, 0.0 on a float one.
+    one lookup in each.  A datum whose contraction is zero is the shared
+    ``ExactValue.zero_value()``, at every point.
     """
 
-    __slots__ = ("zero", "contracted", "integrals", "_john_tables")
+    __slots__ = ("contracted", "integrals", "_john_tables")
 
     def _setup(self, *line) -> None:
         super()._setup(*line)
-        self.zero = ExactValue.zero_value() if self.is_exact else 0.0
         self.contracted: dict = {}
         self.integrals: dict = {}
         self._john_tables: dict = {}
@@ -124,19 +124,21 @@ class PhasePoint(LineTable):
         return len(self.x_nums)
 
     def project(self) -> "TSPoint":
-        """The oriented-line representative: orthogonal offset, unit direction."""
-        if self.is_exact:
-            # x + mean * xi, mean = -c/s the parameter of the line's closest point
+        """The oriented-line representative: orthogonal offset, unit direction.
+
+        Exact, built from ints, when the direction norm is rational, on
+        every point; otherwise a float line, the point's coordinates read
+        as floats and orthogonalized twice (Gram-Schmidt).
+        """
+        lam = _ratio_sqrt(*self.s_ratio)
+        if lam is not None:  # x + mean * xi and xi / lam, with lam = sqrt(s) = a / b
             (mn, md), dx, dxi = self.mean_ratio, self.x_den, self.xi_den
-            xp = [a * md * dxi + mn * b * dx for a, b in zip(self.x_nums, self.xi_nums)]
-            den = dx * md * dxi
-            lam = _ratio_sqrt(*self.s_ratio)
-            if lam is not None:  # xi / lam, with lam = sqrt(s) = a / b
-                a, b = lam
-                return TSPoint._from_ints(xp, den, [v * b for v in self.xi_nums], dxi * a)
-            x, xi = [v / den for v in xp], [v / dxi for v in self.xi_nums]
-        else:
-            x, xi = list(self.x), list(self.xi)
+            a, b = lam
+            return TSPoint._from_ints(
+                [v * md * dxi + mn * w * dx for v, w in zip(self.x_nums, self.xi_nums)],
+                dx * md * dxi, [v * b for v in self.xi_nums], dxi * a)
+        x = [v / self.x_den for v in self.x_nums]
+        xi = [v / self.xi_den for v in self.xi_nums]
         norm = math.sqrt(sum(v * v for v in xi))
         u = [v / norm for v in xi]
         for _ in range(2):
@@ -152,8 +154,9 @@ class PhasePoint(LineTable):
 class TSPoint(PhasePoint):
     """An oriented line: unit direction and offset orthogonal to it.
 
-    Exact coordinates must satisfy the constraints exactly; float coordinates
-    within PROJECTION_TOL, with the residual recorded.
+    Exact coordinates must satisfy the constraints exactly; coordinates
+    given in floats (``is_exact`` false) within PROJECTION_TOL, with the
+    residual recorded.
     """
 
     __slots__ = ("projection_residual",)
@@ -265,44 +268,20 @@ def magnitude(v) -> float:
     return min(max(mag, math.ulp(0.0)), sys.float_info.max)
 
 
-def value_diff(a, b) -> float:
-    """Absolute difference of two transform values.
+def value_diff(a: ExactValue, b: ExactValue) -> float:
+    """Absolute difference of two transform values, both ExactValues.
 
-    Two ExactValues of equal stored form give 0.0 at once; others are
+    Two values of equal stored form give 0.0 at once; others are
     subtracted exactly, as an int sum (``ExactValue.sum``), and the difference
     goes through ``magnitude``, so the result is 0.0 iff they are equal as
     reals; values that cannot be subtracted exactly (different
-    exponents or incompatible roots) raise ArithmeticError.  Two floats, on
-    the float route, give the float difference; an ExactValue against a
-    float raises TypeError.
+    exponents or incompatible roots) raise ArithmeticError.  Any other
+    argument, a float among them, raises TypeError: no difference is
+    taken in floats.
     """
-    if isinstance(a, ExactValue) and isinstance(b, ExactValue):
-        return 0.0 if a == b else magnitude(a - b)
-    if isinstance(a, ExactValue) or isinstance(b, ExactValue):
-        raise TypeError("cannot compare an exact value with a float one")
-    return abs(float(a) - float(b))
-
-
-def _weighted_sum(pairs, zero, den: int = 1):
-    """Sum of weight * value over (weight, value) pairs, over ``den``; ``zero`` if none.
-
-    Exact (an ExactValue, summed in ints by ``ExactValue.sum``) when every
-    value is exact and every weight rational, ``math.fsum`` of the float
-    products when no value is exact.  An exact value with a float value or
-    weight raises TypeError, as in ``value_diff``: an exact sum never falls
-    back to float.  ``den`` is a positive int.  On the float route each
-    weight is divided by it before it meets its value, so that an int
-    weight and ``den`` too large for a float still give their finite
-    quotient.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return zero
-    if all(isinstance(v, ExactValue) and is_rational(w) for w, v in pairs):
-        return ExactValue.sum(pairs, den)
-    if any(isinstance(v, ExactValue) for _, v in pairs):
-        raise TypeError("cannot sum exact values with float values or weights")
-    return math.fsum(w / den * float(v) for w, v in pairs)
+    if not (isinstance(a, ExactValue) and isinstance(b, ExactValue)):
+        raise TypeError("value_diff takes two ExactValues")
+    return 0.0 if a == b else magnitude(a - b)
 
 
 def _xi_weighted_sum(pt: PhasePoint, terms, den: int = 1):
@@ -314,9 +293,9 @@ def _xi_weighted_sum(pt: PhasePoint, terms, den: int = 1):
     """
     terms, xi, xi_den = list(terms), pt.xi_nums, pt.xi_den
     r = max((len(axes) for _, axes, _ in terms), default=0)
-    return _weighted_sum(((math.prod((xi[a - 1] for a in axes),
-                                     start=weight * xi_den ** (r - len(axes))), value)
-                          for weight, axes, value in terms), pt.zero, den * xi_den ** r)
+    return ExactValue.sum(((math.prod((xi[a - 1] for a in axes),
+                                      start=weight * xi_den ** (r - len(axes))), value)
+                           for weight, axes, value in terms), den * xi_den ** r)
 
 
 @functools.lru_cache(maxsize=64)
@@ -377,7 +356,7 @@ def _transform_value(f: SymTensor, q: int, pt: PhasePoint, fixed=(), derivs=()):
 def _sorted_value(f: SymTensor, q: int, pt: PhasePoint, fixed: tuple, derivs: tuple):
     """``_transform_value`` at a sorted ``fixed`` and ``derivs``, read as they are."""
     g = _contraction(f, pt, fixed, derivs)
-    return pt.integral(g, q) if g else pt.zero
+    return pt.integral(g, q) if g else ExactValue.zero_value()
 
 
 def moment_transform(f: SymTensor, q: int, pt: TSPoint):
@@ -404,26 +383,26 @@ def moment_stack(f: SymTensor, k: int, pt: TSPoint) -> list:
 def extended_from_moments(i_values: Sequence, q: int, pt: PhasePoint, rank: int):
     """Rebuild the extended transform from moment data on the projected line.
 
-    ``i_values`` are the transforms of orders 0..q at pt.project().  Exact,
-    with int weights over one denominator, when the direction norm is
-    rational and the values are exact; exact values at an irrational
-    direction norm raise TypeError.
+    ``i_values``, ExactValues, are the transforms of orders 0..q at
+    pt.project().  When the direction norm is rational the result is an
+    ExactValue, with int weights over one denominator.  When it is
+    irrational, the weights are irrational too, and the result is the one
+    approximate value of the package: a float, the ``math.fsum`` of the
+    float weights times ``float`` of each value.
     """
     if q < 0 or len(i_values) < q + 1:
         raise ValueError("need moment values of orders 0..q")
     e = rank - 2 * q - 1
     lam, (cn, cd) = _ratio_sqrt(*pt.s_ratio), pt.c_ratio
-    if lam is None:  # an irrational direction norm takes the weights to floats
+    if lam is None:
         lam, c = math.sqrt(float(pt.s)), float(pt.c)
-        return _weighted_sum((((-1) ** (q - ell) * math.comb(q, ell) * lam ** (e + ell)
-                               * c ** (q - ell), i_values[ell]) for ell in range(q + 1)),
-                             pt.zero)
+        return math.fsum((-1) ** (q - ell) * math.comb(q, ell) * lam ** (e + ell)
+                         * c ** (q - ell) * float(i_values[ell]) for ell in range(q + 1))
     a, b = lam
     top, bottom = (a, b) if e >= 0 else (b, a)
-    return _weighted_sum((((-1) ** (q - ell) * math.comb(q, ell) * top ** abs(e)
-                           * (a * cd) ** ell * (b * cn) ** (q - ell), i_values[ell])
-                          for ell in range(q + 1)), pt.zero,
-                         (b * cd) ** q * bottom ** abs(e))
+    return ExactValue.sum((((-1) ** (q - ell) * math.comb(q, ell) * top ** abs(e)
+                            * (a * cd) ** ell * (b * cn) ** (q - ell), i_values[ell])
+                           for ell in range(q + 1)), (b * cd) ** q * bottom ** abs(e))
 
 
 class MomentExpression:
@@ -777,9 +756,9 @@ def symmetrized_derivative_residual(f: SymTensor, r: int, pt: PhasePoint) -> flo
         raise ValueError(f"restriction depth r={r} outside [0, {m}]")
     best = 0.0
     for den, splits in _splits(f.n, m, r).values():
-        total = _weighted_sum(((weight, _transform_value(f, 0, pt, fixed, derivs))
-                               for (fixed, derivs), weight in splits), pt.zero, den)
-        best = max(best, value_diff(total, pt.zero))
+        total = ExactValue.sum(((weight, _transform_value(f, 0, pt, fixed, derivs))
+                                for (fixed, derivs), weight in splits), den)
+        best = max(best, magnitude(total))
     return best
 
 

@@ -23,10 +23,11 @@ common denominator of the line, so the dot product adds up ints and builds
 no Fraction; the result is kept in the exact form
 coef * sqrt(root) * sqrt(pi) * exp(exponent), with rational root and
 exponent and the coefficient as an int numerator over an int denominator,
-reduced by one gcd (see ExactValue).  A finite float is a dyadic rational,
-so a float line is a rational line too: it takes the same int table, and
-its line integral is the exact value correctly rounded to a float
-(see ExactValue.__float__).
+reduced by one gcd (see ExactValue).  Float input, exact output: a finite
+float is a dyadic rational, so a float line is a rational line too; it
+takes the same int table, and its line integral is the exact value on that
+dyadic line.  A caller who wants a float calls ``float(v)``, the exact value
+correctly rounded (see ExactValue.__float__).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, Divi
                      InvalidOperation, localcontext)
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, floordiv, itemgetter, mul, sub, truediv
+from operator import add, floordiv, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -359,18 +360,6 @@ class Polynomial:
             total += term
         return total
 
-    def evaluate_exact(self, xs: Sequence) -> Fraction:
-        if len(xs) != self.n:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            term = coef
-            for x, e in zip(xs, exps):
-                if e:
-                    term *= _as_fraction(x) ** e
-            total += term
-        return total
-
 
 class PolyGauss:
     """The scalar field p(x) * exp(-|x|^2) with rational-coefficient p.
@@ -549,8 +538,9 @@ class ExactValue:
         return hash((self.coef, self.root, self.exponent))
 
     def __repr__(self) -> str:
-        return (f"ExactValue(coef={self.coef!r}, root={self.root!r}, "
-                f"exponent={self.exponent!r})")
+        root, exponent = self.root.as_integer_ratio(), self.exponent.as_integer_ratio()
+        return (f"ExactValue(coef={_fraction_repr(self.num, self.den)}, "
+                f"root={_fraction_repr(*root)}, exponent={_fraction_repr(*exponent)})")
 
     def scaled(self, c) -> "ExactValue":
         c = c if type(c) is int else _as_fraction(c)  # an int is its own numerator over 1
@@ -655,6 +645,16 @@ class ExactValue:
         return _ZERO
 
 
+def _fraction_repr(num: int, den: int) -> str:
+    """``repr(Fraction(num, den))``, an int too long for a decimal string given by its bit length."""
+    def digits(v: int) -> str:
+        try:
+            return repr(v)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit int>"
+    return f"Fraction({digits(num)}, {digits(den)})"
+
+
 def _decimal_ratio(num: int, den: int) -> Decimal:
     """num / den (den > 0) in the current decimal context, each int cut to its top 200 bits.
 
@@ -694,12 +694,11 @@ class LineTable:
     them as floats, which must be finite.  Either way the line is read
     exactly: a finite float is an int over a power of 2
     (``float.as_integer_ratio``), so every table is the int table of a
-    rational line, and ``is_exact`` only decides whether line_moment returns
-    an ExactValue or that value correctly rounded to a float.  The table
+    rational line, and line_moment returns an ExactValue on every line.
+    ``is_exact`` only records that the line was given in floats.  The table
     keeps the coordinates only as those ints; ``x`` and ``xi`` are views
-    built on read, Fractions on an exact line, floats on a float line (where
-    -0.0 reads 0.0).  With s = |xi|^2 and
-    c = x.xi, completing the square gives
+    built on read, Fractions on every line (-0.0 reads 0).  With s = |xi|^2
+    and c = x.xi, completing the square gives
     |x + t*xi|^2 = s*(t + c/s)^2 - exponent.  The moment for (q, e) is
 
         mu_q(e) = integral t^q (x + t*xi)^e exp(-|x + t*xi|^2) dt
@@ -753,8 +752,8 @@ class LineTable:
     def __init__(self, x: Sequence, xi: Sequence):
         if len(x) != len(xi) or not x:
             raise ValueError("x and xi must share a positive dimension")
-        self.is_exact = all_rational(x) and all_rational(xi)
-        if not self.is_exact:
+        self.is_exact = exact = all_rational(x) and all_rational(xi)
+        if not exact:
             if not all(map(math.isfinite, chain(x, xi))):
                 raise ValueError("line coordinates must be finite")
             x, xi = map(float, x), map(float, xi)
@@ -770,11 +769,8 @@ class LineTable:
                      tuple(v // h for v in xi_nums), xi_den // h)
         return table
 
-    def _view(self, nums: tuple, den: int) -> tuple:
-        return tuple(map(Fraction if self.is_exact else truediv, nums, repeat(den)))
-
-    x = property(lambda self: self._view(self.x_nums, self.x_den))
-    xi = property(lambda self: self._view(self.xi_nums, self.xi_den))
+    x = property(lambda self: tuple(map(Fraction, self.x_nums, repeat(self.x_den))))
+    xi = property(lambda self: tuple(map(Fraction, self.xi_nums, repeat(self.xi_den))))
     s = property(lambda self: Fraction(*self.s_ratio))
     c = property(lambda self: Fraction(*self.c_ratio))
     mean = property(lambda self: Fraction(*self.mean_ratio))
@@ -835,8 +831,9 @@ def line_moment(g: PolyGauss, q: int, table: LineTable):
     """Integral of t^q g(x + t*xi) over the line x + t*xi of ``table``.
 
     The dot product of g's numerators with row q of the line's moment table,
-    times sqrt(pi/s) * exp(exponent): an ExactValue, or on a float line that
-    value correctly rounded to a float.  With the line's scale L, g's numerators
+    times sqrt(pi/s) * exp(exponent): an ExactValue on every line, a float
+    line as its dyadic rational line (``float(v)`` is the value correctly
+    rounded).  With the line's scale L, g's numerators
     over ``den``, of top degree D, are summed one degree block d at a time,
     S_d = the sum of num * A_q(e) over the tuples e of degree d, one
     ``sum(map(mul, ...))`` over two aligned slices; Horner's rule in L^2
@@ -864,10 +861,9 @@ def line_moment(g: PolyGauss, q: int, table: LineTable):
         lo, hi = starts[d], starts[d + 1]
         total = total * square + sum(map(mul, vec[lo:hi], row[lo:hi]))
     factor = table.root_factor
-    value = ExactValue._from_ints(total * factor.numerator,
-                                  den * scale ** q * square ** top * factor.denominator,
-                                  table.root, table.exponent)
-    return value if table.is_exact else float(value)
+    return ExactValue._from_ints(total * factor.numerator,
+                                 den * scale ** q * square ** top * factor.denominator,
+                                 table.root, table.exponent)
 
 
 def _gauss_hermite(g: PolyGauss, q: int, x: Sequence, xi: Sequence,

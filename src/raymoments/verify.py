@@ -213,7 +213,7 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
         result.record("potential-exact-kernel",
                       field_scale_report(generalized_saint_venant(f, k)))
         result.record("potential-moments-vanish",
-                      max(value_diff(value, pt.zero)
+                      max(magnitude(value)
                           for pt in points for value in moment_stack(f, k, pt)))
         pp_rng = random.Random(f"{config.seed}:kernel:sym")
         sym_points = [random_phase_point(n, pp_rng) for _ in range(3)]
@@ -245,7 +245,7 @@ def suite_kernel(config: SuiteConfig) -> SuiteResult:
         sample_count = config.samples
         for round_ in range(3):
             pts = [random_ts_point(n, sep_rng) for _ in range(sample_count)]
-            witness = max(value_diff(value, pt.zero)
+            witness = max(magnitude(value)
                           for pt in pts for value in moment_stack(g, k, pt))
             if witness:
                 break
@@ -331,7 +331,7 @@ def suite_identities(config: SuiteConfig) -> SuiteResult:
         record("restriction-contraction",
                restriction_contraction_residual(f, fixed_r, k, pt), tag)
 
-        drift = value_diff(directional_x_derivative(bases[0], f, pt), pt.zero)
+        drift = magnitude(directional_x_derivative(bases[0], f, pt))
         moved = pt._translated(3)  # x + xi/3
         record("translation-invariance",
                max(drift, value_diff(extended_transform(f, 0, moved),

@@ -48,7 +48,6 @@ from raymoments.diffops import _pair_key
 from raymoments.moments import (
     _john_table,
     _transform_value,
-    _weighted_sum,
     directional_x_derivative,
     directional_xi_derivative,
     value_diff,
@@ -341,42 +340,46 @@ class TestTransforms:
 
 
 class TestWeightedSum:
+    """``ExactValue.sum``, the one weighted sum of transform values."""
+
     def test_exact_when_values_exact_and_weights_rational(self):
         a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
         b = ExactValue(Fraction(2), Fraction(2), Fraction(-1))
-        total = _weighted_sum([(Fraction(3), a), (-1, b)], 0.0)
+        total = ExactValue.sum([(Fraction(3), a), (-1, b)])
         assert total == ExactValue(Fraction(-1), Fraction(2), Fraction(-1))
 
     def test_exact_and_float_values_do_not_mix(self):
+        # a float point's values are exact too: they add up with no float
         a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
-        with pytest.raises(TypeError):
-            _weighted_sum([(Fraction(3), a), (1, 1e16), (1, 1.0), (-1, 1e16)],
-                          ExactValue.zero_value())
-        # with no exact value the floats go through fsum; a sequential float
-        # sum would lose both small terms to the 1e16 pair
-        total = _weighted_sum([(Fraction(3), 0.5), (1, 1e16), (1, 1.0), (-1, 1e16)], 0.0)
-        assert isinstance(total, float)
-        assert total == 2.5
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(a, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5, a)
+        f = random_field(2, 2, 2, "mix")
+        pt = random_float_ts_point(2, random.Random("mix"))
+        values = [moment_transform(f, q, pt) for q in range(3)]
+        assert all(isinstance(v, ExactValue) for v in values)
+        total = ExactValue.sum(zip((1, -2, Fraction(1, 3)), values))
+        assert total == self.pairwise(zip((1, -2, Fraction(1, 3)), values))
 
     def test_exact_value_with_a_float_weight_raises(self):
         a = ExactValue(Fraction(1, 3), Fraction(2), Fraction(-1))
         with pytest.raises(TypeError):
-            _weighted_sum([(0.5, a), (Fraction(1, 2), a)], ExactValue.zero_value())
-        # |xi| = sqrt(2) makes the weights of the rebuilt transform floats
-        ivals = [ExactValue(Fraction(1)), ExactValue(Fraction(2))]
+            a.scaled(0.5)
         with pytest.raises(TypeError):
-            extended_from_moments(ivals, 1, PhasePoint([0, 1], [1, 1]), 1)
+            a * 0.5
+        with pytest.raises(TypeError):
+            0.5 * a
 
-    def test_empty_sum_is_the_given_zero(self):
-        exact_zero = ExactValue.zero_value()
-        assert _weighted_sum([], exact_zero) is exact_zero
-        assert _weighted_sum(iter(()), 0.0) == 0.0
+    def test_empty_sum_is_the_shared_zero(self):
+        assert ExactValue.sum([]) is ExactValue.zero_value()
+        assert ExactValue.sum(iter(()), 7) is ExactValue.zero_value()
 
-    def test_points_supply_the_zero_of_their_path(self):
+    def test_every_point_takes_the_shared_exact_zero(self):
         f = sym_field(2, 1)
-        assert extended_transform(f, 0, PhasePoint([0, 1], [1, 0])).is_zero
-        value = extended_transform(f, 0, PhasePoint([0.0, 1.0], [1.0, 0.0]))
-        assert isinstance(value, float) and value == 0.0
+        for pt in (PhasePoint([0, 1], [1, 0]), PhasePoint([0.0, 1.0], [1.0, 0.0])):
+            assert extended_transform(f, 0, pt) is ExactValue.zero_value()
 
     @staticmethod
     def pairwise(pairs):
@@ -396,7 +399,7 @@ class TestWeightedSum:
         for _ in range(20):
             pairs = [(rng.choice([0, 1, -2, Fraction(rng.randint(-9, 9), rng.randint(1, 7))]),
                       rng.choice(values + [zero])) for _ in range(rng.randint(1, 7))]
-            total = _weighted_sum(pairs, zero)
+            total = ExactValue.sum(pairs)
             assert total == self.pairwise(pairs)
             assert isinstance(total, ExactValue) and isinstance(total.coef, Fraction)
             a, b = rng.choice(values + [zero]), rng.choice(values + [zero])
@@ -407,21 +410,21 @@ class TestWeightedSum:
         rng = random.Random(f"weights:{seed}")
         pt = random_phase_point(2, rng)
         values = [pt.integral(PolyGauss(random_polynomial(2, rng.randint(0, 3), rng)),
-                              rng.randint(0, 2)) for _ in range(6)] + [pt.zero]
+                              rng.randint(0, 2)) for _ in range(6)] + [ExactValue.zero_value()]
         ints = [rng.randint(-9, 9) for _ in values]
         den = rng.randint(1, 12)
         fractions = [Fraction(w, den) for w in ints]
         # int weights over one int denominator, as the direction sums pass them
-        by_ints = _weighted_sum(zip(ints, values), pt.zero, den)
-        assert by_ints == _weighted_sum(zip(fractions, values), pt.zero)
+        by_ints = ExactValue.sum(zip(ints, values), den)
+        assert by_ints == ExactValue.sum(zip(fractions, values))
         assert by_ints == self.pairwise(zip(fractions, values))
         assert by_ints.den > 0 and math.gcd(by_ints.num, by_ints.den) == 1
         for w, v in zip(ints, values):
-            assert (_weighted_sum([(w, v)], pt.zero) == _weighted_sum([(Fraction(w), v)], pt.zero)
+            assert (ExactValue.sum([(w, v)]) == ExactValue.sum([(Fraction(w), v)])
                     == v.scaled(w) == v.scaled(Fraction(w)))
         # a Fraction weight that is an int in value, and mixed weights
         mixed = [(Fraction(w) if i % 2 else w, v) for i, (w, v) in enumerate(zip(ints, values))]
-        assert _weighted_sum(mixed, pt.zero) == self.pairwise(mixed)
+        assert ExactValue.sum(mixed) == self.pairwise(mixed)
 
     @pytest.mark.parametrize("n,rank", [(2, 1), (3, 2), (2, 3)])
     def test_direction_sums_weight_by_the_xi_numerators(self, n, rank):
@@ -446,15 +449,14 @@ class TestWeightedSum:
              _transform_value(f, q, pt, F, D))
             for (q, F, D, mono), w in e.terms)
         # float points weight by the ints of their dyadic directions too, the
-        # last with xi_den = 2**1049: each weight is the finite quotient
+        # last with xi_den = 2**1049, a weight too large for a float
         tiny = PhasePoint([0.5] * n, [1.0] + [1e-300] * (n - 1))
         assert tiny.xi_den == 2 ** 1049
         for float_pt in (PhasePoint([float(v) for v in pt.x], [float(v) for v in pt.xi]),
                          tiny):
-            assert e.evaluate(f, float_pt) == math.fsum(
-                Fraction(w * math.prod(float_pt.xi_nums[a - 1] for a in mono),
-                         e.den * float_pt.xi_den ** len(mono))
-                * _transform_value(f, q, float_pt, F, D)
+            assert e.evaluate(f, float_pt) == self.pairwise(
+                (Fraction(w, e.den) * math.prod(float_pt.xi[a - 1] for a in mono),
+                 _transform_value(f, q, float_pt, F, D))
                 for (q, F, D, mono), w in e.terms)
 
     def test_zero_weights_and_zero_values_drop_out(self):
@@ -462,11 +464,10 @@ class TestWeightedSum:
         zero = ExactValue.zero_value()
         # a zero term of another exponent or root is not compared
         other = ExactValue(Fraction(5), Fraction(3), Fraction(7))
-        total = _weighted_sum([(0, other), (Fraction(3), a), (Fraction(0), other), (1, zero)],
-                              0.0)
+        total = ExactValue.sum([(0, other), (Fraction(3), a), (Fraction(0), other), (1, zero)])
         assert total == ExactValue(Fraction(2), Fraction(2), Fraction(-1, 2))
         for pairs in ([(0, a)], [(1, zero), (Fraction(-1), zero)], [(1, a), (-1, a)]):
-            total = _weighted_sum(pairs, 0.0)
+            total = ExactValue.sum(pairs)
             assert isinstance(total, ExactValue) and total.is_zero
             assert total == ExactValue.zero_value()
 
@@ -474,12 +475,12 @@ class TestWeightedSum:
         # sqrt(8) = 2 sqrt(2): the second term is brought to the first's root
         a = ExactValue(Fraction(1, 2), Fraction(2), Fraction(-1))
         b = ExactValue(Fraction(3), Fraction(8), Fraction(-1))
-        total = _weighted_sum([(2, a), (Fraction(1, 3), b)], 0.0)
+        total = ExactValue.sum([(2, a), (Fraction(1, 3), b)])
         assert total == ExactValue(Fraction(3), Fraction(2), Fraction(-1))
         assert total == self.pairwise([(2, a), (Fraction(1, 3), b)])
         # first term's root: 3 sqrt(8) - 2 sqrt(2) = 2 sqrt(8)
-        assert _weighted_sum([(1, b), (-4, a)], 0.0) == ExactValue(Fraction(2), Fraction(8),
-                                                                   Fraction(-1))
+        assert ExactValue.sum([(1, b), (-4, a)]) == ExactValue(Fraction(2), Fraction(8),
+                                                                Fraction(-1))
         assert value_diff(b, a.scaled(12)) == 0.0 < value_diff(b, a.scaled(6))
 
     def test_incompatible_root_or_other_exponent_raises(self):
@@ -487,9 +488,9 @@ class TestWeightedSum:
         for b in (ExactValue(Fraction(1), Fraction(3), Fraction(-1)),
                   ExactValue(Fraction(1), Fraction(2), Fraction(-2))):
             with pytest.raises(ArithmeticError):
-                _weighted_sum([(1, a), (1, b)], 0.0)
+                ExactValue.sum([(1, a), (1, b)])
             with pytest.raises(ArithmeticError):
-                _weighted_sum([(0, b), (1, b), (Fraction(2, 3), a)], 0.0)
+                ExactValue.sum([(0, b), (1, b), (Fraction(2, 3), a)])
             with pytest.raises(ArithmeticError):
                 value_diff(a, b)
 
@@ -531,7 +532,7 @@ class TestContractedTransform:
         f = sym_field(3, 2)
         pt = random_phase_point(3, random.Random(39))
         for fixed, derivs in [((), ()), ((2,), (1,)), ((1, 3), (2, 2))]:
-            assert _transform_value(f, 1, pt, fixed, derivs) is pt.zero
+            assert _transform_value(f, 1, pt, fixed, derivs) is ExactValue.zero_value()
         assert pt.integrals == {}
 
     def test_equal_polynomials_share_one_integral(self, monkeypatch):
@@ -567,7 +568,7 @@ def float_route(f, q, pt, fixed, derivs):
         weight = tuple_multiplicity(key) * math.prod(xi[j - 1] for j in key)
         comp = _jet(f, tuple(fixed) + key, derivs)
         if weight and comp:
-            values.append(weight * line_moment(comp, q, LineTable(x, xi)))
+            values.append(weight * float(line_moment(comp, q, LineTable(x, xi))))
     return math.fsum(values)
 
 
@@ -590,10 +591,9 @@ def datum_scale(f, q, pt, fixed, derivs, masses):
 class TestFloatRoute:
     """A float point takes the exact point's route: contract in ints, integrate once.
 
-    Each datum is the exact datum on the same dyadic line, rounded once, and
+    Each datum is the exact datum on the same dyadic line, and its float
     within 1e-12 of the termwise scale of the per-component float route
-    (``float_route``).  Sums of data go through ``math.fsum`` and are
-    only bounded.
+    (``float_route``).  Sums of data are exact sums too.
     """
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2)])
@@ -615,23 +615,48 @@ class TestFloatRoute:
                                (rng.randint(1, n), rng.randint(1, n))]:
                     for q in range(4):
                         value = _transform_value(f, q, pt, fixed, derivs)
-                        assert isinstance(value, float) and math.isfinite(value)
-                        bound = 1e-12 * datum_scale(f, q, pt, fixed, derivs, masses)
-                        assert abs(value - float_route(f, q, pt, fixed, derivs)) <= bound
                         exact = _transform_value(f, q, dyadic, fixed, derivs)
-                        assert value == float(exact), (pt, fixed, derivs, q)
+                        assert value == exact, (pt, fixed, derivs, q)
+                        bound = 1e-12 * datum_scale(f, q, pt, fixed, derivs, masses)
+                        route = float_route(f, q, pt, fixed, derivs)
+                        assert abs(float(value) - route) <= bound
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3)])
+    def test_identities_are_exact_zeros_on_float_lines(self, n, m):
+        # a float line's values are exact: the residuals of the identities
+        # sum them exactly, with no rounding left to read as a residual
+        f = random_field(n, m, 2, f"floatpoints:{n}:{m}")
+        rng = random.Random(f"floatpoints:{n}:{m}")
+        for _ in range(10):
+            pt = random_float_ts_point(n, rng)
+            assert not pt.is_exact
+            for k in range(m):
+                fixed = tuple(rng.randint(1, n) for _ in range(k))
+                assert john_power_residual(f, k, fixed, pt) == 0.0
+                assert collapsed_derivative_residual(f, k, fixed, pt) == 0.0
+                assert restriction_contraction_residual(f, fixed, m - 1, pt) == 0.0
+
+    def test_float_of_a_line_moment_is_pinned(self):
+        # float(v) of a line moment on a float line: the exact value on the
+        # dyadic line, correctly rounded, pinned bit for bit
+        rng = random.Random("floatpins")
+        g = PolyGauss(random_polynomial(3, 3, rng))
+        got = [float(line_moment(g, i % 4, random_float_ts_point(3, rng))).hex()
+               for i in range(10)]
+        assert got == ["0x1.ed8d3567c3590p-3", "0x1.357073acb7ca6p+1", "-0x1.7be3c09f725bcp+0",
+                       "0x1.c4621eb27e36dp+2", "0x1.bff86165be927p-1", "0x1.6c956c66c4126p-1",
+                       "0x1.2852f7a1332f1p+1", "-0x1.435ce3b63be2ap+3", "0x1.eb9af2c4fef81p+0",
+                       "0x1.eab1cc0cd76ccp-1"]
 
     def test_direction_sums_take_weights_too_large_for_a_float(self):
-        # xi_den is 2**1049: the int weights overflow a float, their quotients do not
+        # xi_den is 2**1049: the int weights overflow a float, and the sums are exact
         f = random_field(2, 2, 2, "float:tiny")
         pt = TSPoint([0.0, 0.5], [1.0, 1e-300])
         assert pt.xi_nums[0] > 2 ** 1024
-        scale = datum_scale(f, 0, pt, (), (), {})
         for k in range(3):
-            assert restriction_contraction_residual(f, (), k, pt) <= 1e-12 * scale
+            assert restriction_contraction_residual(f, (), k, pt) == 0.0
         # the translation rule: xi . grad_x of the zeroth transform vanishes
-        slope = directional_x_derivative(MomentExpression.transform(f, 0), f, pt)
-        assert abs(slope) <= 1e-12 * sum(datum_scale(f, 0, pt, (), (i,), {}) for i in (1, 2))
+        assert directional_x_derivative(MomentExpression.transform(f, 0), f, pt).is_zero
 
 
 class TestValueDiff:
@@ -662,10 +687,9 @@ class TestValueDiff:
 
     def test_exact_against_float_raises(self):
         tiny = ExactValue(Fraction(1, 10**400))
-        with pytest.raises(TypeError):
-            value_diff(tiny, 0.0)
-        with pytest.raises(TypeError):
-            value_diff(0.0, tiny)
+        for a, b in ((tiny, 0.0), (0.0, tiny), (0.0, 0.0), (1.0, 2.0)):
+            with pytest.raises(TypeError):
+                value_diff(a, b)
         # |xi| = sqrt(2) projects the exact point to a float line
         f = random_field(2, 1, 1, 3)
         pt = PhasePoint([0, 1], [1, 1])
@@ -714,13 +738,17 @@ class TestConversion:
         assert float(lhs) == pytest.approx(lam * float(i0), rel=1e-13, abs=1e-300)
 
     def test_float_path(self):
+        # an irrational direction norm: the projected line is a float line,
+        # and the rebuilt transform the one float of the package
         f = random_field(2, 1, 1, 51)
         pt = PhasePoint([0.4, -0.2], [1.1, 0.3])
         ts = pt.project()
-        ivals = [float(moment_transform(f, ell, ts)) for ell in range(2)]
+        assert not ts.is_exact
+        ivals = [moment_transform(f, ell, ts) for ell in range(2)]
         lhs = extended_from_moments(ivals, 1, pt, 1)
         rhs = extended_transform(f, 1, pt)
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+        assert type(lhs) is float
+        assert lhs == pytest.approx(float(rhs), rel=1e-11, abs=1e-13)
 
 
 class TestDerivativeRules:
@@ -1475,10 +1503,9 @@ class TestSymmetrizedDerivative:
     @pytest.mark.parametrize("n,m,r", [(2, 3, r) for r in range(4)]
                              + [(3, 3, 1), (3, 2, 2), (2, 5, 0)])
     def test_matches_reference_off_the_kernel(self, monkeypatch, n, m, r):
-        # every index tuple's value, as the residual hands it to value_diff
-        seen = []
-        monkeypatch.setattr(moments, "value_diff",
-                            lambda a, b: seen.append(a) or value_diff(a, b))
+        # every index tuple's value, as the residual hands it to magnitude
+        seen, magnitude = [], moments.magnitude
+        monkeypatch.setattr(moments, "magnitude", lambda v: seen.append(v) or magnitude(v))
         rng = random.Random(f"symref:{n}:{m}:{r}")
         for trial in range(2):
             f = random_field(n, m, 2, f"symref:{n}:{m}:{r}:{trial}")
@@ -1488,7 +1515,7 @@ class TestSymmetrizedDerivative:
             # a fresh point, so that no memoized datum is shared
             expected = _reference_symmetrized_derivative(f, r, PhasePoint(pt.x, pt.xi))
             assert seen == expected
-            assert residual == max(map(moments.magnitude, expected)) > 0.0
+            assert residual == max(map(magnitude, expected)) > 0.0
 
     def test_bad_depth_rejected(self):
         f = random_field(2, 2, 1, 74)

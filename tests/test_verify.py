@@ -24,6 +24,7 @@ from raymoments import (
     generalized_saint_venant,
     generate_potential,
     inner_derivative,
+    iterate_d,
     main,
     moment_stack,
     parse_field,
@@ -75,6 +76,47 @@ class TestSuites:
         ids = {rec.check_id for rec in result.records}
         assert "degenerate-top-order" in ids
         assert "potential-exact-kernel" not in ids
+
+    def test_loaded_kernel_field_fails_both_separation_records(self, tmp_path, capsys):
+        # a potential lies in the kernel of W^k: loaded, it cannot separate and
+        # is not redrawn, so both witnesses read zero and the run fails
+        n, m, k = 2, 2, 1
+        v = random_field(n, m - k - 1, 2, "loaded-kernel")
+        assert not v.is_zero()
+        path = tmp_path / "potential.json"
+        path.write_text(serialize_field(iterate_d(v, k + 1)))
+        code = main(["--suite", "kernel", "--n", str(n), "--m", str(m), "--k", str(k),
+                     "--samples", "3", "--format", "json", "--field", str(path)])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)["suites"][0]
+        assert report["resamples"] == 0
+        failed = {r["check_id"]: r["residual"] for r in report["records"] if not r["pass"]}
+        assert failed == {"separation-operator-witness": 0.0, "separation-moment-witness": 0.0}
+
+    def test_vanishing_first_round_is_resampled_with_twice_the_lines(self, monkeypatch):
+        config = SuiteConfig(n=2, m=2, k=1, seed=7, samples=3)
+        original, calls = verify.moment_stack, {}
+
+        def vanishing_first_round(f, k, pt):
+            # the potential's stacks come first; the separation field's
+            # first round of ``samples`` lines reads zero
+            lines = calls.setdefault(id(f), [])
+            lines.append(pt)
+            stack = original(f, k, pt)
+            if len(calls) == 2 and len(lines) <= config.samples:
+                return [ExactValue.zero_value()] * len(stack)
+            return stack
+
+        monkeypatch.setattr(verify, "moment_stack", vanishing_first_round)
+        result = suite_kernel(config)
+        assert result.passed and result.resamples == 1
+        first, second = list(calls.values())[1][:3], list(calls.values())[1][3:]
+        assert len(second) == 2 * len(first) and not set(map(id, first)) & set(map(id, second))
+        g = verify._nonzero_field(2, 2, config.degree, "7:kernel:sep/0")
+        witness = max(moments.magnitude(value) for pt in second
+                      for value in original(g, config.k, pt))
+        record, = (r for r in result.records if r.check_id == "separation-moment-witness")
+        assert record.residual == witness > 0.0 and record.passed
 
     def test_identities_default_passes(self):
         result = suite_identities(SuiteConfig(n=2, m=2, k=1, seed=7, samples=6))
